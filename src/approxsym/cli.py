@@ -11,12 +11,13 @@ import argparse
 import json
 import sys
 
-from . import expr as ex
 from .errors import (ApproxSymError, FormulaMismatch, ModelError,
                      NonFiniteState, NotAVariationalSymmetry,
                      SymbolicPivotAmbiguity, SyntaxErrorAt, UnknownModel)
 from .lang import to_latex, to_text
-from .models import Model, builtin_names, golden_check, load_builtin, load_model_dict
+from .linalg import fe_expr
+from .models import (Model, builtin_names, concretize, golden_check, load_builtin,
+                     load_model_dict)
 from .noether import (ConservationLaw, GaugeTerm, classify, divergence_check,
                       noether_fluxes)
 from .numverify import compile_numeric, drift, eps_sweep, integrate
@@ -77,13 +78,11 @@ def cmd_determine(args) -> int:
         lines = []
         dump = []
         for eq, (order, sig) in zip(system.equations, system.provenance):
-            terms = " + ".join(
-                f"({to_text(ex.rat(v) if not isinstance(v, ex.Expr) else v)})*c{c}"
-                for c, v in sorted(eq.items()))
+            terms = " + ".join(f"({to_text(fe_expr(v))})*c{c}"
+                               for c, v in sorted(eq.items()))
             lines.append(f"[eps^{order}] [{to_text(sig)}]  {terms} = 0")
             dump.append({"order": order, "monomial": to_text(sig),
-                         "terms": {str(c): to_text(ex.rat(v) if not isinstance(v, ex.Expr) else v)
-                                   for c, v in eq.items()}})
+                         "terms": {str(c): to_text(fe_expr(v)) for c, v in eq.items()}})
         _emit(args, {"equations": dump}, lines)
     solutions = solve(system)
     rep = report(solutions)
@@ -159,17 +158,17 @@ def cmd_verify(args) -> int:
     recs = [r for r in _selected_golden(model, args.law) if r.quantity is not None]
     payload: dict = {"model": model.name, "laws": []}
     text = []
+    grid = model.grid
+    if recs and (args.numeric or args.csv):
+        nm = compile_numeric(model.lagrangian, model.bindings)
+        traj = integrate(nm, nm.initial_state(model.initial, model.language),
+                         grid["t0"], grid["t1"], grid["h"])
     for rec in recs:
-        law = ConservationLaw(model.space, (rec.quantity,)
-                              if model.space.n == 1 else (rec.quantity,), name=rec.name)
+        law = ConservationLaw(model.space, (rec.quantity,), name=rec.name)
         results = divergence_check(law, model.lagrangian)
         entry = {"name": rec.name, "symbolic": results}
         text.append(f"{rec.name}: symbolic per-order {results}")
         if args.numeric or args.csv:
-            nm = compile_numeric(model.lagrangian, model.bindings)
-            y0 = nm.initial_state(model.initial, model.language)
-            grid = model.grid
-            traj = integrate(nm, y0, grid["t0"], grid["t1"], grid["h"])
             rep = drift(traj, law, nm)
             entry["drift"] = rep.max_drift
             text.append(f"  drift per order: {rep.max_drift}")
@@ -177,11 +176,9 @@ def cmd_verify(args) -> int:
                 _write_csv(args.csv, traj, law, nm)
         if args.sweep:
             eps_values = [float(s) for s in args.sweep.split(",")]
-            nm = compile_numeric(model.lagrangian, model.bindings)
-            y0full = _full_initial(model)
-            grid = model.grid
-            sw = eps_sweep(_concrete_source(model), model.space, law, eps_values,
-                           model.bindings, y0full, grid["t0"], grid["t1"], grid["h"])
+            source = concretize(model.lagrangian_source, model.functions, model.language)
+            sw = eps_sweep(source, model.space, law, eps_values, model.bindings,
+                           _full_initial(model), grid["t0"], grid["t1"], grid["h"])
             entry["sweep"] = {"eps": sw.eps_values, "drift": sw.drifts,
                               "slope": sw.slope}
             text.append(f"  sweep slope: {sw.slope:.3f} ({sw.drifts})")
@@ -190,18 +187,8 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _concrete_source(model: Model) -> ex.Expr:
-    src = model.lagrangian_source
-    for fname, f in model.functions.items():
-        if f.get("concrete"):
-            src = ex.subst_function(src, fname, ex.sym(f.get("formal", "w")),
-                                    model.language.parse(f["concrete"]))
-    return src
-
-
 def _full_initial(model: Model) -> list[float]:
     """Full-equation initial data u = u_(0) + eps*u_(1) at t0 (eps-free part)."""
-    lang = model.language
     tname = model.space.independent[0]
     bases = sorted(model.space.dependent)
     y0 = []

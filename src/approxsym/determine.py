@@ -21,8 +21,8 @@ from itertools import product
 from . import expr as ex
 from .errors import AnsatzIncomplete, NotPolynomial
 from .jet import JetSpace
-from .linalg import (FE, fe_add, fe_expr, fe_is_zero, fe_mul, fe_neg,
-                     in_span, nullspace, sparse_rref)
+from .linalg import (FE, fe_expr, fe_is_zero, in_span, nullspace, span_fits,
+                     sparse_rref, split_constants)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from .perturb import EpsSeries, build_infinitesimals
 from .symmetry import Generator
@@ -77,9 +77,8 @@ def _check_independent(basis: list[ex.Expr], key):
         return
     rows: dict[tuple, dict] = {}
     for col, b in enumerate(basis):
-        nf, _ = ex._zero_normal_form(b)
-        for mono, coeff in nf.items():
-            rows.setdefault(mono, {})[col] = coeff
+        for sig, entry in split_constants(b, ()).items():
+            rows.setdefault(sig, {})[col] = entry
     if len(sparse_rref(list(rows.values()), len(basis))) != len(basis):
         raise ValueError(f"ansatz basis for {key} is linearly dependent")
 
@@ -166,18 +165,10 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
     columns: dict[tuple, int] = {}
 
     def alloc(kind, k, slot):
-        cols = []
         for bidx, _ in enumerate(ansatz.basis(kind, k, slot)):
             key = (kind, k, slot, bidx)
             columns[key] = len(unknowns)
             unknowns.append(key)
-            cols.append(columns[key])
-        return cols
-
-    def combination(kind, k, slot):
-        basis = ansatz.basis(kind, k, slot)
-        return ex.add(*[ex.mul(_csym(columns[(kind, k, slot, j)]), b)
-                        for j, b in enumerate(basis)])
 
     for kind, count in (("xi", sp.n), ("eta", sp.m)):
         for slot in range(count):
@@ -188,49 +179,31 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
         for k in range(p + 1):
             alloc("phi", k, slot)
 
-    xi_seeds = [[combination("xi", k, i) for k in range(p + 1)] for i in range(sp.n)]
-    eta_seeds = [[combination("eta", k, a) for k in range(p + 1)] for a in range(sp.m)]
-    gen = Generator.from_seeds(sp, xi_seeds, eta_seeds)
-    phi = GaugeTerm(sp, tuple(
-        EpsSeries(tuple(combination("phi", k, i) for k in range(p + 1)))
-        for i in range(sp.n)))
+    gen, phi = _generator_and_gauge(sp, ansatz, columns, _csym)
     residual = variational_residual(gen, lag, phi)
 
     equations: list[dict[int, FE]] = []
     provenance: list[tuple[int, ex.Expr]] = []
     bucket: dict[tuple[int, tuple], dict[int, FE]] = {}
-    signature_expr: dict[tuple[int, tuple], ex.Expr] = {}
     for k, coeff in enumerate(residual.coeffs):
-        nf, _ = ex._zero_normal_form(coeff)
-        for mono, value in nf.items():
-            col = None
-            const_part = [ex.rat(value)]
-            sig_part = []
-            for atom, power in mono:
-                if isinstance(atom, ex.Sym) and atom.name.startswith("_c"):
-                    if col is not None or power != 1:
-                        raise NotPolynomial(
-                            "residual is not linear in the unknown coefficients")
-                    col = int(atom.name[2:])
-                elif isinstance(atom, ex.Sym) and atom.name in constants:
-                    const_part.append(ex.pow_(atom, power))
-                else:
-                    sig_part.append((atom, power))
-            if col is None:
+        for sig, entry in split_constants(coeff, constants).items():
+            unknown = [i for i, (atom, _) in enumerate(sig)
+                       if isinstance(atom, ex.Sym) and atom.name.startswith("_c")]
+            if not unknown:
                 raise NotPolynomial(
-                    f"residual has an unknown-free term {ex.mul(*const_part)!r}")
-            sig_key = (k, tuple(sorted(sig_part, key=lambda ap: ap[0].key())))
-            row = bucket.setdefault(sig_key, {})
-            entry = ex.mul(*const_part)
-            prev = row.get(col)
-            row[col] = _fe(entry) if prev is None else fe_add(prev, _fe(entry))
-            signature_expr.setdefault(
-                sig_key, ex.mul(*[ex.pow_(a, q) for a, q in sig_key[1]]))
-    for sig_key in sorted(bucket, key=lambda sk: (sk[0], sk[1])):
+                    f"residual has an unknown-free term {fe_expr(entry)!r}")
+            atom, power = sig[unknown[0]]
+            if len(unknown) > 1 or power != 1:
+                raise NotPolynomial(
+                    "residual is not linear in the unknown coefficients")
+            rest = sig[:unknown[0]] + sig[unknown[0] + 1:]
+            bucket.setdefault((k, rest), {})[int(atom.name[2:])] = entry
+    for sig_key in sorted(bucket):
         row = {c: v for c, v in bucket[sig_key].items() if not fe_is_zero(v)}
         if row:
             equations.append(row)
-            provenance.append((sig_key[0], signature_expr[sig_key]))
+            provenance.append((sig_key[0],
+                               ex.mul(*[ex.pow_(a, q) for a, q in sig_key[1]])))
     return DeterminingSystem(sp, lag, ansatz, unknowns, equations, provenance,
                              first_gauge, frozenset(constants))
 
@@ -239,8 +212,24 @@ def _csym(idx: int) -> ex.Sym:
     return ex.sym(f"_c{idx}")
 
 
-def _fe(e: ex.Expr) -> FE:
-    return e.value if isinstance(e, ex.Rat) else e
+def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, int],
+                         coeff) -> tuple[Generator, GaugeTerm]:
+    """Every family as sum_j coeff(column j) * basis_j; a None coefficient drops the term."""
+    p = sp.order
+
+    def combo(kind, k, slot) -> ex.Expr:
+        terms = []
+        for j, b in enumerate(ansatz.basis(kind, k, slot)):
+            c = coeff(column[(kind, k, slot, j)])
+            if c is not None:
+                terms.append(ex.mul(c, b))
+        return ex.add(*terms)
+
+    xi_seeds = [[combo("xi", k, i) for k in range(p + 1)] for i in range(sp.n)]
+    eta_seeds = [[combo("eta", k, a) for k in range(p + 1)] for a in range(sp.m)]
+    phi = GaugeTerm(sp, tuple(EpsSeries(tuple(combo("phi", k, i) for k in range(p + 1)))
+                              for i in range(sp.n)))
+    return Generator.from_seeds(sp, xi_seeds, eta_seeds), phi
 
 
 def solve(sys: DeterminingSystem, verify: bool = True) -> list[Solution]:
@@ -266,24 +255,9 @@ def _canonical_rows(vectors: list[dict[int, FE]], ncols: int) -> list[dict[int, 
 
 
 def _instantiate(sys: DeterminingSystem, vec: dict[int, FE]) -> Solution:
-    sp = sys.space
-    p = sp.order
-
-    def combo(kind, k, slot) -> ex.Expr:
-        basis = sys.ansatz.basis(kind, k, slot)
-        terms = []
-        for j, b in enumerate(basis):
-            c = vec.get(sys.column[(kind, k, slot, j)])
-            if c is not None:
-                terms.append(ex.mul(fe_expr(c), b))
-        return ex.add(*terms) if terms else ex.ZERO
-
-    xi_seeds = [[combo("xi", k, i) for k in range(p + 1)] for i in range(sp.n)]
-    eta_seeds = [[combo("eta", k, a) for k in range(p + 1)] for a in range(sp.m)]
-    gen = Generator.from_seeds(sp, xi_seeds, eta_seeds)
-    phi = GaugeTerm(sp, tuple(
-        EpsSeries(tuple(combo("phi", k, i) for k in range(p + 1)))
-        for i in range(sp.n)))
+    gen, phi = _generator_and_gauge(
+        sys.space, sys.ansatz, sys.column,
+        lambda col: fe_expr(vec[col]) if col in vec else None)
     pure = min(vec) >= sys.first_gauge
     return Solution(gen, phi, vec, pure_gauge=pure)
 
@@ -321,38 +295,6 @@ def seeds_from_series(series: EpsSeries, space: JetSpace) -> list[ex.Expr]:
     return seeds
 
 
-def _fit_in_basis(target: ex.Expr, basis: list[ex.Expr],
-                  constants: frozenset[str]) -> list[FE] | None:
-    """Exact coordinates of target in span(basis) over Q(constants)."""
-    rows: dict[tuple, dict[int, FE]] = {}
-    ncols = len(basis) + 1
-    for col, b in enumerate(list(basis) + [target]):
-        nf, _ = ex._zero_normal_form(b)
-        for mono, value in nf.items():
-            const_part = [ex.rat(value)]
-            sig_part = []
-            for atom, power in mono:
-                if isinstance(atom, ex.Sym) and atom.name in constants:
-                    const_part.append(ex.pow_(atom, power))
-                else:
-                    sig_part.append((atom, power))
-            sig_key = tuple(sorted(sig_part, key=lambda ap: ap[0].key()))
-            row = rows.setdefault(sig_key, {})
-            entry = _fe(ex.mul(*const_part))
-            prev = row.get(col)
-            row[col] = entry if prev is None else fe_add(prev, entry)
-    # solve basis * lambda = target: nullspace of [basis | -target]
-    for row in rows.values():
-        if ncols - 1 in row:
-            row[ncols - 1] = fe_neg(row[ncols - 1])
-    for vec in nullspace(list(rows.values()), ncols):
-        t = vec.get(ncols - 1)
-        if t is not None and not fe_is_zero(t):
-            return [_fe(ex.expand(ex.div(fe_expr(vec[j]), fe_expr(t))))
-                    if j in vec else Fraction(0) for j in range(len(basis))]
-    return None
-
-
 def vector_for_golden(sys: DeterminingSystem, gen: Generator,
                       phi: GaugeTerm) -> dict[int, FE] | None:
     """Ansatz coordinates of a (generator, gauge) pair, or None if outside."""
@@ -364,12 +306,11 @@ def vector_for_golden(sys: DeterminingSystem, gen: Generator,
         basis = sys.ansatz.basis(kind, k, slot)
         if ex.is_zero(target) is True:
             return True
-        coords = _fit_in_basis(target, basis, sys.constants)
+        coords = next(span_fits([[b] for b in basis] + [[target]], sys.constants), None)
         if coords is None:
             return False
-        for j, c in enumerate(coords):
-            if not fe_is_zero(c):
-                vec[sys.column[(kind, k, slot, j)]] = c
+        for j, c in coords.items():
+            vec[sys.column[(kind, k, slot, j)]] = c
         return True
 
     try:

@@ -14,6 +14,7 @@ decision ``is_zero`` additionally applies the trigonometric rewrite rules
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -22,7 +23,7 @@ from .errors import NotPolynomial
 __all__ = [
     "Expr", "Rat", "Sym", "Eps", "Jet", "Fun", "AFun", "AInt", "Pow", "Mul", "Add",
     "ZERO", "ONE", "EPS", "rat", "sym", "jet", "fun", "afun", "aint", "add", "mul",
-    "pow_", "neg", "sub", "div", "diff", "subst", "subst_function", "expand",
+    "pow_", "neg", "sub", "div", "rebuild", "diff", "subst", "subst_function", "expand",
     "collect", "is_zero", "UNKNOWN", "equivalent", "atoms_of", "jets_of",
     "symbols_of", "contains_eps", "poly_antiderivative", "linear_coeffs",
 ]
@@ -368,18 +369,25 @@ def mul(*factors) -> Expr:
     return Mul(tuple(out))
 
 
+def _iroot(n: int, q: int) -> int | None:
+    """Exact integer q-th root of n >= 0, or None; integers of any size."""
+    if q == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton iteration from above converges to floor(n^(1/q))
+        r = 1 << -(-n.bit_length() // q)
+        while r:
+            s = ((q - 1) * r + n // r ** (q - 1)) // q
+            if s >= r:
+                break
+            r = s
+    return r if r ** q == n else None
+
+
 def _rat_root(v: Fraction, q: int) -> Fraction | None:
     """Exact q-th root of a nonnegative rational, or None."""
-    def iroot(n: int) -> int | None:
-        if n < 0:
-            return None
-        r = round(n ** (1.0 / q))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** q == n:
-                return cand
-        return None
-    a = iroot(v.numerator)
-    b = iroot(v.denominator)
+    a = _iroot(v.numerator, q)
+    b = _iroot(v.denominator, q)
     if a is None or b is None:
         return None
     return Fraction(a, b)
@@ -486,6 +494,26 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def rebuild(e: Expr, fn) -> Expr:
+    """Apply ``fn`` to every child of ``e`` and re-apply the smart constructor.
+
+    Atoms come back unchanged.
+    """
+    if isinstance(e, Add):
+        return add(*[fn(t) for t in e.terms])
+    if isinstance(e, Mul):
+        return mul(*[fn(f) for f in e.factors])
+    if isinstance(e, Pow):
+        return pow_(fn(e.base), e.exp)
+    if isinstance(e, Fun):
+        return fun(e.name, fn(e.arg))
+    if isinstance(e, AFun):
+        return AFun(e.name, tuple(fn(a) for a in e.args), e.deriv, e.family)
+    if isinstance(e, AInt):
+        return AInt(e.name, fn(e.arg))
+    return e
+
+
 def jets_of(e: Expr) -> set[Jet]:
     return atoms_of(e, Jet)
 
@@ -568,21 +596,7 @@ def _subst(e: Expr, b: Mapping[Expr, Expr]) -> Expr:
     hit = b.get(e)
     if hit is not None:
         return hit
-    if isinstance(e, (Rat, Sym, Jet, Eps)):
-        return e
-    if isinstance(e, Add):
-        return add(*[_subst(t, b) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[_subst(f, b) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(_subst(e.base, b), e.exp)
-    if isinstance(e, Fun):
-        return fun(e.name, _subst(e.arg, b))
-    if isinstance(e, AFun):
-        return AFun(e.name, tuple(_subst(a, b) for a in e.args), e.deriv, e.family)
-    if isinstance(e, AInt):
-        return AInt(e.name, _subst(e.arg, b))
-    raise TypeError(f"cannot substitute into {type(e).__name__}")
+    return rebuild(e, lambda c: _subst(c, b))
 
 
 def subst_function(e: Expr, name: str, formal: Sym, body: Expr) -> Expr:
@@ -604,22 +618,7 @@ def subst_function(e: Expr, name: str, formal: Sym, body: Expr) -> Expr:
         anti = poly_antiderivative(body, formal)
         arg = subst_function(e.arg, name, formal, body)
         return subst(anti, {formal: arg})
-    if isinstance(e, (Rat, Sym, Jet, Eps)):
-        return e
-    if isinstance(e, Add):
-        return add(*[subst_function(t, name, formal, body) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[subst_function(f, name, formal, body) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(subst_function(e.base, name, formal, body), e.exp)
-    if isinstance(e, Fun):
-        return fun(e.name, subst_function(e.arg, name, formal, body))
-    if isinstance(e, AFun):
-        return AFun(e.name, tuple(subst_function(a, name, formal, body) for a in e.args),
-                    e.deriv, e.family)
-    if isinstance(e, AInt):
-        return AInt(e.name, subst_function(e.arg, name, formal, body))
-    raise TypeError(f"cannot substitute into {type(e).__name__}")
+    return rebuild(e, lambda c: subst_function(c, name, formal, body))
 
 
 def poly_antiderivative(e: Expr, v: Sym) -> Expr:
@@ -801,28 +800,13 @@ def _clear_denominators(poly: dict) -> tuple[dict, bool]:
 
 def _trig_multiple_expand(e: Expr) -> Expr:
     """Rewrite sin/cos of integer multiples down to the base angle."""
-    if isinstance(e, (Rat, Sym, Jet, Eps)):
-        return e
     if isinstance(e, Fun) and e.name in ("sin", "cos"):
         arg = _trig_multiple_expand(e.arg)
         c, rest = _split_coeff(arg)
-        k = c if c.denominator == 1 else None
-        if k is not None and abs(k) >= 2:
-            return _angle_multiple(e.name, int(k), rest)
+        if c.denominator == 1 and abs(c) >= 2:
+            return _angle_multiple(e.name, int(c), rest)
         return fun(e.name, arg)
-    if isinstance(e, Add):
-        return add(*[_trig_multiple_expand(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[_trig_multiple_expand(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(_trig_multiple_expand(e.base), e.exp)
-    if isinstance(e, Fun):
-        return fun(e.name, _trig_multiple_expand(e.arg))
-    if isinstance(e, AFun):
-        return AFun(e.name, tuple(_trig_multiple_expand(a) for a in e.args), e.deriv, e.family)
-    if isinstance(e, AInt):
-        return AInt(e.name, _trig_multiple_expand(e.arg))
-    raise TypeError(f"cannot rewrite {type(e).__name__}")
+    return rebuild(e, _trig_multiple_expand)
 
 
 def _angle_multiple(name: str, k: int, x: Expr) -> Expr:
@@ -837,24 +821,15 @@ def _angle_multiple(name: str, k: int, x: Expr) -> Expr:
 
 def _sin_power_reduce(e: Expr) -> Expr:
     """Replace sin(x)^n (n >= 2) by (1 - cos(x)^2)^(n//2) * sin(x)^(n%2)."""
-    if isinstance(e, (Rat, Sym, Jet, Eps, Fun, AFun, AInt)):
+    if isinstance(e, (Fun, AFun, AInt)):
         return e
-    if isinstance(e, Add):
-        return add(*[_sin_power_reduce(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[_sin_power_reduce(f) for f in e.factors])
-    if isinstance(e, Pow):
-        base = _sin_power_reduce(e.base)
-        p = e.exp
-        if isinstance(base, Fun) and base.name == "sin" and p.denominator == 1 and p >= 2:
-            q, r = divmod(int(p), 2)
-            one_minus = sub(ONE, pow_(fun("cos", base.arg), 2))
-            out = pow_(one_minus, Fraction(q))
-            if r:
-                out = mul(out, base)
-            return out
-        return pow_(base, p)
-    raise TypeError(f"cannot rewrite {type(e).__name__}")
+    out = rebuild(e, _sin_power_reduce)
+    if isinstance(out, Pow) and isinstance(out.base, Fun) and out.base.name == "sin" \
+            and out.exp.denominator == 1 and out.exp >= 2:
+        q, r = divmod(int(out.exp), 2)
+        reduced = pow_(sub(ONE, pow_(fun("cos", out.base.arg), 2)), Fraction(q))
+        return mul(reduced, out.base) if r else reduced
+    return out
 
 
 _ZNF_CACHE: dict[Expr, tuple[dict, bool]] = {}

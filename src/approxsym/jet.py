@@ -71,16 +71,6 @@ class JetSpace:
                         out.append(ex.jet(base, k, combo))
         return out
 
-    def contains(self, e: ex.Expr) -> bool:
-        for j in ex.jets_of(e):
-            if j.base not in self.dependent:
-                return False
-            if j.order is not None and j.order > self.order:
-                return False
-            if len(j.deriv) > self.max_derivative + 1:
-                return False
-        return True
-
     def language(self, functions=None, constants=(), strict=False):
         from .lang import Language
         return Language(self.independent, self.dependent, functions,

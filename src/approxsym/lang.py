@@ -11,7 +11,6 @@ idempotent; the parser performs no rewriting beyond canonical ordering.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -99,11 +98,18 @@ def parse(text: str, language: Language | None = None) -> ex.Expr:
     return (language or Language()).parse(text)
 
 
+# Deepest parenthesis nesting (grouping, exponents, call arguments) the
+# parser accepts.  It descends recursively, several frames per level, so the
+# bound keeps deep input a SyntaxErrorAt instead of a RecursionError.
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, lang: Language, text: str):
         self.lang = lang
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -118,6 +124,17 @@ class _Parser:
         if t.text != text:
             raise SyntaxErrorAt(f"expected {text!r}, found {t.text!r}", t.line, t.col)
         return t
+
+    def open_paren(self) -> None:
+        t = self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxErrorAt(f"parentheses nested deeper than {MAX_NESTING}",
+                                t.line, t.col)
+
+    def close_paren(self) -> None:
+        self.expect(")")
+        self.depth -= 1
 
     def error(self, msg: str):
         t = self.peek()
@@ -169,9 +186,9 @@ class _Parser:
             self.next()
             neg_ = True
         if self.peek().text == "(":
-            self.next()
+            self.open_paren()
             e = self.exponent()
-            self.expect(")")
+            self.close_paren()
         else:
             t = self.next()
             if t.kind != "num":
@@ -191,9 +208,9 @@ class _Parser:
     def primary(self) -> ex.Expr:
         t = self.peek()
         if t.text == "(":
-            self.next()
+            self.open_paren()
             e = self.expression()
-            self.expect(")")
+            self.close_paren()
             return e
         if t.kind == "num":
             self.next()
@@ -214,13 +231,13 @@ class _Parser:
         if name == "eps":
             return ex.EPS
         if name == "Int":
-            self.expect("(")
+            self.open_paren()
             fn = self.next()
             if fn.kind != "name":
                 raise SyntaxErrorAt("Int(F, arg) needs a function name", fn.line, fn.col)
             self.expect(",")
             arg = self.expression()
-            self.expect(")")
+            self.close_paren()
             return ex.aint(fn.text, arg)
         if self.peek().text == "(":
             return self.call(name, primes, t)
@@ -229,12 +246,12 @@ class _Parser:
         return self.leaf(name, t)
 
     def call(self, name: str, primes: int, t: _Token) -> ex.Expr:
-        self.expect("(")
+        self.open_paren()
         args = [self.expression()]
         while self.peek().text == ",":
             self.next()
             args.append(self.expression())
-        self.expect(")")
+        self.close_paren()
         if name in ex.ELEMENTARY:
             if primes or len(args) != 1:
                 raise SyntaxErrorAt(f"{name} takes one argument", t.line, t.col)
@@ -491,6 +508,3 @@ def to_json(e: ex.Expr) -> dict:
         return {"op": "add", "args": [to_json(t) for t in e.terms]}
     raise TypeError(f"cannot serialize {type(e).__name__}")
 
-
-def to_json_text(e: ex.Expr) -> str:
-    return json.dumps(to_json(e), sort_keys=True)

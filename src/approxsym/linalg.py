@@ -4,6 +4,15 @@ Entries are either plain Fractions (the fast path) or canonical expressions
 in declared constants, treated as independent transcendentals: any entry
 whose zero test succeeds is a valid pivot, and an Unknown zero test raises
 SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column index.
+
+Two eliminations serve two jobs.  ``sparse_rref`` reduces the homogeneous
+systems built by ``split_constants`` (determining equations, span fits,
+law dependencies); every entry lies in Q(constants), so every entry may be
+zero-tested.  ``solve_dense`` solves the small affine system of the
+Euler-Lagrange equations for the accelerations; its right-hand sides hold
+arbitrary jet expressions (exp(u0), radicals) whose zero test can be
+Unknown, so it zero-tests pivot-column entries only and never the
+right-hand sides, which are only ever combined, never divided by.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from . import expr as ex
 from .errors import SymbolicPivotAmbiguity
 
 __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
-           "sparse_rref", "nullspace", "rank", "in_span", "solve_dense"]
+           "split_constants", "span_fits", "sparse_rref", "nullspace", "rank",
+           "in_span", "solve_dense"]
 
 FE = Fraction | ex.Expr
 
@@ -146,16 +156,68 @@ def in_span(vectors: list[dict], candidate: dict, ncols: int) -> bool:
     return rank(vectors + [candidate], ncols) == base
 
 
-def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr] | None:
-    """Solve a small dense square system with expression entries exactly.
+def split_constants(e: ex.Expr, constants) -> dict[tuple, FE]:
+    """Zero normal form of e as {signature: entry over Q(constants)}.
 
-    Returns None when the matrix is singular (a pivot cannot be found).
+    A signature is a normal-form monomial key with the powers of declared
+    constants removed; those powers move into the entry, and entries whose
+    signatures coincide are summed.  Signatures keep the normal form's
+    atom order.
     """
-    n = len(matrix)
+    nf, _ = ex._zero_normal_form(e)
+    out: dict[tuple, FE] = {}
+    for mono, value in nf.items():
+        const_part = [ex.rat(value)]
+        sig = []
+        for atom, power in mono:
+            if isinstance(atom, ex.Sym) and atom.name in constants:
+                const_part.append(ex.pow_(atom, power))
+            else:
+                sig.append((atom, power))
+        sig = tuple(sig)
+        entry = _demote(ex.mul(*const_part))
+        prev = out.get(sig)
+        out[sig] = entry if prev is None else fe_add(prev, entry)
+    return out
+
+
+def span_fits(columns: list[list[ex.Expr]], constants):
+    """Solutions of sum_j c_j * columns[j] = columns[-1] over Q(constants).
+
+    Each column is a list of expressions, one per tag (eps order); rows are
+    keyed by (tag, signature).  Yields one {j: c_j} per null vector of
+    [columns[:-1] | -columns[-1]] with a nonzero target coordinate, zero
+    coordinates omitted.
+    """
+    target = len(columns) - 1
+    rows: dict[tuple, dict[int, FE]] = {}
+    for col, parts in enumerate(columns):
+        for tag, e in enumerate(parts):
+            for sig, entry in split_constants(e, constants).items():
+                rows.setdefault((tag, sig), {})[col] = \
+                    fe_neg(entry) if col == target else entry
+    for vec in nullspace(list(rows.values()), len(columns)):
+        t = vec.get(target)
+        if t is not None and not fe_is_zero(t):
+            yield {j: fe_div(v, t) for j, v in vec.items()
+                   if j != target and not fe_is_zero(v)}
+
+
+def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr] | None:
+    """Gauss-Jordan elimination of a small dense system with expression entries.
+
+    Tolerates redundant rows; the number of unknowns is the row width.
+    Returns None when some column has no nonzero pivot, and raises
+    SymbolicPivotAmbiguity when a pivot candidate's zero test is Unknown.
+    """
+    nvars = len(matrix[0]) if matrix else 0
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
+    pivots: dict[int, int] = {}  # pivot row -> column
+    for col in range(nvars):
         piv = None
-        for r in range(col, n):
+        for r in range(len(aug)):
+            if r in pivots:
+                continue
             z = ex.is_zero(aug[r][col])
             if z is ex.UNKNOWN:
                 raise SymbolicPivotAmbiguity(aug[r][col])
@@ -164,12 +226,15 @@ def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr
                 break
         if piv is None:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ex.div(ex.ONE, aug[col][col])
-        aug[col] = [ex.mul(inv, v) for v in aug[col]]
-        for r in range(n):
-            if r != col:
+        inv = ex.div(ex.ONE, aug[piv][col])
+        aug[piv] = [ex.mul(inv, v) for v in aug[piv]]
+        for r in range(len(aug)):
+            if r != piv:
                 f = aug[r][col]
                 if ex.is_zero(f) is not True:
-                    aug[r] = [ex.sub(a, ex.mul(f, b)) for a, b in zip(aug[r], aug[col])]
-    return [row[n] for row in aug]
+                    aug[r] = [ex.sub(a, ex.mul(f, b)) for a, b in zip(aug[r], aug[piv])]
+        pivots[piv] = col
+    out = [None] * nvars
+    for r, col in pivots.items():
+        out[col] = aug[r][nvars]
+    return out

@@ -12,21 +12,20 @@ additive constants (conserved quantities are only defined up to those).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import expr as ex
 from .determine import AnsatzSpace, default_ansatz
 from .errors import ModelError, UnknownModel
 from .jet import JetSpace
-from .lang import Language
-from .linalg import FE, fe_expr, fe_is_zero, nullspace
+from .lang import Language, to_text
+from .linalg import fe_expr, span_fits
 from .noether import (ConservationLaw, GaugeTerm, PerturbedLagrangian,
                       divergence_check, noether_fluxes, variational_residual)
 from .perturb import EpsSeries, const_series
 from .symmetry import Generator
 
 __all__ = ["Model", "GoldenRecord", "load_builtin", "load_model_dict",
-           "builtin_names", "golden_check"]
+           "builtin_names", "golden_check", "concretize"]
 
 
 @dataclass
@@ -62,10 +61,6 @@ class Model:
         return set(self.constants)
 
 
-def _series(lang: Language, texts: list[str]) -> EpsSeries:
-    return EpsSeries(tuple(lang.parse(s) for s in texts))
-
-
 def load_model_dict(data: dict) -> Model:
     """Hydrate a model-file dictionary (schema 1)."""
     _require(data, "name", str)
@@ -85,13 +80,7 @@ def load_model_dict(data: dict) -> Model:
         functions={n: f.get("arity", 1) for n, f in functions.items()},
         constants=set(constants))
     src = lang.parse(data["lagrangian"])
-    concrete = src
-    for name, f in functions.items():
-        if f.get("concrete"):
-            formal = ex.sym(f.get("formal", "w"))
-            body = lang.parse(f["concrete"])
-            concrete = ex.subst_function(concrete, name, formal, body)
-    lag = PerturbedLagrangian.from_expression(concrete, space)
+    lag = PerturbedLagrangian.from_expression(concretize(src, functions, lang), space)
     ansatz_data = data.get("ansatz")
     if ansatz_data:
         ansatz = _parse_ansatz(ansatz_data, space, lang)
@@ -106,15 +95,9 @@ def load_model_dict(data: dict) -> Model:
         grid=dict(data.get("grid") or {}),
         dependencies=list(data.get("dependencies") or []),
         notes=list(data.get("notes") or []), raw=data)
-    def concretize(e: ex.Expr) -> ex.Expr:
-        for fname, f in functions.items():
-            if f.get("concrete"):
-                e = ex.subst_function(e, fname, ex.sym(f.get("formal", "w")),
-                                      lang.parse(f["concrete"]))
-        return e
 
     def parse_series(texts: list[str]) -> EpsSeries:
-        return EpsSeries(tuple(concretize(lang.parse(s)) for s in texts))
+        return EpsSeries(tuple(concretize(lang.parse(s), functions, lang) for s in texts))
 
     for rec in data.get("golden") or []:
         gen = Generator.from_json(space, rec, lang)
@@ -126,6 +109,15 @@ def load_model_dict(data: dict) -> Model:
         model.golden.append(GoldenRecord(rec["name"], gen, gauge, quantity,
                                          rec.get("expect", "nontrivial")))
     return model
+
+
+def concretize(e: ex.Expr, functions: dict[str, dict], lang: Language) -> ex.Expr:
+    """Substitute the closed form of every function that declares one."""
+    for name, f in functions.items():
+        if f.get("concrete"):
+            e = ex.subst_function(e, name, ex.sym(f.get("formal", "w")),
+                                  lang.parse(f["concrete"]))
+    return e
 
 
 def _require(data: dict, key: str, type_):
@@ -225,54 +217,15 @@ def _match_quantity(q: EpsSeries, name: str, laws: dict[str, EpsSeries],
         coeffs[k] = ex.ONE
         basis.append(EpsSeries(tuple(coeffs)))
         names.append(f"const_eps{k}")
-    ncols = len(basis) + 1
-    rows: dict[tuple, dict[int, FE]] = {}
-    for col, series in enumerate(list(basis) + [q]):
-        for k, c in enumerate(series.coeffs):
-            nf, _ = ex._zero_normal_form(c)
-            for mono, value in nf.items():
-                const_part = [ex.rat(value)]
-                sig_part = []
-                for atom, power in mono:
-                    if isinstance(atom, ex.Sym) and atom.name in constants:
-                        const_part.append(ex.pow_(atom, power))
-                    else:
-                        sig_part.append((atom, power))
-                key = (k, tuple(sorted(sig_part, key=lambda ap: ap[0].key())))
-                row = rows.setdefault(key, {})
-                entry = ex.mul(*const_part)
-                prev = row.get(col)
-                row[col] = (entry.value if isinstance(entry, ex.Rat) else entry) \
-                    if prev is None else _fe_sum(prev, entry)
-    for row in rows.values():
-        if ncols - 1 in row:
-            row[ncols - 1] = _fe_neg(row[ncols - 1])
-    for vec in nullspace(list(rows.values()), ncols):
-        t = vec.get(ncols - 1)
-        if t is None or fe_is_zero(t):
+    for coords in span_fits([list(b.coeffs) for b in basis] + [list(q.coeffs)],
+                            constants):
+        sigma = coords.get(0)
+        if sigma is None or ex.is_zero(fe_expr(sigma)) is True:
             continue
-        coords = {}
-        for j, n in enumerate(names):
-            if j in vec and not fe_is_zero(vec[j]):
-                coords[n] = ex.expand(ex.div(fe_expr(vec[j]), fe_expr(t)))
-        sigma = coords.get(name)
-        if sigma is None or ex.is_zero(sigma) is True:
-            continue
-        from .lang import to_text
-        return {"sigma": to_text(sigma),
-                "combination": {n: to_text(c) for n, c in coords.items() if n != name}}
+        return {"sigma": to_text(fe_expr(sigma)),
+                "combination": {names[j]: to_text(fe_expr(c))
+                                for j, c in coords.items() if j != 0}}
     return None
-
-
-def _fe_sum(a, b):
-    e = ex.expand(ex.add(fe_expr(a), fe_expr(b) if isinstance(b, ex.Expr) else ex.rat(b)))
-    return e.value if isinstance(e, ex.Rat) else e
-
-
-def _fe_neg(a):
-    e = ex.neg(fe_expr(a))
-    e = ex.expand(e)
-    return e.value if isinstance(e, ex.Rat) else e
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import expr as ex
 from .errors import (CannotSolveForLeadingDerivative, FormulaMismatch,
                      NotAVariationalSymmetry, NotPolynomial)
 from .jet import JetSpace, total_derivative
-from .linalg import solve_dense
+from .linalg import fe_expr, nullspace, solve_dense, split_constants
 from .perturb import (EpsSeries, const_series, expand_series, series_add,
                       series_mul, series_shift, series_sub,
                       series_total_derivative, series_u_partial)
@@ -162,7 +162,9 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
 
     ODE case only (one independent variable).  Raises
     CannotSolveForLeadingDerivative when the appearing second derivatives
-    cannot all be eliminated (degenerate kinetic term).
+    cannot all be eliminated (degenerate kinetic term), and
+    SymbolicPivotAmbiguity when a kinetic coefficient cannot be decided to
+    be zero or nonzero.
     """
     if lag._el_cache is not None:
         return lag._el_cache
@@ -196,46 +198,12 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
     if len(rows) < len(unknowns):
         raise CannotSolveForLeadingDerivative(
             f"{len(unknowns)} leading derivatives, only {len(rows)} equations")
-    solution = _solve_rectangular(rows, rhs, len(unknowns))
+    solution = solve_dense(rows, rhs)
     if solution is None:
         raise CannotSolveForLeadingDerivative("kinetic term is degenerate")
     solved = {u: s for u, s in zip(unknowns, solution)}
     lag._el_cache = solved
     return solved
-
-
-def _solve_rectangular(rows, rhs, nvars):
-    """Gaussian elimination tolerating redundant extra equations."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    for col in range(nvars):
-        piv = None
-        for r in range(len(aug)):
-            if r in [p[0] for p in pivots]:
-                continue
-            z = ex.is_zero(aug[r][col])
-            if z is False:
-                piv = r
-                break
-        if piv is None:
-            return None
-        inv = ex.div(ex.ONE, aug[piv][col])
-        aug[piv] = [ex.mul(inv, v) for v in aug[piv]]
-        for r in range(len(aug)):
-            if r != piv:
-                f = aug[r][col]
-                if ex.is_zero(f) is not True:
-                    aug[r] = [ex.sub(a, ex.mul(f, b)) for a, b in zip(aug[r], aug[piv])]
-        pivots.append((piv, col))
-    out = [None] * nvars
-    for r, col in pivots:
-        out[col] = aug[r][nvars]
-    return out
-
-
-def on_shell(e: ex.Expr, lag: PerturbedLagrangian) -> ex.Expr:
-    """Substitute the solved Euler-Lagrange hierarchy into an expression."""
-    return ex.subst(e, el_solved_map(lag))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +309,6 @@ def classify(laws: list[ConservationLaw], constants: set[str] = frozenset()
     coefficient field, everything else indexes the rows.  Identically
     trivial shifted columns are skipped.
     """
-    from .linalg import nullspace
     sp = laws[0].space
     p = sp.order
     columns = []  # (law index, shift, flux coefficient list [(i, k, expr)])
@@ -362,36 +329,14 @@ def classify(laws: list[ConservationLaw], constants: set[str] = frozenset()
     rows: dict[tuple, dict] = {}
     for col_index, (_, _, coeffs) in enumerate(columns):
         for i, k, c in coeffs:
-            for mono_key, entry in _split_constants(c, constants):
-                row = rows.setdefault((i, k, mono_key), {})
-                prev = row.get(col_index)
-                row[col_index] = entry if prev is None else ex.expand(ex.add(prev, entry))
+            for sig, entry in split_constants(c, constants).items():
+                rows.setdefault((i, k, sig), {})[col_index] = entry
     basis = nullspace(list(rows.values()), len(columns))
     out = []
     for vec in basis:
         terms = []
         for col_index, coeff in sorted(vec.items()):
             idx, shift, _ = columns[col_index]
-            terms.append((ex.expand(ex.add(ex.ZERO, coeff if isinstance(coeff, ex.Expr)
-                                           else ex.rat(coeff))), shift, idx))
+            terms.append((ex.expand(fe_expr(coeff)), shift, idx))
         out.append(Dependency(terms))
     return out
-
-
-def _split_constants(e: ex.Expr, constants: set[str]):
-    """NF of e as [(row monomial key, constant-polynomial entry)]."""
-    nf, _ = ex._zero_normal_form(e)
-    grouped: dict[tuple, ex.Expr] = {}
-    for key, coeff in nf.items():
-        row_part = []
-        const_part = [ex.rat(coeff)]
-        for atom, power in key:
-            if isinstance(atom, ex.Sym) and atom.name in constants:
-                const_part.append(ex.pow_(atom, power))
-            else:
-                row_part.append((atom, power))
-        row_key = tuple(sorted(row_part, key=lambda ap: ap[0].key()))
-        entry = ex.mul(*const_part)
-        prev = grouped.get(row_key)
-        grouped[row_key] = entry if prev is None else ex.add(prev, entry)
-    return list(grouped.items())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import expr as ex
 from .errors import NonFiniteState, UnboundSymbol
@@ -102,17 +101,9 @@ def _replace_atoms(e: ex.Expr, table: dict[ex.Expr, ex.Expr]) -> ex.Expr:
     hit = table.get(e)
     if hit is not None:
         return hit
-    if isinstance(e, (ex.Rat, ex.Sym, ex.Jet, ex.Eps)):
+    if isinstance(e, (ex.AFun, ex.AInt)):
         return e
-    if isinstance(e, ex.Add):
-        return ex.add(*[_replace_atoms(t, table) for t in e.terms])
-    if isinstance(e, ex.Mul):
-        return ex.mul(*[_replace_atoms(f, table) for f in e.factors])
-    if isinstance(e, ex.Pow):
-        return ex.pow_(_replace_atoms(e.base, table), e.exp)
-    if isinstance(e, ex.Fun):
-        return ex.fun(e.name, _replace_atoms(e.arg, table))
-    return e
+    return ex.rebuild(e, lambda c: _replace_atoms(c, table))
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,6 @@ class EpsSeries:
                 verdict = ex.UNKNOWN
         return verdict
 
-    def to_expr(self) -> ex.Expr:
-        """Reassemble sum eps^k c_k as a plain expression."""
-        return ex.add(*[ex.mul(ex.pow_(ex.EPS, Fraction(k)), c)
-                        for k, c in enumerate(self.coeffs)])
-
     def __repr__(self):
         return "EpsSeries[" + "; ".join(repr(c) for c in self.coeffs) + "]"
 

@@ -156,3 +156,31 @@ def test_determine_output_feeds_noether(tmp_path):
                    "--xi", json.dumps(g["xi"]), "--eta", json.dumps(g["eta"]),
                    "--phi", json.dumps(g["phi"]), check=False)
         assert proc.returncode == 0, proc.stderr
+
+
+def write_model(tmp_path, lagrangian: str) -> str:
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "schema": 1, "name": "probe", "independent": ["t"], "dependent": ["u"],
+        "order_p": 1, "lagrangian": lagrangian}))
+    return str(path)
+
+
+def test_undecidable_kinetic_pivot_exits_3(tmp_path):
+    path = write_model(tmp_path, "1/2*exp(t)*exp(-t)*du#t^2")
+    proc = run("noether", path, "--xi", '[["1"],["0"]]', check=False)
+    assert proc.returncode == 3
+    assert "cannot decide whether pivot is zero" in proc.stderr
+
+
+def test_huge_exact_root_expands(tmp_path):
+    path = write_model(tmp_path, "1/2*du#t^2 - (10^400)^(1/2)*u")
+    data = json.loads(run("expand", path, "--format", "json").stdout)
+    assert str(10 ** 200) in data["lagrangian"][0]
+
+
+def test_deep_nesting_exits_2(tmp_path):
+    path = write_model(tmp_path, "(" * 200 + "du#t^2" + ")" * 200)
+    proc = run("expand", path, check=False)
+    assert proc.returncode == 2
+    assert "nested deeper" in proc.stderr

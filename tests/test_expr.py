@@ -44,6 +44,14 @@ def test_rational_folding_is_exact():
     assert e == ex.rat(Fraction(1, 2))
 
 
+def test_rational_roots_of_huge_integers_are_exact():
+    assert ex.pow_(ex.rat(10 ** 400), Fraction(1, 2)) == ex.rat(10 ** 200)
+    assert ex.pow_(ex.rat(Fraction(2 ** 300, 3 ** 600)), Fraction(2, 3)) \
+        == ex.rat(Fraction(2 ** 200, 3 ** 400))
+    assert isinstance(ex.pow_(ex.rat(10 ** 401), Fraction(1, 2)), ex.Pow)
+    assert isinstance(ex.pow_(ex.rat(10 ** 400 + 1), Fraction(1, 3)), ex.Pow)
+
+
 def test_differentiate_product_rule():
     d = ex.diff(p("u0^2*v0"), ex.jet("u", 0))
     assert d == p("2*u0*v0")

@@ -4,7 +4,7 @@ import pytest
 
 from approxsym import expr as ex
 from approxsym.errors import SyntaxErrorAt, UnknownSymbol
-from approxsym.lang import Language, to_json, to_latex, to_text
+from approxsym.lang import MAX_NESTING, Language, to_json, to_latex, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1},
              constants={"alpha"})
@@ -54,6 +54,19 @@ def test_syntax_error_carries_line_and_column():
         L.parse("u0 +\n* 2")
     assert err.value.line == 2
     assert err.value.column == 1
+
+
+def test_nesting_depth_is_bounded():
+    deep = MAX_NESTING + 1
+    assert L.parse("(" * MAX_NESTING + "u0" + ")" * MAX_NESTING) == ex.jet("u", 0)
+    with pytest.raises(SyntaxErrorAt) as err:
+        L.parse("(" * deep + "u0" + ")" * deep)
+    assert err.value.column == deep
+    # exponents and call arguments nest too
+    for text in ("u0^" + "(" * deep + "2" + ")" * deep,
+                 "sin(" * deep + "t" + ")" * deep):
+        with pytest.raises(SyntaxErrorAt):
+            L.parse(text)
 
 
 def test_strict_mode_rejects_unknown_symbols():

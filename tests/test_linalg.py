@@ -59,7 +59,8 @@ def test_symbolic_pivot_ambiguity():
 
 def test_solve_dense_symbolic():
     a, b = ex.sym("a"), ex.sym("b")
-    sol = solve_dense([[a, ex.ZERO], [ex.ZERO, b]], [ex.ONE, ex.ONE])
+    # the third row is the sum of the first two: redundant rows are tolerated
+    sol = solve_dense([[a, ex.ZERO], [ex.ZERO, b], [a, b]], [ex.ONE, ex.ONE, ex.rat(2)])
     assert ex.is_zero(ex.sub(sol[0], ex.div(ex.ONE, a))) is True
     assert ex.is_zero(ex.sub(sol[1], ex.div(ex.ONE, b))) is True
     assert solve_dense([[ex.ONE, ex.ONE], [ex.ONE, ex.ONE]], [ex.ZERO, ex.ZERO]) is None

@@ -119,6 +119,17 @@ def test_degenerate_kinetic_term_raises():
         el_solved_map(lag)
 
 
+def test_exp_potential_is_solved():
+    # exp(u0) sits only on the right-hand side, which is never zero-tested
+    sp = JetSpace(("t",), ("u",), order=1, max_derivative=2)
+    lang = sp.language()
+    lag = PerturbedLagrangian.from_expression(
+        lang.parse("1/2*du#t^2 - exp(u) + eps*u"), sp)
+    solved = el_solved_map(lag)
+    assert zeq(solved[ex.jet("u", 0, ("t", "t"))], lang.parse("-exp(u0)"))
+    assert zeq(solved[ex.jet("u", 1, ("t", "t"))], lang.parse("1 - exp(u0)*u1"))
+
+
 def test_classify_eps_shift_dependency():
     e_law = noether_fluxes(XI1, LAG, name="I1")
     xi6 = gen(["0", "1"], ["0", "0"])

@@ -7,7 +7,7 @@ import pytest
 from approxsym import expr as ex
 from approxsym.errors import NonFiniteState, UnboundSymbol
 from approxsym.jet import JetSpace
-from approxsym.models import load_builtin
+from approxsym.models import concretize, load_builtin
 from approxsym.noether import ConservationLaw, PerturbedLagrangian, noether_fluxes
 from approxsym.numverify import (compile_full, compile_numeric, drift, eps_sweep,
                                  integrate)
@@ -133,8 +133,7 @@ def test_symbolic_numeric_agreement():
 def test_eps_sweep_scaling():
     model, nm, y0 = osc_model()
     law = energy_law(model)
-    from approxsym.cli import _concrete_source
-    src = _concrete_source(model)
+    src = concretize(model.lagrangian_source, model.functions, model.language)
     sw = eps_sweep(src, model.space, law, [1e-2, 1e-3, 1e-4], model.bindings,
                    [1.0, 0.0], 0.0, 20.0, 1e-3)
     assert sw.slope >= 1.9
@@ -143,8 +142,7 @@ def test_eps_sweep_scaling():
 def test_eps_zero_sits_at_integrator_floor():
     model, nm, y0 = osc_model()
     law = energy_law(model)
-    from approxsym.cli import _concrete_source
-    src = _concrete_source(model)
+    src = concretize(model.lagrangian_source, model.functions, model.language)
     sw = eps_sweep(src, model.space, law, [0.0], model.bindings,
                    [1.0, 0.0], 0.0, 20.0, 1e-3)
     assert sw.drifts[0] < 1e-12
@@ -154,8 +152,7 @@ def test_non_conserved_sweep_slope_near_zero():
     model, nm, y0 = osc_model()
     bogus = ConservationLaw(model.space,
                             (EpsSeries((ex.jet("u", 0), ex.ZERO)),), name="u0")
-    from approxsym.cli import _concrete_source
-    src = _concrete_source(model)
+    src = concretize(model.lagrangian_source, model.functions, model.language)
     sw = eps_sweep(src, model.space, bogus, [1e-2, 1e-3, 1e-4], model.bindings,
                    [1.0, 0.0], 0.0, 20.0, 1e-2)
     assert abs(sw.slope) < 0.1

@@ -169,6 +169,7 @@ def cmd_verify(args) -> int:
             eps_values = [float(s) for s in args.sweep.split(",")]
         except ValueError as err:
             raise ModelError(f"--sweep: {err}")
+        source = concretize(model.lagrangian_source, model.functions, model.language)
     if recs and (args.numeric or args.csv):
         nm = compile_numeric(model.lagrangian, model.bindings)
         traj = integrate(nm, nm.initial_state(model.initial, model.language),
@@ -185,7 +186,6 @@ def cmd_verify(args) -> int:
             entry["drift"] = rep.max_drift
             text.append(f"  drift per order: {rep.max_drift}")
         if args.sweep:
-            source = concretize(model.lagrangian_source, model.functions, model.language)
             sw = eps_sweep(source, model.space, law, eps_values, model.bindings,
                            _full_initial(model), grid["t0"], grid["t1"], grid["h"])
             entry["sweep"] = {"eps": sw.eps_values, "drift": sw.drifts,

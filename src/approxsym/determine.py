@@ -9,7 +9,9 @@ of rationals extended by the declared constants.  The null space, reduced
 to a canonical echelon form with seed coefficients ordered before gauge
 coefficients, is returned as generators with gauges; vectors whose pivot
 lies in the gauge block are constant pure-gauge directions and are reported
-separately from the generator count.
+separately from the generator count.  Membership of a given (generator,
+gauge) pair in the solved span is one span fit over the (xi, eta, phi)
+series coefficients of the solutions.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from itertools import product
 from . import expr as ex
 from .errors import AnsatzIncomplete, NotPolynomial
 from .jet import JetSpace
-from .linalg import (FE, fe_expr, fe_is_zero, in_span, nullspace, span_fits,
-                     sparse_rref, split_constants)
+from .linalg import (FE, coefficient_rows, fe_expr, fe_is_zero, nullspace,
+                     span_fits, sparse_rref, split_constants)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
-from .perturb import EpsSeries, build_infinitesimals
+from .perturb import EpsSeries
 from .symmetry import Generator
 
 __all__ = ["AnsatzSpace", "DeterminingSystem", "Solution", "default_ansatz",
-           "extract", "solve", "report", "seeds_from_series",
-           "vector_for_golden"]
+           "extract", "solve", "report", "membership"]
 
 
 SEED_KINDS = ("xi", "eta")
@@ -75,11 +76,8 @@ def _gauge_ok(b: ex.Expr, k: int) -> bool:
 def _check_independent(basis: list[ex.Expr], key):
     if not basis:
         return
-    rows: dict[tuple, dict] = {}
-    for col, b in enumerate(basis):
-        for sig, entry in split_constants(b, ()).items():
-            rows.setdefault(sig, {})[col] = entry
-    if len(sparse_rref(list(rows.values()), len(basis))) != len(basis):
+    rows = coefficient_rows([[b] for b in basis], ())
+    if len(sparse_rref(rows, len(basis))) != len(basis):
         raise ValueError(f"ansatz basis for {key} is linearly dependent")
 
 
@@ -145,7 +143,6 @@ class DeterminingSystem:
 class Solution:
     generator: Generator
     gauge: GaugeTerm
-    vector: dict[int, FE]
     pure_gauge: bool = False
 
     def to_json(self) -> dict:
@@ -259,7 +256,7 @@ def _instantiate(sys: DeterminingSystem, vec: dict[int, FE]) -> Solution:
         sys.space, sys.ansatz, sys.column,
         lambda col: fe_expr(vec[col]) if col in vec else None)
     pure = min(vec) >= sys.first_gauge
-    return Solution(gen, phi, vec, pure_gauge=pure)
+    return Solution(gen, phi, pure_gauge=pure)
 
 
 def report(solutions: list[Solution]) -> dict:
@@ -276,66 +273,17 @@ def report(solutions: list[Solution]) -> dict:
 # membership of externally given generators in the solved span
 
 
-def seeds_from_series(series: EpsSeries, space: JetSpace) -> list[ex.Expr]:
-    """Invert the infinitesimal build: recover the family seed functions."""
-    p = space.order
-    seeds: list[ex.Expr] = []
-    for k in range(p + 1):
-        partial = build_infinitesimals(seeds + [ex.ZERO] * (p + 1 - k), space)
-        residue = ex.sub(series.coeffs[k], partial.coeffs[k])
-        for j in ex.jets_of(residue):
-            if j.order != 0 or j.deriv:
-                raise ValueError(
-                    f"series is not generated by (x, u_(0)) seeds: residue {residue!r}")
-        seeds.append(residue)
-    rebuilt = build_infinitesimals(seeds, space)
-    for a, b in zip(rebuilt.coeffs, series.coeffs):
-        if ex.is_zero(ex.sub(a, b)) is not True:
-            raise ValueError("seed recovery failed to reproduce the series")
-    return seeds
-
-
-def vector_for_golden(sys: DeterminingSystem, gen: Generator,
-                      phi: GaugeTerm) -> dict[int, FE] | None:
-    """Ansatz coordinates of a (generator, gauge) pair, or None if outside."""
-    sp = sys.space
-    p = sp.order
-    vec: dict[int, FE] = {}
-
-    def fit(kind, k, slot, target) -> bool:
-        basis = sys.ansatz.basis(kind, k, slot)
-        if ex.is_zero(target) is True:
-            return True
-        coords = next(span_fits([[b] for b in basis] + [[target]], sys.constants), None)
-        if coords is None:
-            return False
-        for j, c in coords.items():
-            vec[sys.column[(kind, k, slot, j)]] = c
-        return True
-
-    try:
-        for i in range(sp.n):
-            seeds = seeds_from_series(gen.xi[i], sp)
-            for k in range(p + 1):
-                if not fit("xi", k, i, seeds[k]):
-                    return None
-        for a in range(sp.m):
-            seeds = seeds_from_series(gen.eta[a], sp)
-            for k in range(p + 1):
-                if not fit("eta", k, a, seeds[k]):
-                    return None
-        for i in range(sp.n):
-            for k in range(p + 1):
-                if not fit("phi", k, i, phi.phi[i].coeffs[k]):
-                    return None
-    except ValueError:
-        return None
-    return vec
-
-
 def membership(sys: DeterminingSystem, solutions: list[Solution],
                gen: Generator, phi: GaugeTerm) -> bool:
-    vec = vector_for_golden(sys, gen, phi)
-    if vec is None:
-        return False
-    return in_span([s.vector for s in solutions], vec, sys.n_unknowns)
+    """True iff (gen, phi) is a combination of the solutions over Q(constants).
+
+    One span fit over the flattened (xi, eta, phi) series coefficients.  The
+    map from ansatz coordinates to these series is linear and injective
+    (the bases are independent and the infinitesimal build is triangular),
+    so this asks the same question as a fit in ansatz coordinates.
+    """
+    def series(g: Generator, gauge: GaugeTerm) -> list[ex.Expr]:
+        return [c for s in (*g.xi, *g.eta, *gauge.phi) for c in s.coeffs]
+
+    columns = [series(s.generator, s.gauge) for s in solutions] + [series(gen, phi)]
+    return next(span_fits(columns, sys.constants), None) is not None

@@ -10,7 +10,6 @@ computes in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from . import expr as ex
 from .errors import DerivativeOverflow
@@ -55,21 +54,6 @@ class JetSpace:
             raise DerivativeOverflow(
                 f"derivative order {len(deriv)} exceeds bound {self.max_derivative + 1}")
         return ex.jet(base, order, deriv)
-
-    def x(self, i: int | str) -> ex.Sym:
-        name = self.independent[i] if isinstance(i, int) else i
-        return ex.sym(name)
-
-    def coordinates(self, max_deriv: int | None = None) -> list[ex.Jet]:
-        """All jet coordinates of the space, deterministic order."""
-        r = self.max_derivative if max_deriv is None else max_deriv
-        out = []
-        for base in self.dependent:
-            for k in range(self.order + 1):
-                for d in range(r + 1):
-                    for combo in combinations_with_replacement(self.independent, d):
-                        out.append(ex.jet(base, k, combo))
-        return out
 
     def language(self, functions=None, constants=(), strict=False):
         from .lang import Language

@@ -6,13 +6,15 @@ whose zero test succeeds is a valid pivot, and an Unknown zero test raises
 SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column index.
 
 Two eliminations serve two jobs.  ``sparse_rref`` reduces the homogeneous
-systems built by ``split_constants`` (determining equations, span fits,
-law dependencies); every entry lies in Q(constants), so every entry may be
+systems built from ``split_constants``: the determining equations, and the
+rows of ``coefficient_rows`` (span fits, law dependencies, basis
+independence); every entry lies in Q(constants), so every entry may be
 zero-tested.  ``solve_dense`` solves the small affine system of the
 Euler-Lagrange equations for the accelerations; its right-hand sides hold
 arbitrary jet expressions (exp(u0), radicals) whose zero test can be
-Unknown, so it zero-tests pivot-column entries only and never the
-right-hand sides, which are only ever combined, never divided by.
+Unknown, so it zero-tests pivot-column entries, and right-hand sides only
+of the rows left without a pivot, where a nonzero one makes the system
+inconsistent; right-hand sides are never divided by.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from . import expr as ex
 from .errors import SymbolicPivotAmbiguity
 
 __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
-           "split_constants", "span_fits", "sparse_rref", "nullspace", "rank",
-           "in_span", "solve_dense"]
+           "split_constants", "coefficient_rows", "span_fits", "sparse_rref",
+           "nullspace", "solve_dense"]
 
 FE = Fraction | ex.Expr
 
@@ -146,16 +148,6 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     return basis
 
 
-def rank(rows: list[dict], ncols: int) -> int:
-    return len(sparse_rref(rows, ncols))
-
-
-def in_span(vectors: list[dict], candidate: dict, ncols: int) -> bool:
-    """True iff candidate is a linear combination of the vectors."""
-    base = rank(vectors, ncols)
-    return rank(vectors + [candidate], ncols) == base
-
-
 def split_constants(e: ex.Expr, constants) -> dict[tuple, FE]:
     """Zero normal form of e as {signature: entry over Q(constants)}.
 
@@ -181,22 +173,41 @@ def split_constants(e: ex.Expr, constants) -> dict[tuple, FE]:
     return out
 
 
-def span_fits(columns: list[list[ex.Expr]], constants):
-    """Solutions of sum_j c_j * columns[j] = columns[-1] over Q(constants).
+def coefficient_rows(columns: list[list[ex.Expr]], constants) -> list[dict[int, FE]]:
+    """Rows of sum_j c_j * columns[j] = 0 over Q(constants).
 
-    Each column is a list of expressions, one per tag (eps order); rows are
-    keyed by (tag, signature).  Yields one {j: c_j} per null vector of
-    [columns[:-1] | -columns[-1]] with a nonzero target coordinate, zero
-    coordinates omitted.
+    Each column is a list of expressions indexed by tag (an eps order, a
+    flux component); there is one row per (tag, signature of
+    ``split_constants``), as {column: entry}.  Rows come in order of first
+    appearance: column by column, tag by tag, signatures in normal-form
+    order.  That order reaches printed output: entries over Q(constants)
+    have no canonical form, so another row order makes the elimination
+    print another, equal expression.  With the keys of
+    ``_zero_normal_form``'s dict reversed, the Xi6 coefficient in
+    ``golden --model three-body`` reads -m2*(1 + m2*m1^(-1))^(-1) instead
+    of m1*(-1 - m1*m2^(-1))^(-1).
     """
-    target = len(columns) - 1
     rows: dict[tuple, dict[int, FE]] = {}
     for col, parts in enumerate(columns):
         for tag, e in enumerate(parts):
             for sig, entry in split_constants(e, constants).items():
-                rows.setdefault((tag, sig), {})[col] = \
-                    fe_neg(entry) if col == target else entry
-    for vec in nullspace(list(rows.values()), len(columns)):
+                rows.setdefault((tag, sig), {})[col] = entry
+    return list(rows.values())
+
+
+def span_fits(columns: list[list[ex.Expr]], constants):
+    """Solutions of sum_j c_j * columns[j] = columns[-1] over Q(constants).
+
+    Columns are as in ``coefficient_rows``.  Yields one {j: c_j} per null
+    vector of [columns[:-1] | -columns[-1]] with a nonzero target
+    coordinate, zero coordinates omitted.
+    """
+    target = len(columns) - 1
+    rows = coefficient_rows(columns, constants)
+    for row in rows:
+        if target in row:
+            row[target] = fe_neg(row[target])
+    for vec in nullspace(rows, len(columns)):
         t = vec.get(target)
         if t is not None and not fe_is_zero(t):
             yield {j: fe_div(v, t) for j, v in vec.items()
@@ -207,8 +218,10 @@ def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr
     """Gauss-Jordan elimination of a small dense system with expression entries.
 
     Tolerates redundant rows; the number of unknowns is the row width.
-    Returns None when some column has no nonzero pivot, and raises
-    SymbolicPivotAmbiguity when a pivot candidate's zero test is Unknown.
+    Returns None when some column has no nonzero pivot, or when a row left
+    without a pivot has a nonzero right-hand side (the system is
+    inconsistent).  Raises SymbolicPivotAmbiguity when the zero test of a
+    pivot candidate or of such a right-hand side is Unknown.
     """
     nvars = len(matrix[0]) if matrix else 0
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
@@ -234,6 +247,13 @@ def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr
                 if ex.is_zero(f) is not True:
                     aug[r] = [ex.sub(a, ex.mul(f, b)) for a, b in zip(aug[r], aug[piv])]
         pivots[piv] = col
+    for r in range(len(aug)):
+        if r not in pivots:
+            z = ex.is_zero(aug[r][nvars])
+            if z is ex.UNKNOWN:
+                raise SymbolicPivotAmbiguity(aug[r][nvars])
+            if z is False:
+                return None
     out = [None] * nvars
     for r, col in pivots.items():
         out[col] = aug[r][nvars]

@@ -24,7 +24,7 @@ from . import expr as ex
 from .errors import (CannotSolveForLeadingDerivative, FormulaMismatch,
                      NotAVariationalSymmetry, NotPolynomial)
 from .jet import JetSpace, total_derivative
-from .linalg import fe_expr, nullspace, solve_dense, split_constants
+from .linalg import coefficient_rows, fe_expr, nullspace, solve_dense
 from .perturb import (EpsSeries, const_series, expand_series, jet_series,
                       series_add, series_divergence, series_mul, series_shift,
                       series_sub, series_u_partial)
@@ -156,7 +156,9 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
 
     ODE case only (one independent variable).  Raises
     CannotSolveForLeadingDerivative when the appearing second derivatives
-    cannot all be eliminated (degenerate kinetic term), and
+    cannot all be eliminated (degenerate kinetic term) or an equation left
+    over after the elimination does not vanish (a constraint such as u0 = 0
+    that the hierarchy cannot be solved under), and
     SymbolicPivotAmbiguity when a kinetic coefficient cannot be decided to
     be zero or nonzero.
     """
@@ -194,7 +196,8 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
             f"{len(unknowns)} leading derivatives, only {len(rows)} equations")
     solution = solve_dense(rows, rhs)
     if solution is None:
-        raise CannotSolveForLeadingDerivative("kinetic term is degenerate")
+        raise CannotSolveForLeadingDerivative(
+            "kinetic term is degenerate or an equation constrains the state")
     solved = {u: s for u, s in zip(unknowns, solution)}
     lag._el_cache = solved
     return solved
@@ -300,27 +303,17 @@ def classify(laws: list[ConservationLaw], constants: set[str] = frozenset()
     """
     sp = laws[0].space
     p = sp.order
-    columns = []  # (law index, shift, flux coefficient list [(i, k, expr)])
+    columns = []  # (law index, shift, flux coefficients, component-major)
     for idx, law in enumerate(laws):
         if law.space != sp:
             raise ValueError("classification needs laws on a shared space")
         for shift in range(p + 1):
-            coeffs = []
-            nonzero = False
-            for i in range(sp.n):
-                shifted = series_shift(law.fluxes[i], shift)
-                for k, c in enumerate(shifted.coeffs):
-                    coeffs.append((i, k, c))
-                    if ex.is_zero(c) is not True:
-                        nonzero = True
-            if nonzero:
+            coeffs = [c for flux in law.fluxes
+                      for c in series_shift(flux, shift).coeffs]
+            if any(ex.is_zero(c) is not True for c in coeffs):
                 columns.append((idx, shift, coeffs))
-    rows: dict[tuple, dict] = {}
-    for col_index, (_, _, coeffs) in enumerate(columns):
-        for i, k, c in coeffs:
-            for sig, entry in split_constants(c, constants).items():
-                rows.setdefault((i, k, sig), {})[col_index] = entry
-    basis = nullspace(list(rows.values()), len(columns))
+    rows = coefficient_rows([coeffs for _, _, coeffs in columns], constants)
+    basis = nullspace(rows, len(columns))
     out = []
     for vec in basis:
         terms = []

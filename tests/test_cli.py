@@ -182,6 +182,20 @@ def test_undecidable_kinetic_pivot_exits_3(tmp_path):
     assert "cannot decide whether pivot is zero" in proc.stderr
 
 
+def test_constraint_equation_exits_2(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "schema": 1, "name": "constrained", "independent": ["t"],
+        "dependent": ["u", "v"], "order_p": 1, "lagrangian": "1/2*du#t^2 + u*v",
+        "golden": [{"name": "E", "xi": [["1"], ["0"]], "eta": [["0", "0"], ["0", "0"]],
+                    "quantity": ["1/2*du0#t^2 - u0*v0", "du0#t*du1#t - u0*v1 - u1*v0"]}]}))
+    for args in (["noether", str(path)], ["verify", str(path)],
+                 ["verify", str(path), "--numeric"]):
+        proc = run(*args, check=False)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "constrains the state" in proc.stderr
+
+
 def test_huge_exact_root_expands(tmp_path):
     path = write_model(tmp_path, "1/2*du#t^2 - (10^400)^(1/2)*u")
     data = json.loads(run("expand", path, "--format", "json").stdout)

@@ -7,12 +7,12 @@ import pytest
 
 from approxsym import expr as ex
 from approxsym.determine import (AnsatzSpace, default_ansatz, extract, membership,
-                                 report, seeds_from_series, solve)
+                                 report, solve)
 from approxsym.errors import AnsatzIncomplete
 from approxsym.jet import JetSpace
 from approxsym.models import load_builtin
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
-from approxsym.perturb import EpsSeries
+from approxsym.perturb import EpsSeries, series_add
 from approxsym.symmetry import Generator
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
@@ -47,7 +47,7 @@ def test_solutions_are_sound_and_span_is_tight():
     gens = [s for s in sols if not s.pure_gauge]
     rng = random.Random(53)
     from approxsym.linalg import fe_expr
-    from approxsym.perturb import series_add, series_scale
+    from approxsym.perturb import series_scale
     for _ in range(25):
         weights = [ex.rat(rng.randint(-2, 2)) for _ in sols]
         xi = EpsSeries((ex.ZERO, ex.ZERO))
@@ -101,25 +101,53 @@ def test_seed_elements_with_higher_orders_are_pruned():
     assert space.bases[("phi", 0, 0)] == []
 
 
-def test_seed_recovery_round_trip():
-    series = EpsSeries((L.parse("t*u0"), L.parse("t*u1 + sin(t)*u0^2")))
-    seeds = seeds_from_series(series, SP)
-    assert ex.is_zero(ex.sub(seeds[0], L.parse("t*u0"))) is True
-    assert ex.is_zero(ex.sub(seeds[1], L.parse("sin(t)*u0^2"))) is True
+@pytest.fixture(scope="module")
+def discovered():
+    """One extract + solve per builtin, shared by the membership tests."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            model = load_builtin(name)
+            system = extract(model.lagrangian, model.ansatz, model.constant_names)
+            cache[name] = (model, system, solve(system))
+        return cache[name]
+    return get
 
 
-def test_membership_of_paper_generators_in_default_span():
-    model = load_builtin("oscillator-arbitraryF")
-    system = extract(model.lagrangian, model.ansatz, model.constant_names)
-    sols = solve(system)
+def test_membership_of_paper_generators_in_default_span(discovered):
+    model, system, sols = discovered("oscillator-arbitraryF")
     for rec in model.golden:
         assert membership(system, sols, rec.generator, rec.gauge), rec.name
 
 
-def test_membership_rejects_non_solutions():
-    model = load_builtin("oscillator-arbitraryF")
-    system = extract(model.lagrangian, model.ansatz, model.constant_names)
-    sols = solve(system)
+def test_membership_keeps_constants_in_the_field(discovered):
+    # coupled-system declares the constant alpha
+    model, system, sols = discovered("coupled-system")
+    for rec in model.golden:
+        assert membership(system, sols, rec.generator, rec.gauge), rec.name
+
+
+def test_membership_rejects_non_solutions(discovered):
+    _, system, sols = discovered("oscillator-arbitraryF")
     bogus = Generator(SP, (EpsSeries((L.parse("t"), ex.ZERO)),),
                       (EpsSeries((ex.ZERO, ex.ZERO)),))
     assert not membership(system, sols, bogus, GaugeTerm.zero(SP))
+
+
+def test_membership_accepts_added_pure_gauge(discovered):
+    model, system, sols = discovered("oscillator-arbitraryF")
+    gauge_only = [s for s in sols if s.pure_gauge]
+    assert gauge_only
+    rec = model.golden[0]
+    phi = GaugeTerm(SP, tuple(series_add(a, b) for a, b in
+                              zip(rec.gauge.phi, gauge_only[0].gauge.phi)))
+    assert membership(system, sols, rec.generator, phi)
+
+
+def test_membership_rejects_eta_outside_the_ansatz(discovered):
+    model, system, sols = discovered("oscillator-arbitraryF")
+    rec = model.golden[0]
+    eta = series_add(rec.generator.eta[0], EpsSeries((L.parse("u0^3"), ex.ZERO)))
+    gen = Generator(SP, rec.generator.xi, (eta,))
+    assert not membership(system, sols, gen, rec.gauge)

@@ -6,7 +6,7 @@ import pytest
 
 from approxsym import expr as ex
 from approxsym.errors import SymbolicPivotAmbiguity
-from approxsym.linalg import in_span, nullspace, rank, solve_dense, sparse_rref
+from approxsym.linalg import nullspace, solve_dense, span_fits, sparse_rref
 
 
 def F(x):
@@ -30,9 +30,10 @@ def test_nullspace_simple():
 
 def test_rank_and_span():
     rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
-    assert rank(rows, 2) == 1
-    assert in_span([{0: F(1), 1: F(2)}], {0: F(3), 1: F(6)}, 2)
-    assert not in_span([{0: F(1), 1: F(2)}], {0: F(1), 1: F(0)}, 2)
+    assert len(sparse_rref(rows, 2)) == 1
+    column = [ex.rat(1), ex.rat(2)]
+    assert list(span_fits([column, [ex.rat(3), ex.rat(6)]], ())) == [{0: F(3)}]
+    assert list(span_fits([column, [ex.rat(1), ex.ZERO]], ())) == []
 
 
 def test_symbolic_entries():
@@ -64,3 +65,15 @@ def test_solve_dense_symbolic():
     assert ex.is_zero(ex.sub(sol[0], ex.div(ex.ONE, a))) is True
     assert ex.is_zero(ex.sub(sol[1], ex.div(ex.ONE, b))) is True
     assert solve_dense([[ex.ONE, ex.ONE], [ex.ONE, ex.ONE]], [ex.ZERO, ex.ZERO]) is None
+
+
+def test_solve_dense_rejects_inconsistent_rows():
+    assert solve_dense([[ex.ONE], [ex.ONE]], [ex.ONE, ex.rat(2)]) is None
+    # a redundant row whose right-hand side agrees still solves
+    sol = solve_dense([[ex.ONE], [ex.rat(2)]], [ex.ONE, ex.rat(2)])
+    assert sol == [ex.ONE]
+    # an undecidable leftover right-hand side is an ambiguity, not a verdict
+    hard = ex.sub(ex.mul(ex.fun("exp", ex.sym("a")), ex.fun("exp", ex.neg(ex.sym("a")))),
+                  ex.ONE)
+    with pytest.raises(SymbolicPivotAmbiguity):
+        solve_dense([[ex.ONE], [ex.ONE]], [ex.ZERO, hard])

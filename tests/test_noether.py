@@ -119,8 +119,18 @@ def test_degenerate_kinetic_term_raises():
         el_solved_map(lag)
 
 
+def test_constraint_equation_raises():
+    # the v equation u0 = 0 has no second derivative; it must not be dropped
+    sp = JetSpace(("t",), ("u", "v"), order=1, max_derivative=2)
+    lag = PerturbedLagrangian.from_expression(
+        sp.language().parse("1/2*du#t^2 + u*v"), sp)
+    with pytest.raises(CannotSolveForLeadingDerivative, match="constrains the state"):
+        el_solved_map(lag)
+
+
 def test_exp_potential_is_solved():
-    # exp(u0) sits only on the right-hand side, which is never zero-tested
+    # exp(u0) sits only on the right-hand side, which a square system
+    # never zero-tests
     sp = JetSpace(("t",), ("u",), order=1, max_derivative=2)
     lang = sp.language()
     lag = PerturbedLagrangian.from_expression(

@@ -17,12 +17,9 @@ from .errors import (ApproxSymError, FormulaMismatch, ModelError,
 from .lang import to_latex, to_text
 from .linalg import fe_expr
 from .models import (Model, builtin_names, concretize, golden_check, load_builtin,
-                     load_model_dict)
-from .noether import (ConservationLaw, GaugeTerm, classify, divergence_check,
-                      noether_fluxes)
+                     load_model_dict, parse_generator)
+from .noether import ConservationLaw, classify, divergence_check, noether_fluxes
 from .numverify import compile_numeric, drift, eps_sweep, integrate
-from .perturb import EpsSeries
-from .symmetry import Generator
 
 
 def _load_model(args) -> Model:
@@ -106,26 +103,18 @@ def _selected_golden(model: Model, names: list[str] | None):
 
 
 def _generator_override(args, model: Model):
+    p = model.space.order
+
+    def rows(text, width):
+        return (json.loads(text) if text else None) or [["0"] * width for _ in range(p + 1)]
     try:
-        xi = json.loads(args.xi) if args.xi else None
-        eta = json.loads(args.eta) if args.eta else None
-        p = model.space.order
-        zero_rows = lambda width: [["0"] * width for _ in range(p + 1)]
-        gen = Generator.from_json(
-            model.space,
-            {"xi": xi or zero_rows(model.space.n), "eta": eta or zero_rows(model.space.m)},
-            model.language)
-        if args.phi:
-            rows = json.loads(args.phi)
-            phi = GaugeTerm(model.space, tuple(
-                EpsSeries(tuple(model.language.parse(s) for s in row)) for row in rows))
-        else:
-            phi = GaugeTerm.zero(model.space)
+        return parse_generator(model, {
+            "xi": rows(args.xi, model.space.n), "eta": rows(args.eta, model.space.m),
+            "phi": json.loads(args.phi) if args.phi else None})
     except (ValueError, TypeError) as err:
         # JSONDecodeError is a ValueError; so are the shape checks of the
         # generator and gauge constructors
         raise ModelError(f"generator override: {err}")
-    return gen, phi
 
 
 def cmd_noether(args) -> int:

@@ -34,6 +34,7 @@ __all__ = ["AnsatzSpace", "DeterminingSystem", "Solution", "default_ansatz",
 
 
 SEED_KINDS = ("xi", "eta")
+DEFAULT_DEGREE = 2  # of the default ansatz, per variable, in x and in each u
 
 
 @dataclass
@@ -81,15 +82,14 @@ def _check_independent(basis: list[ex.Expr], key):
         raise ValueError(f"ansatz basis for {key} is linearly dependent")
 
 
-def default_ansatz(space: JetSpace, oscillatory: bool = False,
-                   poly_degree: int = 2, u_degree: int = 2) -> AnsatzSpace:
+def default_ansatz(space: JetSpace, oscillatory: bool = False) -> AnsatzSpace:
     """Documented default: per-variable polynomials of degree <= 2 in x and
     in each u coordinate; oscillatory models additionally multiply the
     x-polynomials by sin/cos of once and twice each independent variable."""
     x_parts: list[ex.Expr] = [ex.ONE]
     for v in space.independent:
         s = ex.sym(v)
-        powers = [ex.pow_(s, Fraction(d)) for d in range(poly_degree + 1)]
+        powers = [ex.pow_(s, Fraction(d)) for d in range(DEFAULT_DEGREE + 1)]
         trig: list[ex.Expr] = [ex.ONE]
         if oscillatory:
             for mult in (1, 2):
@@ -100,7 +100,7 @@ def default_ansatz(space: JetSpace, oscillatory: bool = False,
     def u_monomials(orders: range) -> list[ex.Expr]:
         coords = [ex.jet(b, k) for b in space.dependent for k in orders]
         out = []
-        for exps in product(range(u_degree + 1), repeat=len(coords)):
+        for exps in product(range(DEFAULT_DEGREE + 1), repeat=len(coords)):
             out.append(ex.mul(*[ex.pow_(c, Fraction(d))
                                 for c, d in zip(coords, exps)]))
         return out
@@ -183,7 +183,8 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
     provenance: list[tuple[int, ex.Expr]] = []
     bucket: dict[tuple[int, tuple], dict[int, FE]] = {}
     for k, coeff in enumerate(residual.coeffs):
-        for sig, entry in split_constants(coeff, constants).items():
+        entries, _ = split_constants(coeff, constants)
+        for sig, entry in entries.items():
             unknown = [i for i, (atom, _) in enumerate(sig)
                        if isinstance(atom, ex.Sym) and atom.name.startswith("_c")]
             if not unknown:
@@ -229,18 +230,17 @@ def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, 
     return Generator.from_seeds(sp, xi_seeds, eta_seeds), phi
 
 
-def solve(sys: DeterminingSystem, verify: bool = True) -> list[Solution]:
+def solve(sys: DeterminingSystem) -> list[Solution]:
     """Exact null space, canonicalized; every solution is re-verified."""
     basis = nullspace(sys.equations, sys.n_unknowns)
     basis = _canonical_rows(basis, sys.n_unknowns)
     out = []
     for vec in basis:
         sol = _instantiate(sys, vec)
-        if verify:
-            res = variational_residual(sol.generator, sys.lag, sol.gauge)
-            if res.is_zero_series() is not True:
-                raise AssertionError(
-                    f"solver returned a non-symmetry; residual {res!r}")
+        res = variational_residual(sol.generator, sys.lag, sol.gauge)
+        if res.is_zero_series() is not True:
+            raise AssertionError(
+                f"solver returned a non-symmetry; residual {res!r}")
         out.append(sol)
     return out
 

@@ -772,12 +772,13 @@ def _from_poly(poly: dict) -> Expr:
     return add(*out)
 
 
-def _clear_denominators(poly: dict) -> tuple[dict, bool]:
+def _clear_denominators(poly: dict) -> tuple[dict, Expr]:
     """Multiply through by positive powers of sum-based atoms in denominators.
 
     Needed for a complete zero test when an expanded polynomial part can
     cancel against an atomic inverse of the same sum, e.g. (x+y)*(x+y)^(-1).
     Multiplying by a nonzero function preserves zero-ness both ways.
+    Returns the cleared polynomial and the multiplier used (ONE if none).
     """
     need: dict[Expr, Fraction] = {}
     for key, _ in poly.items():
@@ -785,7 +786,7 @@ def _clear_denominators(poly: dict) -> tuple[dict, bool]:
             if p < 0 and isinstance(atom, Add):
                 need[atom] = max(need.get(atom, Fraction(0)), -p)
     if not need:
-        return poly, False
+        return poly, ONE
     mult = [pow_(a, p) for a, p in need.items()]
     terms = []
     for key, c in poly.items():
@@ -793,7 +794,7 @@ def _clear_denominators(poly: dict) -> tuple[dict, bool]:
         # B^(-k) meets B^(+k) before any distribution tears B apart
         terms.append(expand(mul(rat(c), *[pow_(a, p) for a, p in key], *mult)))
     out, _ = _to_poly(add(*terms))
-    return out, True
+    return out, mul(*mult)
 
 
 def _trig_multiple_expand(e: Expr) -> Expr:
@@ -830,25 +831,32 @@ def _sin_power_reduce(e: Expr) -> Expr:
     return out
 
 
-_ZNF_CACHE: dict[Expr, tuple[dict, bool]] = {}
+_ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
 
 
-def _zero_normal_form(e: Expr) -> tuple[dict, bool]:
+def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
+    """(polynomial, decidable, multiplier): the normal form of multiplier * e.
+
+    The multiplier is the product of the nonzero denominators cleared on
+    the way (ONE if none); normal forms of different expressions are
+    comparable only where their multipliers agree.
+    """
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
         return hit
     e1 = expand(_trig_multiple_expand(expand(e)))
     e2 = expand(_sin_power_reduce(e1))
     poly, decidable = _to_poly(e2)
-    poly, cleared = _clear_denominators(poly)
-    if cleared:
+    poly, multiplier = _clear_denominators(poly)
+    if multiplier != ONE:
         # clearing can reintroduce reducible sin powers via rho^2 = base
         e3 = expand(_sin_power_reduce(_from_poly(poly)))
         poly, d2 = _to_poly(e3)
-        poly, _ = _clear_denominators(poly)
+        poly, m2 = _clear_denominators(poly)
+        multiplier = mul(multiplier, m2)
         decidable = decidable and d2
-    _ZNF_CACHE[e] = (poly, decidable)
-    return poly, decidable
+    _ZNF_CACHE[e] = (poly, decidable, multiplier)
+    return _ZNF_CACHE[e]
 
 
 def _atom_decidable(atom: Expr) -> bool:
@@ -878,7 +886,7 @@ def is_zero(e: Expr):
     atoms, sin/cos of declared variables, and square roots of sums (the
     class every determining computation in this package stays inside).
     """
-    poly, decidable = _zero_normal_form(e)
+    poly, decidable, _ = _zero_normal_form(e)
     if not poly:
         return True
     if not decidable:

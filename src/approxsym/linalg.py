@@ -5,16 +5,18 @@ in declared constants, treated as independent transcendentals: any entry
 whose zero test succeeds is a valid pivot, and an Unknown zero test raises
 SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column index.
 
-Two eliminations serve two jobs.  ``sparse_rref`` reduces the homogeneous
-systems built from ``split_constants``: the determining equations, and the
-rows of ``coefficient_rows`` (span fits, law dependencies, basis
-independence); every entry lies in Q(constants), so every entry may be
-zero-tested.  ``solve_dense`` solves the small affine system of the
-Euler-Lagrange equations for the accelerations; its right-hand sides hold
-arbitrary jet expressions (exp(u0), radicals) whose zero test can be
-Unknown, so it zero-tests pivot-column entries, and right-hand sides only
-of the rows left without a pivot, where a nonzero one makes the system
-inconsistent; right-hand sides are never divided by.
+One elimination, ``sparse_rref``, serves every system.  The homogeneous
+ones come from ``split_constants``: the determining equations, and the rows
+of ``coefficient_rows`` (span fits, law dependencies, basis independence).
+``split_constants`` reads the normal form after denominators were cleared,
+so each expression comes scaled by its own clearing multiplier; rows are
+keyed by that multiplier, and a dependency is one that holds within each
+multiplier group.  ``solve_dense`` solves the small affine system of the
+Euler-Lagrange equations for the accelerations by reducing [A | I]: its
+right-hand sides hold arbitrary jet expressions (exp(u0), radicals) whose
+zero test can be Unknown, and they never enter the elimination; only a
+combination of them that the elimination proves must vanish is
+zero-tested, so a square system never zero-tests a right-hand side.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def fe_div(a: FE, b: FE) -> FE:
     return _demote(ex.expand(ex.div(fe_expr(a), fe_expr(b))))
 
 
-def fe_is_zero(a: FE, where: str = "entry") -> bool:
+def fe_is_zero(a: FE) -> bool:
     if isinstance(a, Fraction):
         return a == 0
     z = ex.is_zero(a)
@@ -148,15 +150,16 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     return basis
 
 
-def split_constants(e: ex.Expr, constants) -> dict[tuple, FE]:
+def split_constants(e: ex.Expr, constants) -> tuple[dict[tuple, FE], ex.Expr]:
     """Zero normal form of e as {signature: entry over Q(constants)}.
 
     A signature is a normal-form monomial key with the powers of declared
     constants removed; those powers move into the entry, and entries whose
     signatures coincide are summed.  Signatures keep the normal form's
-    atom order.
+    atom order.  The normal form is that of multiplier * e, where the
+    multiplier (returned second) clears e's denominators.
     """
-    nf, _ = ex._zero_normal_form(e)
+    nf, _, multiplier = ex._zero_normal_form(e)
     out: dict[tuple, FE] = {}
     for mono, value in nf.items():
         const_part = [ex.rat(value)]
@@ -170,28 +173,31 @@ def split_constants(e: ex.Expr, constants) -> dict[tuple, FE]:
         entry = _demote(ex.mul(*const_part))
         prev = out.get(sig)
         out[sig] = entry if prev is None else fe_add(prev, entry)
-    return out
+    return out, multiplier
 
 
 def coefficient_rows(columns: list[list[ex.Expr]], constants) -> list[dict[int, FE]]:
     """Rows of sum_j c_j * columns[j] = 0 over Q(constants).
 
     Each column is a list of expressions indexed by tag (an eps order, a
-    flux component); there is one row per (tag, signature of
-    ``split_constants``), as {column: entry}.  Rows come in order of first
-    appearance: column by column, tag by tag, signatures in normal-form
-    order.  That order reaches printed output: entries over Q(constants)
-    have no canonical form, so another row order makes the elimination
-    print another, equal expression.  With the keys of
-    ``_zero_normal_form``'s dict reversed, the Xi6 coefficient in
+    flux component); there is one row per (tag, multiplier, signature) of
+    ``split_constants``, as {column: entry}.  Keying by the multiplier
+    compares only normal forms scaled alike, so a dependency found holds
+    within each multiplier group and hence for the columns themselves.
+    Rows come in order of first appearance: column by column, tag by tag,
+    signatures in normal-form order.  That order reaches printed output:
+    entries over Q(constants) have no canonical form, so another row order
+    makes the elimination print another, equal expression.  With the keys
+    of ``_zero_normal_form``'s dict reversed, the Xi6 coefficient in
     ``golden --model three-body`` reads -m2*(1 + m2*m1^(-1))^(-1) instead
     of m1*(-1 - m1*m2^(-1))^(-1).
     """
     rows: dict[tuple, dict[int, FE]] = {}
     for col, parts in enumerate(columns):
         for tag, e in enumerate(parts):
-            for sig, entry in split_constants(e, constants).items():
-                rows.setdefault((tag, sig), {})[col] = entry
+            entries, multiplier = split_constants(e, constants)
+            for sig, entry in entries.items():
+                rows.setdefault((tag, multiplier, sig), {})[col] = entry
     return list(rows.values())
 
 
@@ -215,46 +221,31 @@ def span_fits(columns: list[list[ex.Expr]], constants):
 
 
 def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr] | None:
-    """Gauss-Jordan elimination of a small dense system with expression entries.
+    """Solve A x = b, A with expression entries, by one ``sparse_rref`` of [A | I].
 
-    Tolerates redundant rows; the number of unknowns is the row width.
-    Returns None when some column has no nonzero pivot, or when a row left
-    without a pivot has a nonzero right-hand side (the system is
-    inconsistent).  Raises SymbolicPivotAmbiguity when the zero test of a
-    pivot candidate or of such a right-hand side is Unknown.
+    Column n + i marks equation i, so each reduced row carries the
+    combination y of equations that produced it and b never enters the
+    elimination.  Returns None when a column of A has no pivot, or when a
+    combination y that cancels A has y.b nonzero (the system is
+    inconsistent); otherwise x_j = y_j.b.  Every entry of A is zero-tested,
+    so an undecidable entry raises SymbolicPivotAmbiguity, as does an
+    undecidable y.b.  Redundant rows are tolerated; the number of unknowns
+    is the row width.
     """
-    nvars = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    pivots: dict[int, int] = {}  # pivot row -> column
-    for col in range(nvars):
-        piv = None
-        for r in range(len(aug)):
-            if r in pivots:
-                continue
-            z = ex.is_zero(aug[r][col])
-            if z is ex.UNKNOWN:
-                raise SymbolicPivotAmbiguity(aug[r][col])
-            if z is False:
-                piv = r
-                break
-        if piv is None:
+    n = len(matrix[0]) if matrix else 0
+    rows = []
+    for i, row in enumerate(matrix):
+        r = {j: _demote(a) for j, a in enumerate(row) if a != ex.ZERO}
+        r[n + i] = Fraction(1)
+        rows.append(r)
+    pivots = sparse_rref(rows, n + len(matrix))
+    if any(j not in pivots for j in range(n)):
+        return None
+
+    def combine(y: dict) -> ex.Expr:
+        return ex.add(*[ex.mul(fe_expr(v), rhs[c - n]) for c, v in y.items() if c >= n])
+
+    for c, y in pivots.items():
+        if c >= n and not fe_is_zero(combine(y)):
             return None
-        inv = ex.div(ex.ONE, aug[piv][col])
-        aug[piv] = [ex.mul(inv, v) for v in aug[piv]]
-        for r in range(len(aug)):
-            if r != piv:
-                f = aug[r][col]
-                if ex.is_zero(f) is not True:
-                    aug[r] = [ex.sub(a, ex.mul(f, b)) for a, b in zip(aug[r], aug[piv])]
-        pivots[piv] = col
-    for r in range(len(aug)):
-        if r not in pivots:
-            z = ex.is_zero(aug[r][nvars])
-            if z is ex.UNKNOWN:
-                raise SymbolicPivotAmbiguity(aug[r][nvars])
-            if z is False:
-                return None
-    out = [None] * nvars
-    for r, col in pivots.items():
-        out[col] = aug[r][nvars]
-    return out
+    return [combine(pivots[j]) for j in range(n)]

@@ -25,7 +25,7 @@ from .perturb import EpsSeries
 from .symmetry import Generator
 
 __all__ = ["Model", "GoldenRecord", "load_builtin", "load_model_dict",
-           "builtin_names", "golden_check", "concretize"]
+           "builtin_names", "golden_check", "concretize", "parse_generator"]
 
 
 @dataclass
@@ -95,20 +95,38 @@ def load_model_dict(data: dict) -> Model:
         grid=dict(data.get("grid") or {}),
         dependencies=list(data.get("dependencies") or []),
         notes=list(data.get("notes") or []), raw=data)
-
-    def parse_series(texts: list[str]) -> EpsSeries:
-        return EpsSeries(tuple(concretize(lang.parse(s), functions, lang) for s in texts))
-
     for rec in data.get("golden") or []:
-        gen = Generator.from_json(space, rec, lang)
-        if rec.get("phi"):
-            gauge = GaugeTerm(space, tuple(parse_series(row) for row in rec["phi"]))
-        else:
-            gauge = GaugeTerm.zero(space)
-        quantity = parse_series(rec["quantity"]) if rec.get("quantity") else None
+        gen, gauge = parse_generator(model, rec)
+        quantity = (EpsSeries(tuple(_parse(model, s) for s in rec["quantity"]))
+                    if rec.get("quantity") else None)
         model.golden.append(GoldenRecord(rec["name"], gen, gauge, quantity,
                                          rec.get("expect", "nontrivial")))
     return model
+
+
+def parse_generator(model: Model, rec: dict) -> tuple[Generator, GaugeTerm]:
+    """Generator and gauge of an {"xi", "eta", "phi"} record.
+
+    xi and eta are matrices indexed [k][slot], phi (optional, zero when
+    absent) one series per independent variable; every entry is parsed in
+    the model's language and concretized.  Bad shapes raise ValueError or
+    TypeError.
+    """
+    def parse_rows(rows) -> list[list[ex.Expr]]:
+        return [[_parse(model, s) for s in row] for row in rows]
+
+    gen = Generator.from_components(model.space, parse_rows(rec["xi"]),
+                                    parse_rows(rec["eta"]))
+    if rec.get("phi"):
+        gauge = GaugeTerm(model.space, tuple(EpsSeries(tuple(row))
+                                             for row in parse_rows(rec["phi"])))
+    else:
+        gauge = GaugeTerm.zero(model.space)
+    return gen, gauge
+
+
+def _parse(model: Model, text: str) -> ex.Expr:
+    return concretize(model.language.parse(text), model.functions, model.language)
 
 
 def concretize(e: ex.Expr, functions: dict[str, dict], lang: Language) -> ex.Expr:
@@ -190,7 +208,7 @@ def golden_check(model: Model) -> list[GoldenResult]:
                                      name=rec.name, residual=res)
                 flux_verified = law.verified
                 if rec.expect == "trivial":
-                    match = {"trivial": law.is_trivial()}
+                    match = {"trivial": law.classification == "trivial"}
                 elif rec.quantity is not None:
                     match = _match_quantity(law.quantity, rec.name, laws,
                                             model.constant_names)
@@ -221,7 +239,7 @@ def _match_quantity(q: EpsSeries, name: str, laws: dict[str, EpsSeries],
     for coords in span_fits([list(b.coeffs) for b in basis] + [list(q.coeffs)],
                             constants):
         sigma = coords.get(0)
-        if sigma is None or ex.is_zero(fe_expr(sigma)) is True:
+        if sigma is None:
             continue
         return {"sigma": to_text(fe_expr(sigma)),
                 "combination": {names[j]: to_text(fe_expr(c))

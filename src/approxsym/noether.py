@@ -104,7 +104,6 @@ class ConservationLaw:
     verified: bool = False
     classification: str = "unverified"
     name: str = ""
-    order_results: tuple[bool, ...] = field(default=())
 
     def __post_init__(self):
         self.fluxes = tuple(self.fluxes)
@@ -154,13 +153,15 @@ def euler_lagrange(lag: PerturbedLagrangian) -> list[EpsSeries]:
 def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
     """Solve the hierarchy for every second-derivative jet it constrains.
 
-    ODE case only (one independent variable).  Raises
-    CannotSolveForLeadingDerivative when the appearing second derivatives
-    cannot all be eliminated (degenerate kinetic term) or an equation left
-    over after the elimination does not vanish (a constraint such as u0 = 0
-    that the hierarchy cannot be solved under), and
-    SymbolicPivotAmbiguity when a kinetic coefficient cannot be decided to
-    be zero or nonzero.
+    ODE case only (one independent variable).  Every coefficient of the
+    hierarchy goes to ``solve_dense``; an equation that is identically zero
+    is a redundant row whose right-hand side passes the consistency test.
+    Raises CannotSolveForLeadingDerivative when the appearing second
+    derivatives cannot all be eliminated (degenerate kinetic term) or an
+    equation left over after the elimination does not vanish (a constraint
+    such as u0 = 0 that the hierarchy cannot be solved under), and
+    SymbolicPivotAmbiguity when any kinetic coefficient, or such a leftover
+    equation, cannot be decided to be zero or nonzero.
     """
     if lag._el_cache is not None:
         return lag._el_cache
@@ -168,19 +169,9 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
     if sp.n != 1:
         raise CannotSolveForLeadingDerivative(
             "leading-derivative reduction is implemented for ODE systems only")
-    eqs = []
-    unknowns: list[ex.Jet] = []
-    seen = set()
-    for series in euler_lagrange(lag):
-        for e in series.coeffs:
-            if ex.is_zero(e) is True:
-                continue
-            eqs.append(e)
-            for j in ex.jets_of(e):
-                if len(j.deriv) == 2 and j not in seen:
-                    seen.add(j)
-                    unknowns.append(j)
-    unknowns.sort(key=lambda j: j.key())
+    eqs = [e for series in euler_lagrange(lag) for e in series.coeffs]
+    unknowns = sorted({j for e in eqs for j in ex.jets_of(e) if len(j.deriv) == 2},
+                      key=lambda j: j.key())
     rows = []
     rhs = []
     for e in eqs:
@@ -190,10 +181,6 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
             raise CannotSolveForLeadingDerivative(str(err))
         rows.append([coeffs.get(u, ex.ZERO) for u in unknowns])
         rhs.append(ex.neg(rem))
-    # square up: independent equations only
-    if len(rows) < len(unknowns):
-        raise CannotSolveForLeadingDerivative(
-            f"{len(unknowns)} leading derivatives, only {len(rows)} equations")
     solution = solve_dense(rows, rhs)
     if solution is None:
         raise CannotSolveForLeadingDerivative(
@@ -256,7 +243,6 @@ def noether_fluxes(g: Generator, lag: PerturbedLagrangian,
         fluxes.append(flux)
     law = ConservationLaw(sp, tuple(fluxes), source=g, gauge=phi, name=name)
     results = divergence_check(law, lag)
-    law.order_results = tuple(results)
     if not all(results):
         raise FormulaMismatch(
             f"zero residual but divergence check failed per order: {results}")

@@ -87,22 +87,13 @@ def compile_functions(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str],
         marker = ex.sym(f"__h_{lname}")
         main_syms[marker.name] = lname
         sub[atom] = marker
-    pieces = [_compile_source(_replace_atoms(e, sub), jet_src, bindings, space, main_syms)
+    pieces = [_compile_source(ex.subst(e, sub), jet_src, bindings, space, main_syms)
               for e in exprs]
     lines.append("    return (" + ", ".join(pieces)
                  + ("," if len(pieces) == 1 else "") + ")")
     ns: dict = {"math": math}
     exec("\n".join(lines), ns)
     return ns["_compiled"]
-
-
-def _replace_atoms(e: ex.Expr, table: dict[ex.Expr, ex.Expr]) -> ex.Expr:
-    hit = table.get(e)
-    if hit is not None:
-        return hit
-    if isinstance(e, (ex.AFun, ex.AInt)):
-        return e
-    return ex.rebuild(e, lambda c: _replace_atoms(c, table))
 
 
 # ---------------------------------------------------------------------------

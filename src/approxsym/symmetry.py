@@ -67,6 +67,8 @@ class Generator:
     def from_components(cls, space: JetSpace, xi_rows, eta_rows) -> "Generator":
         """Build from tilde coefficient matrices indexed [k][i] / [k][alpha]."""
         p = space.order
+        if len(xi_rows) != p + 1 or len(eta_rows) != p + 1:
+            raise ValueError("generator matrices need one row per eps order")
         xi = tuple(EpsSeries(tuple(xi_rows[k][i] for k in range(p + 1)))
                    for i in range(space.n))
         eta = tuple(EpsSeries(tuple(eta_rows[k][a] for k in range(p + 1)))
@@ -146,11 +148,8 @@ class Generator:
 
     @classmethod
     def from_json(cls, space: JetSpace, data: dict, language) -> "Generator":
-        p = space.order
         xi_rows = [[language.parse(s) for s in row] for row in data["xi"]]
         eta_rows = [[language.parse(s) for s in row] for row in data["eta"]]
-        if len(xi_rows) != p + 1 or len(eta_rows) != p + 1:
-            raise ValueError("generator matrices need one row per eps order")
         return cls.from_components(space, xi_rows, eta_rows)
 
 

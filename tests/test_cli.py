@@ -101,6 +101,15 @@ def test_noether_override_non_symmetry_exit_4():
     assert proc.returncode == 4
 
 
+def test_override_concretizes_model_functions():
+    # oscillator-quadratic binds F(w) = (w + delta)^2, so this gauge is zero
+    data = json.loads(run("noether", "--model", "oscillator-quadratic",
+                          "--xi", '[["0"],["0"]]', "--eta", '[["0"],["0"]]',
+                          "--phi", '[["0","F(u0) - (u0+delta)^2"]]',
+                          "--format", "json").stdout)
+    assert data["laws"][0]["classification"] == "trivial"
+
+
 def test_noether_classify():
     out = run("noether", "--model", "oscillator-arbitraryF",
               "--generator", "Xi1", "--generator", "Xi6", "--classify").stdout

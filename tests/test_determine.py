@@ -101,6 +101,13 @@ def test_seed_elements_with_higher_orders_are_pruned():
     assert space.bases[("phi", 0, 0)] == []
 
 
+def test_basis_independence_keeps_cleared_denominators_apart():
+    space = AnsatzSpace(SP, {("xi", 0, 0): [L.parse("1/(1+t^2)"), ex.ONE]})
+    assert len(space.bases[("xi", 0, 0)]) == 2
+    with pytest.raises(ValueError, match="linearly dependent"):
+        AnsatzSpace(SP, {("xi", 0, 0): [L.parse("2/(1+t^2)"), L.parse("1/(1+t^2)")]})
+
+
 @pytest.fixture(scope="module")
 def discovered():
     """One extract + solve per builtin, shared by the membership tests."""

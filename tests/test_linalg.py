@@ -6,7 +6,9 @@ import pytest
 
 from approxsym import expr as ex
 from approxsym.errors import SymbolicPivotAmbiguity
-from approxsym.linalg import nullspace, solve_dense, span_fits, sparse_rref
+from approxsym.jet import JetSpace
+from approxsym.linalg import (coefficient_rows, nullspace, solve_dense, span_fits,
+                              sparse_rref)
 
 
 def F(x):
@@ -49,11 +51,28 @@ def test_symbolic_entries():
     assert ex.is_zero(prod) is True
 
 
+# exp(a)*exp(-a) - 1: zero, but outside the class is_zero decides
+HARD = ex.sub(ex.mul(ex.fun("exp", ex.sym("a")), ex.fun("exp", ex.neg(ex.sym("a")))),
+              ex.ONE)
+
+
+@pytest.mark.parametrize("pair, dependent", [
+    (("1/(1+u0^2)", "1"), False),
+    (("(u0^2+1)^(-1/2)", "(u0^2+1)^(1/2)"), False),
+    (("2/(1+u0^2)", "1/(1+u0^2)"), True),
+])
+def test_cleared_denominators_are_not_compared_across_columns(pair, dependent):
+    # each normal form is scaled by its own clearing multiplier; rows are
+    # only comparable where the multipliers agree
+    lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
+    columns = [[lang.parse(s)] for s in pair]
+    assert (len(sparse_rref(coefficient_rows(columns, ()), 2)) == 1) is dependent
+    assert bool(list(span_fits(columns, ()))) is dependent
+
+
 def test_symbolic_pivot_ambiguity():
-    hard = ex.sub(ex.mul(ex.fun("exp", ex.sym("a")), ex.fun("exp", ex.neg(ex.sym("a")))),
-                  ex.ONE)
-    assert ex.is_zero(hard) is ex.UNKNOWN
-    rows = [{0: hard}]
+    assert ex.is_zero(HARD) is ex.UNKNOWN
+    rows = [{0: HARD}]
     with pytest.raises(SymbolicPivotAmbiguity):
         sparse_rref(rows, 1)
 
@@ -65,6 +84,12 @@ def test_solve_dense_symbolic():
     assert ex.is_zero(ex.sub(sol[0], ex.div(ex.ONE, a))) is True
     assert ex.is_zero(ex.sub(sol[1], ex.div(ex.ONE, b))) is True
     assert solve_dense([[ex.ONE, ex.ONE], [ex.ONE, ex.ONE]], [ex.ZERO, ex.ZERO]) is None
+    # right-hand sides stay out of the elimination: an undecidable one is
+    # returned as it is, not zero-tested
+    assert solve_dense([[ex.ONE]], [HARD]) == [HARD]
+    # every kinetic entry is zero-tested, not only pivot candidates
+    with pytest.raises(SymbolicPivotAmbiguity):
+        solve_dense([[ex.ONE, ex.ZERO], [HARD, ex.ONE]], [ex.ZERO, ex.ZERO])
 
 
 def test_solve_dense_rejects_inconsistent_rows():
@@ -73,7 +98,5 @@ def test_solve_dense_rejects_inconsistent_rows():
     sol = solve_dense([[ex.ONE], [ex.rat(2)]], [ex.ONE, ex.rat(2)])
     assert sol == [ex.ONE]
     # an undecidable leftover right-hand side is an ambiguity, not a verdict
-    hard = ex.sub(ex.mul(ex.fun("exp", ex.sym("a")), ex.fun("exp", ex.neg(ex.sym("a")))),
-                  ex.ONE)
     with pytest.raises(SymbolicPivotAmbiguity):
-        solve_dense([[ex.ONE], [ex.ONE]], [ex.ZERO, hard])
+        solve_dense([[ex.ONE], [ex.ONE]], [ex.ZERO, HARD])

@@ -128,6 +128,25 @@ def test_constraint_equation_raises():
         el_solved_map(lag)
 
 
+def test_identically_zero_equation_is_redundant():
+    # the v equation sin(t)^2 + cos(t)^2 - 1 = 0 is not syntactically zero;
+    # it is a redundant row whose right-hand side vanishes
+    sp = JetSpace(("t",), ("u", "v"), order=1, max_derivative=2)
+    lang = sp.language()
+    source = "1/2*du#t^2 - 1/2*u^2 + (sin(t)^2 + cos(t)^2 - 1)*v"
+    lag = PerturbedLagrangian.from_expression(lang.parse(source), sp)
+    assert euler_lagrange(lag)[1].coeffs[0] != ex.ZERO
+    solved = el_solved_map(lag)
+    assert set(solved) == {ex.jet("u", 0, ("t", "t")), ex.jet("u", 1, ("t", "t"))}
+    assert zeq(solved[ex.jet("u", 0, ("t", "t"))], lang.parse("-u0"))
+    assert zeq(solved[ex.jet("u", 1, ("t", "t"))], lang.parse("-u1"))
+    # without the - 1 the v equation is sin(t)^2 + cos(t)^2 = 0: a constraint
+    twin = PerturbedLagrangian.from_expression(
+        lang.parse(source.replace(" - 1)", ")")), sp)
+    with pytest.raises(CannotSolveForLeadingDerivative, match="constrains the state"):
+        el_solved_map(twin)
+
+
 def test_exp_potential_is_solved():
     # exp(u0) sits only on the right-hand side, which a square system
     # never zero-tests
@@ -138,6 +157,17 @@ def test_exp_potential_is_solved():
     solved = el_solved_map(lag)
     assert zeq(solved[ex.jet("u", 0, ("t", "t"))], lang.parse("-exp(u0)"))
     assert zeq(solved[ex.jet("u", 1, ("t", "t"))], lang.parse("1 - exp(u0)*u1"))
+
+
+def test_classify_keeps_cleared_denominators_apart():
+    sp = JetSpace(("t",), ("u",), order=0, max_derivative=2)
+    lang = sp.language()
+
+    def law(text):
+        return ConservationLaw(sp, (EpsSeries((lang.parse(text),)),))
+    for a, b in (("1/(1+u0^2)", "1"), ("(u0^2+1)^(-1/2)", "(u0^2+1)^(1/2)")):
+        assert classify([law(a), law(b)]) == []
+    assert len(classify([law("2/(1+u0^2)"), law("1/(1+u0^2)")])) == 1
 
 
 def test_classify_eps_shift_dependency():

@@ -33,6 +33,8 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     cases["verify-sweep.oscillator-quadratic"] = (
         ["verify", "--model", "oscillator-quadratic", "--law", "Xi1",
          "--sweep", "1e-2,1e-3,1e-4"], 0)
+    cases["verify-sweep-all.oscillator-quadratic"] = (
+        ["verify", "--model", "oscillator-quadratic", "--sweep", "1e-2,1e-3,1e-4"], 0)
     return {name: (argv + ["--format", "json"], code)
             for name, (argv, code) in cases.items()}
 

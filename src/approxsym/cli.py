@@ -152,7 +152,6 @@ def cmd_verify(args) -> int:
     recs = [r for r in _selected_golden(model, args.law) if r.quantity is not None]
     payload: dict = {"model": model.name, "laws": []}
     text = []
-    grid = model.grid
     if args.sweep:
         try:
             eps_values = [float(s) for s in args.sweep.split(",")]
@@ -162,7 +161,7 @@ def cmd_verify(args) -> int:
     if recs and (args.numeric or args.csv):
         nm = compile_numeric(model.lagrangian, model.bindings)
         traj = integrate(nm, nm.initial_state(model.initial, model.language),
-                         grid["t0"], grid["t1"], grid["h"])
+                         *model.time_grid())
     laws = []
     for rec in recs:
         law = ConservationLaw(model.space, (rec.quantity,), name=rec.name)
@@ -176,7 +175,7 @@ def cmd_verify(args) -> int:
             text.append(f"  drift per order: {rep.max_drift}")
         if args.sweep:
             sw = eps_sweep(source, model.space, law, eps_values, model.bindings,
-                           _full_initial(model), grid["t0"], grid["t1"], grid["h"])
+                           _full_initial(model), *model.time_grid())
             entry["sweep"] = {"eps": sw.eps_values, "drift": sw.drifts,
                               "slope": sw.slope}
             text.append(f"  sweep slope: {sw.slope:.3f} ({sw.drifts})")

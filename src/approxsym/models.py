@@ -11,6 +11,7 @@ additive constants (conserved quantities are only defined up to those).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -46,6 +47,7 @@ class Model:
     lagrangian: PerturbedLagrangian  # concrete functions substituted
     constants: dict[str, str | None]
     functions: dict[str, dict]
+    bodies: list[tuple[str, ex.Sym, ex.Expr]]   # parsed concrete functions
     oscillatory: bool
     ansatz: AnsatzSpace
     golden: list[GoldenRecord] = field(default_factory=list)
@@ -59,6 +61,22 @@ class Model:
     @property
     def constant_names(self) -> set[str]:
         return set(self.constants)
+
+    def time_grid(self) -> tuple[float, float, float]:
+        """(t0, t1, h) of the numeric grid; ModelError unless it gives an RK4 step."""
+        for key in ("t0", "t1", "h"):
+            if key not in self.grid:
+                raise ModelError(f"grid: missing {key}")
+            v = self.grid[key]
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ModelError(f"grid: {key} must be a finite number, got {v!r}")
+        t0, t1, h = self.grid["t0"], self.grid["t1"], self.grid["h"]
+        if h == 0.0:
+            raise ModelError("grid: h must be nonzero")
+        steps = (t1 - t0) / h
+        if not math.isfinite(steps) or round(steps) < 1:
+            raise ModelError(f"grid: (t1 - t0)/h = {steps!r} gives no RK4 step")
+        return t0, t1, h
 
 
 def load_model_dict(data: dict) -> Model:
@@ -80,7 +98,8 @@ def load_model_dict(data: dict) -> Model:
         functions={n: f.get("arity", 1) for n, f in functions.items()},
         constants=set(constants))
     src = lang.parse(data["lagrangian"])
-    lag = PerturbedLagrangian.from_expression(concretize(src, functions, lang), space)
+    bodies = _bodies(functions, lang)
+    lag = PerturbedLagrangian.from_expression(_substitute(src, bodies), space)
     ansatz_data = data.get("ansatz")
     if ansatz_data:
         ansatz = _parse_ansatz(ansatz_data, space, lang)
@@ -88,7 +107,7 @@ def load_model_dict(data: dict) -> Model:
         ansatz = default_ansatz(space, bool(data.get("oscillatory")))
     model = Model(
         name=data["name"], space=space, language=lang, lagrangian_source=src,
-        lagrangian=lag, constants=constants, functions=functions,
+        lagrangian=lag, constants=constants, functions=functions, bodies=bodies,
         oscillatory=bool(data.get("oscillatory")), ansatz=ansatz,
         bindings=dict(data.get("bindings") or {}),
         initial=dict(data.get("initial") or {}),
@@ -126,15 +145,23 @@ def parse_generator(model: Model, rec: dict) -> tuple[Generator, GaugeTerm]:
 
 
 def _parse(model: Model, text: str) -> ex.Expr:
-    return concretize(model.language.parse(text), model.functions, model.language)
+    return _substitute(model.language.parse(text), model.bodies)
 
 
 def concretize(e: ex.Expr, functions: dict[str, dict], lang: Language) -> ex.Expr:
     """Substitute the closed form of every function that declares one."""
-    for name, f in functions.items():
-        if f.get("concrete"):
-            e = ex.subst_function(e, name, ex.sym(f.get("formal", "w")),
-                                  lang.parse(f["concrete"]))
+    return _substitute(e, _bodies(functions, lang))
+
+
+def _bodies(functions: dict[str, dict], lang: Language) -> list[tuple[str, ex.Sym, ex.Expr]]:
+    """(name, formal argument, parsed body) of every function with a closed form."""
+    return [(name, ex.sym(f.get("formal", "w")), lang.parse(f["concrete"]))
+            for name, f in functions.items() if f.get("concrete")]
+
+
+def _substitute(e: ex.Expr, bodies: list[tuple[str, ex.Sym, ex.Expr]]) -> ex.Expr:
+    for name, formal, body in bodies:
+        e = ex.subst_function(e, name, formal, body)
     return e
 
 

@@ -4,11 +4,19 @@ Expressions are compiled once into flat Python functions (no symbolic work
 inside the time loop); the integrator is classical fixed-step RK4, chosen
 for bitwise determinism over efficiency.  Drift is the max-norm deviation
 of each eps coefficient of a conserved quantity along the evaluated grid.
+
+An eps sweep computes its trajectories once: the base and per-eps states are
+packed into flat float arrays and one entry is kept, keyed on everything the
+trajectories depend on except the law, so sweeping every law of a model with
+the same arguments integrates each (model, eps) once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from array import array
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -241,39 +249,61 @@ def eps_sweep(lag_expr: ex.Expr, space: JetSpace, law: ConservationLaw,
     u_(0) is identified with the unperturbed solution from the same initial
     data and u_(1) with (u - u_(0))/eps; the law is evaluated on that
     reconstruction and its max drift fitted against eps in log-log scale.
+    The reconstructed states come from ``_sweep_states``, which keeps the
+    last sweep's states: a second call that differs only in the law
+    integrates nothing.
     """
-    tname = space.independent[0]
-    base_model = compile_full(lag_expr, space, bindings, 0.0)
-    base_traj = integrate(base_model, y0, t0, t1, h)
     bases = sorted({j.base for j in ex.jets_of(lag_expr)})
-    nb = len(bases)
     # evaluation state: u_(0), u_(1) then their velocities
     eval_positions = [ex.jet(b, k) for k in (0, 1) for b in bases]
     eval_model = NumericModel(space, eval_positions, None, dict(bindings))
-    exprs = list(law.quantity.coeffs)
-    fn = compile_functions(exprs, eval_model.jet_sources(), bindings, space)
+    fn = compile_functions(list(law.quantity.coeffs), eval_model.jet_sources(),
+                           bindings, space)
+    width = eval_model.dim
+    ts, packed = _sweep_states(lag_expr, space, tuple(eps_values),
+                               tuple(sorted(bindings.items())), tuple(y0), t0, t1, h)
     drifts = []
-    for eps in eps_values:
-        model = compile_full(lag_expr, space, bindings, eps)
-        traj = integrate(model, y0, t0, t1, h)
+    for eps, states in zip(eps_values, packed):
+        powers = [eps ** k for k in range(law.quantity.order + 1)]
+        rows = zip(*[iter(states)] * width)   # one state tuple per grid point
         first = None
         worst = 0.0
-        for t, yf, yb in zip(traj.ts, traj.ys, base_traj.ys):
-            state = []
-            for block in (0, nb):  # positions then velocities
-                for i in range(nb):
-                    state.append(yb[block + i])
-                for i in range(nb):
-                    state.append((yf[block + i] - yb[block + i]) / eps if eps else 0.0)
-            # reorder: eval state wants [u0 pos, u1 pos, u0 vel, u1 vel]
-            vals = fn(t, tuple(state))
-            total = sum(v * eps ** k for k, v in enumerate(vals))
+        for t, y in zip(ts, rows):
+            total = sum(map(operator.mul, fn(t, y), powers))
             if first is None:
                 first = total
             worst = max(worst, abs(total - first))
         drifts.append(worst)
     slope = _loglog_slope(eps_values, drifts)
     return SweepReport(list(eps_values), drifts, slope)
+
+
+@functools.lru_cache(maxsize=1)
+def _sweep_states(lag_expr: ex.Expr, space: JetSpace, eps_values: tuple,
+                  bindings: tuple, y0: tuple, t0: float, t1: float,
+                  h: float) -> tuple[array, list[array]]:
+    """Grid times and, per eps, the packed evaluation states of a sweep.
+
+    The states of one eps are one flat array, a row per grid point:
+    [u_(0) positions, u_(1) = (u - u_(0))/eps positions, then both velocity
+    blocks].  Each eps trajectory is dropped as soon as it is packed.
+    """
+    binds = dict(bindings)
+    base_model = compile_full(lag_expr, space, binds, 0.0)
+    base = integrate(base_model, y0, t0, t1, h)
+    nb = len(base_model.positions)
+    packed = []
+    for eps in eps_values:
+        traj = integrate(compile_full(lag_expr, space, binds, eps), y0, t0, t1, h)
+        states = array("d")
+        for yf, yb in zip(traj.ys, base.ys):
+            for block in (0, nb):  # positions then velocities
+                states.extend(yb[block:block + nb])
+                states.extend((yf[block + i] - yb[block + i]) / eps if eps else 0.0
+                              for i in range(nb))
+        del traj
+        packed.append(states)
+    return array("d", base.ts), packed
 
 
 def _loglog_slope(xs: list[float], ys: list[float]) -> float:

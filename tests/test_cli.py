@@ -176,11 +176,11 @@ def test_determine_output_feeds_noether(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
-def write_model(tmp_path, lagrangian: str) -> str:
+def write_model(tmp_path, lagrangian: str, **fields) -> str:
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "schema": 1, "name": "probe", "independent": ["t"], "dependent": ["u"],
-        "order_p": 1, "lagrangian": lagrangian}))
+        "order_p": 1, "lagrangian": lagrangian, **fields}))
     return str(path)
 
 
@@ -240,4 +240,23 @@ def test_bad_sweep_exits_2():
     proc = run("verify", "--model", "free-particle", "--sweep", "abc", check=False)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --sweep")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("grid", [
+    {"t0": 0.0, "t1": 0.0, "h": 1e-3},      # no step: drift read ts[1]
+    {"t0": 0.0, "t1": 10.0, "h": 0},        # division by zero
+    {"t0": 0.0, "t1": 10.0},                # missing h
+    {"t0": 0.0, "t1": 10.0, "h": -0.1},     # steps backwards past t0
+    {"t0": 0.0, "t1": 10.0, "h": "x"},      # not a number
+])
+def test_malformed_grid_exits_2(tmp_path, grid):
+    path = write_model(
+        tmp_path, "1/2*du#t^2", grid=grid,
+        initial={"u0": 0.0, "du0#t": 1.0, "u1": 0.0, "du1#t": 0.0},
+        golden=[{"name": "Xi1", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]],
+                 "quantity": ["1/2*du0#t^2", "du0#t*du1#t"]}])
+    proc = run("verify", path, "--numeric", check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: grid: ")
     assert "Traceback" not in proc.stderr

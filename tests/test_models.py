@@ -18,6 +18,26 @@ def test_builtin_names():
         assert expected in names
 
 
+@pytest.mark.parametrize("name, body", [("oscillator-quadratic", "(w+delta)^2"),
+                                        ("oscillator-cubic-inverse", "kappa/w^3")])
+def test_load_parses_each_function_body_once(monkeypatch, name, body):
+    from approxsym.lang import Language
+    parse = Language.parse
+    texts = []
+
+    def counting(self, text):
+        texts.append(text)
+        return parse(self, text)
+    monkeypatch.setattr(Language, "parse", counting)
+    model = load_builtin(name)
+    assert texts.count(body) == 1
+    # the one parse still reaches the Lagrangian and every golden record
+    from approxsym.lang import to_text
+    xi1 = next(r for r in model.golden if r.name == "Xi1")
+    shown = [to_text(c) for c in model.lagrangian.L.coeffs + xi1.quantity.coeffs]
+    assert not any("F" in t for t in shown)
+
+
 def test_unknown_model():
     with pytest.raises(UnknownModel):
         load_builtin("nonsense")

@@ -174,6 +174,43 @@ def test_non_conserved_sweep_slope_near_zero():
     assert abs(sw.slope) < 0.1
 
 
+def test_sweep_states_computed_once_and_never_stale(monkeypatch):
+    from approxsym import numverify
+    model, nm, y0 = osc_model()
+    energy = energy_law(model)
+    bogus = ConservationLaw(model.space,
+                            (EpsSeries((ex.jet("u", 0), ex.ZERO)),), name="u0")
+    src = concretize(model.lagrangian_source, model.functions, model.language)
+    calls = {"compile_full": 0, "integrate": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(numverify, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(numverify, name, counting)
+
+    def sweep(law, eps=(1e-2, 1e-3, 1e-4), bindings=model.bindings, y=(1.0, 0.0)):
+        return eps_sweep(src, model.space, law, list(eps), bindings, list(y),
+                         0.0, 2.0, 1e-2)
+
+    numverify._sweep_states.cache_clear()
+    first = sweep(energy)
+    second = sweep(bogus)
+    assert calls == {"compile_full": 4, "integrate": 4}   # base + 3 eps, once
+    assert sweep(energy) == first
+    assert calls == {"compile_full": 4, "integrate": 4}
+    for changed in ({"bindings": {"delta": 0.5}}, {"y": (0.5, 0.0)},
+                    {"eps": (1e-2, 1e-3)}):
+        numverify._sweep_states.cache_clear()
+        fresh = sweep(energy, **changed)
+        numverify._sweep_states.cache_clear()
+        sweep(bogus)
+        before = dict(calls)
+        assert sweep(energy, **changed) == fresh       # recomputed, not reused
+        assert calls["integrate"] > before["integrate"]
+    numverify._sweep_states.cache_clear()
+    assert sweep(bogus) == second
+
+
 def test_unbound_symbol():
     model = load_builtin("coupled-system")
     with pytest.raises(UnboundSymbol):

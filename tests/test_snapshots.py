@@ -1,5 +1,7 @@
 """Byte-identical CLI output on every builtin: the behaviour contract.
 
+Model files under ``tests/models`` pin cases no builtin reaches.
+
 Each file under ``tests/snapshots`` is the ``--format json`` stdout of one
 CLI call, listed in CASES with its exit code.  The test runs the call through
 ``cli.main`` in-process and compares bytes.  Regenerate one file with
@@ -14,6 +16,7 @@ import pytest
 from approxsym.cli import main
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
+MODEL_FILES = Path(__file__).parent / "models"
 
 MODELS = ["coupled-system", "free-particle", "oscillator-arbitraryF",
           "oscillator-cubic-inverse", "oscillator-quadratic", "three-body"]
@@ -28,6 +31,9 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         cases[f"verify.{m}"] = (["verify", "--model", m], 0)
         if m != "three-body":  # the three-body determining system does not finish
             cases[f"determine-dump.{m}"] = (["determine", "--model", m, "--dump-system"], 0)
+    # columns cleared by different denominators: u-v, u-w and v-w
+    cases["determine-dump.line3"] = (
+        ["determine", str(MODEL_FILES / "line3.json"), "--dump-system"], 0)
     for m in ("free-particle", "oscillator-quadratic", "three-body"):
         cases[f"verify-numeric.{m}"] = (["verify", "--model", m, "--numeric"], 0)
     cases["verify-sweep.oscillator-quadratic"] = (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (ApproxSymError, FormulaMismatch, ModelError,
@@ -177,7 +178,7 @@ def cmd_verify(args) -> int:
             sw = eps_sweep(source, model.space, law, eps_values, model.bindings,
                            _full_initial(model), *model.time_grid())
             entry["sweep"] = {"eps": sw.eps_values, "drift": sw.drifts,
-                              "slope": sw.slope}
+                              "slope": None if math.isnan(sw.slope) else sw.slope}
             text.append(f"  sweep slope: {sw.slope:.3f} ({sw.drifts})")
         payload["laws"].append(entry)
     if args.csv and laws:

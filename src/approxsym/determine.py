@@ -1,17 +1,17 @@
 """Determining-equation extraction and exact solution over ansatz spaces.
 
 The unknown infinitesimal family functions and gauge terms are expanded
-over declared finite-dimensional bases with fresh coefficient symbols; the
-variational residual is then separated per eps order on jet-derivative
-monomials and on the independent function monomials of the remaining
-(x, u_(0..p)) dependence, giving a homogeneous linear system over the field
-of rationals extended by the declared constants.  The null space, reduced
-to a canonical echelon form with seed coefficients ordered before gauge
-coefficients, is returned as generators with gauges; vectors whose pivot
-lies in the gauge block are constant pure-gauge directions and are reported
-separately from the generator count.  Membership of a given (generator,
-gauge) pair in the solved span is one span fit over the (xi, eta, phi)
-series coefficients of the solutions.
+over declared finite-dimensional bases.  The residual is linear in the
+coefficients, so column j is the residual of basis element j alone,
+separated per eps order on jet-derivative monomials and on the independent
+function monomials of the remaining (x, u_(0..p)) dependence: a homogeneous
+linear system over the rationals extended by the declared constants.  The
+null space, reduced to a canonical echelon form with seed coefficients
+ordered before gauge coefficients, is returned as generators with gauges;
+vectors whose pivot lies in the gauge block are constant pure-gauge
+directions and are reported separately from the generator count.
+Membership of a given (generator, gauge) pair in the solved span is one
+span fit over the (xi, eta, phi) series coefficients of the solutions.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from fractions import Fraction
 from itertools import product
 
 from . import expr as ex
-from .errors import AnsatzIncomplete, NotPolynomial
+from .errors import AnsatzIncomplete
 from .jet import JetSpace
-from .linalg import (FE, coefficient_rows, fe_expr, fe_is_zero, nullspace,
-                     span_fits, sparse_rref, split_constants)
+from .linalg import (FE, coefficient_rows, common_multiplier, fe_expr, nullspace,
+                     span_fits, sparse_rref)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from .perturb import EpsSeries
 from .symmetry import Generator
@@ -77,7 +77,7 @@ def _gauge_ok(b: ex.Expr, k: int) -> bool:
 def _check_independent(basis: list[ex.Expr], key):
     if not basis:
         return
-    rows = coefficient_rows([[b] for b in basis], ())
+    rows = coefficient_rows([[b] for b in basis], ()).values()
     if len(sparse_rref(rows, len(basis))) != len(basis):
         raise ValueError(f"ansatz basis for {key} is linearly dependent")
 
@@ -157,57 +157,24 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
             constants: set[str] = frozenset()) -> DeterminingSystem:
     """Form the determining system for unknown seeds and gauges."""
     sp = lag.space
-    p = sp.order
-    unknowns: list[tuple] = []
-    columns: dict[tuple, int] = {}
-
-    def alloc(kind, k, slot):
-        for bidx, _ in enumerate(ansatz.basis(kind, k, slot)):
-            key = (kind, k, slot, bidx)
-            columns[key] = len(unknowns)
-            unknowns.append(key)
-
-    for kind, count in (("xi", sp.n), ("eta", sp.m)):
-        for slot in range(count):
-            for k in range(p + 1):
-                alloc(kind, k, slot)
-    first_gauge = len(unknowns)
-    for slot in range(sp.n):
-        for k in range(p + 1):
-            alloc("phi", k, slot)
-
-    gen, phi = _generator_and_gauge(sp, ansatz, columns, _csym)
-    residual = variational_residual(gen, lag, phi)
-
-    equations: list[dict[int, FE]] = []
-    provenance: list[tuple[int, ex.Expr]] = []
-    bucket: dict[tuple[int, tuple], dict[int, FE]] = {}
-    for k, coeff in enumerate(residual.coeffs):
-        entries, _ = split_constants(coeff, constants)
-        for sig, entry in entries.items():
-            unknown = [i for i, (atom, _) in enumerate(sig)
-                       if isinstance(atom, ex.Sym) and atom.name.startswith("_c")]
-            if not unknown:
-                raise NotPolynomial(
-                    f"residual has an unknown-free term {fe_expr(entry)!r}")
-            atom, power = sig[unknown[0]]
-            if len(unknown) > 1 or power != 1:
-                raise NotPolynomial(
-                    "residual is not linear in the unknown coefficients")
-            rest = sig[:unknown[0]] + sig[unknown[0] + 1:]
-            bucket.setdefault((k, rest), {})[int(atom.name[2:])] = entry
-    for sig_key in sorted(bucket):
-        row = {c: v for c, v in bucket[sig_key].items() if not fe_is_zero(v)}
-        if row:
-            equations.append(row)
-            provenance.append((sig_key[0],
-                               ex.mul(*[ex.pow_(a, q) for a, q in sig_key[1]])))
-    return DeterminingSystem(sp, lag, ansatz, unknowns, equations, provenance,
-                             first_gauge, frozenset(constants))
-
-
-def _csym(idx: int) -> ex.Sym:
-    return ex.sym(f"_c{idx}")
+    orders = range(sp.order + 1)
+    seeds = [(kind, k, slot) for kind, count in (("xi", sp.n), ("eta", sp.m))
+             for slot in range(count) for k in orders]
+    gauges = [("phi", k, slot) for slot in range(sp.n) for k in orders]
+    unknowns = [(*fam, b) for fam in seeds + gauges
+                for b in range(len(ansatz.basis(*fam)))]
+    first_gauge = sum(len(ansatz.basis(*fam)) for fam in seeds)
+    columns = {key: i for i, key in enumerate(unknowns)}
+    residuals = []
+    for j in range(len(unknowns)):
+        gen, phi = _generator_and_gauge(sp, ansatz, columns,
+                                        lambda col: ex.ONE if col == j else None)
+        residuals.append(variational_residual(gen, lag, phi).coeffs)
+    rows = coefficient_rows(common_multiplier(residuals), constants)
+    keys = sorted(rows, key=lambda key: (key[0], key[2]))
+    provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
+    return DeterminingSystem(sp, lag, ansatz, unknowns, [rows[key] for key in keys],
+                             provenance, first_gauge, frozenset(constants))
 
 
 def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, int],

@@ -6,17 +6,23 @@ whose zero test succeeds is a valid pivot, and an Unknown zero test raises
 SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column index.
 
 One elimination, ``sparse_rref``, serves every system.  The homogeneous
-ones come from ``split_constants``: the determining equations, and the rows
-of ``coefficient_rows`` (span fits, law dependencies, basis independence).
-``split_constants`` reads the normal form after denominators were cleared,
-so each expression comes scaled by its own clearing multiplier; rows are
-keyed by that multiplier, and a dependency is one that holds within each
-multiplier group.  ``solve_dense`` solves the small affine system of the
-Euler-Lagrange equations for the accelerations by reducing [A | I]: its
-right-hand sides hold arbitrary jet expressions (exp(u0), radicals) whose
-zero test can be Unknown, and they never enter the elimination; only a
-combination of them that the elimination proves must vanish is
-zero-tested, so a square system never zero-tests a right-hand side.
+ones come from ``coefficient_rows``: the determining equations, span fits,
+law dependencies, basis independence.  Each normal form is read after its
+denominators were cleared, so rows are keyed by the clearing multiplier and
+a dependency is one that holds within each multiplier group: sound, but
+blind to one that cancels only across groups, such as the translation
+(1, 1, 1) of three bodies on a line with pair potentials 1/(1 + (u-v)^2).
+``extract`` needs that completeness and first calls ``common_multiplier``.
+``span_fits`` and ``noether.classify`` keep multiplier-keyed rows: over a
+common multiplier, ``noether --model three-body --classify`` prints
+(-1)*eps^1*Xi3a as (-2*m2*(-m1 + 2*m2)^(-1) + m1*(-m1 + 2*m2)^(-1))*eps^1*Xi3a
+and takes about ten times as long.  ``solve_dense`` solves the small affine
+system of the Euler-Lagrange equations for the accelerations by reducing
+[A | I]: its right-hand sides hold arbitrary jet expressions (exp(u0),
+radicals) whose zero test can be Unknown, and they never enter the
+elimination; only a combination of them that the elimination proves must
+vanish is zero-tested, so a square system never zero-tests a right-hand
+side.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from . import expr as ex
 from .errors import SymbolicPivotAmbiguity
 
 __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
-           "split_constants", "coefficient_rows", "span_fits", "sparse_rref",
+           "common_multiplier", "coefficient_rows", "span_fits", "sparse_rref",
            "nullspace", "solve_dense"]
 
 FE = Fraction | ex.Expr
@@ -150,7 +156,7 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     return basis
 
 
-def split_constants(e: ex.Expr, constants) -> tuple[dict[tuple, FE], ex.Expr]:
+def _split_constants(e: ex.Expr, constants) -> tuple[dict[tuple, FE], ex.Expr]:
     """Zero normal form of e as {signature: entry over Q(constants)}.
 
     A signature is a normal-form monomial key with the powers of declared
@@ -176,29 +182,53 @@ def split_constants(e: ex.Expr, constants) -> tuple[dict[tuple, FE], ex.Expr]:
     return out, multiplier
 
 
-def coefficient_rows(columns: list[list[ex.Expr]], constants) -> list[dict[int, FE]]:
-    """Rows of sum_j c_j * columns[j] = 0 over Q(constants).
+def common_multiplier(columns: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
+    """The columns, each tag over one clearing multiplier shared by all columns.
+
+    Columns are as in ``coefficient_rows`` and of equal length.  Where the
+    nonzero columns of a tag were cleared by different multipliers M_j,
+    column j becomes (M/M_j) * (its cleared normal form), M being the
+    largest power of each base among the M_j, so every row of that tag
+    compares normal forms scaled alike.  Other tags are returned unchanged.
+    """
+    out = [list(parts) for parts in columns]
+    for tag, exprs in enumerate(zip(*columns)):
+        forms = [ex._zero_normal_form(e) for e in exprs]
+        if len({m for poly, _, m in forms if poly}) < 2:
+            continue
+        powers = [dict(ex._monomial_pairs(m)[1]) for _, _, m in forms]
+        top = {b: max(have.get(b, 0) for have in powers) for have in powers for b in have}
+        for j, ((poly, _, _), have) in enumerate(zip(forms, powers)):
+            if poly:
+                out[j][tag] = ex.mul(ex._from_poly(poly), *[
+                    ex.pow_(b, q - have.get(b, 0)) for b, q in top.items()])
+    return out
+
+
+def coefficient_rows(columns: list[list[ex.Expr]], constants) -> dict[tuple, dict[int, FE]]:
+    """Rows of sum_j c_j * columns[j] = 0 over Q(constants), keyed.
 
     Each column is a list of expressions indexed by tag (an eps order, a
-    flux component); there is one row per (tag, multiplier, signature) of
-    ``split_constants``, as {column: entry}.  Keying by the multiplier
-    compares only normal forms scaled alike, so a dependency found holds
-    within each multiplier group and hence for the columns themselves.
-    Rows come in order of first appearance: column by column, tag by tag,
-    signatures in normal-form order.  That order reaches printed output:
-    entries over Q(constants) have no canonical form, so another row order
-    makes the elimination print another, equal expression.  With the keys
-    of ``_zero_normal_form``'s dict reversed, the Xi6 coefficient in
+    flux component).  Returns {(tag, multiplier, signature): {column:
+    entry}}, with the multiplier and signatures of ``_split_constants``.
+    Keying by the multiplier compares only normal forms scaled alike, so a
+    dependency found holds within each multiplier group and hence for the
+    columns themselves (see the module docstring).  Rows come in order of
+    first appearance: column by column, tag by tag, signatures in
+    normal-form order.  That order reaches printed output: entries over
+    Q(constants) have no canonical form, so another row order makes the
+    elimination print another, equal expression.  With the keys of
+    ``_zero_normal_form``'s dict reversed, the Xi6 coefficient in
     ``golden --model three-body`` reads -m2*(1 + m2*m1^(-1))^(-1) instead
     of m1*(-1 - m1*m2^(-1))^(-1).
     """
     rows: dict[tuple, dict[int, FE]] = {}
     for col, parts in enumerate(columns):
         for tag, e in enumerate(parts):
-            entries, multiplier = split_constants(e, constants)
+            entries, multiplier = _split_constants(e, constants)
             for sig, entry in entries.items():
                 rows.setdefault((tag, multiplier, sig), {})[col] = entry
-    return list(rows.values())
+    return rows
 
 
 def span_fits(columns: list[list[ex.Expr]], constants):
@@ -209,7 +239,7 @@ def span_fits(columns: list[list[ex.Expr]], constants):
     coordinate, zero coordinates omitted.
     """
     target = len(columns) - 1
-    rows = coefficient_rows(columns, constants)
+    rows = coefficient_rows(columns, constants).values()
     for row in rows:
         if target in row:
             row[target] = fe_neg(row[target])

@@ -298,7 +298,7 @@ def classify(laws: list[ConservationLaw], constants: set[str] = frozenset()
                       for c in series_shift(flux, shift).coeffs]
             if any(ex.is_zero(c) is not True for c in coeffs):
                 columns.append((idx, shift, coeffs))
-    rows = coefficient_rows([coeffs for _, _, coeffs in columns], constants)
+    rows = coefficient_rows([coeffs for _, _, coeffs in columns], constants).values()
     basis = nullspace(rows, len(columns))
     out = []
     for vec in basis:

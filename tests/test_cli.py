@@ -236,6 +236,16 @@ def test_bad_generator_override_exits_2(flags):
     assert "Traceback" not in proc.stderr
 
 
+def test_sweep_json_slope_without_a_fit_is_null():
+    # free particle: both drifts are 0.0, so there is no log-log slope
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    args = ["verify", "--model", "free-particle", "--law", "Xi1", "--sweep", "1e-2,1e-3"]
+    data = json.loads(run(*args, "--format", "json").stdout, parse_constant=reject)
+    assert data["laws"][0]["sweep"]["slope"] is None
+    assert "sweep slope: nan ([0.0, 0.0])" in run(*args).stdout
+
+
 def test_bad_sweep_exits_2():
     proc = run("verify", "--model", "free-particle", "--sweep", "abc", check=False)
     assert proc.returncode == 2
@@ -260,3 +270,17 @@ def test_malformed_grid_exits_2(tmp_path, grid):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: grid: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_constant_named_like_a_coefficient_solves(tmp_path):
+    # the model with constant _c4 must solve exactly like its twin with k
+    ansatz = {"xi0": ["1", "t"], "xi1": ["1", "t"], "eta0": ["1", "u0"],
+              "eta1": ["1", "u0"], "phi0": ["1"], "phi1": ["1"]}
+    outs = []
+    for name in ("_c4", "k"):
+        (tmp_path / name).mkdir()
+        path = write_model(tmp_path / name, f"1/2*du#t^2 - 1/2*{name}*u^2 + eps*u^4",
+                           constants={name: None}, ansatz=ansatz)
+        outs.append(run("determine", path, "--format", "json").stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["dimension"] == 2

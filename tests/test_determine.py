@@ -1,7 +1,9 @@
 """Discovery: extraction, exact solving, canonical report, span membership."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from approxsym.determine import (AnsatzSpace, default_ansatz, extract, membershi
                                  report, solve)
 from approxsym.errors import AnsatzIncomplete
 from approxsym.jet import JetSpace
-from approxsym.models import load_builtin
+from approxsym.models import load_builtin, load_model_dict
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from approxsym.perturb import EpsSeries, series_add
 from approxsym.symmetry import Generator
@@ -106,6 +108,16 @@ def test_basis_independence_keeps_cleared_denominators_apart():
     assert len(space.bases[("xi", 0, 0)]) == 2
     with pytest.raises(ValueError, match="linearly dependent"):
         AnsatzSpace(SP, {("xi", 0, 0): [L.parse("2/(1+t^2)"), L.parse("1/(1+t^2)")]})
+
+
+def test_mixed_denominators_keep_the_translation():
+    # line3's columns are cleared by 1+(u-v)^2, 1+(u-w)^2 and 1+(v-w)^2;
+    # the translation eta = (1, 1, 1) cancels only across them
+    path = Path(__file__).parent / "models" / "line3.json"
+    model = load_model_dict(json.loads(path.read_text()))
+    rep = report(solve(extract(model.lagrangian, model.ansatz, model.constant_names)))
+    assert [(g["xi"], g["eta"]) for g in rep["generators"]] == [
+        ([["1"]], [["0", "0", "0"]]), ([["0"]], [["1", "1", "1"]])]
 
 
 @pytest.fixture(scope="module")

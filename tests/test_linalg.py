@@ -7,8 +7,8 @@ import pytest
 from approxsym import expr as ex
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
-from approxsym.linalg import (coefficient_rows, nullspace, solve_dense, span_fits,
-                              sparse_rref)
+from approxsym.linalg import (coefficient_rows, common_multiplier, nullspace, solve_dense,
+                              span_fits, sparse_rref)
 
 
 def F(x):
@@ -66,8 +66,21 @@ def test_cleared_denominators_are_not_compared_across_columns(pair, dependent):
     # only comparable where the multipliers agree
     lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
     columns = [[lang.parse(s)] for s in pair]
-    assert (len(sparse_rref(coefficient_rows(columns, ()), 2)) == 1) is dependent
+    assert (len(sparse_rref(coefficient_rows(columns, ()).values(), 2)) == 1) is dependent
     assert bool(list(span_fits(columns, ()))) is dependent
+
+
+def test_common_multiplier_compares_across_denominators():
+    # 1/(1+u0^2) - 1/(2+u0^2) = 1/((1+u0^2)*(2+u0^2)), three clearing multipliers
+    lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
+    columns = [[lang.parse(s)] for s in
+               ("1/(1+u0^2)", "1/(2+u0^2)", "1/((1+u0^2)*(2+u0^2))")]
+    assert len(sparse_rref(coefficient_rows(columns, ()).values(), 3)) == 3
+    rows = coefficient_rows(common_multiplier(columns), ()).values()
+    assert nullspace(rows, 3) == [{0: -1, 1: 1, 2: 1}]
+    # multipliers that agree leave the tag as it was
+    alike = [[lang.parse("1/(1+u0^2)")], [lang.parse("u0/(1+u0^2)")], [ex.ZERO]]
+    assert common_multiplier(alike) == alike
 
 
 def test_symbolic_pivot_ambiguity():

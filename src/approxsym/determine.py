@@ -24,7 +24,7 @@ from . import expr as ex
 from .errors import AnsatzIncomplete
 from .jet import JetSpace
 from .linalg import (FE, coefficient_rows, common_multiplier, fe_expr, nullspace,
-                     span_fits, sparse_rref)
+                     span_fits, sparse_rref, split_column)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from .perturb import EpsSeries
 from .symmetry import Generator
@@ -253,4 +253,5 @@ def membership(sys: DeterminingSystem, solutions: list[Solution],
         return [c for s in (*g.xi, *g.eta, *gauge.phi) for c in s.coeffs]
 
     columns = [series(s.generator, s.gauge) for s in solutions] + [series(gen, phi)]
-    return next(span_fits(columns, sys.constants), None) is not None
+    split = [split_column(parts, sys.constants) for parts in columns]
+    return next(span_fits(split), None) is not None

@@ -5,14 +5,21 @@ in declared constants, treated as independent transcendentals: any entry
 whose zero test succeeds is a valid pivot, and an Unknown zero test raises
 SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column index.
 
-One elimination, ``sparse_rref``, serves every system.  The homogeneous
-ones come from ``coefficient_rows``: the determining equations, span fits,
-law dependencies, basis independence.  Each normal form is read after its
-denominators were cleared, so rows are keyed by the clearing multiplier and
-a dependency is one that holds within each multiplier group: sound, but
-blind to one that cancels only across groups, such as the translation
-(1, 1, 1) of three bodies on a line with pair potentials 1/(1 + (u-v)^2).
-``extract`` needs that completeness and first calls ``common_multiplier``.
+One elimination, ``sparse_rref``, serves every system.  It first drops each
+row that repeats an earlier one exactly (the span fits of ``golden_check``
+hold 3,120 rows on three-body, 147 of them distinct); a twin reduces like its
+first occurrence and is never promoted before it, so the pivots, their order
+and every printed entry stay as they were.  Merely proportional rows are
+kept: which of them becomes the pivot reaches printed output.  The
+homogeneous systems come from ``coefficient_rows``, or from ``split_column``
+and ``assemble_rows`` where one basis is fitted against many targets: the
+determining equations, span fits, law dependencies, basis independence.
+Each normal form is read after its denominators were cleared, so rows are
+keyed by the clearing multiplier and a dependency is one that holds within
+each multiplier group: sound, but blind to one that cancels only across
+groups, such as the translation (1, 1, 1) of three bodies on a line with
+pair potentials 1/(1 + (u-v)^2).  ``extract`` needs that completeness and
+first calls ``common_multiplier``.
 ``span_fits`` and ``noether.classify`` keep multiplier-keyed rows: over a
 common multiplier, ``noether --model three-body --classify`` prints
 (-1)*eps^1*Xi3a as (-2*m2*(-m1 + 2*m2)^(-1) + m1*(-m1 + 2*m2)^(-1))*eps^1*Xi3a
@@ -33,10 +40,12 @@ from . import expr as ex
 from .errors import SymbolicPivotAmbiguity
 
 __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
-           "common_multiplier", "coefficient_rows", "span_fits", "sparse_rref",
-           "nullspace", "solve_dense"]
+           "common_multiplier", "split_column", "assemble_rows", "coefficient_rows",
+           "span_fits", "sparse_rref", "nullspace", "solve_dense"]
 
 FE = Fraction | ex.Expr
+# one part split by ``_split_constants``: ({signature: entry}, multiplier)
+Split = tuple[dict[tuple, FE], ex.Expr]
 
 
 def fe_expr(a: FE) -> ex.Expr:
@@ -90,21 +99,23 @@ def _axpy(row: dict, pivot_row: dict, factor: FE) -> dict:
     return out
 
 
-def _clean(row: dict) -> dict:
-    return {c: v for c, v in row.items() if not fe_is_zero(v)}
-
-
 def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
     """Reduced row echelon form; returns {pivot column: normalized row}.
 
     Pivot columns are chosen in increasing index order; plain-rational
     entries are preferred as pivots within a column to keep symbolic
-    denominators out of the elimination where possible.
+    denominators out of the elimination where possible.  A row equal to an
+    earlier one, entry for entry in the same order, is dropped first: twins
+    reduce alike against any pivots and the stable promotion order always
+    takes the earlier one, after which the later reduces to nothing.  Rows
+    that are only proportional are kept, since they may sort differently
+    (a symbolic one-entry row sorts after a rational two-entry row with the
+    same lead).
     """
     pivots: dict[int, dict] = {}
-    pending = [_clean(r) for r in rows]
+    distinct = dict.fromkeys(tuple(r.items()) for r in rows)
+    pending = [{c: v for c, v in items if not fe_is_zero(v)} for items in distinct]
     pending = [r for r in pending if r]
-    progress = True
     while pending:
         # reduce every pending row against current pivots, then promote one
         reduced = []
@@ -156,7 +167,7 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     return basis
 
 
-def _split_constants(e: ex.Expr, constants) -> tuple[dict[tuple, FE], ex.Expr]:
+def _split_constants(e: ex.Expr, constants) -> Split:
     """Zero normal form of e as {signature: entry over Q(constants)}.
 
     A signature is a normal-form monomial key with the powers of declared
@@ -205,16 +216,17 @@ def common_multiplier(columns: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
     return out
 
 
-def coefficient_rows(columns: list[list[ex.Expr]], constants) -> dict[tuple, dict[int, FE]]:
-    """Rows of sum_j c_j * columns[j] = 0 over Q(constants), keyed.
+def split_column(parts: list[ex.Expr], constants) -> list[Split]:
+    """One column of ``coefficient_rows``, each tag's part split by
+    ``_split_constants``; ``assemble_rows`` turns split columns into rows."""
+    return [_split_constants(e, constants) for e in parts]
 
-    Each column is a list of expressions indexed by tag (an eps order, a
-    flux component).  Returns {(tag, multiplier, signature): {column:
-    entry}}, with the multiplier and signatures of ``_split_constants``.
-    Keying by the multiplier compares only normal forms scaled alike, so a
-    dependency found holds within each multiplier group and hence for the
-    columns themselves (see the module docstring).  Rows come in order of
-    first appearance: column by column, tag by tag, signatures in
+
+def assemble_rows(columns: list[list[Split]]) -> dict[tuple, dict[int, FE]]:
+    """Rows of sum_j c_j * columns[j] = 0 from split columns, keyed.
+
+    Returns {(tag, multiplier, signature): {column: entry}}.  Rows come in
+    order of first appearance: column by column, tag by tag, signatures in
     normal-form order.  That order reaches printed output: entries over
     Q(constants) have no canonical form, so another row order makes the
     elimination print another, equal expression.  With the keys of
@@ -224,22 +236,36 @@ def coefficient_rows(columns: list[list[ex.Expr]], constants) -> dict[tuple, dic
     """
     rows: dict[tuple, dict[int, FE]] = {}
     for col, parts in enumerate(columns):
-        for tag, e in enumerate(parts):
-            entries, multiplier = _split_constants(e, constants)
+        for tag, (entries, multiplier) in enumerate(parts):
             for sig, entry in entries.items():
                 rows.setdefault((tag, multiplier, sig), {})[col] = entry
     return rows
 
 
-def span_fits(columns: list[list[ex.Expr]], constants):
+def coefficient_rows(columns: list[list[ex.Expr]], constants) -> dict[tuple, dict[int, FE]]:
+    """Rows of sum_j c_j * columns[j] = 0 over Q(constants), keyed.
+
+    Each column is a list of expressions indexed by tag (an eps order, a
+    flux component); it is split by ``split_column`` and the rows are put
+    together by ``assemble_rows``, in that function's order, with the
+    multiplier and signatures of ``_split_constants``.  Keying by the
+    multiplier compares only normal forms scaled alike, so a dependency
+    found holds within each multiplier group and hence for the columns
+    themselves (see the module docstring).
+    """
+    return assemble_rows([split_column(parts, constants) for parts in columns])
+
+
+def span_fits(columns: list[list[Split]]):
     """Solutions of sum_j c_j * columns[j] = columns[-1] over Q(constants).
 
-    Columns are as in ``coefficient_rows``.  Yields one {j: c_j} per null
-    vector of [columns[:-1] | -columns[-1]] with a nonzero target
+    Columns are split columns (``split_column``), so a caller fitting many
+    targets against one basis splits the basis once.  Yields one {j: c_j}
+    per null vector of [columns[:-1] | -columns[-1]] with a nonzero target
     coordinate, zero coordinates omitted.
     """
     target = len(columns) - 1
-    rows = coefficient_rows(columns, constants).values()
+    rows = assemble_rows(columns).values()
     for row in rows:
         if target in row:
             row[target] = fe_neg(row[target])

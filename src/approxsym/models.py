@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import expr as ex
 from .determine import AnsatzSpace, default_ansatz
 from .errors import ModelError, UnknownModel
 from .jet import JetSpace
 from .lang import Language, to_text
-from .linalg import fe_expr, span_fits
+from .linalg import Split, fe_expr, span_fits, split_column
 from .noether import (ConservationLaw, GaugeTerm, PerturbedLagrangian,
                       divergence_check, noether_fluxes, variational_residual)
 from .perturb import EpsSeries
@@ -218,6 +219,14 @@ def golden_check(model: Model) -> list[GoldenResult]:
     for rec in model.golden:
         if rec.quantity is not None:
             laws[rec.name] = rec.quantity
+    splits: dict[ex.Expr, Split] = {}
+
+    def split(series: EpsSeries) -> list[Split]:
+        # each distinct coefficient is split once per golden_check
+        new = [e for e in dict.fromkeys(series.coeffs) if e not in splits]
+        splits.update(zip(new, split_column(new, model.constant_names)))
+        return [splits[e] for e in series.coeffs]
+
     for rec in model.golden:
         quantity_ok = None
         if rec.quantity is not None:
@@ -237,8 +246,7 @@ def golden_check(model: Model) -> list[GoldenResult]:
                 if rec.expect == "trivial":
                     match = {"trivial": law.classification == "trivial"}
                 elif rec.quantity is not None:
-                    match = _match_quantity(law.quantity, rec.name, laws,
-                                            model.constant_names)
+                    match = _match_quantity(law.quantity, rec.name, laws, split)
         except Exception as err:  # report, never crash the harness
             detail = f"{type(err).__name__}: {err}"
         if rec.expect == "trivial":
@@ -253,8 +261,16 @@ def golden_check(model: Model) -> list[GoldenResult]:
 
 
 def _match_quantity(q: EpsSeries, name: str, laws: dict[str, EpsSeries],
-                    constants: set[str]) -> dict | None:
-    """Fit q = sigma*I_name + sum c_j I_j + per-order constants, sigma != 0."""
+                    split: Callable[[EpsSeries], list[Split]]) -> dict | None:
+    """Fit q = sigma*I_name + sum c_j I_j + per-order constants, sigma != 0.
+
+    ``split`` gives a series' coefficients split over Q(constants) (see
+    ``linalg.split_column``).  ``golden_check`` hands every record the same
+    one, which splits each distinct coefficient once, so the basis of golden
+    quantities and constant columns is split once, not once per record; each
+    record still reduces its own rows, since the printed entries depend on
+    the elimination order.
+    """
     p = q.order
     names = [name] + [n for n in laws if n != name]
     basis: list[EpsSeries] = [laws[n] for n in names]
@@ -263,8 +279,7 @@ def _match_quantity(q: EpsSeries, name: str, laws: dict[str, EpsSeries],
         coeffs[k] = ex.ONE
         basis.append(EpsSeries(tuple(coeffs)))
         names.append(f"const_eps{k}")
-    for coords in span_fits([list(b.coeffs) for b in basis] + [list(q.coeffs)],
-                            constants):
+    for coords in span_fits([split(b) for b in basis + [q]]):
         sigma = coords.get(0)
         if sigma is None:
             continue

@@ -287,6 +287,8 @@ def classify(laws: list[ConservationLaw], constants: set[str] = frozenset()
     coefficient field, everything else indexes the rows.  Identically
     trivial shifted columns are skipped.
     """
+    if not laws:
+        return []
     sp = laws[0].space
     p = sp.order
     columns = []  # (law index, shift, flux coefficients, component-major)

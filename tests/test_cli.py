@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,14 @@ def test_noether_classify():
               "--generator", "Xi1", "--generator", "Xi6", "--classify").stdout
     assert "dependencies:" in out
     assert "eps^1*Xi1" in out
+
+
+def test_classify_without_laws():
+    # three bodies on a line carry no golden records, so there is nothing to classify
+    line3 = str(Path(__file__).parent / "models" / "line3.json")
+    assert run("noether", line3, "--classify").stdout == "dependencies:\n"
+    out = run("noether", line3, "--classify", "--format", "json").stdout
+    assert json.loads(out) == {"dependencies": [], "laws": []}
 
 
 def test_verify_symbolic_and_numeric():

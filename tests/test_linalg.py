@@ -7,12 +7,17 @@ import pytest
 from approxsym import expr as ex
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
-from approxsym.linalg import (coefficient_rows, common_multiplier, nullspace, solve_dense,
-                              span_fits, sparse_rref)
+from approxsym.lang import to_text
+from approxsym.linalg import (coefficient_rows, common_multiplier, fe_expr, nullspace,
+                              solve_dense, span_fits, sparse_rref, split_column)
 
 
 def F(x):
     return Fraction(x)
+
+
+def fits(columns, constants=()):
+    return span_fits([split_column(parts, constants) for parts in columns])
 
 
 def test_unique_zero_solution():
@@ -34,8 +39,8 @@ def test_rank_and_span():
     rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
     assert len(sparse_rref(rows, 2)) == 1
     column = [ex.rat(1), ex.rat(2)]
-    assert list(span_fits([column, [ex.rat(3), ex.rat(6)]], ())) == [{0: F(3)}]
-    assert list(span_fits([column, [ex.rat(1), ex.ZERO]], ())) == []
+    assert list(fits([column, [ex.rat(3), ex.rat(6)]])) == [{0: F(3)}]
+    assert list(fits([column, [ex.rat(1), ex.ZERO]])) == []
 
 
 def test_symbolic_entries():
@@ -67,7 +72,7 @@ def test_cleared_denominators_are_not_compared_across_columns(pair, dependent):
     lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
     columns = [[lang.parse(s)] for s in pair]
     assert (len(sparse_rref(coefficient_rows(columns, ()).values(), 2)) == 1) is dependent
-    assert bool(list(span_fits(columns, ()))) is dependent
+    assert bool(list(fits(columns))) is dependent
 
 
 def test_common_multiplier_compares_across_denominators():
@@ -81,6 +86,48 @@ def test_common_multiplier_compares_across_denominators():
     # multipliers that agree leave the tag as it was
     alike = [[lang.parse("1/(1+u0^2)")], [lang.parse("u0/(1+u0^2)")], [ex.ZERO]]
     assert common_multiplier(alike) == alike
+
+
+_A, _B, _C, _D = (ex.sym(n) for n in "abcd")
+_AB = ex.add(_A, _B)
+
+
+def _over_ab(e):
+    return ex.expand(ex.mul(ex.rat(2), e, ex.pow_(_AB, -1)))
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # the tie, all rows leading in column 0: the rational one-entry row sorts
+    # first, then the rational two-entry row, then the symbolic one-entry
+    # row, so merging the two one-entry rows would promote the two-entry row
+    ([{0: _AB}, {0: F(1), 1: F(2), 2: _C}, {0: F(1)}],
+     [(0, [(0, "1")]), (1, [(1, "1"), (2, "1/2*c")])]),
+    # rows 0 and 2 are proportional; row 2 leads with a rational entry and
+    # so is promoted before row 0
+    ([{0: _AB, 1: _C, 2: _D}, {0: F(1), 1: F(1), 2: _B},
+      {0: F(2), 1: _over_ab(_C), 2: _over_ab(_D)}],
+     [(0, [(0, "1"), (2, "b - d*(-1 + c*(a + b)^(-1))^(-1)*(a + b)^(-1)"
+                         " + b*(-1 + c*(a + b)^(-1))^(-1)")]),
+      (1, [(1, "1"), (2, "-b*(-1 + c*(a + b)^(-1))^(-1)"
+                         " + d*(-1 + c*(a + b)^(-1))^(-1)*(a + b)^(-1)")])]),
+    # symbolic leads only, rank 2
+    ([{1: _A, 2: _B}, {0: _C, 1: _D}, {0: _AB, 1: ex.mul(_AB, _D, ex.pow_(_C, -1))}],
+     [(0, [(0, "1"), (2, "-b*d*a^(-1)*c^(-1)")]), (1, [(1, "1"), (2, "b*a^(-1)")])]),
+])
+def test_duplicate_rows_do_not_change_the_reduction(rows, expected):
+    def reduce(rows):
+        pivots = sparse_rref([dict(r) for r in rows], 3)
+        return pivots, [(c, [(j, to_text(fe_expr(v))) for j, v in row.items()])
+                        for c, row in pivots.items()]
+
+    pivots, shown = reduce(rows)
+    assert shown == expected
+    # exact twins, each right after its first occurrence or all at the end
+    for twins in ([r for r in rows for _ in range(2)], rows + rows + rows[:1]):
+        got, got_shown = reduce(twins)
+        assert got_shown == shown
+        assert list(got) == list(pivots)
+        assert all(list(got[c].items()) == list(pivots[c].items()) for c in pivots)
 
 
 def test_symbolic_pivot_ambiguity():

@@ -84,6 +84,26 @@ def test_three_body_golden_all_pass():
     assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
 
 
+@pytest.mark.parametrize("name", ["oscillator-quadratic", "coupled-system"])
+def test_golden_check_splits_each_column_once(monkeypatch, name):
+    # the golden quantities and constant columns form every record's basis;
+    # they, and each fitted quantity, are split over Q(constants) once
+    from approxsym import linalg
+    from approxsym.lang import to_text
+    model = load_builtin(name)
+    split = linalg._split_constants
+    seen = []
+
+    def counting(e, constants):
+        seen.append(e)
+        return split(e, constants)
+    monkeypatch.setattr(linalg, "_split_constants", counting)
+    assert all(r.passed for r in golden_check(model))
+    assert seen
+    repeated = {to_text(e) for e in seen if seen.count(e) > 1}
+    assert not repeated
+
+
 def test_corrupted_golden_record_fails():
     data = copy.deepcopy(_BUILTINS["oscillator-arbitraryF"])
     # sign flip inside I2's transcription

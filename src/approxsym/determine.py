@@ -44,6 +44,7 @@ class AnsatzSpace:
     bases: dict[tuple, list[ex.Expr]]
 
     def __post_init__(self):
+        checked = set()   # families often share a basis: check each once
         for key, basis in self.bases.items():
             kind, k, slot = key
             pruned = []
@@ -55,7 +56,9 @@ class AnsatzSpace:
                 if b not in pruned:
                     pruned.append(b)
             self.bases[key] = pruned
-            _check_independent(pruned, key)
+            if tuple(pruned) not in checked:
+                checked.add(tuple(pruned))
+                _check_independent(pruned, key)
 
     def basis(self, kind: str, k: int, slot: int) -> list[ex.Expr]:
         key = (kind, k, slot)

@@ -18,6 +18,10 @@ class UnknownSymbol(ApproxSymError):
     """Strict-mode parse encountered an undeclared identifier."""
 
 
+class DivisionByZero(ApproxSymError):
+    """A zero base was raised to a negative power, e.g. 1/0 or 0^(-1/2)."""
+
+
 class NotPolynomial(ApproxSymError):
     """collect() was asked for a generator the expression is not polynomial in."""
 

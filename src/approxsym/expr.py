@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NotPolynomial
+from .errors import DivisionByZero, NotPolynomial
 
 __all__ = [
     "Expr", "Rat", "Sym", "Eps", "Jet", "Fun", "AFun", "AInt", "Pow", "Mul", "Add",
@@ -417,6 +417,8 @@ def pow_(base, e) -> Expr:
     if base == ONE:
         return ONE
     if isinstance(base, Rat):
+        if base.value == 0 and e < 0:
+            raise DivisionByZero(f"division by zero: 0^({e})")
         if e.denominator == 1:
             return rat(base.value ** e.numerator)
         if base.value >= 0:
@@ -772,29 +774,118 @@ def _from_poly(poly: dict) -> Expr:
     return add(*out)
 
 
-def _clear_denominators(poly: dict) -> tuple[dict, Expr]:
+def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
     """Multiply through by positive powers of sum-based atoms in denominators.
 
     Needed for a complete zero test when an expanded polynomial part can
     cancel against an atomic inverse of the same sum, e.g. (x+y)*(x+y)^(-1).
     Multiplying by a nonzero function preserves zero-ness both ways.
-    Returns the cleared polynomial and the multiplier used (ONE if none).
+    Returns the cleared polynomial, the multiplier used (ONE if none) and
+    the decidability flag of the product (see ``_poly_times``).
     """
     need: dict[Expr, Fraction] = {}
-    for key, _ in poly.items():
+    for key in poly:
         for atom, p in key:
             if p < 0 and isinstance(atom, Add):
                 need[atom] = max(need.get(atom, Fraction(0)), -p)
     if not need:
-        return poly, ONE
-    mult = [pow_(a, p) for a, p in need.items()]
-    terms = []
+        return poly, ONE, True
+    out, decidable = _poly_times(poly, need)
+    return out, mul(*[pow_(a, p) for a, p in need.items()]), decidable
+
+
+def _base_exponents(key: tuple) -> dict[Expr, Fraction]:
+    """A monomial key as {base: exponent}: root and other power atoms are
+    folded into their bases, as ``mul`` merges the factors of a product."""
+    out: dict[Expr, Fraction] = {}
+    for atom, p in key:
+        if isinstance(atom, Pow):
+            atom, p = atom.base, atom.exp * p
+        out[atom] = out.get(atom, Fraction(0)) + p
+    return out
+
+
+def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool]:
+    """The normal form of poly times the monomial prod(b^k for b, k in factor).
+
+    Works on the monomials themselves instead of expanding a product tree.
+    Each monomial is read as {base: exponent} (``_base_exponents``), the
+    factor's exponents are added, and the result is reduced by the rules
+    ``expand`` and ``_to_poly`` apply to a product:
+
+    - zero exponents are dropped;
+    - a half-integer exponent p of X is split as X^floor(p) * (X^(1/2))^1,
+      so a root that reaches (X^(1/2))^2 becomes X (rho^2 = X);
+    - a sum X with a positive integer part k (and a rational or product
+      base with any nonzero k) is replaced by the monomials of
+      ``_to_poly(pow_(X, k))``, and each product is reduced again.
+
+    The expansions of X^k are kept for the length of the call only.  The
+    result is ordered as ``_to_poly`` of the expanded product tree would
+    order it, by the ``_key`` of the term ``add`` holds for each monomial
+    (``c*rest`` as ``_mk_mul`` builds it, ``rest`` when c == 1), because
+    that order reaches printed output (see ``linalg.assemble_rows``).  The
+    flag is False when the result keeps a power whose exponent has a
+    denominator above 2, exactly what ``_to_poly`` reports on that tree.
+    """
+    acc: dict[tuple, Fraction] = {}
+    powers: dict[tuple, list] = {}
+    roots: dict[Expr, Pow] = {}
+
+    def expansion(base: Expr, k: Fraction) -> list:
+        hit = powers.get((base, k))
+        if hit is None:
+            p, _ = _to_poly(pow_(base, k))
+            hit = powers[(base, k)] = [(_base_exponents(m), c) for m, c in p.items()]
+        return hit
+
+    def settle(mono: dict, c: Fraction):
+        for base, p in mono.items():
+            whole = p if p.denominator == 1 else \
+                Fraction(p.numerator // 2) if p.denominator == 2 else 0
+            if whole and (isinstance(base, (Rat, Mul))
+                          or (isinstance(base, Add) and whole > 0)):
+                rest = dict(mono)
+                rest[base] = p - whole
+                for m, mc in expansion(base, whole):
+                    merged = dict(rest)
+                    for b, x in m.items():
+                        merged[b] = merged.get(b, Fraction(0)) + x
+                    settle(merged, c * mc)
+                return
+        atoms: dict[Expr, Fraction] = {}
+        for base, p in mono.items():
+            if p.denominator == 2:
+                if p.numerator // 2:
+                    atoms[base] = Fraction(p.numerator // 2)
+                root = roots.get(base)
+                if root is None:
+                    root = roots[base] = Pow(base, Fraction(1, 2))
+                atoms[root] = Fraction(1)
+            elif p.denominator != 1:
+                atoms[Pow(base, p)] = Fraction(1)
+            elif p:
+                atoms[base] = p
+        key = tuple(sorted(atoms.items(), key=lambda ax: ax[0]._key))
+        acc[key] = acc.get(key, Fraction(0)) + c
+
     for key, c in poly.items():
-        # constructor-level multiplication merges same-base exponents, so
-        # B^(-k) meets B^(+k) before any distribution tears B apart
-        terms.append(expand(mul(rat(c), *[pow_(a, p) for a, p in key], *mult)))
-    out, _ = _to_poly(add(*terms))
-    return out, mul(*mult)
+        mono = _base_exponents(key)
+        for base, k in factor.items():
+            mono[base] = mono.get(base, Fraction(0)) + k
+        settle(mono, c)
+
+    def term_key(item) -> tuple:
+        key, c = item
+        if not key:
+            return rat(c)._key
+        rest = mul(*[pow_(a, p) for a, p in key])
+        return (rest if c == 1 else _mk_mul(c, rest))._key
+
+    out = dict(sorted(((k, v) for k, v in acc.items() if v != 0), key=term_key))
+    decidable = not any(isinstance(a, Pow) and a.exp.denominator > 2
+                        for key in out for a, _ in key)
+    return out, decidable
 
 
 def _trig_multiple_expand(e: Expr) -> Expr:
@@ -840,6 +931,13 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     The multiplier is the product of the nonzero denominators cleared on
     the way (ONE if none); normal forms of different expressions are
     comparable only where their multipliers agree.
+
+    Clearing multiplies sin-bearing sums into sin-bearing monomials, which
+    can leave sin(x)^n with n >= 2 in the cleared polynomial.  Only then
+    does a second pass rebuild the tree and apply sin^2 = 1 - cos^2 again;
+    on any other polynomial that pass returns the dict it was given, so it
+    is skipped.  Either way the result is cleared once more, which costs a
+    scan of the keys when nothing is left to clear.
     """
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
@@ -847,14 +945,16 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     e1 = expand(_trig_multiple_expand(expand(e)))
     e2 = expand(_sin_power_reduce(e1))
     poly, decidable = _to_poly(e2)
-    poly, multiplier = _clear_denominators(poly)
+    poly, multiplier, d1 = _clear_denominators(poly)
+    decidable = decidable and d1
     if multiplier != ONE:
-        # clearing can reintroduce reducible sin powers via rho^2 = base
-        e3 = expand(_sin_power_reduce(_from_poly(poly)))
-        poly, d2 = _to_poly(e3)
-        poly, m2 = _clear_denominators(poly)
+        if any(isinstance(a, Fun) and a.name == "sin" and p >= 2
+               for key in poly for a, p in key):
+            poly, d2 = _to_poly(expand(_sin_power_reduce(_from_poly(poly))))
+            decidable = decidable and d2
+        poly, m2, d3 = _clear_denominators(poly)
         multiplier = mul(multiplier, m2)
-        decidable = decidable and d2
+        decidable = decidable and d3
     _ZNF_CACHE[e] = (poly, decidable, multiplier)
     return _ZNF_CACHE[e]
 

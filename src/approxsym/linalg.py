@@ -200,7 +200,9 @@ def common_multiplier(columns: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
     nonzero columns of a tag were cleared by different multipliers M_j,
     column j becomes (M/M_j) * (its cleared normal form), M being the
     largest power of each base among the M_j, so every row of that tag
-    compares normal forms scaled alike.  Other tags are returned unchanged.
+    compares normal forms scaled alike.  The product is taken on the
+    normal form's monomials (``expr._poly_times``), not as a tree to be
+    expanded again.  Other tags are returned unchanged.
     """
     out = [list(parts) for parts in columns]
     for tag, exprs in enumerate(zip(*columns)):
@@ -211,8 +213,9 @@ def common_multiplier(columns: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
         top = {b: max(have.get(b, 0) for have in powers) for have in powers for b in have}
         for j, ((poly, _, _), have) in enumerate(zip(forms, powers)):
             if poly:
-                out[j][tag] = ex.mul(ex._from_poly(poly), *[
-                    ex.pow_(b, q - have.get(b, 0)) for b, q in top.items()])
+                scaled, _ = ex._poly_times(
+                    poly, {b: q - have.get(b, 0) for b, q in top.items()})
+                out[j][tag] = ex._from_poly(scaled)
     return out
 
 

@@ -182,6 +182,16 @@ class Trajectory:
     ys: list[tuple]
 
 
+# what a compiled closure raises where a value has no finite float: 1/0.0
+# and 0.0**-1 raise ZeroDivisionError, huge ** and exp OverflowError, and
+# log of a nonpositive argument ValueError
+_FLOAT_FAULTS = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _non_finite(what: str, t: float, err: Exception) -> NonFiniteState:
+    return NonFiniteState(f"{what} have no finite value at t={t} ({err})")
+
+
 def integrate(model: NumericModel, y0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical fixed-step RK4; deterministic for a fixed platform."""
     f = model.rhs
@@ -190,18 +200,21 @@ def integrate(model: NumericModel, y0, t0: float, t1: float, h: float) -> Trajec
     y = tuple(float(v) for v in y0)
     ts = [t]
     ys = [y]
-    for _ in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
-        k3 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
-        k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
-        y = tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-        t += h
-        if not all(math.isfinite(v) for v in y):
-            raise NonFiniteState(f"state became non-finite at t={t}")
-        ts.append(t)
-        ys.append(y)
+    try:
+        for _ in range(steps):
+            k1 = f(t, y)
+            k2 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
+            k3 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
+            k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+            y = tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+            t += h
+            if not all(math.isfinite(v) for v in y):
+                raise NonFiniteState(f"state became non-finite at t={t}")
+            ts.append(t)
+            ys.append(y)
+    except _FLOAT_FAULTS as err:
+        raise _non_finite("the equations of motion", t, err) from None
     return Trajectory(ts, ys)
 
 
@@ -222,14 +235,18 @@ def drift(traj: Trajectory, law: ConservationLaw, model: NumericModel) -> DriftR
         raise ValueError("drift reports need a single independent variable")
     exprs = list(law.quantity.coeffs)
     fn = compile_functions(exprs, model.jet_sources(), model.bindings, model.space)
-    first = fn(traj.ts[0], traj.ys[0])
-    worst = [0.0] * len(exprs)
-    for t, y in zip(traj.ts, traj.ys):
-        vals = fn(t, y)
-        for k, (v, v0) in enumerate(zip(vals, first)):
-            d = abs(v - v0)
-            if d > worst[k]:
-                worst[k] = d
+    t = traj.ts[0]
+    try:
+        first = fn(t, traj.ys[0])
+        worst = [0.0] * len(exprs)
+        for t, y in zip(traj.ts, traj.ys):
+            vals = fn(t, y)
+            for k, (v, v0) in enumerate(zip(vals, first)):
+                d = abs(v - v0)
+                if d > worst[k]:
+                    worst[k] = d
+    except _FLOAT_FAULTS as err:
+        raise _non_finite(f"the coefficients of {law.name or 'the law'}", t, err) from None
     return DriftReport(worst, list(first), traj.ts[1] - traj.ts[0],
                        (traj.ts[0], traj.ts[-1]))
 
@@ -268,11 +285,16 @@ def eps_sweep(lag_expr: ex.Expr, space: JetSpace, law: ConservationLaw,
         rows = zip(*[iter(states)] * width)   # one state tuple per grid point
         first = None
         worst = 0.0
-        for t, y in zip(ts, rows):
-            total = sum(map(operator.mul, fn(t, y), powers))
-            if first is None:
-                first = total
-            worst = max(worst, abs(total - first))
+        t = t0
+        try:
+            for t, y in zip(ts, rows):
+                total = sum(map(operator.mul, fn(t, y), powers))
+                if first is None:
+                    first = total
+                worst = max(worst, abs(total - first))
+        except _FLOAT_FAULTS as err:
+            raise _non_finite(f"the coefficients of {law.name or 'the law'} at eps={eps}",
+                              t, err) from None
         drifts.append(worst)
     slope = _loglog_slope(eps_values, drifts)
     return SweepReport(list(eps_values), drifts, slope)

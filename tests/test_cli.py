@@ -293,3 +293,28 @@ def test_constant_named_like_a_coefficient_solves(tmp_path):
         outs.append(run("determine", path, "--format", "json").stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["dimension"] == 2
+
+
+@pytest.mark.parametrize("lagrangian", [
+    "1/2*du#t^2 - u^2/(t - t)",
+    "1/2*du#t^2 - 0^(-1)*u^2",
+    "1/2*du#t^2 - u^2*(0)^(-1/2)",
+])
+def test_symbolic_division_by_zero_exits_2(tmp_path, lagrangian):
+    proc = run("expand", write_model(tmp_path, lagrangian), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: division by zero")
+    assert "Traceback" not in proc.stderr
+
+
+def test_numeric_division_by_zero_exits_5(tmp_path):
+    path = write_model(
+        tmp_path, "1/2*du#t^2 - 1/u", grid={"t0": 0.0, "t1": 1.0, "h": 1e-2},
+        initial={"u0": 0.0, "du0#t": 1.0, "u1": 0.0, "du1#t": 0.0},
+        golden=[{"name": "E", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]],
+                 "quantity": ["1/2*du0#t^2 + u0^(-1)", "du0#t*du1#t - u0^(-2)*u1"]}])
+    proc = run("verify", path, "--numeric", check=False)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "at t=0.0" in proc.stderr
+    assert "Traceback" not in proc.stderr

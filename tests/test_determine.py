@@ -12,6 +12,7 @@ from approxsym.determine import (AnsatzSpace, default_ansatz, extract, membershi
                                  report, solve)
 from approxsym.errors import AnsatzIncomplete
 from approxsym.jet import JetSpace
+from approxsym.linalg import sparse_rref
 from approxsym.models import load_builtin, load_model_dict
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from approxsym.perturb import EpsSeries, series_add
@@ -108,6 +109,27 @@ def test_basis_independence_keeps_cleared_denominators_apart():
     assert len(space.bases[("xi", 0, 0)]) == 2
     with pytest.raises(ValueError, match="linearly dependent"):
         AnsatzSpace(SP, {("xi", 0, 0): [L.parse("2/(1+t^2)"), L.parse("1/(1+t^2)")]})
+
+
+def test_each_distinct_basis_is_checked_once(monkeypatch):
+    from approxsym import determine
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return sparse_rref(rows, ncols)
+    monkeypatch.setattr(determine, "sparse_rref", counting)
+    model = load_builtin("coupled-system")
+    distinct = {tuple(b) for b in model.ansatz.bases.values() if b}
+    assert len(model.ansatz.bases) > len(distinct) >= 2
+    assert len(calls) == len(distinct)
+
+
+def test_dependent_basis_error_names_a_family_with_that_basis():
+    shared = [L.parse("2/(1+t^2)"), L.parse("1/(1+t^2)")]
+    with pytest.raises(ValueError, match=r"\('eta', 0, 0\)"):
+        AnsatzSpace(SP, {("xi", 0, 0): [ex.ONE], ("eta", 0, 0): shared,
+                         ("eta", 1, 0): list(shared)})
 
 
 def test_mixed_denominators_keep_the_translation():

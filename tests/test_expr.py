@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxsym import expr as ex
-from approxsym.errors import NotPolynomial
+from approxsym.errors import DivisionByZero, NotPolynomial
 from approxsym.lang import Language, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1})
@@ -129,6 +131,94 @@ def test_is_zero_radical_identities():
     assert ex.is_zero(
         p("(x^2+y^2)^(1/2) - x^2*(x^2+y^2)^(-1/2) - y^2*(x^2+y^2)^(-1/2)")) is True
     assert ex.is_zero(p("(x^2+y^2)^(1/2) - x - y")) is False
+
+
+def test_zero_base_to_a_negative_power_is_a_typed_error():
+    for e in (-1, Fraction(-1, 2), Fraction(-3, 2), -2):
+        with pytest.raises(DivisionByZero):
+            ex.pow_(ex.ZERO, e)
+    with pytest.raises(DivisionByZero):
+        p("1/0")
+    assert ex.pow_(ex.ZERO, Fraction(1, 2)) == ex.ZERO
+
+
+def test_sin_squared_is_reduced_again_after_clearing():
+    # 2 - cos^2 + 2 sin = (1 + sin)^2 only with sin^2 = 1 - cos^2, and the
+    # sin^2 appears only once (1 + sin)^2 has been multiplied in
+    e = p("(2 - cos(t)^2 + 2*sin(t))*(1 + sin(t))^(-2) - 1")
+    assert ex.is_zero(e) is True
+    assert ex._zero_normal_form(e)[2] == p("(1 + sin(t))^2")
+    assert ex.is_zero(p("(2 - cos(t)^2 + 2*sin(t))*(1 + sin(t))^(-2) - 2")) is False
+
+
+# ---------------------------------------------------------------------------
+# denominator clearing against the product tree it replaced
+
+
+def tree_clear(poly):
+    """The reference: multiply each term by the denominators as a tree,
+    expand it, and read the sum back with ``_to_poly``."""
+    need = {}
+    for key in poly:
+        for atom, q in key:
+            if q < 0 and isinstance(atom, ex.Add):
+                need[atom] = max(need.get(atom, Fraction(0)), -q)
+    if not need:
+        return poly, ex.ONE, True
+    mult = [ex.pow_(a, q) for a, q in need.items()]
+    terms = [ex.expand(ex.mul(ex.rat(c), *[ex.pow_(a, q) for a, q in key], *mult))
+             for key, c in poly.items()]
+    out, decidable = ex._to_poly(ex.add(*terms))
+    return out, ex.mul(*mult), decidable
+
+
+def assert_clears_like_the_tree(e):
+    poly, _ = ex._to_poly(e)
+    out, multiplier, decidable = ex._clear_denominators(poly)
+    ref, ref_multiplier, ref_decidable = tree_clear(poly)
+    assert list(out.items()) == list(ref.items())   # same keys in the same order
+    assert multiplier == ref_multiplier
+    assert decidable is ref_decidable
+
+
+# small sums to clear; the last holds a root, so roots meet in products
+CLEARED_SUMS = ["1 + u0^2", "u0 - v0 + t", "2 + sin(t)*u0", "1 + u0*(1 + t^2)^(1/2)"]
+
+
+@pytest.mark.parametrize("text", [
+    "u0*(1 + u0^2)^(-1) - v0*(u0 - v0 + t)^(-2)",
+    "(t + v0^2)*(1 + u0^2)^(-1/2) + u0*(u0 - v0 + t)^(-3/2) - 3",
+    "sin(t)*(2 + sin(t)*u0)^(-2) + u0^2*(1 + u0^2)^(-1)*(2 + sin(t)*u0)^(-1)",
+    "(2 + sin(t)*u0)^(-3/2)*(1 + u0^2)^(-1/2) - t*v0*(u0 - v0 + t)^(-1)",
+    "(1 + t^2)^(1/2)*(1 + u0*(1 + t^2)^(1/2))^(-2) + u0*(1 + t^2)^(-1/2)",
+    "x^(1/3)*(1 + u0^2)^(-1) + u0*(1 + u0^(1/3))^(-2)",
+])
+def test_clearing_matches_the_tree_on_picked_sums(text):
+    assert_clears_like_the_tree(p(text))
+
+
+@st.composite
+def cleared_sums(draw):
+    """Sums of terms (small polynomial in u0, v0, t) * prod(sum^q)."""
+    jets = [ex.jet("u", 0), ex.jet("v", 0), ex.sym("t")]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        numerator = ex.add(*[
+            ex.mul(ex.rat(draw(st.integers(-3, 3))),
+                   *[ex.pow_(j, draw(st.integers(0, 2))) for j in jets])
+            for _ in range(draw(st.integers(1, 3)))])
+        powers = [ex.pow_(p(s), draw(st.sampled_from(
+            [0, -1, -2, Fraction(-1, 2), Fraction(-3, 2)]))) for s in CLEARED_SUMS]
+        if draw(st.booleans()):
+            powers.append(p("(1 + t^2)^(1/2)"))
+        terms.append(ex.mul(numerator, *powers))
+    return ex.add(*terms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cleared_sums())
+def test_clearing_matches_the_tree_on_drawn_sums(e):
+    assert_clears_like_the_tree(e)
 
 
 # ---------------------------------------------------------------------------

@@ -220,3 +220,25 @@ def test_three_body_momentum_drift():
     traj = integrate(nm, y0, 0.0, 10.0, model.grid["h"])
     rep = drift(traj, law, nm)
     assert all(d <= 1e-8 for d in rep.max_drift)
+
+
+def test_law_without_a_finite_value_names_the_time():
+    # 1/u0 at u0 = 0: the compiled closure divides by zero at the first point
+    model, nm, _ = osc_model()
+    law = ConservationLaw(model.space, (EpsSeries((ex.pow_(ex.jet("u", 0), -1),
+                                                   ex.ZERO)),), name="inv")
+    traj = integrate(nm, [0.0, 0.0, 1.0, 0.0], 0.0, 1.0, 1e-2)   # u0, u1, du0, du1
+    with pytest.raises(NonFiniteState, match=r"inv .*t=0\.0"):
+        drift(traj, law, nm)
+    src = concretize(model.lagrangian_source, model.functions, model.language)
+    with pytest.raises(NonFiniteState, match=r"inv at eps=0\.01 .*t=0\.0"):
+        eps_sweep(src, model.space, law, [1e-2], model.bindings, [0.0, 1.0],
+                  0.0, 1.0, 1e-2)
+
+
+def test_equations_without_a_finite_value_name_the_time():
+    sp = JetSpace(("t",), ("u",), order=0, max_derivative=2)
+    lag = PerturbedLagrangian.from_expression(sp.language().parse("1/2*du#t^2 - 1/u"), sp)
+    nm = compile_numeric(lag, {})
+    with pytest.raises(NonFiniteState, match=r"equations of motion .*t=0\.0"):
+        integrate(nm, [0.0, 1.0], 0.0, 1.0, 1e-2)

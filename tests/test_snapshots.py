@@ -34,6 +34,10 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     # columns cleared by different denominators: u-v, u-w and v-w
     cases["determine-dump.line3"] = (
         ["determine", str(MODEL_FILES / "line3.json"), "--dump-system"], 0)
+    # order_p 2: seed bases that differ across eps orders, gauges in u1 and u2
+    order2 = str(MODEL_FILES / "order2.json")
+    cases["determine.order2"] = (["determine", order2], 0)
+    cases["determine-dump.order2"] = (["determine", order2, "--dump-system"], 0)
     for m in ("free-particle", "oscillator-quadratic", "three-body"):
         cases[f"verify-numeric.{m}"] = (["verify", "--model", m, "--numeric"], 0)
     cases["verify-sweep.oscillator-quadratic"] = (

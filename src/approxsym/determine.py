@@ -5,7 +5,10 @@ over declared finite-dimensional bases.  The residual is linear in the
 coefficients, so column j is the residual of basis element j alone,
 separated per eps order on jet-derivative monomials and on the independent
 function monomials of the remaining (x, u_(0..p)) dependence: a homogeneous
-linear system over the rationals extended by the declared constants.  The
+linear system over the rationals extended by the declared constants.  An
+order-k seed enters the residual as eps^k times the same seed at order 0,
+so a seed column is the order-0 residual of its element shifted by k; a
+gauge enters only through -Div phi, so a gauge column needs no generator.  The
 null space, reduced to a canonical echelon form with seed coefficients
 ordered before gauge coefficients, is returned as generators with gauges;
 vectors whose pivot lies in the gauge block are constant pure-gauge
@@ -26,7 +29,8 @@ from .jet import JetSpace
 from .linalg import (FE, coefficient_rows, common_multiplier, fe_expr, nullspace,
                      span_fits, sparse_rref, split_column)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
-from .perturb import EpsSeries
+from .perturb import (EpsSeries, const_series, series_divergence, series_shift,
+                      series_sub)
 from .symmetry import Generator
 
 __all__ = ["AnsatzSpace", "DeterminingSystem", "Solution", "default_ansatz",
@@ -158,7 +162,16 @@ class Solution:
 
 def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
             constants: set[str] = frozenset()) -> DeterminingSystem:
-    """Form the determining system for unknown seeds and gauges."""
+    """Form the determining system for unknown seeds and gauges.
+
+    Column (kind, k, slot, b) is the residual of basis element e = basis b
+    of that family alone.  For a seed (xi or eta) it is the residual of the
+    generator whose only seed is e at order 0 in that slot, shifted by eps^k:
+    the truncated products and the total derivatives commute with the shift.
+    That residual is computed once per (kind, slot, e), keyed on the element
+    so that bases differing across eps orders still share it.  For a gauge
+    (phi) it is -Div of phi with e at position k.
+    """
     sp = lag.space
     orders = range(sp.order + 1)
     seeds = [(kind, k, slot) for kind, count in (("xi", sp.n), ("eta", sp.m))
@@ -167,17 +180,35 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
     unknowns = [(*fam, b) for fam in seeds + gauges
                 for b in range(len(ansatz.basis(*fam)))]
     first_gauge = sum(len(ansatz.basis(*fam)) for fam in seeds)
-    columns = {key: i for i, key in enumerate(unknowns)}
+    zero = const_series(ex.ZERO, sp.order)
+    shared: dict[tuple, EpsSeries] = {}   # (kind, slot, element) -> order-0 residual
     residuals = []
-    for j in range(len(unknowns)):
-        gen, phi = _generator_and_gauge(sp, ansatz, columns,
-                                        lambda col: ex.ONE if col == j else None)
-        residuals.append(variational_residual(gen, lag, phi).coeffs)
+    for kind, k, slot, b in unknowns:
+        e = ansatz.basis(kind, k, slot)[b]
+        if kind == "phi":
+            fields = [zero] * sp.n
+            fields[slot] = EpsSeries(tuple(e if i == k else ex.ZERO for i in orders))
+            res = series_sub(zero, series_divergence(fields, sp))
+        else:
+            if (kind, slot, e) not in shared:
+                shared[(kind, slot, e)] = _seed_residual(lag, kind, slot, e)
+            res = series_shift(shared[(kind, slot, e)], k)
+        residuals.append(res.coeffs)
     rows = coefficient_rows(common_multiplier(residuals), constants)
     keys = sorted(rows, key=lambda key: (key[0], key[2]))
     provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
     return DeterminingSystem(sp, lag, ansatz, unknowns, [rows[key] for key in keys],
                              provenance, first_gauge, frozenset(constants))
+
+
+def _seed_residual(lag: PerturbedLagrangian, kind: str, slot: int,
+                   e: ex.Expr) -> EpsSeries:
+    """Residual of the generator whose only seed is e, at order 0 in (kind, slot)."""
+    sp = lag.space
+    none = [ex.ZERO] * (sp.order + 1)
+    seeds = {"xi": [none] * sp.n, "eta": [none] * sp.m}
+    seeds[kind][slot] = [e] + none[1:]
+    return variational_residual(Generator.from_seeds(sp, seeds["xi"], seeds["eta"]), lag)
 
 
 def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, int],

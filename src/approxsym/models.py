@@ -87,40 +87,63 @@ def load_model_dict(data: dict) -> Model:
     _require(data, "dependent", list)
     _require(data, "order_p", int)
     _require(data, "lagrangian", str)
-    space = JetSpace(tuple(data["independent"]), tuple(data["dependent"]),
-                     data["order_p"], data.get("max_derivative", 2))
+    try:
+        space = JetSpace(tuple(_strings(data, "independent")),
+                         tuple(_strings(data, "dependent")), data["order_p"],
+                         _optional(data, "max_derivative", int, 2))
+    except ValueError as err:   # the range checks of the jet space
+        raise ModelError(f"jet space: {err}")
     constants = {}
-    for name, spec in (data.get("constants") or {}).items():
+    for name, spec in _optional(data, "constants", dict, {}).items():
         if spec is not None and not isinstance(spec, dict):
             raise ModelError(f"constants.{name}: expected object or null")
         constants[name] = (spec or {}).get("assume")
-    functions = dict(data.get("functions") or {})
+    functions = dict(_optional(data, "functions", dict, {}))
+    for name in functions:
+        spec = _require(functions, name, dict, "functions.")
+        for key, type_ in (("arity", int), ("concrete", str), ("formal", str)):
+            _optional(spec, key, type_, None, f"functions.{name}.")
     lang = space.language(
         functions={n: f.get("arity", 1) for n, f in functions.items()},
         constants=set(constants))
     src = lang.parse(data["lagrangian"])
     bodies = _bodies(functions, lang)
     lag = PerturbedLagrangian.from_expression(_substitute(src, bodies), space)
-    ansatz_data = data.get("ansatz")
+    ansatz_data = _optional(data, "ansatz", dict, {})
     if ansatz_data:
         ansatz = _parse_ansatz(ansatz_data, space, lang)
     else:
         ansatz = default_ansatz(space, bool(data.get("oscillatory")))
+    numbers = {key: dict(_optional(data, key, dict, {}))
+               for key in ("bindings", "initial", "grid")}
+    for key in ("bindings", "initial"):
+        for name, value in numbers[key].items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ModelError(f"{key}.{name}: expected a number")
     model = Model(
         name=data["name"], space=space, language=lang, lagrangian_source=src,
         lagrangian=lag, constants=constants, functions=functions, bodies=bodies,
-        oscillatory=bool(data.get("oscillatory")), ansatz=ansatz,
-        bindings=dict(data.get("bindings") or {}),
-        initial=dict(data.get("initial") or {}),
-        grid=dict(data.get("grid") or {}),
-        dependencies=list(data.get("dependencies") or []),
-        notes=list(data.get("notes") or []), raw=data)
-    for rec in data.get("golden") or []:
-        gen, gauge = parse_generator(model, rec)
-        quantity = (EpsSeries(tuple(_parse(model, s) for s in rec["quantity"]))
-                    if rec.get("quantity") else None)
-        model.golden.append(GoldenRecord(rec["name"], gen, gauge, quantity,
-                                         rec.get("expect", "nontrivial")))
+        oscillatory=bool(data.get("oscillatory")), ansatz=ansatz, **numbers,
+        dependencies=_strings(data, "dependencies"), notes=_strings(data, "notes"),
+        raw=data)
+    for i, rec in enumerate(_optional(data, "golden", list, [])):
+        where = f"golden[{i}]."
+        if not isinstance(rec, dict):
+            raise ModelError(f"golden[{i}]: expected object")
+        _require(rec, "name", str, where)
+        _require(rec, "xi", list, where)
+        _require(rec, "eta", list, where)
+        texts = _optional(rec, "quantity", list, [], where)
+        try:
+            gen, gauge = parse_generator(model, rec)
+            quantity = (EpsSeries(tuple(_parse(model, s) for s in texts))
+                        if texts else None)
+        except (ValueError, TypeError) as err:
+            # the shape checks of the generator, gauge and series constructors
+            raise ModelError(f"golden[{i}] ({rec['name']}): {err}")
+        model.golden.append(GoldenRecord(
+            rec["name"], gen, gauge, quantity,
+            _optional(rec, "expect", str, "nontrivial", where)))
     return model
 
 
@@ -146,6 +169,8 @@ def parse_generator(model: Model, rec: dict) -> tuple[Generator, GaugeTerm]:
 
 
 def _parse(model: Model, text: str) -> ex.Expr:
+    if not isinstance(text, str):
+        raise TypeError(f"expected an expression string, got {text!r}")
     return _substitute(model.language.parse(text), model.bodies)
 
 
@@ -166,11 +191,27 @@ def _substitute(e: ex.Expr, bodies: list[tuple[str, ex.Sym, ex.Expr]]) -> ex.Exp
     return e
 
 
-def _require(data: dict, key: str, type_):
+def _require(data: dict, key: str, type_, where: str = ""):
+    """data[key], which must exist and be a type_; errors name where + key."""
     if key not in data:
-        raise ModelError(f"missing field: {key}")
+        raise ModelError(f"missing field: {where}{key}")
     if not isinstance(data[key], type_):
-        raise ModelError(f"{key}: expected {type_.__name__}")
+        raise ModelError(f"{where}{key}: expected {type_.__name__}")
+    return data[key]
+
+
+def _optional(data: dict, key: str, type_, default, where: str = ""):
+    """data[key] checked as by _require, or default when absent or null."""
+    if data.get(key) is None:
+        return default
+    return _require(data, key, type_, where)
+
+
+def _strings(data: dict, key: str) -> list[str]:
+    values = _optional(data, key, list, [])
+    if not all(isinstance(v, str) for v in values):
+        raise ModelError(f"{key}: expected a list of strings")
+    return list(values)
 
 
 def _parse_ansatz(data: dict, space: JetSpace, lang: Language) -> AnsatzSpace:
@@ -183,9 +224,14 @@ def _parse_ansatz(data: dict, space: JetSpace, lang: Language) -> AnsatzSpace:
             raise ModelError(f"ansatz.{key}: expected xi<k>, eta<k> or phi<k>")
         kind, knum, slot_name = m.group(1), m.group(2), m.group(3)
         k = int(knum)
+        if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+            raise ModelError(f"ansatz.{key}: expected a list of strings")
         parsed = [lang.parse(s) for s in texts]
         slots = {"xi": space.independent, "phi": space.independent,
                  "eta": space.dependent}[kind]
+        if k > space.order or slot_name not in (None, *slots):
+            raise ModelError(f"ansatz.{key}: no such family (eps orders 0..{space.order}, "
+                             f"slots {', '.join(slots)})")
         for idx, name in enumerate(slots):
             if slot_name is None or slot_name == name:
                 bases[(kind, k, idx)] = list(parsed)

@@ -57,8 +57,12 @@ def _compile_source(e: ex.Expr, jet_src: dict[ex.Jet, str], bindings: dict[str, 
             return "(" + "+".join(src(t) for t in node.terms) + ")"
         if isinstance(node, ex.Mul):
             return "(" + "*".join(src(f) for f in node.factors) + ")"
-        if isinstance(node, ex.Pow):
+        if isinstance(node, ex.Pow) and node.exp.denominator == 1:
             return f"({src(node.base)}**{repr(float(node.exp))})"
+        if isinstance(node, ex.Pow):
+            # float ** turns a negative base into a complex; math.pow raises
+            # ValueError, and agrees with ** on a positive base
+            return f"math.pow({src(node.base)}, {repr(float(node.exp))})"
         if isinstance(node, ex.Fun):
             return f"math.{node.name}({src(node.arg)})"
         raise UnboundSymbol(
@@ -184,7 +188,8 @@ class Trajectory:
 
 # what a compiled closure raises where a value has no finite float: 1/0.0
 # and 0.0**-1 raise ZeroDivisionError, huge ** and exp OverflowError, and
-# log of a nonpositive argument ValueError
+# log of a nonpositive argument or a fractional power of a negative base
+# ValueError
 _FLOAT_FAULTS = (ZeroDivisionError, OverflowError, ValueError)
 
 

@@ -193,6 +193,41 @@ def write_model(tmp_path, lagrangian: str, **fields) -> str:
     return str(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("constants", ["a"]),
+    ("functions", ["F"]),
+    ("functions", {"F": 3}),
+    ("ansatz", ["1"]),
+    ("bindings", [1]),
+    ("golden", {"a": 1}),
+    ("golden", [{"name": "E"}]),
+    ("golden", [{"name": "E", "xi": [[1], [0]], "eta": [["0"], ["0"]]}]),
+    ("max_derivative", "2"),
+    ("dependencies", 5),
+    ("independent", [1]),
+    ("dependent", [["u"]]),
+    ("ansatz", {"eta0_v": ["1"]}),     # no dependent v: was dropped silently
+    ("ansatz", {"xi2": ["1"]}),        # above order_p: was dropped silently
+])
+def test_malformed_model_field_exits_2(tmp_path, field, value):
+    proc = run("expand", write_model(tmp_path, "1/2*du#t^2", **{field: value}),
+               check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("order_p", -1), ("max_derivative", 0), ("dependent", ["t"])])
+def test_malformed_jet_space_exits_2(tmp_path, field, value):
+    proc = run("expand", write_model(tmp_path, "1/2*du#t^2", **{field: value}),
+               check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: jet space: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_undecidable_kinetic_pivot_exits_3(tmp_path):
     path = write_model(tmp_path, "1/2*exp(t)*exp(-t)*du#t^2")
     proc = run("noether", path, "--xi", '[["1"],["0"]]', check=False)
@@ -313,6 +348,20 @@ def test_numeric_division_by_zero_exits_5(tmp_path):
         initial={"u0": 0.0, "du0#t": 1.0, "u1": 0.0, "du1#t": 0.0},
         golden=[{"name": "E", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]],
                  "quantity": ["1/2*du0#t^2 + u0^(-1)", "du0#t*du1#t - u0^(-2)*u1"]}])
+    proc = run("verify", path, "--numeric", check=False)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "at t=0.0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_numeric_fractional_power_of_a_negative_base_exits_5(tmp_path):
+    path = write_model(
+        tmp_path, "1/2*du#t^2 - u^(3/2)", grid={"t0": 0.0, "t1": 1.0, "h": 1e-2},
+        initial={"u0": -1.0, "du0#t": 0.0, "u1": 0.0, "du1#t": 0.0},
+        golden=[{"name": "E", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]],
+                 "quantity": ["1/2*du0#t^2 + u0^(3/2)",
+                              "du0#t*du1#t + 3/2*u0^(1/2)*u1"]}])
     proc = run("verify", path, "--numeric", check=False)
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr.startswith("error: ")

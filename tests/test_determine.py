@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from approxsym import expr as ex
-from approxsym.determine import (AnsatzSpace, default_ansatz, extract, membership,
-                                 report, solve)
+from approxsym.determine import (AnsatzSpace, _generator_and_gauge, default_ansatz,
+                                 extract, membership, report, solve)
 from approxsym.errors import AnsatzIncomplete
 from approxsym.jet import JetSpace
-from approxsym.linalg import sparse_rref
+from approxsym.linalg import coefficient_rows, common_multiplier, sparse_rref
 from approxsym.models import load_builtin, load_model_dict
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from approxsym.perturb import EpsSeries, series_add
@@ -154,6 +154,46 @@ def discovered():
             cache[name] = (model, system, solve(system))
         return cache[name]
     return get
+
+
+def _reference_extract(lag, ansatz, constants):
+    """The determining system with one variational_residual per unknown:
+    column j is the generator and gauge of basis element j alone."""
+    sp = lag.space
+    orders = range(sp.order + 1)
+    seeds = [(kind, k, slot) for kind, count in (("xi", sp.n), ("eta", sp.m))
+             for slot in range(count) for k in orders]
+    gauges = [("phi", k, slot) for slot in range(sp.n) for k in orders]
+    unknowns = [(*fam, b) for fam in seeds + gauges
+                for b in range(len(ansatz.basis(*fam)))]
+    columns = {key: i for i, key in enumerate(unknowns)}
+    residuals = []
+    for j in range(len(unknowns)):
+        gen, phi = _generator_and_gauge(sp, ansatz, columns,
+                                        lambda col: ex.ONE if col == j else None)
+        residuals.append(variational_residual(gen, lag, phi).coeffs)
+    rows = coefficient_rows(common_multiplier(residuals), constants)
+    keys = sorted(rows, key=lambda key: (key[0], key[2]))
+    provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
+    return unknowns, [rows[key] for key in keys], provenance
+
+
+@pytest.mark.parametrize("source", ["order2", "oscillator-quadratic"])
+def test_shared_residuals_match_one_residual_per_unknown(source, discovered):
+    # order2 has order_p 2, and its order-1 and order-2 seed bases partly
+    # repeat order 0 ("1", "t") and partly do not ("u0" in xi1, "t^2" in xi2);
+    # "1" is a basis element of both xi and eta
+    if source == "order2":
+        path = Path(__file__).parent / "models" / "order2.json"
+        model = load_model_dict(json.loads(path.read_text()))
+        system = extract(model.lagrangian, model.ansatz, model.constant_names)
+    else:
+        model, system, _ = discovered(source)
+    unknowns, equations, provenance = _reference_extract(
+        model.lagrangian, model.ansatz, model.constant_names)
+    assert system.unknowns == unknowns
+    assert system.equations == equations
+    assert system.provenance == provenance
 
 
 def test_membership_of_paper_generators_in_default_span(discovered):

@@ -242,3 +242,14 @@ def test_equations_without_a_finite_value_name_the_time():
     nm = compile_numeric(lag, {})
     with pytest.raises(NonFiniteState, match=r"equations of motion .*t=0\.0"):
         integrate(nm, [0.0, 1.0], 0.0, 1.0, 1e-2)
+
+
+def test_fractional_power_of_a_negative_base_names_the_time():
+    # u^(3/2) at u = -1: float ** would give a complex number, not an error
+    sp = JetSpace(("t",), ("u",), order=0, max_derivative=2)
+    lag = PerturbedLagrangian.from_expression(sp.language().parse("1/2*du#t^2 - u^(3/2)"), sp)
+    nm = compile_numeric(lag, {})
+    with pytest.raises(NonFiniteState, match=r"equations of motion .*t=0\.0"):
+        integrate(nm, [-1.0, 0.0], 0.0, 1.0, 1e-2)
+    u = 0.7
+    assert nm.rhs(0.0, (u, 0.0))[1] == -1.5 * u ** 0.5

@@ -207,10 +207,10 @@ def _optional(data: dict, key: str, type_, default, where: str = ""):
     return _require(data, key, type_, where)
 
 
-def _strings(data: dict, key: str) -> list[str]:
-    values = _optional(data, key, list, [])
+def _strings(data: dict, key: str, where: str = "") -> list[str]:
+    values = _optional(data, key, list, [], where)
     if not all(isinstance(v, str) for v in values):
-        raise ModelError(f"{key}: expected a list of strings")
+        raise ModelError(f"{where}{key}: expected a list of strings")
     return list(values)
 
 
@@ -218,15 +218,13 @@ def _parse_ansatz(data: dict, space: JetSpace, lang: Language) -> AnsatzSpace:
     """Keys like "xi0", "eta1", "phi0" (all slots) or "eta0_v" (one slot)."""
     import re
     bases: dict[tuple, list[ex.Expr]] = {}
-    for key, texts in data.items():
+    for key in data:
         m = re.fullmatch(r"(xi|eta|phi)(\d+)(?:_(.+))?", key)
         if not m:
             raise ModelError(f"ansatz.{key}: expected xi<k>, eta<k> or phi<k>")
         kind, knum, slot_name = m.group(1), m.group(2), m.group(3)
         k = int(knum)
-        if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
-            raise ModelError(f"ansatz.{key}: expected a list of strings")
-        parsed = [lang.parse(s) for s in texts]
+        parsed = [lang.parse(s) for s in _strings(data, key, "ansatz.")]
         slots = {"xi": space.independent, "phi": space.independent,
                  "eta": space.dependent}[kind]
         if k > space.order or slot_name not in (None, *slots):

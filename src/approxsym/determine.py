@@ -26,8 +26,8 @@ from itertools import product
 from . import expr as ex
 from .errors import AnsatzIncomplete
 from .jet import JetSpace
-from .linalg import (FE, coefficient_rows, common_multiplier, fe_expr, nullspace,
-                     span_fits, sparse_rref, split_column)
+from .linalg import (FE, assemble_rows, coefficient_rows, common_multiplier, fe_expr,
+                     nullspace, span_fits, sparse_rref, split_column)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from .perturb import (EpsSeries, const_series, series_divergence, series_shift,
                       series_sub)
@@ -194,7 +194,7 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
                 shared[(kind, slot, e)] = _seed_residual(lag, kind, slot, e)
             res = series_shift(shared[(kind, slot, e)], k)
         residuals.append(res.coeffs)
-    rows = coefficient_rows(common_multiplier(residuals), constants)
+    rows = assemble_rows(common_multiplier(residuals, constants))
     keys = sorted(rows, key=lambda key: (key[0], key[2]))
     provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
     return DeterminingSystem(sp, lag, ansatz, unknowns, [rows[key] for key in keys],

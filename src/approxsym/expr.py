@@ -731,47 +731,52 @@ def _monomial_pairs(term: Expr) -> tuple[Fraction, list[tuple[Expr, Fraction]]]:
 
 
 def _to_poly(e: Expr) -> tuple[dict, bool]:
-    """Normal form: dict {monomial-key: Fraction}, plus a decidability flag.
-
-    A monomial key is a sorted tuple of (atom, integer-or-half exponent)
-    pairs; half-integer powers of any base X are split as X^q * (X^(1/2))^r
-    with r in {0,1}, so the relation (X^(1/2))^2 = X is always applied.
-    The flag is False when an atom outside the decidable class was seen.
-    """
+    """Normal form: dict {monomial key: Fraction}, keys as ``_monomial_key``
+    builds them, plus the decidability flag of ``_decidable``."""
     e = expand(e)
-    decidable = True
     poly: dict[tuple, Fraction] = {}
+    roots: dict[Expr, Pow] = {}
     for term in (e.terms if isinstance(e, Add) else (e,)):
         coeff, pairs = _monomial_pairs(term)
-        mono: dict[Expr, Fraction] = {}
-        for base, p in pairs:
-            if p.denominator == 1:
-                _mono_add(mono, base, p)
-            elif p.denominator == 2:
-                q, r = divmod(p.numerator, 2)
-                if q:
-                    _mono_add(mono, base, Fraction(q))
-                if r:
-                    _mono_add(mono, Pow(base, Fraction(1, 2)), Fraction(1))
-            else:
-                _mono_add(mono, Pow(base, p), Fraction(1))
-                decidable = False
-        key = tuple(sorted(((a, x) for a, x in mono.items() if x != 0),
-                           key=lambda ax: ax[0]._key))
+        key = _monomial_key(pairs, roots)
         poly[key] = poly.get(key, Fraction(0)) + coeff
     poly = {k: v for k, v in poly.items() if v != 0}
-    return poly, decidable
+    return poly, _decidable(poly)
 
 
-def _mono_add(mono: dict, atom: Expr, p: Fraction):
-    mono[atom] = mono.get(atom, Fraction(0)) + p
+def _monomial_key(pairs, roots: dict[Expr, Pow]) -> tuple:
+    """(base, exponent) pairs as a key, a tuple of (atom, exponent) sorted by
+    atom: X^(p/2) is split as X^floor(p/2) * X^(1/2), so (X^(1/2))^2 = X
+    always holds, any other fractional power is the atom X^p, and zero
+    exponents are dropped.  roots holds the caller's X^(1/2) atoms, which
+    keys then share, so dict lookups find them by identity."""
+    atoms: dict[Expr, Fraction] = {}
+
+    def put(atom: Expr, x: Fraction):
+        # exponents are added only where an atom repeats, which is rare
+        atoms[atom] = atoms[atom] + x if atom in atoms else x
+
+    for base, p in pairs:
+        if p.denominator == 1:
+            put(base, p)
+        elif p.denominator == 2:
+            if p.numerator // 2:
+                put(base, Fraction(p.numerator // 2))
+            root = roots.get(base)
+            if root is None:
+                root = roots[base] = Pow(base, Fraction(1, 2))
+            put(root, Fraction(1))
+        else:
+            put(Pow(base, p), Fraction(1))
+    return tuple(sorted(((a, x) for a, x in atoms.items() if x),
+                        key=lambda ax: ax[0]._key))
 
 
-def _from_poly(poly: dict) -> Expr:
-    out = []
-    for key, c in poly.items():
-        out.append(mul(rat(c), *[pow_(a, p) for a, p in key]))
-    return add(*out)
+def _decidable(poly: dict) -> bool:
+    """False when a monomial keeps a power whose exponent has a denominator
+    above 2, an atom outside the class ``is_zero`` decides."""
+    return not any(isinstance(a, Pow) and a.exp.denominator > 2
+                   for key in poly for a, _ in key)
 
 
 def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
@@ -781,7 +786,9 @@ def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
     cancel against an atomic inverse of the same sum, e.g. (x+y)*(x+y)^(-1).
     Multiplying by a nonzero function preserves zero-ness both ways.
     Returns the cleared polynomial, the multiplier used (ONE if none) and
-    the decidability flag of the product (see ``_poly_times``).
+    the decidability flag of the product.  The product is ``_poly_times``,
+    which also rewrites the sin(x)^n (n >= 2) that clearing multiplies
+    together, so the result needs no further pass.
     """
     need: dict[Expr, Fraction] = {}
     for key in poly:
@@ -811,22 +818,25 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool
     Works on the monomials themselves instead of expanding a product tree.
     Each monomial is read as {base: exponent} (``_base_exponents``), the
     factor's exponents are added, and the result is reduced by the rules
-    ``expand`` and ``_to_poly`` apply to a product:
+    the first pass of ``_zero_normal_form`` applies to a product:
 
-    - zero exponents are dropped;
-    - a half-integer exponent p of X is split as X^floor(p) * (X^(1/2))^1,
-      so a root that reaches (X^(1/2))^2 becomes X (rho^2 = X);
     - a sum X with a positive integer part k (and a rational or product
       base with any nonzero k) is replaced by the monomials of
-      ``_to_poly(pow_(X, k))``, and each product is reduced again.
+      ``_to_poly(pow_(X, k))``;
+    - sin(x)^n with an integer n >= 2 is replaced by the monomials of
+      ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
+      ``_sin_power_reduce`` does;
+    - each product is reduced again, and what is left is keyed by
+      ``_monomial_key``: zero exponents are dropped and a root that reaches
+      (X^(1/2))^2 becomes X (rho^2 = X).
 
-    The expansions of X^k are kept for the length of the call only.  The
-    result is ordered as ``_to_poly`` of the expanded product tree would
+    The expansions and root atoms are kept for the length of the call only.
+    The result is ordered as ``_to_poly`` of the expanded product tree would
     order it, by the ``_key`` of the term ``add`` holds for each monomial
     (``c*rest`` as ``_mk_mul`` builds it, ``rest`` when c == 1), because
     that order reaches printed output (see ``linalg.assemble_rows``).  The
-    flag is False when the result keeps a power whose exponent has a
-    denominator above 2, exactly what ``_to_poly`` reports on that tree.
+    flag is that of ``_decidable``, exactly what ``_to_poly`` reports on
+    that tree.
     """
     acc: dict[tuple, Fraction] = {}
     powers: dict[tuple, list] = {}
@@ -835,15 +845,24 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool
     def expansion(base: Expr, k: Fraction) -> list:
         hit = powers.get((base, k))
         if hit is None:
-            p, _ = _to_poly(pow_(base, k))
+            if isinstance(base, Fun):
+                e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k / 2)
+            else:
+                e = pow_(base, k)
+            p, _ = _to_poly(e)
             hit = powers[(base, k)] = [(_base_exponents(m), c) for m, c in p.items()]
         return hit
 
     def settle(mono: dict, c: Fraction):
         for base, p in mono.items():
-            whole = p if p.denominator == 1 else \
-                Fraction(p.numerator // 2) if p.denominator == 2 else 0
-            if whole and (isinstance(base, (Rat, Mul))
+            # the part of the exponent that is replaced by an expansion
+            if isinstance(base, Fun):
+                sin = base.name == "sin" and p.denominator == 1 and p >= 2
+                whole = p - p % 2 if sin else 0
+            else:
+                whole = p if p.denominator == 1 else \
+                    Fraction(p.numerator // 2) if p.denominator == 2 else 0
+            if whole and (isinstance(base, (Rat, Mul, Fun))
                           or (isinstance(base, Add) and whole > 0)):
                 rest = dict(mono)
                 rest[base] = p - whole
@@ -853,20 +872,7 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool
                         merged[b] = merged.get(b, Fraction(0)) + x
                     settle(merged, c * mc)
                 return
-        atoms: dict[Expr, Fraction] = {}
-        for base, p in mono.items():
-            if p.denominator == 2:
-                if p.numerator // 2:
-                    atoms[base] = Fraction(p.numerator // 2)
-                root = roots.get(base)
-                if root is None:
-                    root = roots[base] = Pow(base, Fraction(1, 2))
-                atoms[root] = Fraction(1)
-            elif p.denominator != 1:
-                atoms[Pow(base, p)] = Fraction(1)
-            elif p:
-                atoms[base] = p
-        key = tuple(sorted(atoms.items(), key=lambda ax: ax[0]._key))
+        key = _monomial_key(mono.items(), roots)
         acc[key] = acc.get(key, Fraction(0)) + c
 
     for key, c in poly.items():
@@ -883,9 +889,7 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool
         return (rest if c == 1 else _mk_mul(c, rest))._key
 
     out = dict(sorted(((k, v) for k, v in acc.items() if v != 0), key=term_key))
-    decidable = not any(isinstance(a, Pow) and a.exp.denominator > 2
-                        for key in out for a, _ in key)
-    return out, decidable
+    return out, _decidable(out)
 
 
 def _trig_multiple_expand(e: Expr) -> Expr:
@@ -928,34 +932,21 @@ _ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
 def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     """(polynomial, decidable, multiplier): the normal form of multiplier * e.
 
-    The multiplier is the product of the nonzero denominators cleared on
-    the way (ONE if none); normal forms of different expressions are
-    comparable only where their multipliers agree.
-
-    Clearing multiplies sin-bearing sums into sin-bearing monomials, which
-    can leave sin(x)^n with n >= 2 in the cleared polynomial.  Only then
-    does a second pass rebuild the tree and apply sin^2 = 1 - cos^2 again;
-    on any other polynomial that pass returns the dict it was given, so it
-    is skipped.  Either way the result is cleared once more, which costs a
-    scan of the keys when nothing is left to clear.
+    One pass over the tree (expand, sin/cos of integer multiples reduced to
+    the base angle, sin(x)^n reduced to cos powers, expand again) rewrites
+    every atom, inside radicals and denominators too; ``_to_poly`` reads
+    the result and ``_clear_denominators`` clears it on the monomials.  The
+    multiplier is the product of the nonzero denominators cleared (ONE if
+    none); normal forms of different expressions are comparable only where
+    their multipliers agree.
     """
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
         return hit
     e1 = expand(_trig_multiple_expand(expand(e)))
-    e2 = expand(_sin_power_reduce(e1))
-    poly, decidable = _to_poly(e2)
-    poly, multiplier, d1 = _clear_denominators(poly)
-    decidable = decidable and d1
-    if multiplier != ONE:
-        if any(isinstance(a, Fun) and a.name == "sin" and p >= 2
-               for key in poly for a, p in key):
-            poly, d2 = _to_poly(expand(_sin_power_reduce(_from_poly(poly))))
-            decidable = decidable and d2
-        poly, m2, d3 = _clear_denominators(poly)
-        multiplier = mul(multiplier, m2)
-        decidable = decidable and d3
-    _ZNF_CACHE[e] = (poly, decidable, multiplier)
+    poly, decidable = _to_poly(expand(_sin_power_reduce(e1)))
+    poly, multiplier, cleared = _clear_denominators(poly)
+    _ZNF_CACHE[e] = (poly, decidable and cleared, multiplier)
     return _ZNF_CACHE[e]
 
 

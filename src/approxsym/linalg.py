@@ -19,7 +19,7 @@ keyed by the clearing multiplier and a dependency is one that holds within
 each multiplier group: sound, but blind to one that cancels only across
 groups, such as the translation (1, 1, 1) of three bodies on a line with
 pair potentials 1/(1 + (u-v)^2).  ``extract`` needs that completeness and
-first calls ``common_multiplier``.
+splits its columns with ``common_multiplier``, on their monomials.
 ``span_fits`` and ``noether.classify`` keep multiplier-keyed rows: over a
 common multiplier, ``noether --model three-body --classify`` prints
 (-1)*eps^1*Xi3a as (-2*m2*(-m1 + 2*m2)^(-1) + m1*(-m1 + 2*m2)^(-1))*eps^1*Xi3a
@@ -167,16 +167,16 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     return basis
 
 
-def _split_constants(e: ex.Expr, constants) -> Split:
-    """Zero normal form of e as {signature: entry over Q(constants)}.
+def _split_constants(form: tuple[dict, ex.Expr], constants) -> Split:
+    """A normal form (poly, multiplier) as {signature: entry over Q(constants)}.
 
     A signature is a normal-form monomial key with the powers of declared
     constants removed; those powers move into the entry, and entries whose
     signatures coincide are summed.  Signatures keep the normal form's
-    atom order.  The normal form is that of multiplier * e, where the
-    multiplier (returned second) clears e's denominators.
+    atom order.  The multiplier is returned unchanged: poly is the normal
+    form of multiplier * (the part).
     """
-    nf, _, multiplier = ex._zero_normal_form(e)
+    nf, multiplier = form
     out: dict[tuple, FE] = {}
     for mono, value in nf.items():
         const_part = [ex.rat(value)]
@@ -193,36 +193,38 @@ def _split_constants(e: ex.Expr, constants) -> Split:
     return out, multiplier
 
 
-def common_multiplier(columns: list[list[ex.Expr]]) -> list[list[ex.Expr]]:
-    """The columns, each tag over one clearing multiplier shared by all columns.
+def common_multiplier(columns: list[list[ex.Expr]], constants) -> list[list[Split]]:
+    """The columns split as by ``split_column``, each tag over one clearing
+    multiplier shared by all columns.
 
     Columns are as in ``coefficient_rows`` and of equal length.  Where the
     nonzero columns of a tag were cleared by different multipliers M_j,
-    column j becomes (M/M_j) * (its cleared normal form), M being the
-    largest power of each base among the M_j, so every row of that tag
-    compares normal forms scaled alike.  The product is taken on the
-    normal form's monomials (``expr._poly_times``), not as a tree to be
-    expanded again.  Other tags are returned unchanged.
+    column j's cleared normal form is multiplied by M/M_j on its monomials
+    (``expr._poly_times``), M being the largest power of each base among
+    the M_j, and split keyed by M, so every row of that tag compares normal
+    forms scaled alike.  Other tags keep their own multiplier.
     """
-    out = [list(parts) for parts in columns]
-    for tag, exprs in enumerate(zip(*columns)):
-        forms = [ex._zero_normal_form(e) for e in exprs]
-        if len({m for poly, _, m in forms if poly}) < 2:
+    forms = [[(poly, m) for poly, _, m in map(ex._zero_normal_form, parts)]
+             for parts in columns]
+    for tag, tagged in enumerate(zip(*forms)):
+        if len({m for poly, m in tagged if poly}) < 2:
             continue
-        powers = [dict(ex._monomial_pairs(m)[1]) for _, _, m in forms]
+        powers = [dict(ex._monomial_pairs(m)[1]) for _, m in tagged]
         top = {b: max(have.get(b, 0) for have in powers) for have in powers for b in have}
-        for j, ((poly, _, _), have) in enumerate(zip(forms, powers)):
+        common = ex.mul(*[ex.pow_(b, q) for b, q in top.items()])
+        for j, ((poly, _), have) in enumerate(zip(tagged, powers)):
             if poly:
                 scaled, _ = ex._poly_times(
                     poly, {b: q - have.get(b, 0) for b, q in top.items()})
-                out[j][tag] = ex._from_poly(scaled)
-    return out
+                forms[j][tag] = (scaled, common)
+    return [[_split_constants(f, constants) for f in parts] for parts in forms]
 
 
 def split_column(parts: list[ex.Expr], constants) -> list[Split]:
-    """One column of ``coefficient_rows``, each tag's part split by
-    ``_split_constants``; ``assemble_rows`` turns split columns into rows."""
-    return [_split_constants(e, constants) for e in parts]
+    """One column of ``coefficient_rows``: each tag's zero normal form split
+    by ``_split_constants``; ``assemble_rows`` turns split columns into rows."""
+    return [_split_constants((poly, m), constants)
+            for poly, _, m in map(ex._zero_normal_form, parts)]
 
 
 def assemble_rows(columns: list[list[Split]]) -> dict[tuple, dict[int, FE]]:

@@ -83,8 +83,9 @@ class Model:
 def load_model_dict(data: dict) -> Model:
     """Hydrate a model-file dictionary (schema 1)."""
     _require(data, "name", str)
-    _require(data, "independent", list)
-    _require(data, "dependent", list)
+    for key in ("independent", "dependent"):
+        if not _require(data, key, list):
+            raise ModelError(f"{key}: expected a non-empty list")
     _require(data, "order_p", int)
     _require(data, "lagrangian", str)
     try:
@@ -133,6 +134,9 @@ def load_model_dict(data: dict) -> Model:
         _require(rec, "name", str, where)
         _require(rec, "xi", list, where)
         _require(rec, "eta", list, where)
+        for key in ("xi", "eta", "phi"):
+            if not all(isinstance(row, list) for row in _optional(rec, key, list, [], where)):
+                raise ModelError(f"{where}{key}: expected a list of lists")
         texts = _optional(rec, "quantity", list, [], where)
         try:
             gen, gauge = parse_generator(model, rec)
@@ -192,10 +196,11 @@ def _substitute(e: ex.Expr, bodies: list[tuple[str, ex.Sym, ex.Expr]]) -> ex.Exp
 
 
 def _require(data: dict, key: str, type_, where: str = ""):
-    """data[key], which must exist and be a type_; errors name where + key."""
+    """data[key], which must exist and be a type_ (a bool is not an int);
+    errors name where + key."""
     if key not in data:
         raise ModelError(f"missing field: {where}{key}")
-    if not isinstance(data[key], type_):
+    if not isinstance(data[key], type_) or (type_ is int and isinstance(data[key], bool)):
         raise ModelError(f"{where}{key}: expected {type_.__name__}")
     return data[key]
 

@@ -33,7 +33,7 @@ __all__ = ["NumericModel", "Trajectory", "DriftReport", "compile_numeric",
 
 
 def _compile_source(e: ex.Expr, jet_src: dict[ex.Jet, str], bindings: dict[str, float],
-                    space: JetSpace, extra_syms: dict[str, str]) -> str:
+                    extra_syms: dict[str, str]) -> str:
     def src(node: ex.Expr) -> str:
         if isinstance(node, ex.Rat):
             return repr(float(node.value))
@@ -43,12 +43,6 @@ def _compile_source(e: ex.Expr, jet_src: dict[ex.Jet, str], bindings: dict[str, 
             if node.name in bindings:
                 return repr(float(bindings[node.name]))
             raise UnboundSymbol(f"symbol {node.name!r} has no numeric binding")
-        if isinstance(node, ex.Eps):
-            if "eps" in extra_syms:
-                return extra_syms["eps"]
-            if "eps" in bindings:
-                return repr(float(bindings["eps"]))
-            raise UnboundSymbol("eps has no numeric binding")
         if isinstance(node, ex.Jet):
             if node not in jet_src:
                 raise UnboundSymbol(f"jet coordinate {node!r} is not part of the state")
@@ -95,11 +89,11 @@ def compile_functions(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str],
     main_syms = dict(base_syms)
     for lname, atom in hoisted:
         lines.append(f"    {lname} = "
-                     + _compile_source(atom, jet_src, bindings, space, base_syms))
+                     + _compile_source(atom, jet_src, bindings, base_syms))
         marker = ex.sym(f"__h_{lname}")
         main_syms[marker.name] = lname
         sub[atom] = marker
-    pieces = [_compile_source(ex.subst(e, sub), jet_src, bindings, space, main_syms)
+    pieces = [_compile_source(ex.subst(e, sub), jet_src, bindings, main_syms)
               for e in exprs]
     lines.append("    return (" + ", ".join(pieces)
                  + ("," if len(pieces) == 1 else "") + ")")

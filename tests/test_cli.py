@@ -218,6 +218,26 @@ def test_malformed_model_field_exits_2(tmp_path, field, value):
     assert "Traceback" not in proc.stderr
 
 
+_RECORD = {"name": "E", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]]}
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("order_p", True, "order_p"),                   # a bool is not an int
+    ("max_derivative", True, "max_derivative"),
+    ("functions", {"F": {"arity": True}}, "functions.F.arity"),
+    ("independent", [], "independent"),
+    ("dependent", [], "dependent"),
+    ("golden", [{**_RECORD, "phi": [1]}], "golden[0].phi"),
+    ("golden", [{**_RECORD, "xi": [1, 2]}], "golden[0].xi"),
+    ("golden", [{**_RECORD, "eta": ["0", "0"]}], "golden[0].eta"),
+])
+def test_malformed_model_field_is_named(tmp_path, field, value, named):
+    proc = run("expand", write_model(tmp_path, "1/2*du#t^2", **{field: value}),
+               check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {named}:"), proc.stderr
+
+
 @pytest.mark.parametrize("field, value", [
     ("order_p", -1), ("max_derivative", 0), ("dependent", ["t"])])
 def test_malformed_jet_space_exits_2(tmp_path, field, value):

@@ -12,7 +12,7 @@ from approxsym.determine import (AnsatzSpace, _generator_and_gauge, default_ansa
                                  extract, membership, report, solve)
 from approxsym.errors import AnsatzIncomplete
 from approxsym.jet import JetSpace
-from approxsym.linalg import coefficient_rows, common_multiplier, sparse_rref
+from approxsym.linalg import assemble_rows, common_multiplier, sparse_rref
 from approxsym.models import load_builtin, load_model_dict
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from approxsym.perturb import EpsSeries, series_add
@@ -172,7 +172,7 @@ def _reference_extract(lag, ansatz, constants):
         gen, phi = _generator_and_gauge(sp, ansatz, columns,
                                         lambda col: ex.ONE if col == j else None)
         residuals.append(variational_residual(gen, lag, phi).coeffs)
-    rows = coefficient_rows(common_multiplier(residuals), constants)
+    rows = assemble_rows(common_multiplier(residuals, constants))
     keys = sorted(rows, key=lambda key: (key[0], key[2]))
     provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
     return unknowns, [rows[key] for key in keys], provenance

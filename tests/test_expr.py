@@ -157,7 +157,8 @@ def test_sin_squared_is_reduced_again_after_clearing():
 
 def tree_clear(poly):
     """The reference: multiply each term by the denominators as a tree,
-    expand it, and read the sum back with ``_to_poly``."""
+    expand it, reduce sin(x)^n (n >= 2) to cos powers, and read the sum back
+    with ``_to_poly``."""
     need = {}
     for key in poly:
         for atom, q in key:
@@ -168,7 +169,7 @@ def tree_clear(poly):
     mult = [ex.pow_(a, q) for a, q in need.items()]
     terms = [ex.expand(ex.mul(ex.rat(c), *[ex.pow_(a, q) for a, q in key], *mult))
              for key, c in poly.items()]
-    out, decidable = ex._to_poly(ex.add(*terms))
+    out, decidable = ex._to_poly(ex.expand(ex._sin_power_reduce(ex.add(*terms))))
     return out, ex.mul(*mult), decidable
 
 

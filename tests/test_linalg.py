@@ -8,8 +8,8 @@ from approxsym import expr as ex
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
 from approxsym.lang import to_text
-from approxsym.linalg import (coefficient_rows, common_multiplier, fe_expr, nullspace,
-                              solve_dense, span_fits, sparse_rref, split_column)
+from approxsym.linalg import (assemble_rows, coefficient_rows, common_multiplier, fe_expr,
+                              nullspace, solve_dense, span_fits, sparse_rref, split_column)
 
 
 def F(x):
@@ -81,11 +81,23 @@ def test_common_multiplier_compares_across_denominators():
     columns = [[lang.parse(s)] for s in
                ("1/(1+u0^2)", "1/(2+u0^2)", "1/((1+u0^2)*(2+u0^2))")]
     assert len(sparse_rref(coefficient_rows(columns, ()).values(), 3)) == 3
-    rows = coefficient_rows(common_multiplier(columns), ()).values()
+    rows = assemble_rows(common_multiplier(columns, ())).values()
     assert nullspace(rows, 3) == [{0: -1, 1: 1, 2: 1}]
     # multipliers that agree leave the tag as it was
     alike = [[lang.parse("1/(1+u0^2)")], [lang.parse("u0/(1+u0^2)")], [ex.ZERO]]
-    assert common_multiplier(alike) == alike
+    assert common_multiplier(alike, ()) == [split_column(c, ()) for c in alike]
+
+
+def test_common_multiplier_reduces_sin_squared_it_multiplies_in():
+    # over (1 + sin)*(2 + sin) the third column reads 2 - cos^2 + 3*sin; the
+    # first scales to 2*sin + sin^2 and matches only once that sin^2 becomes
+    # 1 - cos^2
+    lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
+    columns = [[lang.parse(s)] for s in
+               ("sin(t)/(1 + sin(t))", "1/(2 + sin(t))",
+                "(sin(t)*(2 + sin(t)) + 1 + sin(t))/((1 + sin(t))*(2 + sin(t)))")]
+    rows = assemble_rows(common_multiplier(columns, ())).values()
+    assert nullspace(rows, 3) == [{0: -1, 1: -1, 2: 1}]
 
 
 _A, _B, _C, _D = (ex.sym(n) for n in "abcd")

@@ -731,8 +731,9 @@ def _monomial_pairs(term: Expr) -> tuple[Fraction, list[tuple[Expr, Fraction]]]:
 
 
 def _to_poly(e: Expr) -> tuple[dict, bool]:
-    """Normal form: dict {monomial key: Fraction}, keys as ``_monomial_key``
-    builds them, plus the decidability flag of ``_decidable``."""
+    """Normal form of the expanded tree: dict {monomial key: Fraction}, keys
+    as ``_monomial_key`` builds them, plus the decidability flag of
+    ``_decidable``."""
     e = expand(e)
     poly: dict[tuple, Fraction] = {}
     roots: dict[Expr, Pow] = {}
@@ -748,26 +749,28 @@ def _monomial_key(pairs, roots: dict[Expr, Pow]) -> tuple:
     """(base, exponent) pairs as a key, a tuple of (atom, exponent) sorted by
     atom: X^(p/2) is split as X^floor(p/2) * X^(1/2), so (X^(1/2))^2 = X
     always holds, any other fractional power is the atom X^p, and zero
-    exponents are dropped.  roots holds the caller's X^(1/2) atoms, which
-    keys then share, so dict lookups find them by identity."""
-    atoms: dict[Expr, Fraction] = {}
+    exponents are dropped.  Exponents in keys are ints, which hash faster
+    than (and equal) the Fractions they stand for.  roots holds the caller's
+    X^(1/2) atoms, which keys then share, so dict lookups find them by
+    identity."""
+    atoms: dict[Expr, int] = {}
 
-    def put(atom: Expr, x: Fraction):
+    def put(atom: Expr, x: int):
         # exponents are added only where an atom repeats, which is rare
         atoms[atom] = atoms[atom] + x if atom in atoms else x
 
     for base, p in pairs:
         if p.denominator == 1:
-            put(base, p)
+            put(base, p.numerator)
         elif p.denominator == 2:
             if p.numerator // 2:
-                put(base, Fraction(p.numerator // 2))
+                put(base, p.numerator // 2)
             root = roots.get(base)
             if root is None:
                 root = roots[base] = Pow(base, Fraction(1, 2))
-            put(root, Fraction(1))
+            put(root, 1)
         else:
-            put(Pow(base, p), Fraction(1))
+            put(Pow(base, p), 1)
     return tuple(sorted(((a, x) for a, x in atoms.items() if x),
                         key=lambda ax: ax[0]._key))
 
@@ -779,116 +782,242 @@ def _decidable(poly: dict) -> bool:
                    for key in poly for a, _ in key)
 
 
+def _base_exponents(key: tuple) -> dict[Expr, Fraction | int]:
+    """A monomial key as {base: exponent}: root and other power atoms are
+    folded into their bases, as ``mul`` merges the factors of a product."""
+    out: dict[Expr, Fraction | int] = {}
+    for atom, p in key:
+        if isinstance(atom, Pow):
+            atom, p = atom.base, atom.exp * p
+        out[atom] = out[atom] + p if atom in out else p
+    return out
+
+
+_ATOMS = (Sym, Jet, Eps, Fun, AFun, AInt)
+_UNIT = Fraction(1)
+
+
+class _Product:
+    """Sparse products of normal-form dicts, kept for one normal form.
+
+    ``times`` multiplies two dicts term by term, as Monagan & Pearce
+    multiply sparse polynomials ("Sparse polynomial multiplication and
+    division in Maple 14", 2009), instead of distributing ``Expr`` trees.
+    ``read`` turns a tree into a dict with that product.  The expansions,
+    the X^(1/2) atoms that keys share and the read of each node are kept
+    for the instance's life only.
+    """
+
+    __slots__ = ("roots", "powers", "reads")
+
+    def __init__(self):
+        self.roots: dict[Expr, Pow] = {}
+        self.powers: dict[tuple, list] = {}
+        self.reads: dict[Expr, dict | None] = {}
+
+    def key(self, mono: Mapping[Expr, Fraction]) -> tuple:
+        return _monomial_key(mono.items(), self.roots)
+
+    def expansion(self, base: Expr, k) -> list:
+        hit = self.powers.get((base, k))
+        if hit is None:
+            if isinstance(base, Fun):
+                e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k // 2)
+            else:
+                e = pow_(base, k)
+            p, _ = _to_poly(e)
+            hit = self.powers[(base, k)] = [(_base_exponents(m), c) for m, c in p.items()]
+        return hit
+
+    def settle(self, mono: dict, c: Fraction, acc: dict):
+        """Add c * mono to acc, reduced by the rules of the tree pass:
+
+        - a sum X with a positive integer part k (and a rational or product
+          base with any nonzero k) is replaced by the monomials of
+          ``_to_poly(pow_(X, k))``;
+        - sin(x)^n with an integer n >= 2 is replaced by the monomials of
+          ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
+          ``_sin_power_reduce`` does;
+        - each product is reduced again, and what is left is keyed by
+          ``_monomial_key``: zero exponents are dropped and a root that
+          reaches (X^(1/2))^2 becomes X (rho^2 = X).
+        """
+        for base, p in mono.items():
+            # the part of the exponent that is replaced by an expansion
+            if isinstance(base, Fun):
+                if base.name != "sin" or p.denominator != 1 or p < 2:
+                    continue
+                whole = p - p % 2
+            elif isinstance(base, (Rat, Mul, Add)):
+                whole = p if p.denominator == 1 else \
+                    p.numerator // 2 if p.denominator == 2 else 0
+                if not whole or (whole < 0 and isinstance(base, Add)):
+                    continue
+            else:
+                continue
+            rest = dict(mono)
+            rest[base] = p - whole
+            for m, mc in self.expansion(base, whole):
+                merged = dict(rest)
+                for b, x in m.items():
+                    merged[b] = merged[b] + x if b in merged else x
+                self.settle(merged, c * mc, acc)
+            return
+        key = self.key(mono)
+        acc[key] = acc[key] + c if key in acc else c
+
+    def times(self, a: dict, b: dict) -> dict:
+        """The product of two dicts, unsorted, zero terms dropped."""
+        acc: dict[tuple, Fraction] = {}
+        right = [(_base_exponents(k), c) for k, c in b.items()]
+        for ka, ca in a.items():
+            left = _base_exponents(ka)
+            for mb, cb in right:
+                mono = dict(left)
+                for base, x in mb.items():
+                    mono[base] = mono[base] + x if base in mono else x
+                self.settle(mono, ca * cb, acc)
+        return {k: c for k, c in acc.items() if c}
+
+    def read(self, e: Expr) -> dict:
+        """The dict of e before clearing, unsorted: the sum of its terms'
+        sparse reads, where a term that holds a quotient or radical of a
+        sum (``sparse`` gives None) is read by the tree pass instead."""
+        acc: dict[tuple, Fraction] = {}
+        for term in (e.terms if isinstance(e, Add) else (e,)):
+            poly = self.sparse(term)
+            if poly is None:
+                tree = expand(_trig_multiple_expand(expand(term)))
+                poly, _ = _to_poly(expand(_sin_power_reduce(tree)))
+            for k, c in poly.items():
+                acc[k] = acc[k] + c if k in acc else c
+        return {k: c for k, c in acc.items() if c}
+
+    def sparse(self, e: Expr) -> dict | None:
+        """The dict of e read by products, or None when e holds a negative
+        or fractional power of a base that is not an atom.
+
+        Only ``mul`` on trees cancels such a power against a multiple of its
+        base written out elsewhere in the product, as in
+        t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1) = t, so those terms keep
+        the tree pass.  A sin/cos atom is read as its multiple-angle
+        expansion (``_trig_multiple_expand``).
+        """
+        if e in self.reads:
+            return self.reads[e]
+        if isinstance(e, Rat):
+            out = {(): e.value} if e.value else {}
+        elif isinstance(e, Add):
+            parts = [self.sparse(t) for t in e.terms]
+            out = None if any(p is None for p in parts) else {}
+            for p in parts if out is not None else ():
+                for k, c in p.items():
+                    out[k] = out[k] + c if k in out else c
+            if out:
+                out = {k: c for k, c in out.items() if c}
+        elif isinstance(e, Mul):
+            parts = [self.sparse(f) for f in e.factors]
+            if any(p is None for p in parts):
+                out = None
+            elif not all(parts):   # a zero factor
+                out = {}
+            else:
+                # the one-term factors are merged into one monomial first
+                out, mono, c, sums = {}, {}, _UNIT, []
+                for p in parts:
+                    if len(p) > 1:
+                        sums.append(p)
+                        continue
+                    (k, x), = p.items()
+                    c *= x
+                    for base, q in _base_exponents(k).items():
+                        mono[base] = mono[base] + q if base in mono else q
+                self.settle(mono, c, out)
+                for p in sums:
+                    out = self.times(out, p)
+        elif isinstance(e, Pow):
+            base, p = e.base, e.exp
+            if isinstance(base, (Fun, AFun, AInt)):
+                base = _trig_multiple_expand(base)
+            if isinstance(base, _ATOMS):
+                out = {}
+                self.settle({base: p}, _UNIT, out)
+            elif p.denominator == 1 and p > 0:
+                out = b = self.sparse(base)
+                if b is not None:
+                    for _ in range(p.numerator - 1):
+                        out = self.times(out, b)
+            else:
+                out = None
+        else:
+            atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
+            out = {((atom, 1),): _UNIT} if isinstance(atom, _ATOMS) else self.sparse(atom)
+        self.reads[e] = out
+        return out
+
+
+def _term_sorted(poly: dict) -> dict:
+    """poly without zero terms, ordered as ``add`` orders the terms of the
+    expanded tree: by the ``_key`` of the term it holds for each monomial
+    (``c*rest`` as ``_mk_mul`` builds it, ``rest`` when c == 1).  That order
+    reaches printed output (see ``linalg.assemble_rows``)."""
+    def term_key(item) -> tuple:
+        key, c = item
+        if not key:
+            return rat(c)._key
+        if all(isinstance(a, _ATOMS) for a, _ in key):
+            # mul of distinct atoms to integer powers only sorts the powers,
+            # so their keys are built without building the term
+            keys = sorted(a._key if p == 1 else (7, a._key, p, 1) for a, p in key)
+            if c != 1:
+                return (8, (rat(c)._key, *keys))
+            return keys[0] if len(keys) == 1 else (8, tuple(keys))
+        # undo _monomial_key's split: a root or X^(p/q) atom goes back onto
+        # its base before the powers are taken, as in (t^2)^(-1/2)
+        pairs: dict[Expr, Fraction] = {}
+        for a, p in key:
+            if isinstance(a, Pow) and a.exp.denominator > 1 and p == 1:
+                a, p = a.base, a.exp
+            pairs[a] = pairs[a] + p if a in pairs else p
+        rest = mul(*[pow_(a, p) for a, p in pairs.items()])
+        return (rest if c == 1 else _mk_mul(c, rest))._key
+
+    return dict(sorted(((k, v) for k, v in poly.items() if v != 0), key=term_key))
+
+
 def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
     """Multiply through by positive powers of sum-based atoms in denominators.
 
     Needed for a complete zero test when an expanded polynomial part can
     cancel against an atomic inverse of the same sum, e.g. (x+y)*(x+y)^(-1).
     Multiplying by a nonzero function preserves zero-ness both ways.
-    Returns the cleared polynomial, the multiplier used (ONE if none) and
-    the decidability flag of the product.  The product is ``_poly_times``,
-    which also rewrites the sin(x)^n (n >= 2) that clearing multiplies
-    together, so the result needs no further pass.
+    Returns the cleared polynomial in term order (``_term_sorted``), the
+    multiplier used (ONE if none) and the decidability flag of the product,
+    which ``_poly_times`` takes.
     """
-    need: dict[Expr, Fraction] = {}
+    need: dict[Expr, int] = {}
     for key in poly:
         for atom, p in key:
             if p < 0 and isinstance(atom, Add):
-                need[atom] = max(need.get(atom, Fraction(0)), -p)
+                need[atom] = max(need.get(atom, 0), -p)
     if not need:
-        return poly, ONE, True
+        return _term_sorted(poly), ONE, True
     out, decidable = _poly_times(poly, need)
     return out, mul(*[pow_(a, p) for a, p in need.items()]), decidable
-
-
-def _base_exponents(key: tuple) -> dict[Expr, Fraction]:
-    """A monomial key as {base: exponent}: root and other power atoms are
-    folded into their bases, as ``mul`` merges the factors of a product."""
-    out: dict[Expr, Fraction] = {}
-    for atom, p in key:
-        if isinstance(atom, Pow):
-            atom, p = atom.base, atom.exp * p
-        out[atom] = out.get(atom, Fraction(0)) + p
-    return out
 
 
 def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool]:
     """The normal form of poly times the monomial prod(b^k for b, k in factor).
 
-    Works on the monomials themselves instead of expanding a product tree.
-    Each monomial is read as {base: exponent} (``_base_exponents``), the
-    factor's exponents are added, and the result is reduced by the rules
-    the first pass of ``_zero_normal_form`` applies to a product:
-
-    - a sum X with a positive integer part k (and a rational or product
-      base with any nonzero k) is replaced by the monomials of
-      ``_to_poly(pow_(X, k))``;
-    - sin(x)^n with an integer n >= 2 is replaced by the monomials of
-      ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
-      ``_sin_power_reduce`` does;
-    - each product is reduced again, and what is left is keyed by
-      ``_monomial_key``: zero exponents are dropped and a root that reaches
-      (X^(1/2))^2 becomes X (rho^2 = X).
-
-    The expansions and root atoms are kept for the length of the call only.
-    The result is ordered as ``_to_poly`` of the expanded product tree would
-    order it, by the ``_key`` of the term ``add`` holds for each monomial
-    (``c*rest`` as ``_mk_mul`` builds it, ``rest`` when c == 1), because
-    that order reaches printed output (see ``linalg.assemble_rows``).  The
-    flag is that of ``_decidable``, exactly what ``_to_poly`` reports on
-    that tree.
+    One ``_Product.times`` of poly and the one-term dict of the factor: each
+    monomial is read as {base: exponent} (``_base_exponents``), the factor's
+    exponents are added, and the result is reduced by ``_Product.settle``.
+    The result is in term order (``_term_sorted``), and the flag is that of
+    ``_decidable``, exactly what ``_to_poly`` reports on the expanded
+    product tree.
     """
-    acc: dict[tuple, Fraction] = {}
-    powers: dict[tuple, list] = {}
-    roots: dict[Expr, Pow] = {}
-
-    def expansion(base: Expr, k: Fraction) -> list:
-        hit = powers.get((base, k))
-        if hit is None:
-            if isinstance(base, Fun):
-                e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k / 2)
-            else:
-                e = pow_(base, k)
-            p, _ = _to_poly(e)
-            hit = powers[(base, k)] = [(_base_exponents(m), c) for m, c in p.items()]
-        return hit
-
-    def settle(mono: dict, c: Fraction):
-        for base, p in mono.items():
-            # the part of the exponent that is replaced by an expansion
-            if isinstance(base, Fun):
-                sin = base.name == "sin" and p.denominator == 1 and p >= 2
-                whole = p - p % 2 if sin else 0
-            else:
-                whole = p if p.denominator == 1 else \
-                    Fraction(p.numerator // 2) if p.denominator == 2 else 0
-            if whole and (isinstance(base, (Rat, Mul, Fun))
-                          or (isinstance(base, Add) and whole > 0)):
-                rest = dict(mono)
-                rest[base] = p - whole
-                for m, mc in expansion(base, whole):
-                    merged = dict(rest)
-                    for b, x in m.items():
-                        merged[b] = merged.get(b, Fraction(0)) + x
-                    settle(merged, c * mc)
-                return
-        key = _monomial_key(mono.items(), roots)
-        acc[key] = acc.get(key, Fraction(0)) + c
-
-    for key, c in poly.items():
-        mono = _base_exponents(key)
-        for base, k in factor.items():
-            mono[base] = mono.get(base, Fraction(0)) + k
-        settle(mono, c)
-
-    def term_key(item) -> tuple:
-        key, c = item
-        if not key:
-            return rat(c)._key
-        rest = mul(*[pow_(a, p) for a, p in key])
-        return (rest if c == 1 else _mk_mul(c, rest))._key
-
-    out = dict(sorted(((k, v) for k, v in acc.items() if v != 0), key=term_key))
+    product = _Product()
+    out = _term_sorted(product.times(poly, {product.key(factor): _UNIT}))
     return out, _decidable(out)
 
 
@@ -932,19 +1061,23 @@ _ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
 def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     """(polynomial, decidable, multiplier): the normal form of multiplier * e.
 
-    One pass over the tree (expand, sin/cos of integer multiples reduced to
-    the base angle, sin(x)^n reduced to cos powers, expand again) rewrites
-    every atom, inside radicals and denominators too; ``_to_poly`` reads
-    the result and ``_clear_denominators`` clears it on the monomials.  The
-    multiplier is the product of the nonzero denominators cleared (ONE if
-    none); normal forms of different expressions are comparable only where
-    their multipliers agree.
+    ``_Product.read`` reads the tree into the monomial dict with one sparse
+    product: sin/cos of integer multiples are reduced to the base angle,
+    sin(x)^n to cos powers, and products of sums are multiplied out on the
+    monomials.  A term that holds a negative or fractional power of a base
+    that is not an atom (a sum in a denominator or under a root) is read by
+    the tree pass instead (expand, multiple angles, expand, sin powers,
+    expand, ``_to_poly``), which also rewrites inside radicals and
+    denominators.  ``_clear_denominators`` then clears the dict with the
+    same product.  The multiplier is the product of the nonzero
+    denominators cleared (ONE if none); normal forms of different
+    expressions are comparable only where their multipliers agree.
     """
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
         return hit
-    e1 = expand(_trig_multiple_expand(expand(e)))
-    poly, decidable = _to_poly(expand(_sin_power_reduce(e1)))
+    poly = _Product().read(e)
+    decidable = _decidable(poly)
     poly, multiplier, cleared = _clear_denominators(poly)
     _ZNF_CACHE[e] = (poly, decidable and cleared, multiplier)
     return _ZNF_CACHE[e]

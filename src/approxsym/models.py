@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from . import expr as ex
 from .determine import AnsatzSpace, default_ansatz
-from .errors import ModelError, UnknownModel
+from .errors import ApproxSymError, ModelError, UnknownModel
 from .jet import JetSpace
 from .lang import Language, to_text
 from .linalg import Split, fe_expr, span_fits, split_column
@@ -50,7 +51,7 @@ class Model:
     functions: dict[str, dict]
     bodies: list[tuple[str, ex.Sym, ex.Expr]]   # parsed concrete functions
     oscillatory: bool
-    ansatz: AnsatzSpace
+    ansatz_bases: dict[tuple, list[ex.Expr]] | None   # None: the default ansatz
     golden: list[GoldenRecord] = field(default_factory=list)
     bindings: dict[str, float] = field(default_factory=dict)
     initial: dict[str, float] = field(default_factory=dict)
@@ -62,6 +63,15 @@ class Model:
     @property
     def constant_names(self) -> set[str]:
         return set(self.constants)
+
+    @cached_property
+    def ansatz(self) -> AnsatzSpace:
+        """The ansatz, built and independence-checked on first use: of the
+        subcommands only ``determine`` reads it, and the check grows steeply
+        with order_p."""
+        if self.ansatz_bases is None:
+            return default_ansatz(self.space, self.oscillatory)
+        return AnsatzSpace(self.space, dict(self.ansatz_bases))
 
     def time_grid(self) -> tuple[float, float, float]:
         """(t0, t1, h) of the numeric grid; ModelError unless it gives an RK4 step."""
@@ -108,13 +118,18 @@ def load_model_dict(data: dict) -> Model:
         functions={n: f.get("arity", 1) for n, f in functions.items()},
         constants=set(constants))
     src = lang.parse(data["lagrangian"])
+    for name, spec in functions.items():
+        _check_formal(name, spec, lang)
     bodies = _bodies(functions, lang)
+    for name, formal, body in bodies:
+        stray = ex.atoms_of(body, (ex.Sym, ex.Jet, ex.Eps)) - {formal, *map(ex.sym, constants)}
+        if stray:
+            raise ModelError(f"functions.{name}.concrete: may use only the formal "
+                             f"{formal.name!r} and declared constants, not "
+                             f"{', '.join(sorted(map(to_text, stray)))}")
     lag = PerturbedLagrangian.from_expression(_substitute(src, bodies), space)
     ansatz_data = _optional(data, "ansatz", dict, {})
-    if ansatz_data:
-        ansatz = _parse_ansatz(ansatz_data, space, lang)
-    else:
-        ansatz = default_ansatz(space, bool(data.get("oscillatory")))
+    ansatz_bases = _ansatz_bases(ansatz_data, space, lang) if ansatz_data else None
     numbers = {key: dict(_optional(data, key, dict, {}))
                for key in ("bindings", "initial", "grid")}
     for key in ("bindings", "initial"):
@@ -124,7 +139,7 @@ def load_model_dict(data: dict) -> Model:
     model = Model(
         name=data["name"], space=space, language=lang, lagrangian_source=src,
         lagrangian=lag, constants=constants, functions=functions, bodies=bodies,
-        oscillatory=bool(data.get("oscillatory")), ansatz=ansatz, **numbers,
+        oscillatory=bool(data.get("oscillatory")), ansatz_bases=ansatz_bases, **numbers,
         dependencies=_strings(data, "dependencies"), notes=_strings(data, "notes"),
         raw=data)
     for i, rec in enumerate(_optional(data, "golden", list, [])):
@@ -185,8 +200,24 @@ def concretize(e: ex.Expr, functions: dict[str, dict], lang: Language) -> ex.Exp
 
 def _bodies(functions: dict[str, dict], lang: Language) -> list[tuple[str, ex.Sym, ex.Expr]]:
     """(name, formal argument, parsed body) of every function with a closed form."""
-    return [(name, ex.sym(f.get("formal", "w")), lang.parse(f["concrete"]))
+    return [(name, ex.sym(f.get("formal") or "w"), lang.parse(f["concrete"]))
             for name, f in functions.items() if f.get("concrete")]
+
+
+def _check_formal(name: str, spec: dict, lang: Language):
+    """A function's formal (``w`` when a body is given without one) must be
+    an identifier that the model's language reads as a fresh symbol: not an
+    independent or dependent variable, not eps and not a constant."""
+    if spec.get("formal") is None and not spec.get("concrete"):
+        return
+    formal = spec.get("formal") or "w"
+    try:
+        fresh = formal.isidentifier() and lang.parse(formal) == ex.sym(formal)
+    except ApproxSymError:
+        fresh = False
+    if not fresh or formal in lang.independent or formal in lang.constants:
+        raise ModelError(f"functions.{name}.formal: expected a name that is no "
+                         f"variable or constant, got {formal!r}")
 
 
 def _substitute(e: ex.Expr, bodies: list[tuple[str, ex.Sym, ex.Expr]]) -> ex.Expr:
@@ -219,8 +250,9 @@ def _strings(data: dict, key: str, where: str = "") -> list[str]:
     return list(values)
 
 
-def _parse_ansatz(data: dict, space: JetSpace, lang: Language) -> AnsatzSpace:
-    """Keys like "xi0", "eta1", "phi0" (all slots) or "eta0_v" (one slot)."""
+def _ansatz_bases(data: dict, space: JetSpace, lang: Language) -> dict[tuple, list[ex.Expr]]:
+    """The parsed bases of keys like "xi0", "eta1", "phi0" (all slots) or
+    "eta0_v" (one slot); ``Model.ansatz`` builds the AnsatzSpace from them."""
     import re
     bases: dict[tuple, list[ex.Expr]] = {}
     for key in data:
@@ -243,7 +275,7 @@ def _parse_ansatz(data: dict, space: JetSpace, lang: Language) -> AnsatzSpace:
         for k in range(space.order + 1):
             for idx in range(count):
                 bases.setdefault((kind, k, idx), [])
-    return AnsatzSpace(space, bases)
+    return bases
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI: commands, formats, exit-code taxonomy, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,54 @@ def test_malformed_model_field_is_named(tmp_path, field, value, named):
                check=False)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {named}:"), proc.stderr
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"concrete": "w^2", "formal": "2"}, "formal"),      # not an identifier
+    ({"concrete": "u^2", "formal": "u"}, "formal"),      # a dependent variable
+    ({"concrete": "t^2", "formal": "t"}, "formal"),      # the independent variable
+    ({"concrete": "eps*w", "formal": "eps"}, "formal"),  # the small parameter
+    ({"concrete": "k*w", "formal": "k"}, "formal"),      # a declared constant
+    ({"concrete": "w^2 + t"}, "concrete"),               # t beside the default formal w
+    ({"concrete": "w*z", "formal": "w"}, "concrete"),    # an undeclared symbol
+    ({"concrete": "w*u0", "formal": "w"}, "concrete"),   # a jet coordinate
+])
+def test_function_formal_and_body_are_checked(tmp_path, spec, named):
+    # the formal "2" used to load and expand to L0 = -w^2 + 1/2*du0#t^2
+    path = write_model(tmp_path, "1/2*du#t^2 - F(u)", functions={"F": spec},
+                       constants={"k": None})
+    proc = run("expand", path, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: functions.F.{named}:"), proc.stderr
+
+
+def test_function_body_in_its_formal_and_constants_loads(tmp_path):
+    path = write_model(tmp_path, "1/2*du#t^2 - F(u)", constants={"k": None},
+                       functions={"F": {"concrete": "(v + k)^2", "formal": "v"}})
+    data = json.loads(run("expand", path, "--format", "json").stdout)
+    assert data["lagrangian"][0] == "-(k + u0)^2 + 1/2*du0#t^2"
+
+
+def test_expand_and_golden_never_build_the_ansatz(monkeypatch, capsys):
+    from approxsym import cli, determine
+    from approxsym.models import load_builtin
+
+    def checked(basis, key):
+        raise AssertionError(f"ansatz family {key} checked")
+    monkeypatch.setattr(determine, "_check_independent", checked)
+    assert cli.main(["expand", "--model", "coupled-system"]) == 0
+    assert cli.main(["golden", "--model", "free-particle"]) == 0
+    with pytest.raises(AssertionError, match="checked"):
+        load_builtin("free-particle").ansatz
+
+
+def test_python_dash_m_approxsym_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "approxsym", "models"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "three-body" in proc.stdout
 
 
 @pytest.mark.parametrize("field, value", [

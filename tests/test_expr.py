@@ -223,6 +223,84 @@ def test_clearing_matches_the_tree_on_drawn_sums(e):
 
 
 # ---------------------------------------------------------------------------
+# the sparse read of the normal form against the tree pass it replaced
+
+
+def tree_normal_form(e):
+    """The reference: distribute the tree (expand, multiple angles, expand,
+    sin powers, expand), read it with ``_to_poly`` and clear it with
+    ``_clear_denominators``, which the tests above hold to ``tree_clear``."""
+    poly, decidable = ex._to_poly(ex.expand(ex._sin_power_reduce(
+        ex.expand(ex._trig_multiple_expand(ex.expand(e))))))
+    out, multiplier, cleared = ex._clear_denominators(poly)
+    return out, decidable and cleared, multiplier
+
+
+def assert_reads_like_the_tree(e):
+    out, decidable, multiplier = ex._zero_normal_form(e)
+    ref, ref_decidable, ref_multiplier = tree_normal_form(e)
+    assert list(out.items()) == list(ref.items())   # same keys in the same order
+    assert decidable is ref_decidable
+    assert multiplier == ref_multiplier
+
+
+@pytest.mark.parametrize("text", [
+    # only mul on the tree cancels the numerator against 1/(1 + u0): t
+    "t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1)",
+    "t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1) + (u0 + v0)^2*sin(2*t)",
+    "(sin(t) + cos(2*t))^2*(u0 + sin(3*t)) - sin(2*t)^3",
+    "(1 + u0)^3*(u0 - v0)^2 - F(u0)*k*(t + sin(t))^2",
+    "(x^2 + y^2)^(1/2)*u0 + (1 + sin(t)^2)^(1/2) - (2 - cos(t)^2)^(1/2)",
+    "sin(2*t)^(-1)*sin(t) + cos(2*t)^(-1)*(2*cos(t)^2 - 1) + sin(t)^(-2)*sin(t)^3",
+    "2^(1/2)*u0*(1 + 2^(1/2)*u0)^2 + 2^(3/2)",
+    "u0^(1/3)*(u0^(2/3) + t)^2 + u0^(1/2)*(u0^(1/2) + 1)^2",
+    "F(sin(2*t))*(1 + sin(t))^2 - F'(u0)*(u0 + k)^(-2)",
+    "sin(t)^(5/2)*sin(t)^(-1/2) + eps*(u0 + eps)^2",
+])
+def test_normal_form_reads_like_the_tree_on_picked_expressions(text):
+    assert_reads_like_the_tree(p(text))
+
+
+@st.composite
+def normal_form_inputs(draw):
+    """Sums of products of atoms, small sums, integer powers of sums, sin
+    powers and negative or half-integer powers of sums, over t, u0, v0, a
+    constant k, F(u0) and sin/cos of 1-3 times t."""
+    t = ex.sym("t")
+    atoms = [t, ex.jet("u", 0), ex.jet("v", 0), ex.sym("k"), p("F(u0)"),
+             ex.rat(2), ex.rat(Fraction(-1, 3))]
+    atoms += [ex.fun(f, ex.mul(ex.rat(m), t)) for f in ("sin", "cos") for m in (1, 2, 3)]
+
+    def small_sum():
+        s = ex.add(*[ex.mul(draw(st.sampled_from(atoms)), draw(st.sampled_from(atoms)))
+                     for _ in range(draw(st.integers(1, 3)))])
+        return ex.add(s, ex.ONE) if s == ex.ZERO else s
+
+    def factor():
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            return draw(st.sampled_from(atoms))
+        if kind == 1:
+            return small_sum()
+        if kind == 2:
+            return ex.pow_(small_sum(), draw(st.integers(2, 3)))
+        if kind == 3:
+            return ex.pow_(ex.fun("sin", ex.mul(ex.rat(draw(st.integers(1, 2))), t)),
+                           draw(st.integers(2, 4)))
+        return ex.pow_(small_sum(), draw(st.sampled_from(
+            [-1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])))
+
+    return ex.add(*[ex.mul(*[factor() for _ in range(draw(st.integers(1, 3)))])
+                    for _ in range(draw(st.integers(1, 3)))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(normal_form_inputs())
+def test_normal_form_reads_like_the_tree_on_drawn_expressions(e):
+    assert_reads_like_the_tree(e)
+
+
+# ---------------------------------------------------------------------------
 # randomized invariants
 
 

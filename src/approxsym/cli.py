@@ -18,7 +18,7 @@ from .errors import (ApproxSymError, FormulaMismatch, ModelError,
 from .lang import to_latex, to_text
 from .linalg import fe_expr
 from .models import (Model, builtin_names, concretize, golden_check, load_builtin,
-                     load_model_dict, parse_generator)
+                     load_model_dict, named, parse_generator)
 from .noether import ConservationLaw, classify, divergence_check, noether_fluxes
 from .numverify import compile_numeric, drift, eps_sweep, integrate
 
@@ -108,14 +108,10 @@ def _generator_override(args, model: Model):
 
     def rows(text, width):
         return (json.loads(text) if text else None) or [["0"] * width for _ in range(p + 1)]
-    try:
+    with named("generator override"):   # JSONDecodeError is a ValueError
         return parse_generator(model, {
             "xi": rows(args.xi, model.space.n), "eta": rows(args.eta, model.space.m),
             "phi": json.loads(args.phi) if args.phi else None})
-    except (ValueError, TypeError) as err:
-        # JSONDecodeError is a ValueError; so are the shape checks of the
-        # generator and gauge constructors
-        raise ModelError(f"generator override: {err}")
 
 
 def cmd_noether(args) -> int:
@@ -154,10 +150,10 @@ def cmd_verify(args) -> int:
     payload: dict = {"model": model.name, "laws": []}
     text = []
     if args.sweep:
-        try:
+        with named("--sweep"):
             eps_values = [float(s) for s in args.sweep.split(",")]
-        except ValueError as err:
-            raise ModelError(f"--sweep: {err}")
+            if not all(map(math.isfinite, eps_values)):
+                raise ValueError(f"expected finite numbers, got {args.sweep!r}")
         source = concretize(model.lagrangian_source, model.functions, model.language)
     if recs and (args.numeric or args.csv):
         nm = compile_numeric(model.lagrangian, model.bindings)

@@ -30,7 +30,7 @@ from .linalg import (FE, assemble_rows, coefficient_rows, common_multiplier, fe_
                      nullspace, span_fits, sparse_rref, split_column)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from .perturb import (EpsSeries, const_series, series_divergence, series_shift,
-                      series_sub)
+                      series_sub, validate_triangular)
 from .symmetry import Generator
 
 __all__ = ["AnsatzSpace", "DeterminingSystem", "Solution", "default_ansatz",
@@ -51,14 +51,8 @@ class AnsatzSpace:
         checked = set()   # families often share a basis: check each once
         for key, basis in self.bases.items():
             kind, k, slot = key
-            pruned = []
-            for b in basis:
-                if kind in SEED_KINDS and not _seed_ok(b):
-                    continue
-                if kind == "phi" and not _gauge_ok(b, k):
-                    continue
-                if b not in pruned:
-                    pruned.append(b)
+            at = 0 if kind in SEED_KINDS else k   # a seed is expanded from order 0
+            pruned = list(dict.fromkeys(b for b in basis if _fits(b, at)))
             self.bases[key] = pruned
             if tuple(pruned) not in checked:
                 checked.add(tuple(pruned))
@@ -71,14 +65,14 @@ class AnsatzSpace:
         return self.bases[key]
 
 
-def _seed_ok(b: ex.Expr) -> bool:
-    return all(j.order == 0 and not j.deriv for j in ex.jets_of(b)) \
-        and not ex.contains_eps(b)
-
-
-def _gauge_ok(b: ex.Expr, k: int) -> bool:
-    return all(j.order is not None and j.order <= k and not j.deriv
-               for j in ex.jets_of(b)) and not ex.contains_eps(b)
+def _fits(b: ex.Expr, k: int) -> bool:
+    """Whether b may sit at eps order k of an infinitesimal or gauge series;
+    elements that may not are pruned from the basis."""
+    try:
+        validate_triangular(EpsSeries((ex.ZERO,) * k + (b,)), 0)
+    except ValueError:
+        return False
+    return True
 
 
 def _check_independent(basis: list[ex.Expr], key):
@@ -86,7 +80,7 @@ def _check_independent(basis: list[ex.Expr], key):
         return
     rows = coefficient_rows([[b] for b in basis], ()).values()
     if len(sparse_rref(rows, len(basis))) != len(basis):
-        raise ValueError(f"ansatz basis for {key} is linearly dependent")
+        raise ValueError(f"basis for {key} is linearly dependent")
 
 
 def default_ansatz(space: JetSpace, oscillatory: bool = False) -> AnsatzSpace:

@@ -116,21 +116,14 @@ def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
     distinct = dict.fromkeys(tuple(r.items()) for r in rows)
     pending = [{c: v for c, v in items if not fe_is_zero(v)} for items in distinct]
     pending = [r for r in pending if r]
+    lead = None   # the pivot column promoted in the previous round
     while pending:
-        # reduce every pending row against current pivots, then promote one
-        reduced = []
-        for row in pending:
-            while True:
-                hit = None
-                for c in sorted(row):
-                    if c in pivots:
-                        hit = c
-                        break
-                if hit is None:
-                    break
-                row = _axpy(row, pivots[hit], fe_neg(row[hit]))
-            if row:
-                reduced.append(row)
+        # every pending row and every promoted row was reduced against the
+        # pivots before it, and back-substitution keeps pivot rows reduced,
+        # so the newest pivot column is the only one a pending row can hold
+        reduced = [_axpy(row, pivots[lead], fe_neg(row[lead])) if lead in row else row
+                   for row in pending]
+        reduced = [row for row in reduced if row]
         if not reduced:
             break
         # promote the row whose leading column is smallest; prefer rational pivots

@@ -12,6 +12,7 @@ additive constants (conserved quantities are only defined up to those).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -28,7 +29,18 @@ from .perturb import EpsSeries
 from .symmetry import Generator
 
 __all__ = ["Model", "GoldenRecord", "load_builtin", "load_model_dict",
-           "builtin_names", "golden_check", "concretize", "parse_generator"]
+           "builtin_names", "golden_check", "concretize", "parse_generator", "named"]
+
+
+@contextmanager
+def named(where: str):
+    """Report a ValueError or TypeError raised inside, such as the shape and
+    jet checks of the series, generator and gauge constructors, as a
+    ModelError naming ``where``."""
+    try:
+        yield
+    except (ValueError, TypeError) as err:
+        raise ModelError(f"{where}: {err}") from err
 
 
 @dataclass
@@ -71,7 +83,8 @@ class Model:
         with order_p."""
         if self.ansatz_bases is None:
             return default_ansatz(self.space, self.oscillatory)
-        return AnsatzSpace(self.space, dict(self.ansatz_bases))
+        with named("ansatz"):
+            return AnsatzSpace(self.space, dict(self.ansatz_bases))
 
     def time_grid(self) -> tuple[float, float, float]:
         """(t0, t1, h) of the numeric grid; ModelError unless it gives an RK4 step."""
@@ -79,7 +92,7 @@ class Model:
             if key not in self.grid:
                 raise ModelError(f"grid: missing {key}")
             v = self.grid[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not _finite(v):
                 raise ModelError(f"grid: {key} must be a finite number, got {v!r}")
         t0, t1, h = self.grid["t0"], self.grid["t1"], self.grid["h"]
         if h == 0.0:
@@ -98,12 +111,10 @@ def load_model_dict(data: dict) -> Model:
             raise ModelError(f"{key}: expected a non-empty list")
     _require(data, "order_p", int)
     _require(data, "lagrangian", str)
-    try:
+    with named("jet space"):   # the range checks of the jet space
         space = JetSpace(tuple(_strings(data, "independent")),
                          tuple(_strings(data, "dependent")), data["order_p"],
                          _optional(data, "max_derivative", int, 2))
-    except ValueError as err:   # the range checks of the jet space
-        raise ModelError(f"jet space: {err}")
     constants = {}
     for name, spec in _optional(data, "constants", dict, {}).items():
         if spec is not None and not isinstance(spec, dict):
@@ -127,15 +138,16 @@ def load_model_dict(data: dict) -> Model:
             raise ModelError(f"functions.{name}.concrete: may use only the formal "
                              f"{formal.name!r} and declared constants, not "
                              f"{', '.join(sorted(map(to_text, stray)))}")
-    lag = PerturbedLagrangian.from_expression(_substitute(src, bodies), space)
+    with named("lagrangian"):
+        lag = PerturbedLagrangian.from_expression(_substitute(src, bodies), space)
     ansatz_data = _optional(data, "ansatz", dict, {})
     ansatz_bases = _ansatz_bases(ansatz_data, space, lang) if ansatz_data else None
     numbers = {key: dict(_optional(data, key, dict, {}))
                for key in ("bindings", "initial", "grid")}
     for key in ("bindings", "initial"):
         for name, value in numbers[key].items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ModelError(f"{key}.{name}: expected a number")
+            if not _finite(value):
+                raise ModelError(f"{key}.{name}: expected a finite number")
     model = Model(
         name=data["name"], space=space, language=lang, lagrangian_source=src,
         lagrangian=lag, constants=constants, functions=functions, bodies=bodies,
@@ -153,13 +165,10 @@ def load_model_dict(data: dict) -> Model:
             if not all(isinstance(row, list) for row in _optional(rec, key, list, [], where)):
                 raise ModelError(f"{where}{key}: expected a list of lists")
         texts = _optional(rec, "quantity", list, [], where)
-        try:
+        with named(f"golden[{i}] ({rec['name']})"):
             gen, gauge = parse_generator(model, rec)
             quantity = (EpsSeries(tuple(_parse(model, s) for s in texts))
                         if texts else None)
-        except (ValueError, TypeError) as err:
-            # the shape checks of the generator, gauge and series constructors
-            raise ModelError(f"golden[{i}] ({rec['name']}): {err}")
         model.golden.append(GoldenRecord(
             rec["name"], gen, gauge, quantity,
             _optional(rec, "expect", str, "nontrivial", where)))
@@ -241,6 +250,15 @@ def _optional(data: dict, key: str, type_, default, where: str = ""):
     if data.get(key) is None:
         return default
     return _require(data, key, type_, where)
+
+
+def _finite(value) -> bool:
+    """A JSON number that is finite as a float (a bool is not a number)."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, (int, float))
+                and math.isfinite(value))
+    except OverflowError:   # an integer too large for a float
+        return False
 
 
 def _strings(data: dict, key: str, where: str = "") -> list[str]:

@@ -27,7 +27,7 @@ from .jet import JetSpace, total_derivative
 from .linalg import coefficient_rows, fe_expr, nullspace, solve_dense
 from .perturb import (EpsSeries, const_series, expand_series, jet_series,
                       series_add, series_divergence, series_mul, series_shift,
-                      series_sub, series_u_partial)
+                      series_sub, series_u_partial, validate_triangular)
 from .symmetry import Generator
 
 __all__ = ["PerturbedLagrangian", "GaugeTerm", "ConservationLaw",
@@ -44,13 +44,7 @@ class PerturbedLagrangian:
     def __post_init__(self):
         if self.L.order != self.space.order:
             raise ValueError("Lagrangian series order must match the space")
-        for k, c in enumerate(self.L.coeffs):
-            for j in ex.jets_of(c):
-                if len(j.deriv) > 1:
-                    raise ValueError("only first-order Lagrangians are supported")
-                if j.order is None or j.order > k:
-                    raise ValueError(
-                        f"L_{k} references {j!r} outside (x, u_(0)..u_({k}))")
+        validate_triangular(self.L, 1)
         self._warn_nonlinear()
 
     def _warn_nonlinear(self):
@@ -82,13 +76,7 @@ class GaugeTerm:
         for s in self.phi:
             if s.order != self.space.order:
                 raise ValueError("gauge series order must match the space")
-            for k, c in enumerate(s.coeffs):
-                for j in ex.jets_of(c):
-                    if j.deriv:
-                        raise ValueError(f"gauge terms cannot contain derivatives: {j!r}")
-                    if j.order is None or j.order > k:
-                        raise ValueError(
-                            f"phi_{k} references {j!r} outside (x, u_(0)..u_({k}))")
+            validate_triangular(s, 0)
 
     @classmethod
     def zero(cls, space: JetSpace) -> "GaugeTerm":

@@ -220,9 +220,6 @@ def integrate(model: NumericModel, y0, t0: float, t1: float, h: float) -> Trajec
 @dataclass
 class DriftReport:
     max_drift: list[float]           # per eps order
-    initial: list[float]
-    h: float
-    span: tuple[float, float]
 
     def worst(self) -> float:
         return max(self.max_drift)
@@ -246,8 +243,7 @@ def drift(traj: Trajectory, law: ConservationLaw, model: NumericModel) -> DriftR
                     worst[k] = d
     except _FLOAT_FAULTS as err:
         raise _non_finite(f"the coefficients of {law.name or 'the law'}", t, err) from None
-    return DriftReport(worst, list(first), traj.ts[1] - traj.ts[0],
-                       (traj.ts[0], traj.ts[-1]))
+    return DriftReport(worst)
 
 
 @dataclass

@@ -256,15 +256,18 @@ def _expand_apply(e: ex.Expr, space: JetSpace) -> EpsSeries:
     return out
 
 
-def validate_triangular(s: EpsSeries):
-    """Coefficient k may only reference jet coordinates u_(l) with l <= k."""
+def validate_triangular(s: EpsSeries, max_deriv: int | None = None):
+    """Coefficient k may only reference jet coordinates u_(l) with l <= k
+    (no unexpanded base), each with at most ``max_deriv`` derivatives (no
+    bound when None); ValueError otherwise."""
     for k, c in enumerate(s.coeffs):
         for j in ex.jets_of(c):
-            if j.order is None:
-                raise ValueError(f"unexpanded base variable {j!r} in series coefficient")
-            if j.order > k:
-                raise ValueError(
-                    f"series coefficient {k} references {j!r} of higher eps order")
+            if j.order is None or j.order > k or (
+                    max_deriv is not None and len(j.deriv) > max_deriv):
+                bound = ("" if max_deriv is None
+                         else f" of derivative order at most {max_deriv}")
+                raise ValueError(f"coefficient {k} references {j!r} outside "
+                                 f"(x, u_(0)..u_({k})){bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +326,7 @@ def build_infinitesimals(seeds: list[ex.Expr], space: JetSpace) -> EpsSeries:
     reopen = {ex.jet(b, 0): ex.jet(b, None) for b in space.dependent}
     total = const_series(ex.ZERO, p)
     for j, s in enumerate(seeds):
-        for jt in ex.jets_of(s):
-            if jt.order != 0 or jt.deriv:
-                raise ValueError(f"seed {s!r} must depend on (x, u_(0)) only")
-        if ex.contains_eps(s):
-            raise ValueError("seeds are eps-free by construction")
+        validate_triangular(EpsSeries((s,)), 0)
         if s == ex.ZERO:
             continue
         expanded = _expand_series(ex.subst(s, reopen), space)

@@ -42,19 +42,9 @@ class Generator:
         for s in self.xi + self.eta:
             if s.order != sp.order:
                 raise ValueError("infinitesimal series order must match the space")
-            validate_triangular(s)
-            for c in s.coeffs:
-                for j in ex.jets_of(c):
-                    if j.deriv:
-                        raise ValueError(
-                            f"point-generator infinitesimals cannot contain {j!r}")
+            validate_triangular(s, 0)
 
     # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls, space: JetSpace) -> "Generator":
-        z = _zero_series(space)
-        return cls(space, (z,) * space.n, (z,) * space.m)
 
     @classmethod
     def from_seeds(cls, space: JetSpace, xi_seeds, eta_seeds) -> "Generator":
@@ -67,8 +57,10 @@ class Generator:
     def from_components(cls, space: JetSpace, xi_rows, eta_rows) -> "Generator":
         """Build from tilde coefficient matrices indexed [k][i] / [k][alpha]."""
         p = space.order
-        if len(xi_rows) != p + 1 or len(eta_rows) != p + 1:
-            raise ValueError("generator matrices need one row per eps order")
+        if [len(r) for r in xi_rows] != [space.n] * (p + 1) \
+                or [len(r) for r in eta_rows] != [space.m] * (p + 1):
+            raise ValueError("generator matrices need one row per eps order "
+                             "and one entry per variable")
         xi = tuple(EpsSeries(tuple(xi_rows[k][i] for k in range(p + 1)))
                    for i in range(space.n))
         eta = tuple(EpsSeries(tuple(eta_rows[k][a] for k in range(p + 1)))

@@ -1,5 +1,6 @@
 """CLI: commands, formats, exit-code taxonomy, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "approxsym.cli"]
 
@@ -231,12 +234,88 @@ _RECORD = {"name": "E", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]]}
     ("golden", [{**_RECORD, "phi": [1]}], "golden[0].phi"),
     ("golden", [{**_RECORD, "xi": [1, 2]}], "golden[0].xi"),
     ("golden", [{**_RECORD, "eta": ["0", "0"]}], "golden[0].eta"),
+    ("golden", [{**_RECORD, "xi": [["1", "t"], ["0", "0"]]}], "golden[0] (E)"),  # width 2
 ])
 def test_malformed_model_field_is_named(tmp_path, field, value, named):
     proc = run("expand", write_model(tmp_path, "1/2*du#t^2", **{field: value}),
                check=False)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: {named}:"), proc.stderr
+
+
+_FREE_LAW = {"grid": {"t0": 0.0, "t1": 1.0, "h": 1e-2},
+             "initial": {"u0": 0.0, "du0#t": 1.0, "u1": 0.0, "du1#t": 0.0},
+             "golden": [{"name": "Xi1", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]],
+                         "quantity": ["1/2*du0#t^2", "du0#t*du1#t"]}]}
+
+
+@pytest.mark.parametrize("command, lagrangian, fields, named", [
+    ("expand", "1/2*du#t^2 + u1", {}, "lagrangian"),       # u_(1) in L_0
+    ("expand", "1/2*ddu#t#t^2", {}, "lagrangian"),         # not first order
+    ("determine", "1/2*du#t^2", {"ansatz": {"xi0": ["1", "2"]}}, "ansatz"),  # dependent
+    ("verify", "1/2*du#t^2 - 1/2*k*u^2",
+     {**_FREE_LAW, "constants": {"k": None}, "bindings": {"k": float("inf")}}, "bindings.k"),
+    ("verify", "1/2*du#t^2",
+     {**_FREE_LAW, "initial": {**_FREE_LAW["initial"], "u0": float("nan")}}, "initial.u0"),
+])
+def test_model_constructor_error_is_named(tmp_path, command, lagrangian, fields, named):
+    # each of these used to end in a ValueError or NameError traceback, exit 1
+    path = write_model(tmp_path, lagrangian, **fields)
+    proc = run(command, path, *(["--numeric"] if command == "verify" else []), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {named}:"), proc.stderr
+
+
+@pytest.mark.parametrize("sweep", ["nan", "1e-2,inf", "1e400"])
+def test_non_finite_sweep_exits_2(sweep):
+    proc = run("verify", "--model", "oscillator-quadratic", "--law", "Xi1",
+               "--sweep", sweep, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: --sweep:"), proc.stderr
+
+
+_BAD_ROWS = [[["u1"], ["0"]], [["du0#t"], ["0"]], [["u2"], ["0"]], [["1"]],
+             [["1", "2"], ["0"]], [["eps"], ["0"]], [[1], [0]], [["("], ["0"]], "x"]
+_NUMBERS = [{"k": float("nan")}, {"u0": float("inf")}, {"k": -float("inf")},
+            {"k": 10 ** 400}, {"k": "1"}, {"k": True}, [1]]
+# (path into the free-particle builtin, value), one field per mutation
+_MUTATIONS = (
+    [(("lagrangian",), text) for text in (
+        "u1", "ddu#t#t", "1/2*ddu#t#t^2", "1/0", "(", "F(u,u)", "eps^-1", "1/eps",
+        "du#t^2/(u - u)", "1/2*du#t^2 + u1", "du1#t^2", "", "sin(", "log(0)", "0^(-1/2)",
+        "u^(1/2)", "1/2*du#t^2*", "@", "(10^400)^(1/2)", "du#x^2")]
+    + [(("golden", 0, key), rows) for key in ("xi", "eta", "phi") for rows in _BAD_ROWS]
+    + [(("golden", 0, "phi"), rows) for rows in ([["du0#t", "0"]], [["0", "u2"]], [1])]
+    + [(("golden", 0, "quantity"), texts) for texts in (
+        ["u2", "0"], ["(", "0"], [1], "q", ["eps", "0"], [["0"]])]
+    + [((key,), value) for key in ("bindings", "initial") for value in _NUMBERS]
+    + [((key,), value) for key, values in {
+        "constants": [["a"], 3, {"k": 3}, {"u": None}],
+        "functions": [["F"], {"F": 3}, {"F": {"arity": "1"}}, {"F": {"concrete": "("}}],
+        "ansatz": [["1"], {"xi0": "1"}, {"xi0": [1]}, {"xi0": ["u1"]}, {"xi9": ["1"]}],
+        "grid": ["x", [1]], "golden": [{}, [1], [{}]],
+        "max_derivative": ["2", -1, 0, True], "order_p": [-1, True, "1", 1.5],
+        "dependencies": [5, [1]], "notes": [{}, [None]],
+        "independent": [[], ["t", "t"], ["x", "t"], ["eps"]],
+        "dependent": [["t"], ["u", "u"], ["eps"]],
+    }.items() for value in values])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(_MUTATIONS))
+def test_mutated_model_exits_0_or_2(tmp_path, capsys, mutation):
+    from approxsym import cli
+    from approxsym.models import _BUILTINS
+    (*parents, key), value = mutation
+    data = copy.deepcopy(_BUILTINS["free-particle"])
+    node = data
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["expand", str(path)]) in (0, 2), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, named", [

@@ -160,3 +160,13 @@ def test_dependency_validation():
         validate_triangular(EpsSeries((ex.jet("u", 1), ex.ZERO)))
     with pytest.raises(ValueError):
         build_infinitesimals([ex.jet("u", 1), ex.ZERO], SP)
+
+
+def test_triangular_derivative_bound():
+    s = EpsSeries((L.parse("du0#t"), L.parse("ddu1#t#t")))
+    validate_triangular(s)
+    with pytest.raises(ValueError, match="coefficient 1 references ddu1#t#t outside "
+                                         r"\(x, u_\(0\)..u_\(1\)\) of derivative order at most 1"):
+        validate_triangular(s, 1)
+    with pytest.raises(ValueError, match="coefficient 0 references du0#t"):
+        validate_triangular(s, 0)

@@ -1,8 +1,9 @@
 """Command-line front end: expand | determine | noether | verify | models.
 
 Model files are JSON (schema 1); builtins are the same format embedded and
-selected with --model.  Exit codes: 0 success, 2 model errors, 3 symbolic
-pivot ambiguity, 4 non-symmetry / formula mismatch, 5 non-finite state.
+selected with --model.  Exit codes: 0 success, 1 a failed golden record or
+standard output closed early, 2 model errors, 3 symbolic pivot ambiguity,
+4 non-symmetry / formula mismatch, 5 non-finite state.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .errors import (ApproxSymError, FormulaMismatch, ModelError,
@@ -278,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# exit code of each error class that is not a model error (2)
+# exit code of each error class that is not a model error (2); standard
+# output closed before everything was written (`| head`) exits 1, as Python
+# itself does on EPIPE
 EXIT_CODES = {SymbolicPivotAmbiguity: 3, NotAVariationalSymmetry: 4,
               FormulaMismatch: 4, NonFiniteState: 5}
 
@@ -287,10 +291,17 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ApproxSymError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CODES.get(type(err), 2)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit: point it at devnull
+        # so that flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -129,6 +129,8 @@ def load_model_dict(data: dict) -> Model:
         functions={n: f.get("arity", 1) for n, f in functions.items()},
         constants=set(constants))
     src = lang.parse(data["lagrangian"])
+    with named("lagrangian"):
+        _declared(src, lang)
     for name, spec in functions.items():
         _check_formal(name, spec, lang)
     bodies = _bodies(functions, lang)
@@ -199,7 +201,18 @@ def parse_generator(model: Model, rec: dict) -> tuple[Generator, GaugeTerm]:
 def _parse(model: Model, text: str) -> ex.Expr:
     if not isinstance(text, str):
         raise TypeError(f"expected an expression string, got {text!r}")
-    return _substitute(model.language.parse(text), model.bodies)
+    return _substitute(_declared(model.language.parse(text), model.language), model.bodies)
+
+
+def _declared(e: ex.Expr, lang: Language) -> ex.Expr:
+    """``e``, whose every symbol must be an independent variable or a declared
+    constant: any other is a typo that would load as a different model, so
+    it raises ValueError.  Function bodies, which may also use their formal,
+    are checked in ``load_model_dict``."""
+    stray = ex.atoms_of(e, ex.Sym) - set(map(ex.sym, (*lang.independent, *lang.constants)))
+    if stray:
+        raise ValueError(f"undeclared symbol(s) {', '.join(sorted(map(to_text, stray)))}")
+    return e
 
 
 def concretize(e: ex.Expr, functions: dict[str, dict], lang: Language) -> ex.Expr:
@@ -279,7 +292,8 @@ def _ansatz_bases(data: dict, space: JetSpace, lang: Language) -> dict[tuple, li
             raise ModelError(f"ansatz.{key}: expected xi<k>, eta<k> or phi<k>")
         kind, knum, slot_name = m.group(1), m.group(2), m.group(3)
         k = int(knum)
-        parsed = [lang.parse(s) for s in _strings(data, key, "ansatz.")]
+        with named(f"ansatz.{key}"):
+            parsed = [_declared(lang.parse(s), lang) for s in _strings(data, key, "ansatz.")]
         slots = {"xi": space.independent, "phi": space.independent,
                  "eta": space.dependent}[kind]
         if k > space.order or slot_name not in (None, *slots):

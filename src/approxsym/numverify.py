@@ -1,9 +1,16 @@
 """Numerical validation: RK4 on the Euler-Lagrange hierarchy, drift, eps sweep.
 
 Expressions are compiled once into flat Python functions (no symbolic work
-inside the time loop); the integrator is classical fixed-step RK4, chosen
-for bitwise determinism over efficiency.  Drift is the max-norm deviation
-of each eps coefficient of a conserved quantity along the evaluated grid.
+inside the time loop); the integrator is classical fixed-step RK4.  Drift is
+the max-norm deviation of each eps coefficient of a conserved quantity along
+the evaluated grid.
+
+The time loops are generated too, by the same code generator as the
+right-hand sides: the RK4 loop is unrolled over scalar locals for the state's
+dimension, and the drift scans inline the law's coefficients and unpack each
+grid row into named locals.  Each keeps the float operations of the plain
+tuple loop in their order, so results are bitwise equal to it and
+deterministic for a fixed platform.
 
 An eps sweep computes its trajectories once: the base and per-eps states are
 packed into flat float arrays and one entry is kept, keyed on everything the
@@ -15,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from array import array
 from dataclasses import dataclass, field
 
@@ -79,27 +85,128 @@ def _cse_radicals(exprs: list[ex.Expr]) -> list[tuple[str, ex.Expr]]:
             enumerate(a for a in counts.items() if a[1] >= 2)]
 
 
-def compile_functions(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str],
-                      bindings: dict[str, float], space: JetSpace):
-    """Compile expressions to one fast callable(t, y) -> tuple of floats."""
+def _sources(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str], bindings: dict[str, float],
+             space: JetSpace) -> tuple[list[str], list[str]]:
+    """The hoisted radical assignments and one source string per expression.
+
+    The strings read ``t``, the names in ``jet_src`` and the hoisted locals,
+    so any generated function can run them after the assignments.
+    """
     base_syms = {space.independent[0]: "t"}
-    hoisted = _cse_radicals(exprs)
-    lines = ["def _compiled(t, y):"]
+    hoisted = []
     sub: dict[ex.Expr, ex.Expr] = {}
     main_syms = dict(base_syms)
-    for lname, atom in hoisted:
-        lines.append(f"    {lname} = "
-                     + _compile_source(atom, jet_src, bindings, base_syms))
+    for lname, atom in _cse_radicals(exprs):
+        hoisted.append(f"{lname} = " + _compile_source(atom, jet_src, bindings, base_syms))
         marker = ex.sym(f"__h_{lname}")
         main_syms[marker.name] = lname
         sub[atom] = marker
-    pieces = [_compile_source(ex.subst(e, sub), jet_src, bindings, main_syms)
-              for e in exprs]
-    lines.append("    return (" + ", ".join(pieces)
-                 + ("," if len(pieces) == 1 else "") + ")")
-    ns: dict = {"math": math}
-    exec("\n".join(lines), ns)
-    return ns["_compiled"]
+    return hoisted, [_compile_source(ex.subst(e, sub), jet_src, bindings, main_syms)
+                     for e in exprs]
+
+
+def _tuple(items) -> str:
+    """Source of the tuple display, or unpacking target, of ``items``."""
+    items = list(items)
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _guarded(lines: list[str]) -> list[str]:
+    """``lines`` in a try that reports a float fault as NonFiniteState naming
+    the generated function's ``what`` argument and its current ``t``."""
+    return ["try:", *_indent(lines),
+            "except _FLOAT_FAULTS as err:",
+            "    raise _non_finite(what, t, err) from None"]
+
+
+def _define(signature: str, body: list[str]):
+    """The function ``def <signature>: <body>``, executed from its source."""
+    ns = {"math": math, "isfinite": math.isfinite, "NonFiniteState": NonFiniteState,
+          "_FLOAT_FAULTS": _FLOAT_FAULTS, "_non_finite": _non_finite}
+    exec("\n".join([f"def {signature}:", *_indent(body)]), ns)
+    return ns[signature.partition("(")[0]]
+
+
+def compile_functions(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str],
+                      bindings: dict[str, float], space: JetSpace):
+    """Compile expressions to one fast callable(t, y) -> tuple of floats."""
+    hoisted, pieces = _sources(exprs, jet_src, bindings, space)
+    return _define("_compiled(t, y)", [*hoisted, f"return {_tuple(pieces)}"])
+
+
+def _rk4_loop(n: int):
+    """RK4 over n state components held in scalar locals:
+    loop(f, t, y, h, steps, what) -> (ts, ys).
+
+    Stages are y + h2*k and the step y + h6*(k1 + 2*k2 + 2*k3 + k4), with
+    h2 = h/2 and h6 = h/6: the float operations, in order, of the tuple loop
+    that evaluates y + h/2*k.
+    """
+    y, a, b, c, d = ([f"{v}{i}" for i in range(n)] for v in "yabcd")
+
+    def stage(step: str, k: list[str]) -> str:
+        return _tuple(f"{yi} + {step} * {ki}" for yi, ki in zip(y, k))
+    finite = " and ".join(f"isfinite({yi})" for yi in y) or "True"
+    loop = [f"{_tuple(a)} = f(t, y)",
+            f"{_tuple(b)} = f(t + h2, {stage('h2', a)})",
+            f"{_tuple(c)} = f(t + h2, {stage('h2', b)})",
+            f"{_tuple(d)} = f(t + h, {stage('h', c)})",
+            *(f"{yi} = {yi} + h6 * ({ai} + 2 * {bi} + 2 * {ci} + {di})"
+              for yi, ai, bi, ci, di in zip(y, a, b, c, d)),
+            "t += h",
+            f"if not ({finite}):",
+            '    raise NonFiniteState(f"state became non-finite at t={t}")',
+            f"y = {_tuple(y)}",
+            "ts_append(t)",
+            "ys_append(y)"]
+    return _define("_rk4(f, t, y, h, steps, what)", [
+        "h2 = h / 2", "h6 = h / 6", "ts = [t]", "ys = [y]",
+        "ts_append = ts.append", "ys_append = ys.append", f"{_tuple(y)} = y",
+        *_guarded(["for _ in range(steps):", *_indent(loop)]),
+        "return ts, ys"])
+
+
+def _max_drift_scan(hoisted: list[str], quantities: list[str], width: int,
+                    params: tuple[str, ...] = ()):
+    """scan(ts, rows, *params, what) -> [max_t |Q_j(t) - Q_j(ts[0])| for each j].
+
+    ``rows`` holds one state of ``width`` components per time, unpacked into
+    the locals y0, y1, ...; the first point's values are the references, and
+    the worst of each quantity grows only where ``d > w`` (so a NaN never
+    counts).
+    """
+    row = _tuple(f"y{i}" for i in range(width))
+    update = []
+    for j, q in enumerate(quantities):
+        update += [f"d = abs(({q}) - f{j})", f"if d > w{j}:", f"    w{j} = d"]
+    return _define(f"_scan({', '.join(['ts', 'rows', *params, 'what'])})", [
+        "points = zip(ts, rows)",
+        f"t, {row} = next(points)",
+        *_guarded([*hoisted,
+                   *(f"f{j} = {q}" for j, q in enumerate(quantities)),
+                   *(f"w{j} = 0.0" for j in range(len(quantities))),
+                   f"for t, {row} in points:",
+                   *_indent([*hoisted, *update])]),
+        f"return [{', '.join(f'w{j}' for j in range(len(quantities)))}]"])
+
+
+def _pack_loop(nb: int, scaled: bool):
+    """pack(full_ys, base_ys, eps, extend): per grid point, extend by the base
+    positions, (full - base)/eps of the positions (0.0 unless ``scaled``),
+    then the same two blocks of the velocities."""
+    f, b = ([f"{v}{i}" for i in range(2 * nb)] for v in "fb")
+    out = []
+    for block in (0, nb):
+        out += b[block:block + nb]
+        out += [f"({f[i]} - {b[i]}) / eps" if scaled else "0.0"
+                for i in range(block, block + nb)]
+    return _define("_pack(full_ys, base_ys, eps, extend)", [
+        f"for {_tuple(f)}, {_tuple(b)} in zip(full_ys, base_ys):",
+        f"    extend({_tuple(out)})"])
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +225,14 @@ class NumericModel:
     def dim(self) -> int:
         return 2 * len(self.positions)
 
-    def jet_sources(self) -> dict[ex.Jet, str]:
+    def jet_sources(self, slot: str = "y[{}]") -> dict[ex.Jet, str]:
+        """Source of each state coordinate: ``slot`` formatted with its index."""
         n = len(self.positions)
         srcs = {}
         tname = self.space.independent[0]
         for i, pj in enumerate(self.positions):
-            srcs[pj] = f"y[{i}]"
-            srcs[ex.jet(pj.base, pj.order, (tname,))] = f"y[{n + i}]"
+            srcs[pj] = slot.format(i)
+            srcs[ex.jet(pj.base, pj.order, (tname,))] = slot.format(n + i)
         return srcs
 
     def initial_state(self, initial: dict[str, float], language) -> list[float]:
@@ -192,28 +300,14 @@ def _non_finite(what: str, t: float, err: Exception) -> NonFiniteState:
 
 
 def integrate(model: NumericModel, y0, t0: float, t1: float, h: float) -> Trajectory:
-    """Classical fixed-step RK4; deterministic for a fixed platform."""
-    f = model.rhs
-    steps = round((t1 - t0) / h)
-    t = t0
+    """Classical fixed-step RK4; deterministic for a fixed platform.
+
+    A float fault names the time at the start of the failing step, a
+    non-finite state the time it was reached.
+    """
     y = tuple(float(v) for v in y0)
-    ts = [t]
-    ys = [y]
-    try:
-        for _ in range(steps):
-            k1 = f(t, y)
-            k2 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
-            k3 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
-            k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
-            y = tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-            t += h
-            if not all(math.isfinite(v) for v in y):
-                raise NonFiniteState(f"state became non-finite at t={t}")
-            ts.append(t)
-            ys.append(y)
-    except _FLOAT_FAULTS as err:
-        raise _non_finite("the equations of motion", t, err) from None
+    ts, ys = _rk4_loop(len(y))(model.rhs, t0, y, h, round((t1 - t0) / h),
+                               "the equations of motion")
     return Trajectory(ts, ys)
 
 
@@ -229,21 +323,10 @@ def drift(traj: Trajectory, law: ConservationLaw, model: NumericModel) -> DriftR
     """Max |I_k(t) - I_k(t0)| of every eps coefficient along the trajectory."""
     if law.space.n != 1:
         raise ValueError("drift reports need a single independent variable")
-    exprs = list(law.quantity.coeffs)
-    fn = compile_functions(exprs, model.jet_sources(), model.bindings, model.space)
-    t = traj.ts[0]
-    try:
-        first = fn(t, traj.ys[0])
-        worst = [0.0] * len(exprs)
-        for t, y in zip(traj.ts, traj.ys):
-            vals = fn(t, y)
-            for k, (v, v0) in enumerate(zip(vals, first)):
-                d = abs(v - v0)
-                if d > worst[k]:
-                    worst[k] = d
-    except _FLOAT_FAULTS as err:
-        raise _non_finite(f"the coefficients of {law.name or 'the law'}", t, err) from None
-    return DriftReport(worst)
+    hoisted, pieces = _sources(list(law.quantity.coeffs), model.jet_sources("y{}"),
+                               model.bindings, model.space)
+    scan = _max_drift_scan(hoisted, pieces, model.dim)
+    return DriftReport(scan(traj.ts, traj.ys, f"the coefficients of {law.name or 'the law'}"))
 
 
 @dataclass
@@ -269,28 +352,20 @@ def eps_sweep(lag_expr: ex.Expr, space: JetSpace, law: ConservationLaw,
     # evaluation state: u_(0), u_(1) then their velocities
     eval_positions = [ex.jet(b, k) for k in (0, 1) for b in bases]
     eval_model = NumericModel(space, eval_positions, None, dict(bindings))
-    fn = compile_functions(list(law.quantity.coeffs), eval_model.jet_sources(),
-                           bindings, space)
+    hoisted, pieces = _sources(list(law.quantity.coeffs), eval_model.jet_sources("y{}"),
+                               bindings, space)
+    # sum(I_k * eps^k) as the builtin sum adds floats: from 0, left to right
+    powers = tuple(f"p{k}" for k in range(len(pieces)))
+    total = "0.0 + " + " + ".join(f"({q}) * {p}" for q, p in zip(pieces, powers))
     width = eval_model.dim
+    scan = _max_drift_scan(hoisted, [total], width, powers)
     ts, packed = _sweep_states(lag_expr, space, tuple(eps_values),
                                tuple(sorted(bindings.items())), tuple(y0), t0, t1, h)
     drifts = []
     for eps, states in zip(eps_values, packed):
-        powers = [eps ** k for k in range(law.quantity.order + 1)]
         rows = zip(*[iter(states)] * width)   # one state tuple per grid point
-        first = None
-        worst = 0.0
-        t = t0
-        try:
-            for t, y in zip(ts, rows):
-                total = sum(map(operator.mul, fn(t, y), powers))
-                if first is None:
-                    first = total
-                worst = max(worst, abs(total - first))
-        except _FLOAT_FAULTS as err:
-            raise _non_finite(f"the coefficients of {law.name or 'the law'} at eps={eps}",
-                              t, err) from None
-        drifts.append(worst)
+        drifts += scan(ts, rows, *(eps ** k for k in range(len(pieces))),
+                       f"the coefficients of {law.name or 'the law'} at eps={eps}")
     slope = _loglog_slope(eps_values, drifts)
     return SweepReport(list(eps_values), drifts, slope)
 
@@ -313,11 +388,7 @@ def _sweep_states(lag_expr: ex.Expr, space: JetSpace, eps_values: tuple,
     for eps in eps_values:
         traj = integrate(compile_full(lag_expr, space, binds, eps), y0, t0, t1, h)
         states = array("d")
-        for yf, yb in zip(traj.ys, base.ys):
-            for block in (0, nb):  # positions then velocities
-                states.extend(yb[block:block + nb])
-                states.extend((yf[block + i] - yb[block + i]) / eps if eps else 0.0
-                              for i in range(nb))
+        _pack_loop(nb, bool(eps))(traj.ys, base.ys, eps, states.extend)
         del traj
         packed.append(states)
     return array("d", base.ts), packed

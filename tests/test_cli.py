@@ -12,10 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "approxsym.cli"]
+# the package's source, for CLI subprocesses run from a checkout
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def run(*args, check=True):
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -358,10 +360,8 @@ def test_expand_and_golden_never_build_the_ansatz(monkeypatch, capsys):
 
 
 def test_python_dash_m_approxsym_runs_the_cli():
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-m", "approxsym", "models"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
     assert "three-body" in proc.stdout
 
@@ -426,6 +426,40 @@ def test_bad_generator_override_exits_2(flags):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: generator override")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("lagrangian, fields, message", [
+    ("1/2*du#t^2 + z*u", {}, "lagrangian: undeclared symbol(s) z"),
+    ("1/2*du#t^2 + u2", {}, "lagrangian: undeclared symbol(s) u2"),   # order_p is 1
+    ("1/2*du#t^2", {"golden": [{**_RECORD, "quantity": ["1/2*du0#t^2 + q", "0"]}]},
+     "golden[0] (E): undeclared symbol(s) q"),
+    ("1/2*du#t^2", {"ansatz": {"xi0": ["1", "k"]}}, "ansatz.xi0: undeclared symbol(s) k"),
+], ids=["lagrangian", "past-order_p", "golden", "ansatz"])
+def test_undeclared_symbol_exits_2(tmp_path, lagrangian, fields, message):
+    # a typo would otherwise load as a different model and exit 0
+    proc = run("expand", write_model(tmp_path, lagrangian, **fields), check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_undeclared_symbol_in_an_override_exits_2():
+    # the string "ab" was read as the rows a and b
+    proc = run("noether", "--model", "free-particle", "--xi", '"ab"', check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: generator override: undeclared symbol(s) a\n"
+
+
+def test_closed_standard_output_exits_1_without_a_traceback():
+    # as with `| head -c 10`: the reader is gone before the command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(CLI + ["models", "--format", "json"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_sweep_json_slope_without_a_fit_is_null():

@@ -1,16 +1,18 @@
 """Numerics: RK4 accuracy, drift reports, order checks, eps sweep."""
 
 import math
+import operator
 
 import pytest
 
 from approxsym import expr as ex
+from approxsym import numverify
 from approxsym.errors import CannotSolveForLeadingDerivative, NonFiniteState, UnboundSymbol
 from approxsym.jet import JetSpace
 from approxsym.models import concretize, load_builtin
 from approxsym.noether import ConservationLaw, PerturbedLagrangian, noether_fluxes
-from approxsym.numverify import (compile_full, compile_numeric, drift, eps_sweep,
-                                 integrate)
+from approxsym.numverify import (NumericModel, compile_full, compile_functions,
+                                 compile_numeric, drift, eps_sweep, integrate)
 from approxsym.perturb import EpsSeries
 from approxsym.symmetry import Generator
 
@@ -253,3 +255,127 @@ def test_fractional_power_of_a_negative_base_names_the_time():
         integrate(nm, [-1.0, 0.0], 0.0, 1.0, 1e-2)
     u = 0.7
     assert nm.rhs(0.0, (u, 0.0))[1] == -1.5 * u ** 0.5
+
+
+# The tuple loops the generated RK4 loop and scans replaced, kept as the
+# reference they must equal bit for bit.
+
+def reference_integrate(model, y0, t0, t1, h):
+    f = model.rhs
+    t = t0
+    y = tuple(float(v) for v in y0)
+    ts = [t]
+    ys = [y]
+    for _ in range(round((t1 - t0) / h)):
+        k1 = f(t, y)
+        k2 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
+        k3 = f(t + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
+        k4 = f(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+        t += h
+        assert all(math.isfinite(v) for v in y)
+        ts.append(t)
+        ys.append(y)
+    return ts, ys
+
+
+def reference_drift(ts, ys, fn):
+    first = fn(ts[0], ys[0])
+    worst = [0.0] * len(first)
+    for t, y in zip(ts, ys):
+        for k, (v, v0) in enumerate(zip(fn(t, y), first)):
+            d = abs(v - v0)
+            if d > worst[k]:
+                worst[k] = d
+    return worst
+
+
+def reference_sweep_drift(ts, rows, fn, powers):
+    first = None
+    worst = 0.0
+    for t, y in zip(ts, rows):
+        total = sum(map(operator.mul, fn(t, y), powers))
+        if first is None:
+            first = total
+        worst = max(worst, abs(total - first))
+    return worst
+
+
+def reference_rows(base_ys, full_ys, eps):
+    """u_(0), (u - u_(0))/eps, then both velocity blocks, per grid point."""
+    nb = len(base_ys[0]) // 2
+    for yb, yf in zip(base_ys, full_ys):
+        row = []
+        for block in (0, nb):
+            row += yb[block:block + nb]
+            row += [(yf[block + i] - yb[block + i]) / eps if eps else 0.0
+                    for i in range(nb)]
+        yield tuple(row)
+
+
+def three_body_model():
+    model = load_builtin("three-body")
+    nm = compile_numeric(model.lagrangian, model.bindings)
+    return nm, nm.initial_state(model.initial, model.language), 0.0, 1.0, model.grid["h"]
+
+
+def decay_model():
+    sp = JetSpace(("t",), ("u",), order=0, max_derivative=2)
+    return NumericModel(sp, [ex.jet("u", 0)], lambda t, y: (-y[0],), {}), [1.0], 0.0, 1.0, 1e-3
+
+
+def forward_oscillator():
+    _, nm, y0 = osc_model()
+    return nm, y0, 0.0, 20.0, 1e-3
+
+
+def backward_oscillator():
+    _, nm, y0 = osc_model()
+    end = integrate(nm, y0, 0.0, 5.0, 1e-3).ys[-1]
+    return nm, end, 5.0, 0.0, -1e-3
+
+
+@pytest.mark.parametrize("case", [
+    forward_oscillator, three_body_model, decay_model, backward_oscillator],
+    ids=["oscillator-quadratic", "three-body", "decay", "backward"])
+def test_generated_rk4_equals_the_tuple_loop(case):
+    nm, y0, t0, t1, h = case()
+    traj = integrate(nm, y0, t0, t1, h)
+    assert (traj.ts, traj.ys) == reference_integrate(nm, y0, t0, t1, h)
+    assert all(type(y) is tuple for y in traj.ys)
+
+
+def test_generated_scans_equal_the_tuple_loops():
+    model, nm, y0 = osc_model()
+    t0, t1, h = 0.0, 5.0, 1e-3
+    traj = integrate(nm, y0, t0, t1, h)
+    src = concretize(model.lagrangian_source, model.functions, model.language)
+    y_full = [1.0, 0.0]
+    eps_values = [1e-2, 1e-3, 1e-4, 0.0]
+    ts, base = reference_integrate(compile_full(src, model.space, model.bindings, 0.0),
+                                   y_full, t0, t1, h)
+    fulls = [reference_integrate(compile_full(src, model.space, model.bindings, eps),
+                                 y_full, t0, t1, h)[1] for eps in eps_values]
+    numverify._sweep_states.cache_clear()
+    grid, packed = numverify._sweep_states(src, model.space, tuple(eps_values),
+                                           tuple(sorted(model.bindings.items())),
+                                           tuple(y_full), t0, t1, h)
+    assert list(grid) == ts
+    for eps, full, states in zip(eps_values, fulls, packed):
+        assert list(states) == [v for row in reference_rows(base, full, eps) for v in row]
+    eval_model = NumericModel(model.space, [ex.jet("u", 0), ex.jet("u", 1)], None,
+                              model.bindings)
+    assert len(model.golden) == 8
+    for rec in model.golden:
+        law = ConservationLaw(model.space, (rec.quantity,), name=rec.name)
+        coeffs = list(law.quantity.coeffs)
+        fn = compile_functions(coeffs, nm.jet_sources(), nm.bindings, model.space)
+        assert drift(traj, law, nm).max_drift == reference_drift(traj.ts, traj.ys, fn)
+        fn = compile_functions(coeffs, eval_model.jet_sources(), model.bindings, model.space)
+        drifts = [reference_sweep_drift(ts, reference_rows(base, full, eps), fn,
+                                        [eps ** k for k in range(len(coeffs))])
+                  for eps, full in zip(eps_values, fulls)]
+        sw = eps_sweep(src, model.space, law, eps_values, model.bindings, y_full, t0, t1, h)
+        assert sw.drifts == drifts, rec.name
+        assert sw.slope == numverify._loglog_slope(eps_values, drifts), rec.name

@@ -30,7 +30,9 @@ __all__ = [
 
 
 class Expr:
-    """Base node.  Instances are immutable and hash-consed by structural key."""
+    """Base node.  Instances are immutable and compared and hashed by
+    structural key; nodes are not interned, so equal trees may be distinct
+    objects."""
 
     __slots__ = ("_key", "_hash")
 
@@ -213,13 +215,19 @@ class Add(Expr):
 
 
 _RAT_CACHE: dict[Fraction, Rat] = {}
+_UNIT = Fraction(1)
+# the nodes that pow_ only wraps: base^e is Pow(base, e) for every e but 0, 1
+_ATOMS = (Sym, Jet, Eps, Fun, AFun, AInt)
 
 
 def rat(x) -> Rat:
-    v = x if isinstance(x, Fraction) else Fraction(x)
-    r = _RAT_CACHE.get(v)
+    # an int finds the Rat of the equal Fraction: they hash and compare alike
+    r = _RAT_CACHE.get(x)
     if r is None:
-        r = _RAT_CACHE[v] = Rat(v)
+        v = x if isinstance(x, Fraction) else Fraction(x)
+        r = _RAT_CACHE.get(v)
+        if r is None:
+            r = _RAT_CACHE[v] = Rat(v)
     return r
 
 
@@ -273,33 +281,57 @@ def _split_coeff(e: Expr) -> tuple[Fraction, Expr]:
     if isinstance(e, Mul) and isinstance(e.factors[0], Rat):
         rest = e.factors[1:]
         return e.factors[0].value, (rest[0] if len(rest) == 1 else Mul(rest))
-    return Fraction(1), e
+    return _UNIT, e
+
+
+def _coeff_factors(e: Expr) -> tuple[Fraction | int, tuple[Expr, ...]]:
+    """e as its rational coefficient and the tuple of its other factors,
+    without building the rest: () for a rational, (e,) for a non-product."""
+    if isinstance(e, Mul):
+        fs = e.factors
+        return (fs[0].value, fs[1:]) if isinstance(fs[0], Rat) else (1, fs)
+    return (e.value, ()) if isinstance(e, Rat) else (1, (e,))
+
+
+def _node_key(e: Expr) -> tuple:
+    return e._key
 
 
 def add(*terms) -> Expr:
-    acc: dict[Expr, Fraction] = {}
-    const = Fraction(0)
-    stack = [_coerce(t) for t in terms]
-    for t in stack:
-        parts = t.terms if isinstance(t, Add) else (t,)
-        for p in parts:
-            c, rest = _split_coeff(p)
-            if rest == ONE:
+    # like terms are grouped by their factor tuple, which stands for the rest
+    # of _split_coeff without building it; a term that meets no like term is
+    # kept as the node it came in as
+    groups: dict[tuple, list] = {}
+    const = 0
+    for t in terms:
+        if not isinstance(t, Expr):
+            t = _coerce(t)
+        for p in (t.terms if isinstance(t, Add) else (t,)):
+            c, fs = _coeff_factors(p)
+            if not fs:
                 const += c
+                continue
+            g = groups.get(fs)
+            if g is None:
+                groups[fs] = [c, p]
             else:
-                acc[rest] = acc.get(rest, Fraction(0)) + c
+                g[0] += c
+                g[1] = None
     out = []
-    for rest, c in acc.items():
-        if c == 0:
-            continue
-        out.append(rest if c == 1 else _mk_mul(c, rest))
+    for fs, (c, p) in groups.items():
+        if p is None:
+            # like terms met: c * prod(fs), as _mk_mul builds it
+            if c == 0:
+                continue
+            p = (fs[0] if len(fs) == 1 else Mul(fs)) if c == 1 else Mul((rat(c),) + fs)
+        out.append(p)
     if const != 0:
         out.append(rat(const))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda e: e._key)
+    out.sort(key=_node_key)
     return Add(tuple(out))
 
 
@@ -312,38 +344,62 @@ def _mk_mul(c: Fraction, rest: Expr) -> Expr:
 def _as_base_exp(f: Expr) -> tuple[Expr, Fraction]:
     if isinstance(f, Pow):
         return f.base, f.exp
-    return f, Fraction(1)
+    return f, _UNIT
 
 
 def mul(*factors) -> Expr:
-    coeff = Fraction(1)
-    powers: dict[Expr, Fraction] = {}
-    order: list[Expr] = []
-    stack = [_coerce(f) for f in factors]
-    for f in stack:
-        parts = f.factors if isinstance(f, Mul) else (f,)
-        for p in parts:
+    # powers maps each base to the factor node it came in as while it occurs
+    # once, and to the int or Fraction sum of its exponents once it repeats;
+    # the coefficient stays an int until a Fraction arrives
+    coeff = 1
+    powers: dict[Expr, Expr | int | Fraction] = {}
+    for f in factors:
+        if not isinstance(f, Expr):
+            f = _coerce(f)
+        for p in (f.factors if isinstance(f, Mul) else (f,)):
             if isinstance(p, Rat):
-                coeff *= p.value
+                v = p.value
+                coeff *= v.numerator if v.denominator == 1 else v
                 continue
-            base, e = _as_base_exp(p)
-            if base not in powers:
-                powers[base] = Fraction(0)
-                order.append(base)
-            powers[base] += e
+            base = p.base if isinstance(p, Pow) else p
+            prev = powers.get(base)
+            if prev is None:
+                powers[base] = p
+                continue
+            if isinstance(prev, Expr):
+                # prev is base itself (exponent 1) or a power of it
+                prev = prev.exp if isinstance(prev, Pow) and prev.base == base else 1
+            powers[base] = prev + (p.exp if isinstance(p, Pow) else 1)
     if coeff == 0:
         return ZERO
     out = []
     rerun = False
-    for base in order:
-        e = powers[base]
-        if e == 0:
+    for base, v in powers.items():
+        if v is base:
+            piece = base      # what pow_(base, 1) returns
+        elif isinstance(v, Pow):
+            # a lone power of an atom, or of a sum without rational content
+            # to take out, is what pow_(base, v.exp) would build again
+            if isinstance(base, _ATOMS):
+                piece = v
+            elif isinstance(base, Add):
+                piece = _pow_sum(base, v.exp)
+                if piece is None:
+                    piece = v
+            else:
+                piece = pow_(base, v.exp)
+        elif v == 1:
+            piece = base      # a rational base is folded in below
+        elif v == 0:
             continue
-        piece = pow_(base, e)
-        if piece == ONE:
-            continue
+        elif isinstance(base, _ATOMS):
+            piece = Pow(base, v if isinstance(v, Fraction) else Fraction(v))
+        else:
+            piece = pow_(base, v)
         if isinstance(piece, Rat):
-            coeff *= piece.value
+            # ONE included
+            v = piece.value
+            coeff *= v.numerator if v.denominator == 1 else v
             continue
         # pow_ may have rewritten the base (content extraction, exponent
         # merging); anything not anchored on the original base must go
@@ -353,7 +409,8 @@ def mul(*factors) -> Expr:
             rerun = True
         else:
             out.append(piece)
-            if piece != base and not (isinstance(piece, Pow) and piece.base == base):
+            if piece is not base and piece != base and not (
+                    isinstance(piece, Pow) and piece.base == base):
                 rerun = True
     if coeff == 0:
         return ZERO
@@ -365,7 +422,7 @@ def mul(*factors) -> Expr:
         out.append(rat(coeff))
     if len(out) == 1:
         return out[0]
-    out.sort(key=lambda e: e._key)
+    out.sort(key=_node_key)
     return Mul(tuple(out))
 
 
@@ -395,50 +452,69 @@ def _rat_root(v: Fraction, q: int) -> Fraction | None:
 
 def _add_content(e: Add) -> tuple[Fraction, Expr]:
     """Positive rational content of a sum (gcd of term coefficients)."""
-    cs = [_split_coeff(t)[0] for t in e.terms]
     num = 0
     den = 1
-    for c in cs:
+    for t in e.terms:
+        c, _ = _coeff_factors(t)
         num = math.gcd(num, c.numerator)
         den = math.lcm(den, c.denominator)
-    content = Fraction(num, den)
-    if content in (0, 1):
-        return Fraction(1), e
-    return content, add(*[mul(rat(1 / content), t) for t in e.terms])
+    # num and den are coprime, so the content is 1 exactly when both are
+    if num == den or num == 0:
+        return _UNIT, e
+    # each term goes through mul, which also normalises its other factors
+    inverse = rat(Fraction(den, num))
+    return Fraction(num, den), add(*[mul(inverse, t) for t in e.terms])
 
 
 def pow_(base, e) -> Expr:
-    base = _coerce(base)
-    e = e if isinstance(e, Fraction) else Fraction(e)
+    """base^e for an int or Fraction e; a Pow node always holds a Fraction."""
+    if not isinstance(base, Expr):
+        base = _coerce(base)
+    if not isinstance(e, (int, Fraction)):
+        e = Fraction(e)
     if e == 0:
         return ONE
     if e == 1:
         return base
-    if base == ONE:
-        return ONE
+    q = e.denominator
     if isinstance(base, Rat):
-        if base.value == 0 and e < 0:
+        v = base.value
+        if v == 1:
+            return ONE
+        if v == 0 and e < 0:
             raise DivisionByZero(f"division by zero: 0^({e})")
-        if e.denominator == 1:
-            return rat(base.value ** e.numerator)
-        if base.value >= 0:
-            root = _rat_root(base.value, e.denominator)
+        if q == 1:
+            return rat(v ** e.numerator)
+        if v >= 0:
+            root = _rat_root(v, q)
             if root is not None:
                 return rat(root ** e.numerator)
         return Pow(base, e)
-    if isinstance(base, Pow) and e.denominator == 1:
-        return pow_(base.base, base.exp * e)
-    if isinstance(base, Mul) and e.denominator == 1:
-        return mul(*[pow_(f, e) for f in base.factors])
+    if q == 1:
+        if isinstance(base, Pow):
+            return pow_(base.base, base.exp * e)
+        if isinstance(base, Mul):
+            return mul(*[pow_(f, e) for f in base.factors])
+        if not isinstance(e, Fraction):
+            e = Fraction(e)
     if isinstance(base, Add):
-        content, rest = _add_content(base)
-        if content != 1:
-            if e.denominator == 1:
-                return mul(rat(content ** e.numerator), Pow(rest, e))
-            root = _rat_root(content, e.denominator)
-            if root is not None:
-                return mul(rat(root ** e.numerator), Pow(rest, e))
+        out = _pow_sum(base, e)
+        if out is not None:
+            return out
     return Pow(base, e)
+
+
+def _pow_sum(base: Add, e: Fraction) -> Expr | None:
+    """pow_(base, e) where taking out the sum's rational content changes
+    it, else None: then it is Pow(base, e)."""
+    content, rest = _add_content(base)
+    if content != 1:
+        if e.denominator == 1:
+            return mul(rat(content ** e.numerator), Pow(rest, e))
+        root = _rat_root(content, e.denominator)
+        if root is not None:
+            return mul(rat(root ** e.numerator), Pow(rest, e))
+    return None
 
 
 def neg(e) -> Expr:
@@ -791,10 +867,6 @@ def _base_exponents(key: tuple) -> dict[Expr, Fraction | int]:
             atom, p = atom.base, atom.exp * p
         out[atom] = out[atom] + p if atom in out else p
     return out
-
-
-_ATOMS = (Sym, Jet, Eps, Fun, AFun, AInt)
-_UNIT = Fraction(1)
 
 
 class _Product:

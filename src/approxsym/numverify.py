@@ -39,8 +39,12 @@ __all__ = ["NumericModel", "Trajectory", "DriftReport", "compile_numeric",
 
 
 def _compile_source(e: ex.Expr, jet_src: dict[ex.Jet, str], bindings: dict[str, float],
-                    extra_syms: dict[str, str]) -> str:
+                    extra_syms: dict[str, str], hoisted: dict[ex.Expr, str]) -> str:
+    """Python source of e; a node in ``hoisted`` is read from its local."""
     def src(node: ex.Expr) -> str:
+        name = hoisted.get(node)
+        if name is not None:
+            return name
         if isinstance(node, ex.Rat):
             return repr(float(node.value))
         if isinstance(node, ex.Sym):
@@ -70,38 +74,56 @@ def _compile_source(e: ex.Expr, jet_src: dict[ex.Jet, str], bindings: dict[str, 
     return src(e)
 
 
-def _cse_radicals(exprs: list[ex.Expr]) -> list[tuple[str, ex.Expr]]:
-    """Repeated radical / inverse-power atoms, hoisted into local variables."""
+def _repeated(exprs: list[ex.Expr], pick) -> list[ex.Expr]:
+    """The nodes ``pick`` accepts that occur more than once across exprs, in
+    the order a walk from the root first meets them."""
     counts: dict[ex.Expr, int] = {}
 
     def walk(node):
-        if isinstance(node, ex.Pow) and isinstance(node.base, ex.Add):
+        if pick(node):
             counts[node] = counts.get(node, 0) + 1
         for ch in ex._children(node):
             walk(ch)
     for e in exprs:
         walk(e)
-    return [(f"_r{i}", atom) for i, (atom, c) in
-            enumerate(a for a in counts.items() if a[1] >= 2)]
+    return [node for node, c in counts.items() if c >= 2]
+
+
+def _is_trig(node: ex.Expr) -> bool:
+    return isinstance(node, ex.Fun) and node.name in ("sin", "cos")
+
+
+def _is_radical(node: ex.Expr) -> bool:
+    """A radical or inverse power of a sum."""
+    return isinstance(node, ex.Pow) and isinstance(node.base, ex.Add)
 
 
 def _sources(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str], bindings: dict[str, float],
              space: JetSpace) -> tuple[list[str], list[str]]:
-    """The hoisted radical assignments and one source string per expression.
+    """The hoisted assignments and one source string per expression.
 
-    The strings read ``t``, the names in ``jet_src`` and the hoisted locals,
-    so any generated function can run them after the assignments.
+    Repeated sin/cos atoms are assigned to locals first, then repeated
+    radicals, which may read them; an assignment reads only the locals
+    assigned before it.  Each local holds the same call on the same argument
+    as the inline source it stands for, so the floats do not change.  The
+    strings read ``t``, the names in ``jet_src`` and the hoisted locals, so
+    any generated function can run them after the assignments.
     """
     base_syms = {space.independent[0]: "t"}
     hoisted = []
+    trig: dict[ex.Expr, str] = {}
+    for i, atom in enumerate(_repeated(exprs, _is_trig)):
+        arg = _compile_source(atom.arg, jet_src, bindings, base_syms, trig)
+        hoisted.append(f"_f{i} = math.{atom.name}({arg})")
+        trig[atom] = f"_f{i}"
     sub: dict[ex.Expr, ex.Expr] = {}
     main_syms = dict(base_syms)
-    for lname, atom in _cse_radicals(exprs):
-        hoisted.append(f"{lname} = " + _compile_source(atom, jet_src, bindings, base_syms))
-        marker = ex.sym(f"__h_{lname}")
-        main_syms[marker.name] = lname
+    for i, atom in enumerate(_repeated(exprs, _is_radical)):
+        hoisted.append(f"_r{i} = " + _compile_source(atom, jet_src, bindings, base_syms, trig))
+        marker = ex.sym(f"__h__r{i}")
+        main_syms[marker.name] = f"_r{i}"
         sub[atom] = marker
-    return hoisted, [_compile_source(ex.subst(e, sub), jet_src, bindings, main_syms)
+    return hoisted, [_compile_source(ex.subst(e, sub), jet_src, bindings, main_syms, trig)
                      for e in exprs]
 
 

@@ -1,5 +1,6 @@
 """Expression kernel: canonical form, arithmetic, differentiation, zero test."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -298,6 +299,291 @@ def normal_form_inputs(draw):
 @given(normal_form_inputs())
 def test_normal_form_reads_like_the_tree_on_drawn_expressions(e):
     assert_reads_like_the_tree(e)
+
+
+# ---------------------------------------------------------------------------
+# the smart constructors against the Fraction-based ones they replaced
+
+
+def ref_split_coeff(e):
+    if isinstance(e, ex.Rat):
+        return e.value, ex.ONE
+    if isinstance(e, ex.Mul) and isinstance(e.factors[0], ex.Rat):
+        rest = e.factors[1:]
+        return e.factors[0].value, (rest[0] if len(rest) == 1 else ex.Mul(rest))
+    return Fraction(1), e
+
+
+def ref_add(*terms):
+    """The reference: like terms keyed by a rebuilt rest, Fraction sums."""
+    acc = {}
+    const = Fraction(0)
+    for t in [ex._coerce(t) for t in terms]:
+        for part in (t.terms if isinstance(t, ex.Add) else (t,)):
+            c, rest = ref_split_coeff(part)
+            if rest == ex.ONE:
+                const += c
+            else:
+                acc[rest] = acc.get(rest, Fraction(0)) + c
+    out = [rest if c == 1 else ex._mk_mul(c, rest) for rest, c in acc.items() if c != 0]
+    if const != 0:
+        out.append(ex.rat(const))
+    if not out:
+        return ex.ZERO
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=lambda e: e._key)
+    return ex.Add(tuple(out))
+
+
+def ref_mul(*factors):
+    """The reference: Fraction coefficient and exponents, pow_ on every base."""
+    coeff = Fraction(1)
+    powers = {}
+    order = []
+    for f in [ex._coerce(f) for f in factors]:
+        for part in (f.factors if isinstance(f, ex.Mul) else (f,)):
+            if isinstance(part, ex.Rat):
+                coeff *= part.value
+                continue
+            base, e = (part.base, part.exp) if isinstance(part, ex.Pow) \
+                else (part, Fraction(1))
+            if base not in powers:
+                powers[base] = Fraction(0)
+                order.append(base)
+            powers[base] += e
+    if coeff == 0:
+        return ex.ZERO
+    out = []
+    rerun = False
+    for base in order:
+        e = powers[base]
+        if e == 0:
+            continue
+        piece = ref_pow(base, e)
+        if piece == ex.ONE:
+            continue
+        if isinstance(piece, ex.Rat):
+            coeff *= piece.value
+            continue
+        if isinstance(piece, ex.Mul):
+            out.extend(piece.factors)
+            rerun = True
+        else:
+            out.append(piece)
+            if piece != base and not (isinstance(piece, ex.Pow) and piece.base == base):
+                rerun = True
+    if coeff == 0:
+        return ex.ZERO
+    if rerun:
+        return ref_mul(ex.rat(coeff), *out)
+    if not out:
+        return ex.rat(coeff)
+    if coeff != 1:
+        out.append(ex.rat(coeff))
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=lambda e: e._key)
+    return ex.Mul(tuple(out))
+
+
+def ref_add_content(e):
+    cs = [ref_split_coeff(t)[0] for t in e.terms]
+    num = 0
+    den = 1
+    for c in cs:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    content = Fraction(num, den)
+    if content in (0, 1):
+        return Fraction(1), e
+    return content, ref_add(*[ref_mul(ex.rat(1 / content), t) for t in e.terms])
+
+
+def ref_pow(base, e):
+    base = ex._coerce(base)
+    e = e if isinstance(e, Fraction) else Fraction(e)
+    if e == 0:
+        return ex.ONE
+    if e == 1:
+        return base
+    if base == ex.ONE:
+        return ex.ONE
+    if isinstance(base, ex.Rat):
+        if base.value == 0 and e < 0:
+            raise DivisionByZero(f"division by zero: 0^({e})")
+        if e.denominator == 1:
+            return ex.rat(base.value ** e.numerator)
+        if base.value >= 0:
+            root = ex._rat_root(base.value, e.denominator)
+            if root is not None:
+                return ex.rat(root ** e.numerator)
+        return ex.Pow(base, e)
+    if isinstance(base, ex.Pow) and e.denominator == 1:
+        return ref_pow(base.base, base.exp * e)
+    if isinstance(base, ex.Mul) and e.denominator == 1:
+        return ref_mul(*[ref_pow(f, e) for f in base.factors])
+    if isinstance(base, ex.Add):
+        content, rest = ref_add_content(base)
+        if content != 1:
+            if e.denominator == 1:
+                return ref_mul(ex.rat(content ** e.numerator), ex.Pow(rest, e))
+            root = ex._rat_root(content, e.denominator)
+            if root is not None:
+                return ref_mul(ex.rat(root ** e.numerator), ex.Pow(rest, e))
+    return ex.Pow(base, e)
+
+
+# A recipe is a construction written out: ("atom", name), ("rat", value),
+# ("add", parts), ("mul", parts), ("pow", part, exponent), or ("cancel", a, b)
+# for a + b - a, whose like terms cancel and leave b.
+# The two raw powers keep the rational content that pow_ takes out, as the
+# Pow that ``expand`` builds for the half-integer part of a power does.
+RECIPE_ATOMS = {"x": ex.sym("x"), "y": ex.sym("y"), "u0": ex.jet("u", 0),
+                "sin(t)": ex.fun("sin", ex.sym("t")), "cos(t)": ex.fun("cos", ex.sym("t")),
+                "raw (4x+4y)^(1/2)": ex.Pow(ex.add(ex.mul(4, ex.sym("x")),
+                                                   ex.mul(4, ex.sym("y"))), Fraction(1, 2)),
+                "raw (2x-2)^(-1)": ex.Pow(ex.add(ex.mul(2, ex.sym("x")), -2), Fraction(-1))}
+
+
+def X(name):
+    return ("atom", name)
+
+
+def R(value):
+    return ("rat", value)
+
+
+def A(*parts):
+    return ("add", parts)
+
+
+def M(*parts):
+    return ("mul", parts)
+
+
+def P(part, exponent):
+    return ("pow", part, exponent)
+
+
+def assert_same_tree(new, ref):
+    """Same node type and the same _key at every level."""
+    assert type(new) is type(ref)
+    assert new._key == ref._key
+    for a, b in zip(ex._children(new), ex._children(ref), strict=True):
+        assert_same_tree(a, b)
+
+
+def build_both(recipe):
+    """(kernel tree, reference tree) of a recipe, built bottom-up with the
+    kernel's constructors and with the reference ones, compared at each
+    construction; DivisionByZero must come from both or from neither."""
+    op = recipe[0]
+    if op == "atom":
+        return RECIPE_ATOMS[recipe[1]], RECIPE_ATOMS[recipe[1]]
+    if op == "rat":
+        return ex.rat(recipe[1]), ex.rat(recipe[1])
+    if op == "pow":
+        (new, ref), e = build_both(recipe[1]), recipe[2]
+        make_new, make_ref = (lambda: ex.pow_(new, e)), (lambda: ref_pow(ref, e))
+    elif op == "cancel":
+        (a, ra), (b, rb) = build_both(recipe[1]), build_both(recipe[2])
+        make_new = lambda: ex.add(a, b, ex.mul(ex.rat(-1), a))   # noqa: E731
+        make_ref = lambda: ref_add(ra, rb, ref_mul(ex.rat(-1), ra))   # noqa: E731
+    else:
+        kids = [build_both(r) for r in recipe[1]]
+        new_fn, ref_fn = (ex.add, ref_add) if op == "add" else (ex.mul, ref_mul)
+        make_new = lambda: new_fn(*[k[0] for k in kids])   # noqa: E731
+        make_ref = lambda: ref_fn(*[k[1] for k in kids])   # noqa: E731
+    try:
+        ref = make_ref()
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            make_new()
+        raise
+    new = make_new()
+    assert_same_tree(new, ref)
+    return new, ref
+
+
+def assert_fraction_fields(e):
+    """Every Rat.value and Pow.exp reachable from e is a Fraction, not an int."""
+    if isinstance(e, ex.Rat):
+        assert type(e.value) is Fraction
+    if isinstance(e, ex.Pow):
+        assert type(e.exp) is Fraction
+    for child in ex._children(e):
+        assert_fraction_fields(child)
+
+
+TWO_X_TWO_Y = A(M(R(2), X("x")), M(R(2), X("y")))
+CONSTRUCTOR_CASES = [
+    A(M(X("x"), X("y")), M(R(-1), X("x"), X("y"))),            # like terms cancel to 0
+    A(M(R(3), X("x")), X("y"), M(R(-1), X("y"))),               # a lone 3*x survives
+    A(M(R(3), X("x")), M(R(-1), X("x")), X("u0")),              # 3x - x merge to 2x
+    ("cancel", A(X("x"), X("u0")), M(R(Fraction(-2, 3)), X("y"))),
+    A(R(Fraction(1, 2)), R(Fraction(1, 3)), R(Fraction(-5, 6))),   # only rationals
+    M(R(2), R(Fraction(1, 2)), R(-3)),
+    P(R(4), Fraction(3, 2)), P(R(Fraction(1, 8)), Fraction(-2, 3)), P(R(2), -2),
+    P(TWO_X_TWO_Y, 2), P(TWO_X_TWO_Y, -1),                        # content, integer powers
+    P(A(M(R(4), X("x")), M(R(4), X("y"))), Fraction(1, 2)),        # content 4 under a root
+    P(TWO_X_TWO_Y, Fraction(1, 2)), P(TWO_X_TWO_Y, Fraction(-3, 2)),
+    P(A(M(R(Fraction(1, 2)), X("x")), R(Fraction(1, 2))), Fraction(3, 2)),
+    P(A(M(R(Fraction(9, 4)), X("x")), M(R(Fraction(-9, 2)), X("u0"))), Fraction(-1, 2)),
+    M(P(TWO_X_TWO_Y, -1), A(X("x"), X("y"))),                    # mul reruns: 1/2
+    M(P(A(M(R(4), X("x")), M(R(4), X("y"))), Fraction(1, 2)),
+      P(A(X("x"), X("y")), Fraction(1, 2))),
+    M(P(R(2), Fraction(1, 2)), P(R(2), Fraction(1, 2))),            # 2^(1/2)*2^(1/2) = 2
+    M(P(R(3), Fraction(1, 2)), X("x"), P(R(3), Fraction(3, 2)), R(Fraction(1, 9))),
+    M(P(R(2), Fraction(1, 2)), P(R(8), Fraction(1, 2)), X("y")),
+    M(P(M(X("x"), X("y")), Fraction(1, 2)), P(M(X("x"), X("y")), Fraction(1, 2))),
+    M(P(X("x"), Fraction(1, 2)), P(X("x"), Fraction(1, 2)), X("sin(t)")),
+    P(P(X("x"), Fraction(1, 2)), 4), P(M(R(-2), X("x"), P(X("y"), -1)), -3),
+    M(X("raw (4x+4y)^(1/2)"), X("x")), M(X("raw (2x-2)^(-1)"), R(3)),
+    P(R(0), -1),                                                  # raises on both sides
+]
+
+
+@pytest.mark.parametrize("recipe", CONSTRUCTOR_CASES)
+def test_constructors_build_the_reference_tree_on_picked_cases(recipe):
+    try:
+        new, _ = build_both(recipe)
+    except DivisionByZero:
+        return
+    assert_fraction_fields(new)
+
+
+EXPONENTS = [0, 1, -1, 2, -2, 3, Fraction(2), Fraction(-1), Fraction(1, 2),
+             Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2), Fraction(1, 3)]
+RECIPES = st.recursive(
+    st.one_of(st.sampled_from(sorted(RECIPE_ATOMS)).map(X),
+              st.sampled_from([0, 1, -1, 2, -2, 3, 4, 8, Fraction(1, 2),
+                               Fraction(-3, 2), Fraction(2, 3)]).map(R)),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=4).map(lambda parts: A(*parts)),
+        st.lists(inner, min_size=1, max_size=4).map(lambda parts: M(*parts)),
+        st.tuples(inner, st.sampled_from(EXPONENTS)).map(lambda pe: P(*pe)),
+        st.tuples(inner, inner).map(lambda ab: ("cancel", *ab))),
+    max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(RECIPES)
+def test_constructors_build_the_reference_tree_on_drawn_cases(recipe):
+    try:
+        build_both(recipe)
+    except DivisionByZero:
+        pass
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(RECIPES)
+def test_constructed_trees_hold_fractions_only(recipe):
+    try:
+        new, _ = build_both(recipe)
+    except DivisionByZero:
+        return
+    assert_fraction_fields(new)
 
 
 # ---------------------------------------------------------------------------

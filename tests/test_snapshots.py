@@ -30,6 +30,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         cases[f"golden.{m}"] = (["golden", "--model", m], 0)
         cases[f"verify.{m}"] = (["verify", "--model", m], 0)
         if m != "three-body":  # the three-body determining system does not finish
+            cases[f"determine.{m}"] = (["determine", "--model", m], 0)
             cases[f"determine-dump.{m}"] = (["determine", "--model", m, "--dump-system"], 0)
     # columns cleared by different denominators: u-v, u-w and v-w
     cases["determine-dump.line3"] = (

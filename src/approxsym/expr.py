@@ -15,6 +15,7 @@ decision ``is_zero`` additionally applies the trigonometric rewrite rules
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,13 +33,21 @@ __all__ = [
 class Expr:
     """Base node.  Instances are immutable and compared and hashed by
     structural key; nodes are not interned, so equal trees may be distinct
-    objects."""
+    objects.
 
-    __slots__ = ("_key", "_hash")
+    ``_eps`` says whether eps occurs in the tree, so ``contains_eps`` reads
+    it without a walk.  ``_init_key`` sets it once, at construction: True
+    for ``Eps``, copied from the one child of ``Fun``, ``AInt`` and ``Pow``,
+    OR-ed over the children of ``AFun``, ``Mul`` and ``Add``, False for the
+    other atoms.
+    """
 
-    def _init_key(self, key: tuple):
+    __slots__ = ("_key", "_hash", "_eps")
+
+    def _init_key(self, key: tuple, eps: bool = False):
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_eps", eps)
 
     def __setattr__(self, *a):  # pragma: no cover - safety net
         raise AttributeError("expressions are immutable")
@@ -91,6 +100,10 @@ class Expr:
         return neg(self)
 
 
+# the eps flag of a node, read by the constructors of nodes with many children
+_eps_of = operator.attrgetter("_eps")
+
+
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -119,7 +132,7 @@ class Eps(Expr):
     __slots__ = ()
 
     def __init__(self):
-        self._init_key((2,))
+        self._init_key((2,), True)
 
 
 class Jet(Expr):
@@ -150,7 +163,7 @@ class Fun(Expr):
     def __init__(self, name: str, arg: Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arg", arg)
-        self._init_key((4, name, arg._key))
+        self._init_key((4, name, arg._key), arg._eps)
 
 
 class AFun(Expr):
@@ -171,7 +184,8 @@ class AFun(Expr):
         object.__setattr__(self, "deriv", tuple(deriv))
         object.__setattr__(self, "family", family)
         self._init_key((5, name, -1 if family is None else family, self.deriv,
-                        tuple(a._key for a in self.args)))
+                        tuple(a._key for a in self.args)),
+                       any(map(_eps_of, self.args)))
 
 
 class AInt(Expr):
@@ -182,7 +196,7 @@ class AInt(Expr):
     def __init__(self, name: str, arg: Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arg", arg)
-        self._init_key((6, name, arg._key))
+        self._init_key((6, name, arg._key), arg._eps)
 
 
 class Pow(Expr):
@@ -191,23 +205,25 @@ class Pow(Expr):
     def __init__(self, base: Expr, exp: Fraction):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
-        self._init_key((7, base._key, exp.numerator, exp.denominator))
+        self._init_key((7, base._key, exp.numerator, exp.denominator), base._eps)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[Expr, ...]):
-        object.__setattr__(self, "factors", tuple(factors))
-        self._init_key((8, tuple(f._key for f in self.factors)))
+        factors = tuple(factors)
+        object.__setattr__(self, "factors", factors)
+        self._init_key((8, tuple(f._key for f in factors)), any(map(_eps_of, factors)))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[Expr, ...]):
-        object.__setattr__(self, "terms", tuple(terms))
-        self._init_key((9, tuple(t._key for t in self.terms)))
+        terms = tuple(terms)
+        object.__setattr__(self, "terms", terms)
+        self._init_key((9, tuple(t._key for t in terms)), any(map(_eps_of, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +550,21 @@ def div(a, b) -> Expr:
 
 
 def atoms_of(e: Expr, kind) -> set:
+    """The nodes of ``e`` that are instances of ``kind``.
+
+    They are added in pre-order (a node before its children, children left
+    to right), so the set's iteration order is fixed by the tree.  The walk
+    keeps its own stack and does not recurse, so no depth of tree exhausts
+    Python's recursion limit.
+    """
     found = set()
-    _walk_atoms(e, kind, found)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            found.add(node)
+        stack.extend(reversed(_children(node)))
     return found
-
-
-def _walk_atoms(e: Expr, kind, found: set):
-    if isinstance(e, kind):
-        found.add(e)
-    for child in _children(e):
-        _walk_atoms(child, kind, found)
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -563,20 +584,32 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 def rebuild(e: Expr, fn) -> Expr:
     """Apply ``fn`` to every child of ``e`` and re-apply the smart constructor.
 
-    Atoms come back unchanged.
+    Atoms come back unchanged, and so does ``e`` itself, the same object,
+    when every child comes back as the same object: re-applying the
+    constructor to the children it built ``e`` from gives ``e`` again.  A
+    node built directly, bypassing the constructors (the X^(1/2) atoms of
+    normal-form keys), is therefore kept as it is, not put in canonical form.
     """
     if isinstance(e, Add):
-        return add(*[fn(t) for t in e.terms])
+        terms = [fn(t) for t in e.terms]
+        return e if all(map(operator.is_, terms, e.terms)) else add(*terms)
     if isinstance(e, Mul):
-        return mul(*[fn(f) for f in e.factors])
+        factors = [fn(f) for f in e.factors]
+        return e if all(map(operator.is_, factors, e.factors)) else mul(*factors)
     if isinstance(e, Pow):
-        return pow_(fn(e.base), e.exp)
+        base = fn(e.base)
+        return e if base is e.base else pow_(base, e.exp)
     if isinstance(e, Fun):
-        return fun(e.name, fn(e.arg))
+        arg = fn(e.arg)
+        return e if arg is e.arg else fun(e.name, arg)
     if isinstance(e, AFun):
-        return AFun(e.name, tuple(fn(a) for a in e.args), e.deriv, e.family)
+        args = tuple(fn(a) for a in e.args)
+        if all(map(operator.is_, args, e.args)):
+            return e
+        return AFun(e.name, args, e.deriv, e.family)
     if isinstance(e, AInt):
-        return AInt(e.name, fn(e.arg))
+        arg = fn(e.arg)
+        return e if arg is e.arg else AInt(e.name, arg)
     return e
 
 
@@ -585,7 +618,7 @@ def jets_of(e: Expr) -> set[Jet]:
 
 
 def contains_eps(e: Expr) -> bool:
-    return bool(atoms_of(e, Eps))
+    return e._eps
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ side.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from . import expr as ex
@@ -99,6 +100,13 @@ def _axpy(row: dict, pivot_row: dict, factor: FE) -> dict:
     return out
 
 
+def _sort_key(row: dict) -> tuple:
+    """Promotion order of a reduced row: smallest leading column first, then
+    a rational pivot before a symbolic one, then the shorter row."""
+    lead = min(row)
+    return (lead, 0 if isinstance(row[lead], Fraction) else 1, len(row))
+
+
 def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
     """Reduced row echelon form; returns {pivot column: normalized row}.
 
@@ -111,29 +119,28 @@ def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
     that are only proportional are kept, since they may sort differently
     (a symbolic one-entry row sorts after a rational two-entry row with the
     same lead).
+
+    Pending rows wait in a heap with their sort keys.  No pending row leads
+    before the newly promoted pivot column, so the rows that hold it are
+    the ones that lead with it, the smallest in the heap: only they are
+    reduced and keyed again.  Their tie numbers, which stand for the order
+    of a stable sort, go below all others in their previous order, where a
+    stable re-sort of the whole list would put them.  Rows are therefore
+    promoted in the same order as when every pending row was re-keyed and
+    the list re-sorted at each promotion.
     """
     pivots: dict[int, dict] = {}
     distinct = dict.fromkeys(tuple(r.items()) for r in rows)
-    pending = [{c: v for c, v in items if not fe_is_zero(v)} for items in distinct]
-    pending = [r for r in pending if r]
-    lead = None   # the pivot column promoted in the previous round
+    pending = []   # (sort key, tie, row)
+    for items in distinct:
+        row = {c: v for c, v in items if not fe_is_zero(v)}
+        if row:
+            pending.append((_sort_key(row), len(pending), row))
+    heapq.heapify(pending)
+    tie = 0
     while pending:
-        # every pending row and every promoted row was reduced against the
-        # pivots before it, and back-substitution keeps pivot rows reduced,
-        # so the newest pivot column is the only one a pending row can hold
-        reduced = [_axpy(row, pivots[lead], fe_neg(row[lead])) if lead in row else row
-                   for row in pending]
-        reduced = [row for row in reduced if row]
-        if not reduced:
-            break
         # promote the row whose leading column is smallest; prefer rational pivots
-        def sort_key(r):
-            lead = min(r)
-            rational = isinstance(r[lead], Fraction)
-            return (lead, 0 if rational else 1, len(r))
-        reduced.sort(key=sort_key)
-        row = reduced[0]
-        lead = min(row)
+        (lead, _, _), _, row = heapq.heappop(pending)
         inv = fe_div(Fraction(1), row[lead])
         row = {c: fe_mul(inv, v) for c, v in row.items()}
         row[lead] = Fraction(1)
@@ -142,7 +149,15 @@ def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
             if lead in prow:
                 pivots[pc] = _axpy(prow, row, fe_neg(prow[lead]))
         pivots[lead] = row
-        pending = reduced[1:]
+        # and from the pending rows that hold it, which all lead with it
+        held = []
+        while pending and pending[0][0][0] == lead:
+            held.append(heapq.heappop(pending)[2])
+        tie -= len(held)
+        for i, r in enumerate(held):
+            r = _axpy(r, row, fe_neg(r[lead]))
+            if r:
+                heapq.heappush(pending, (_sort_key(r), tie + i, r))
     return pivots
 
 

@@ -1,5 +1,6 @@
 """Exact linear algebra over Q extended by symbolic constants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from approxsym import expr as ex
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
 from approxsym.lang import to_text
-from approxsym.linalg import (assemble_rows, coefficient_rows, common_multiplier, fe_expr,
-                              nullspace, solve_dense, span_fits, sparse_rref, split_column)
+from approxsym.linalg import (_axpy, assemble_rows, coefficient_rows, common_multiplier,
+                              fe_div, fe_expr, fe_is_zero, fe_mul, fe_neg, nullspace,
+                              solve_dense, span_fits, sparse_rref, split_column)
 
 
 def F(x):
@@ -140,6 +142,73 @@ def test_duplicate_rows_do_not_change_the_reduction(rows, expected):
         assert got_shown == shown
         assert list(got) == list(pivots)
         assert all(list(got[c].items()) == list(pivots[c].items()) for c in pivots)
+
+
+def ref_sparse_rref(rows, ncols):
+    """The reference: every pending row re-keyed at every promotion."""
+    pivots = {}
+    distinct = dict.fromkeys(tuple(r.items()) for r in rows)
+    pending = [{c: v for c, v in items if not fe_is_zero(v)} for items in distinct]
+    pending = [r for r in pending if r]
+    lead = None
+    while pending:
+        reduced = [_axpy(row, pivots[lead], fe_neg(row[lead])) if lead in row else row
+                   for row in pending]
+        reduced = [row for row in reduced if row]
+        if not reduced:
+            break
+
+        def sort_key(r):
+            lead = min(r)
+            rational = isinstance(r[lead], Fraction)
+            return (lead, 0 if rational else 1, len(r))
+        reduced.sort(key=sort_key)
+        row = reduced[0]
+        lead = min(row)
+        inv = fe_div(Fraction(1), row[lead])
+        row = {c: fe_mul(inv, v) for c, v in row.items()}
+        row[lead] = Fraction(1)
+        for pc, prow in list(pivots.items()):
+            if lead in prow:
+                pivots[pc] = _axpy(prow, row, fe_neg(prow[lead]))
+        pivots[lead] = row
+        pending = reduced[1:]
+    return pivots
+
+
+SYMBOLS = [_A, _B, _AB, ex.mul(_A, _B), ex.neg(_C), ex.pow_(_AB, -1), ex.mul(_D, ex.pow_(_A, -1))]
+
+
+def random_system(rng, symbolic):
+    """Rows over a few columns with zero entries, exact twins, multiples of
+    earlier rows and shuffled column order, so leads tie often."""
+    ncols = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and pick < 0.3:
+            k = F(rng.choice([-2, -1, 2, 3]))
+            rows.append({c: fe_mul(k, v) for c, v in rng.choice(rows).items()})
+        else:
+            cols = [c for c in range(ncols) if rng.random() < 0.6]
+            rng.shuffle(cols)
+            rows.append({c: rng.choice(SYMBOLS) if symbolic and rng.random() < 0.4
+                         else F(rng.randint(-2, 2)) for c in cols})
+    return rows, ncols
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["rational", "symbolic"])
+def test_sparse_rref_promotes_as_the_reference(symbolic):
+    rng = random.Random(23 if symbolic else 29)
+    for _ in range(400):
+        rows, ncols = random_system(rng, symbolic)
+        got = sparse_rref([dict(r) for r in rows], ncols)
+        want = ref_sparse_rref([dict(r) for r in rows], ncols)
+        assert list(got) == list(want)   # the same pivots, promoted in the same order
+        for c in want:
+            assert list(got[c].items()) == list(want[c].items())
 
 
 def test_symbolic_pivot_ambiguity():

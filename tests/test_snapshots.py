@@ -21,6 +21,17 @@ MODEL_FILES = Path(__file__).parent / "models"
 MODELS = ["coupled-system", "free-particle", "oscillator-arbitraryF",
           "oscillator-cubic-inverse", "oscillator-quadratic", "three-body"]
 
+# (xi, eta, phi) JSON rows of the override cases
+OVERRIDES = {
+    # 2*Xi1 - 1/3*Xi2
+    "oscillator-quadratic": ('[["2"], ["0"]]', '[["0"], ["-1/3*sin(t)"]]',
+                             '[["0", "-1/3*cos(t)*u0"]]'),
+    # 3/2*Xi2 - 2*Xi3
+    "coupled-system": ('[["3/2*t^2 - 4*t"], ["0"]]',
+                       '[["3/2*t*u0 - 2*u0", "0"], ["3/2*t*u1 - 2*u1", "0"]]',
+                       '[["3/2*u0^2*v0", "3/2*u0*(u0*v1 + 2*v0*u1)"]]'),
+}
+
 
 def _cases() -> dict[str, tuple[list[str], int]]:
     cases = {"models": (["models"], 0)}
@@ -46,6 +57,11 @@ def _cases() -> dict[str, tuple[list[str], int]]:
          "--sweep", "1e-2,1e-3,1e-4"], 0)
     cases["verify-sweep-all.oscillator-quadratic"] = (
         ["verify", "--model", "oscillator-quadratic", "--sweep", "1e-2,1e-3,1e-4"], 0)
+    # the --xi/--eta/--phi override: a rational combination of two golden
+    # records, through Generator.from_json, variational_residual and noether_fluxes
+    for m, (xi, eta, phi) in OVERRIDES.items():
+        cases[f"noether-override.{m}"] = (
+            ["noether", "--model", m, "--xi", xi, "--eta", eta, "--phi", phi], 0)
     return {name: (argv + ["--format", "json"], code)
             for name, (argv, code) in cases.items()}
 

@@ -326,11 +326,42 @@ def _frac_text(v: Fraction) -> str:
 
 
 def to_text(e: ex.Expr) -> str:
-    return _text(e, 0)
+    """The text form of e, as ``Language.parse`` reads it.
+
+    Walks with an explicit stack, so that a tree of any depth prints.  A
+    frame holds an iterator over a node's children, the texts printed of
+    them so far and how to print and join those (see ``_text_node``); a
+    leaf child is printed in place.
+    """
+    stack = [(iter((e,)), [], 0, "", "", "")]   # the root frame holds e alone
+    while True:
+        frame = stack[-1]
+        texts, prec = frame[1], frame[2]
+        for child in frame[0]:
+            node = _text_node(child, prec)
+            if isinstance(node, str):
+                texts.append(node)
+            else:
+                stack.append((iter(node[0]), [], *node[1:]))
+                break
+        else:
+            stack.pop()
+            _, _, _, prefix, sep, suffix = frame
+            if sep is None:   # a sum: the sign of each later term is its operator
+                body = texts[0] + "".join(" - " + s[1:] if s.startswith("-") else " + " + s
+                                          for s in texts[1:])
+            else:
+                body = sep.join(texts)
+            if not stack:
+                return prefix + body + suffix
+            stack[-1][1].append(prefix + body + suffix)
 
 
 # precedence levels: 0 add, 1 mul, 2 unary/pow operand, 3 atom
-def _text(e: ex.Expr, prec: int) -> str:
+def _text_node(e: ex.Expr, prec: int):
+    """The text of a leaf; for any other node, its children, the precedence
+    they are printed at, and the prefix, separator (None for a sum) and
+    suffix around their texts."""
     if isinstance(e, ex.Rat):
         s = _frac_text(e.value)
         if prec >= 2 and (e.value < 0 or e.value.denominator != 1):
@@ -346,46 +377,28 @@ def _text(e: ex.Expr, prec: int) -> str:
             return core
         return "d" * len(e.deriv) + core + "".join("#" + v for v in e.deriv)
     if isinstance(e, ex.Fun):
-        return f"{e.name}({_text(e.arg, 0)})"
+        return (e.arg,), 0, e.name + "(", "", ")"
     if isinstance(e, ex.AFun):
         name = e.name if e.family is None else f"{e.name}_{e.family}"
         if len(e.args) == 1:
             name += "'" * e.deriv[0]
         elif any(e.deriv):
             name = "D(" + ",".join(map(str, e.deriv)) + ")" + name
-        return f"{name}({', '.join(_text(a, 0) for a in e.args)})"
+        return e.args, 0, name + "(", ", ", ")"
     if isinstance(e, ex.AInt):
-        return f"Int({e.name},{_text(e.arg, 0)})"
+        return (e.arg,), 0, f"Int({e.name},", "", ")"
     if isinstance(e, ex.Pow):
-        b = _text(e.base, 3)
         x = _frac_text(e.exp)
         if e.exp < 0 or e.exp.denominator != 1:
             x = f"({x})"
-        s = f"{b}^{x}"
-        return s
+        return (e.base,), 3, "", "", "^" + x
     if isinstance(e, ex.Mul):
         coeff, rest = ex._split_coeff(e)
         factors = rest.factors if isinstance(rest, ex.Mul) else (rest,)
-        body = "*".join(_text(f, 2) for f in factors)
-        if coeff == 1:
-            s = body
-        elif coeff == -1:
-            s = f"-{body}"
-        else:
-            s = f"{_frac_text(coeff)}*{body}"
-        return f"({s})" if prec >= 2 else s
+        sign = "" if coeff == 1 else "-" if coeff == -1 else _frac_text(coeff) + "*"
+        return (factors, 2, "(" + sign, "*", ")") if prec >= 2 else (factors, 2, sign, "*", "")
     if isinstance(e, ex.Add):
-        parts = []
-        for i, t in enumerate(e.terms):
-            s = _text(t, 1)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        s = "".join(parts)
-        return f"({s})" if prec >= 1 else s
+        return (e.terms, 1, "(", None, ")") if prec >= 1 else (e.terms, 1, "", None, "")
     raise TypeError(f"cannot print {type(e).__name__}")
 
 

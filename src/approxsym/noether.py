@@ -10,7 +10,9 @@ classical Noether current
 
     Phi^i = xi_i L + sum_a (eta_a - sum_j xi_j u_a,j) dL/du_a,i - phi^i,
 
-all products being Cauchy products truncated at the expansion order.  The
+all products being Cauchy products truncated at the expansion order.  Both
+read the partial derivatives of L from the Lagrangian (``partial``), which
+differentiates each coefficient once however many generators are tested.  The
 divergence check (total divergence on the Euler-Lagrange hierarchy solved
 for the leading derivatives) always runs and is the source of truth.
 """
@@ -27,7 +29,7 @@ from .jet import JetSpace, total_derivative
 from .linalg import coefficient_rows, fe_expr, nullspace, solve_dense
 from .perturb import (EpsSeries, const_series, expand_series, jet_series,
                       series_add, series_divergence, series_mul, series_shift,
-                      series_sub, series_u_partial, validate_triangular)
+                      series_sub, validate_triangular)
 from .symmetry import Generator
 
 __all__ = ["PerturbedLagrangian", "GaugeTerm", "ConservationLaw",
@@ -35,11 +37,21 @@ __all__ = ["PerturbedLagrangian", "GaugeTerm", "ConservationLaw",
            "noether_fluxes", "divergence_check", "classify", "Dependency"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbedLagrangian:
+    """L = L_0 + eps L_1 + ... on a jet space, with two memos of derived data.
+
+    Frozen, so that neither memo can go stale behind a changed ``L``.
+    ``_partials`` maps a variable v to the series dL/dv, filled by
+    ``partial`` on first use: at most n + m*(1+n) entries for the order-1
+    action (the independent variables and the order-0 slots of u and its
+    first derivatives).  ``_el_cache`` holds the solved Euler-Lagrange
+    hierarchy, set by the first ``el_solved_map``.
+    """
     space: JetSpace
     L: EpsSeries
     _el_cache: dict | None = field(default=None, repr=False, compare=False)
+    _partials: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.L.order != self.space.order:
@@ -58,6 +70,14 @@ class PerturbedLagrangian:
                         f"L_{k} is not linear in {j!r}; not an expansion coefficient?",
                         stacklevel=3)
                     return
+
+    def partial(self, v: ex.Sym | ex.Jet) -> EpsSeries:
+        """Coefficient-wise dL/dv for an independent variable or an order-0
+        jet slot (see ``series_u_partial``), computed once per v."""
+        d = self._partials.get(v)
+        if d is None:
+            d = self._partials[v] = EpsSeries(tuple(ex.diff(c, v) for c in self.L.coeffs))
+        return d
 
     @classmethod
     def from_expression(cls, e: ex.Expr, space: JetSpace) -> "PerturbedLagrangian":
@@ -129,10 +149,9 @@ def euler_lagrange(lag: PerturbedLagrangian) -> list[EpsSeries]:
     for base in sp.dependent:
         coeffs = []
         for k in range(sp.order + 1):
-            Lk = lag.L.coeffs[k]
-            e = ex.diff(Lk, ex.jet(base, 0))
+            e = lag.partial(ex.jet(base, 0))[k]
             for v in sp.independent:
-                e = ex.sub(e, total_derivative(ex.diff(Lk, ex.jet(base, 0, (v,))), v, sp))
+                e = ex.sub(e, total_derivative(lag.partial(ex.jet(base, 0, (v,)))[k], v, sp))
             coeffs.append(e)
         out.append(EpsSeries(tuple(coeffs)))
     return out
@@ -174,7 +193,7 @@ def el_solved_map(lag: PerturbedLagrangian) -> dict[ex.Jet, ex.Expr]:
         raise CannotSolveForLeadingDerivative(
             "kinetic term is degenerate or an equation constrains the state")
     solved = {u: s for u, s in zip(unknowns, solution)}
-    lag._el_cache = solved
+    object.__setattr__(lag, "_el_cache", solved)
     return solved
 
 
@@ -187,13 +206,13 @@ def variational_residual(g: Generator, lag: PerturbedLagrangian,
     """Left-hand side of the approximate invariance condition as a series."""
     sp = lag.space
     phi = phi or GaugeTerm.zero(sp)
-    out = g.apply(lag.L, 1)
+    out = g.apply(lag.L, 1, partial=lag.partial)
     out = series_add(out, series_mul(lag.L, series_divergence(g.xi, sp)))
     return series_sub(out, series_divergence(phi.phi, sp))
 
 
 def _dl_du_series(lag: PerturbedLagrangian, base: str, v: str) -> EpsSeries:
-    return series_u_partial(lag.L, ex.jet(base, 0, (v,)))
+    return lag.partial(ex.jet(base, 0, (v,)))
 
 
 def noether_fluxes(g: Generator, lag: PerturbedLagrangian,

@@ -17,7 +17,7 @@ from . import expr as ex
 from .jet import JetSpace
 from .perturb import (EpsSeries, build_infinitesimals, const_series, jet_series,
                       series_add, series_mul, series_shift, series_sub,
-                      series_total_derivative, series_u_partial, validate_triangular)
+                      series_total_derivative, validate_triangular)
 
 __all__ = ["Generator", "commutator", "eps_shift"]
 
@@ -79,6 +79,7 @@ class Generator:
             raise ValueError(f"prolongation order {order} exceeds r={sp.max_derivative}")
         for a in range(sp.m):
             self._cache.setdefault((a, ()), self.eta[a])
+        dxi = {}  # (j, v) -> D_v xi_j, shared by every dependent and multi-index
         for q in range(1, order + 1):
             for a, base in enumerate(sp.dependent):
                 for deriv in combinations_with_replacement(sp.independent, q):
@@ -88,9 +89,10 @@ class Generator:
                     prev = self._cache[(a, deriv[:-1])]
                     out = series_total_derivative(prev, v, sp)
                     for j, xj in enumerate(sp.independent):
-                        term = series_mul(
-                            series_total_derivative(self.xi[j], v, sp),
-                            jet_series(base, deriv[:-1] + (xj,), sp.order))
+                        d = dxi.get((j, v))
+                        if d is None:
+                            d = dxi[(j, v)] = series_total_derivative(self.xi[j], v, sp)
+                        term = series_mul(d, jet_series(base, deriv[:-1] + (xj,), sp.order))
                         out = series_sub(out, term)
                     self._cache[(a, deriv)] = out
         return self
@@ -101,26 +103,32 @@ class Generator:
 
     # -- action ---------------------------------------------------------------
 
-    def apply(self, s: EpsSeries, order: int) -> EpsSeries:
+    def apply(self, s: EpsSeries, order: int, *, partial=None) -> EpsSeries:
         """Act on an expansion-series as a first-order operator.
 
         Coefficient k of the result is sum_l Xi^(order)_(l)[s_(k-l)], the
         partial derivatives with respect to the unexpanded coordinates being
         extracted through the order-0 slots of the expanded ones.
+
+        ``partial`` maps an independent-variable symbol or an order-0 jet
+        slot v to the series ds/dv.  By default each call differentiates
+        ``s``; ``variational_residual`` passes ``PerturbedLagrangian.partial``,
+        which differentiates the Lagrangian once for every generator.
         """
         sp = self.space
         if s.order != sp.order:
             raise ValueError("series order mismatch")
+        if partial is None:
+            def partial(v):
+                return EpsSeries(tuple(ex.diff(c, v) for c in s.coeffs))
         self.prolong(order)
         out = _zero_series(sp)
         for i, v in enumerate(sp.independent):
-            d = EpsSeries(tuple(ex.diff(c, ex.sym(v)) for c in s.coeffs))
-            out = series_add(out, series_mul(self.xi[i], d))
+            out = series_add(out, series_mul(self.xi[i], partial(ex.sym(v))))
         for a, base in enumerate(sp.dependent):
             for q in range(order + 1):
                 for deriv in combinations_with_replacement(sp.independent, q):
-                    slot = ex.jet(base, 0, deriv)
-                    d = series_u_partial(s, slot)
+                    d = partial(ex.jet(base, 0, deriv))
                     if all(c == ex.ZERO for c in d.coeffs):
                         continue
                     out = series_add(out, series_mul(self._cache[(a, deriv)], d))

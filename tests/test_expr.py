@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from approxsym import expr as ex
 from approxsym.errors import DivisionByZero, NotPolynomial
-from approxsym.lang import Language, to_text
+from approxsym.lang import Language, _frac_text, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1})
 
@@ -737,6 +737,84 @@ def test_atoms_are_collected_as_by_the_recursive_walk(recipe):
         assert list(ex.atoms_of(e, kind)) == list(ref_atoms_of(e, kind))
 
 
+def ref_text(e, prec):
+    """The reference: the recursive printer behind ``to_text``."""
+    if isinstance(e, ex.Rat):
+        s = _frac_text(e.value)
+        if prec >= 2 and (e.value < 0 or e.value.denominator != 1):
+            return f"({s})"
+        return s
+    if isinstance(e, ex.Sym):
+        return e.name
+    if isinstance(e, ex.Eps):
+        return "eps"
+    if isinstance(e, ex.Jet):
+        core = e.base + ("" if e.order is None else str(e.order))
+        if not e.deriv:
+            return core
+        return "d" * len(e.deriv) + core + "".join("#" + v for v in e.deriv)
+    if isinstance(e, ex.Fun):
+        return f"{e.name}({ref_text(e.arg, 0)})"
+    if isinstance(e, ex.AFun):
+        name = e.name if e.family is None else f"{e.name}_{e.family}"
+        if len(e.args) == 1:
+            name += "'" * e.deriv[0]
+        elif any(e.deriv):
+            name = "D(" + ",".join(map(str, e.deriv)) + ")" + name
+        return f"{name}({', '.join(ref_text(a, 0) for a in e.args)})"
+    if isinstance(e, ex.AInt):
+        return f"Int({e.name},{ref_text(e.arg, 0)})"
+    if isinstance(e, ex.Pow):
+        x = _frac_text(e.exp)
+        if e.exp < 0 or e.exp.denominator != 1:
+            x = f"({x})"
+        return f"{ref_text(e.base, 3)}^{x}"
+    if isinstance(e, ex.Mul):
+        coeff, rest = ex._split_coeff(e)
+        factors = rest.factors if isinstance(rest, ex.Mul) else (rest,)
+        body = "*".join(ref_text(f, 2) for f in factors)
+        if coeff == 1:
+            s = body
+        elif coeff == -1:
+            s = f"-{body}"
+        else:
+            s = f"{_frac_text(coeff)}*{body}"
+        return f"({s})" if prec >= 2 else s
+    if isinstance(e, ex.Add):
+        parts = []
+        for i, t in enumerate(e.terms):
+            s = ref_text(t, 1)
+            if i == 0:
+                parts.append(s)
+            elif s.startswith("-"):
+                parts.append(" - " + s[1:])
+            else:
+                parts.append(" + " + s)
+        s = "".join(parts)
+        return f"({s})" if prec >= 1 else s
+    raise TypeError(f"cannot print {type(e).__name__}")
+
+
+# leaves and names that the recipes do not draw
+PRINTED_EXTRAS = [
+    ex.EPS, ex.jet("u", 1, ("t", "t")), ex.jet("u", None, ("t",)), ex.jet("v", None),
+    ex.afun("F", (ex.sym("t"),), (2,)), ex.afun("G", (ex.sym("t"), ex.jet("u", 0)), (1, 0)),
+    ex.afun("xi", (ex.sym("t"), ex.jet("u", 0)), None, 1),
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(RECIPES, st.sampled_from(PRINTED_EXTRAS))
+def test_text_is_printed_as_by_the_recursive_printer(recipe, extra):
+    try:
+        e = wrapped(build(recipe, RECIPE_ATOMS))
+    except DivisionByZero:
+        return
+    for tree in (e, ex.add(ex.mul(ex.rat(Fraction(-2, 3)), extra, e), ex.pow_(extra, -1))):
+        for node in nodes(tree):
+            assert to_text(node) == ref_text(node, 0)
+
+
 # one node of each kind that holds others, with e as its only eps-bearing child
 EPS_HOLDERS = {
     ex.Fun: lambda e: ex.fun("exp", e),
@@ -773,6 +851,10 @@ def test_walks_and_series_reach_the_bottom_of_a_deep_tree():
     assert len(ex.atoms_of(e, ex.Fun)) == len(ex.atoms_of(e, ex.Pow)) == 1500
     assert EpsSeries((e,)).coeffs == (e,)
     assert ex.contains_eps(nest(ex.add(u0, ex.EPS))) is True
+    text = repr(e)
+    assert text.startswith("(1 + sin((1 + sin(") and text.count("sin(") == 1500
+    with pytest.raises(ValueError, match="contains eps"):
+        EpsSeries((ex.mul(e, ex.EPS),))
 
 
 # ---------------------------------------------------------------------------

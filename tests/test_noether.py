@@ -1,19 +1,25 @@
 """Variational layer: EL hierarchy, residual, fluxes, divergence, classify."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from approxsym import expr as ex
 from approxsym.errors import (CannotSolveForLeadingDerivative,
                               NotAVariationalSymmetry)
-from approxsym.jet import JetSpace
+from approxsym.jet import JetSpace, total_derivative
+from approxsym.models import builtin_names, load_builtin, parse_generator
 from approxsym.noether import (ConservationLaw, GaugeTerm, PerturbedLagrangian,
                                classify, divergence_check, el_solved_map,
                                euler_lagrange, noether_fluxes,
                                variational_residual)
-from approxsym.perturb import EpsSeries, series_shift
+from approxsym.perturb import (EpsSeries, const_series, series_add,
+                               series_divergence, series_mul, series_shift,
+                               series_sub, series_u_partial)
 from approxsym.symmetry import Generator, eps_shift
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
@@ -264,3 +270,137 @@ def test_zeroth_order_sector_is_exact_conservation_law():
         law = noether_fluxes(g, LAG, ph)
         zero_part = ConservationLaw(sp0, (EpsSeries((law.quantity[0],)),))
         assert divergence_check(zero_part, lag0) == [True]
+
+
+# ---------------------------------------------------------------------------
+# the partials memo against the per-call differentiation it replaced
+
+
+def ref_apply(g, s, order):
+    """The reference: Generator.apply differentiating s on every call."""
+    sp = g.space
+    g.prolong(order)
+    out = const_series(ex.ZERO, sp.order)
+    for i, v in enumerate(sp.independent):
+        d = EpsSeries(tuple(ex.diff(c, ex.sym(v)) for c in s.coeffs))
+        out = series_add(out, series_mul(g.xi[i], d))
+    for a, base in enumerate(sp.dependent):
+        for q in range(order + 1):
+            for deriv in combinations_with_replacement(sp.independent, q):
+                d = series_u_partial(s, ex.jet(base, 0, deriv))
+                if all(c == ex.ZERO for c in d.coeffs):
+                    continue
+                out = series_add(out, series_mul(g._cache[(a, deriv)], d))
+    return out
+
+
+def ref_residual(g, lag, phi):
+    sp = lag.space
+    out = ref_apply(g, lag.L, 1)
+    out = series_add(out, series_mul(lag.L, series_divergence(g.xi, sp)))
+    return series_sub(out, series_divergence(phi.phi, sp))
+
+
+def ref_euler_lagrange(lag):
+    sp = lag.space
+    out = []
+    for base in sp.dependent:
+        coeffs = []
+        for Lk in lag.L.coeffs:
+            e = ex.diff(Lk, ex.jet(base, 0))
+            for v in sp.independent:
+                e = ex.sub(e, total_derivative(ex.diff(Lk, ex.jet(base, 0, (v,))), v, sp))
+            coeffs.append(e)
+        out.append(EpsSeries(tuple(coeffs)))
+    return out
+
+
+def keys(series):
+    return [c._key for c in series.coeffs]
+
+
+def order1_variables(sp):
+    """Every v that apply(., 1) differentiates by."""
+    return [ex.sym(v) for v in sp.independent] + [
+        ex.jet(base, 0, deriv) for base in sp.dependent for q in (0, 1)
+        for deriv in combinations_with_replacement(sp.independent, q)]
+
+
+# golden combinations plus a non-symmetry direction on eta[0][0], as screened
+SCREENED = {
+    "oscillator-quadratic": [(("Xi1", "Xi2"), ("3/2", "-2"), "t*u0"),
+                             (("Xi2", "Xi3"), ("1/3", "5/4"), "sin(t)*u0^2"),
+                             (("Xi1", "Xi3"), ("-1", "2"), None)],
+    "coupled-system": [(("Xi1", "Xi2"), ("2", "-1/2"), "u0*v0"),
+                       (("Xi2", "Xi3"), ("3/2", "-2"), "t^2*v0"),
+                       (("Xi1", "Xi3"), ("1/4", "3"), None)],
+}
+
+
+def screened(model, names, coeffs, direction):
+    recs = {r["name"]: r for r in model.raw["golden"]}
+    n, p = model.space.n, model.space.order
+    zero_phi = [["0"] * (p + 1) for _ in range(n)]
+
+    def combine(field):
+        rows = [recs[name].get(field) or zero_phi for name in names]
+        return [[" + ".join(f"({c})*({r[i][j]})" for c, r in zip(coeffs, rows))
+                 for j in range(len(rows[0][i]))] for i in range(len(rows[0]))]
+    rec = {f: combine(f) for f in ("xi", "eta", "phi")}
+    if direction:
+        rec["eta"][0][0] += f" + (2/3)*({direction})"
+    return parse_generator(model, rec)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_partial_is_the_per_call_derivative(name):
+    lag = load_builtin(name).lagrangian
+    for v in order1_variables(lag.space):
+        direct = EpsSeries(tuple(ex.diff(c, v) for c in lag.L.coeffs))
+        assert keys(lag.partial(v)) == keys(direct)
+        if isinstance(v, ex.Jet):
+            assert keys(lag.partial(v)) == keys(series_u_partial(lag.L, v))
+        assert lag.partial(v) is lag.partial(v)
+    assert len(lag._partials) == len(order1_variables(lag.space))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_residual_and_hierarchy_match_the_uncached_code(name):
+    model = load_builtin(name)
+    lag = model.lagrangian
+    pairs = [(rec.generator, rec.gauge) for rec in model.golden]
+    pairs += [screened(model, *case) for case in SCREENED.get(name, [])]
+    for g, phi in pairs:
+        new = variational_residual(g, lag, phi)
+        assert keys(new) == keys(ref_residual(g, lag, phi))
+    for new, ref in zip(euler_lagrange(lag), ref_euler_lagrange(lag), strict=True):
+        assert keys(new) == keys(ref)
+
+
+def test_lagrangian_is_differentiated_once(monkeypatch):
+    sp = LAG.space
+    lag = PerturbedLagrangian(sp, LAG.L)
+    diff = ex.diff
+    seen = []
+
+    def counting(e, v):
+        if any(e is c for c in lag.L.coeffs):
+            seen.append(v)
+        return diff(e, v)
+    monkeypatch.setattr(ex, "diff", counting)
+    first = noether_fluxes(XI1, lag)   # residual, flux and hierarchy
+    # each coefficient once by each variable that apply(., 1) asks for
+    assert Counter(seen) == dict.fromkeys(order1_variables(sp), len(lag.L.coeffs))
+    seen.clear()
+    second = noether_fluxes(XI2, lag, PHI2)
+    assert variational_residual(XI4, lag, PHI4).is_zero_series() is True
+    assert seen == []
+    assert first.verified and second.verified
+
+
+def test_lagrangian_is_frozen():
+    lag = PerturbedLagrangian(LAG.space, LAG.L)
+    el_solved_map(lag)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lag.L = EpsSeries((ex.ZERO, ex.ZERO))
+    assert lag.L is LAG.L

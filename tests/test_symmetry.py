@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from approxsym import expr as ex
 from approxsym.jet import JetSpace, total_derivative
+from approxsym.models import builtin_names, load_builtin
 from approxsym.noether import PerturbedLagrangian
-from approxsym.perturb import EpsSeries, expand_series, series_shift
+from approxsym.perturb import (EpsSeries, expand_series, jet_series, series_mul,
+                               series_shift, series_sub, series_total_derivative)
 from approxsym.symmetry import Generator, commutator, eps_shift
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
@@ -189,3 +192,52 @@ def test_serialization_round_trip():
 def test_point_generator_validation():
     with pytest.raises(ValueError):
         gen(["du0#t", "0"], ["0", "0"])
+
+
+# ---------------------------------------------------------------------------
+# prolongation against the contact formula it was written from
+
+
+def ref_prolong(g, order):
+    """The reference: D_v xi_j recomputed for every dependent and multi-index."""
+    sp = g.space
+    cache = {(a, ()): g.eta[a] for a in range(sp.m)}
+    for q in range(1, order + 1):
+        for a, base in enumerate(sp.dependent):
+            for deriv in combinations_with_replacement(sp.independent, q):
+                v = deriv[-1]
+                out = series_total_derivative(cache[(a, deriv[:-1])], v, sp)
+                for j, xj in enumerate(sp.independent):
+                    term = series_mul(series_total_derivative(g.xi[j], v, sp),
+                                      jet_series(base, deriv[:-1] + (xj,), sp.order))
+                    out = series_sub(out, term)
+                cache[(a, deriv)] = out
+    return cache
+
+
+def assert_same_prolongation(g):
+    g = Generator(g.space, g.xi, g.eta)   # an empty cache
+    order = g.space.max_derivative
+    ref = ref_prolong(g, order)
+    g.prolong(order)
+    assert g._cache.keys() == ref.keys()
+    for k, s in ref.items():
+        assert [c._key for c in g._cache[k].coeffs] == [c._key for c in s.coeffs]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_prolongation_matches_the_contact_formula_on_golden_records(name):
+    for rec in load_builtin(name).golden:
+        assert_same_prolongation(rec.generator)
+
+
+def test_prolongation_matches_the_contact_formula_in_two_variables():
+    sp = JetSpace(("t", "x"), ("u", "v"), order=1, max_derivative=2)
+    lang = sp.language()
+    rng = random.Random(7)
+    texts = ["t*u0", "x^2", "u0*v0", "sin(x)", "t*x*v0", "u0^2", "1", "0"]
+    for _ in range(5):
+        def series():
+            return EpsSeries((lang.parse(rng.choice(texts)),
+                              lang.parse(f"{rng.choice(texts)} + u1*{rng.choice(texts)}")))
+        assert_same_prolongation(Generator(sp, (series(), series()), (series(), series())))

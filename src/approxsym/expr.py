@@ -27,6 +27,7 @@ __all__ = [
     "pow_", "neg", "sub", "div", "rebuild", "derivation", "diff", "subst",
     "subst_function", "expand", "collect", "is_zero", "UNKNOWN", "equivalent",
     "atoms_of", "jets_of", "contains_eps", "poly_antiderivative", "linear_coeffs",
+    "cache_stats", "clear_caches",
 ]
 
 
@@ -770,7 +771,9 @@ def expand(e: Expr) -> Expr:
     orig = e
     hit = _EXPAND_CACHE.get(orig)
     if hit is not None:
+        _HITS["expand"] += 1
         return hit
+    _MISSES["expand"] += 1
     out = _expand(e)
     while out != e:
         e, out = out, _expand(out)
@@ -902,163 +905,206 @@ def _base_exponents(key: tuple) -> dict[Expr, Fraction | int]:
     return out
 
 
-class _Product:
-    """Sparse products of normal-form dicts, kept for one normal form.
+# ---------------------------------------------------------------------------
+# the read memo: sparse products shared by every normal form
+#
+# ``_sparse`` reads a node into its dict of monomials, and every normal
+# form, ``_poly_times`` and ``_clear_denominators`` share what was read:
+# the residuals of one system hold the same Lagrangian coefficients,
+# partials and sin/cos atoms.  A read depends only on the node's structure,
+# so a stored read is what reading again would give, keys in the same
+# order; stored dicts and lists are never mutated.  Products are read but
+# not stored: in the benchmark's cases they were most of the monomials
+# stored and few of the hits, and reading one again starts from its
+# factors' stored reads.  The memo holds at most _MEMO_BOUND monomials (an
+# entry without any counts as one).  A read that does not fit is not
+# stored and marks the memo full; the next read then starts by emptying
+# it, reads, expansions and X^(1/2) atoms alike, so a read never loses the
+# memo halfway.
 
-    ``times`` multiplies two dicts term by term, as Monagan & Pearce
-    multiply sparse polynomials ("Sparse polynomial multiplication and
-    division in Maple 14", 2009), instead of distributing ``Expr`` trees.
-    ``read`` turns a tree into a dict with that product.  The expansions,
-    the X^(1/2) atoms that keys share and the read of each node are kept
-    for the instance's life only.
-    """
+_MEMO_BOUND = 4000
+_READS: dict[Expr, dict | None] = {}          # node -> dict, or None: tree pass
+_EXPANSIONS: dict[tuple, list] = {}           # (base, k) -> [({base: exp}, c)]
+_ROOTS: dict[Expr, Pow] = {}                  # X -> the X^(1/2) that keys share
+_MEMO = {"held": 0, "full": False, "clears": 0}
+_HITS = {"expand": 0, "normal_form": 0, "memo": 0}
+_MISSES = dict(_HITS)
+_NOT_READ = object()
 
-    __slots__ = ("roots", "powers", "reads")
 
-    def __init__(self):
-        self.roots: dict[Expr, Pow] = {}
-        self.powers: dict[tuple, list] = {}
-        self.reads: dict[Expr, dict | None] = {}
+def _store(table: dict, key, value, size: int):
+    if _MEMO["held"] + size <= _MEMO_BOUND:
+        table[key] = value
+        _MEMO["held"] += size
+    else:
+        _MEMO["full"] = True
 
-    def key(self, mono: Mapping[Expr, Fraction]) -> tuple:
-        return _monomial_key(mono.items(), self.roots)
 
-    def expansion(self, base: Expr, k) -> list:
-        hit = self.powers.get((base, k))
-        if hit is None:
-            if isinstance(base, Fun):
-                e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k // 2)
-            else:
-                e = pow_(base, k)
-            p, _ = _to_poly(e)
-            hit = self.powers[(base, k)] = [(_base_exponents(m), c) for m, c in p.items()]
-        return hit
+def _clear_memo():
+    _READS.clear()
+    _EXPANSIONS.clear()
+    _ROOTS.clear()
+    _MEMO.update(held=0, full=False)
 
-    def settle(self, mono: dict, c: Fraction, acc: dict):
-        """Add c * mono to acc, reduced by the rules of the tree pass:
 
-        - a sum X with a positive integer part k (and a rational or product
-          base with any nonzero k) is replaced by the monomials of
-          ``_to_poly(pow_(X, k))``;
-        - sin(x)^n with an integer n >= 2 is replaced by the monomials of
-          ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
-          ``_sin_power_reduce`` does;
-        - each product is reduced again, and what is left is keyed by
-          ``_monomial_key``: zero exponents are dropped and a root that
-          reaches (X^(1/2))^2 becomes X (rho^2 = X).
-        """
-        for base, p in mono.items():
-            # the part of the exponent that is replaced by an expansion
-            if isinstance(base, Fun):
-                if base.name != "sin" or p.denominator != 1 or p < 2:
-                    continue
-                whole = p - p % 2
-            elif isinstance(base, (Rat, Mul, Add)):
-                whole = p if p.denominator == 1 else \
-                    p.numerator // 2 if p.denominator == 2 else 0
-                if not whole or (whole < 0 and isinstance(base, Add)):
-                    continue
-            else:
-                continue
-            rest = dict(mono)
-            rest[base] = p - whole
-            for m, mc in self.expansion(base, whole):
-                merged = dict(rest)
-                for b, x in m.items():
-                    merged[b] = merged[b] + x if b in merged else x
-                self.settle(merged, c * mc, acc)
-            return
-        key = self.key(mono)
-        acc[key] = acc[key] + c if key in acc else c
+def _make_room():
+    """Empty a full memo: called only before a read."""
+    if _MEMO["full"]:
+        _clear_memo()
+        _MEMO["clears"] += 1
 
-    def times(self, a: dict, b: dict) -> dict:
-        """The product of two dicts, unsorted, zero terms dropped."""
-        acc: dict[tuple, Fraction] = {}
-        right = [(_base_exponents(k), c) for k, c in b.items()]
-        for ka, ca in a.items():
-            left = _base_exponents(ka)
-            for mb, cb in right:
-                mono = dict(left)
-                for base, x in mb.items():
-                    mono[base] = mono[base] + x if base in mono else x
-                self.settle(mono, ca * cb, acc)
-        return {k: c for k, c in acc.items() if c}
 
-    def read(self, e: Expr) -> dict:
-        """The dict of e before clearing, unsorted: the sum of its terms'
-        sparse reads, where a term that holds a quotient or radical of a
-        sum (``sparse`` gives None) is read by the tree pass instead."""
-        acc: dict[tuple, Fraction] = {}
-        for term in (e.terms if isinstance(e, Add) else (e,)):
-            poly = self.sparse(term)
-            if poly is None:
-                tree = expand(_trig_multiple_expand(expand(term)))
-                poly, _ = _to_poly(expand(_sin_power_reduce(tree)))
-            for k, c in poly.items():
-                acc[k] = acc[k] + c if k in acc else c
-        return {k: c for k, c in acc.items() if c}
-
-    def sparse(self, e: Expr) -> dict | None:
-        """The dict of e read by products, or None when e holds a negative
-        or fractional power of a base that is not an atom.
-
-        Only ``mul`` on trees cancels such a power against a multiple of its
-        base written out elsewhere in the product, as in
-        t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1) = t, so those terms keep
-        the tree pass.  A sin/cos atom is read as its multiple-angle
-        expansion (``_trig_multiple_expand``).
-        """
-        if e in self.reads:
-            return self.reads[e]
-        if isinstance(e, Rat):
-            out = {(): e.value} if e.value else {}
-        elif isinstance(e, Add):
-            parts = [self.sparse(t) for t in e.terms]
-            out = None if any(p is None for p in parts) else {}
-            for p in parts if out is not None else ():
-                for k, c in p.items():
-                    out[k] = out[k] + c if k in out else c
-            if out:
-                out = {k: c for k, c in out.items() if c}
-        elif isinstance(e, Mul):
-            parts = [self.sparse(f) for f in e.factors]
-            if any(p is None for p in parts):
-                out = None
-            elif not all(parts):   # a zero factor
-                out = {}
-            else:
-                # the one-term factors are merged into one monomial first
-                out, mono, c, sums = {}, {}, _UNIT, []
-                for p in parts:
-                    if len(p) > 1:
-                        sums.append(p)
-                        continue
-                    (k, x), = p.items()
-                    c *= x
-                    for base, q in _base_exponents(k).items():
-                        mono[base] = mono[base] + q if base in mono else q
-                self.settle(mono, c, out)
-                for p in sums:
-                    out = self.times(out, p)
-        elif isinstance(e, Pow):
-            base, p = e.base, e.exp
-            if isinstance(base, (Fun, AFun, AInt)):
-                base = _trig_multiple_expand(base)
-            if isinstance(base, _ATOMS):
-                out = {}
-                self.settle({base: p}, _UNIT, out)
-            elif p.denominator == 1 and p > 0:
-                out = b = self.sparse(base)
-                if b is not None:
-                    for _ in range(p.numerator - 1):
-                        out = self.times(out, b)
-            else:
-                out = None
+def _expansion(base: Expr, k) -> list:
+    """The monomials of base^k as ({base: exponent}, coefficient) pairs; of
+    (1 - cos(x)^2)^(k/2) for base sin(x)."""
+    hit = _EXPANSIONS.get((base, k))
+    if hit is None:
+        if isinstance(base, Fun):
+            e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k // 2)
         else:
-            atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
-            out = {((atom, 1),): _UNIT} if isinstance(atom, _ATOMS) else self.sparse(atom)
-        self.reads[e] = out
+            e = pow_(base, k)
+        p, _ = _to_poly(e)
+        hit = [(_base_exponents(m), c) for m, c in p.items()]
+        _store(_EXPANSIONS, (base, k), hit, len(hit) or 1)
+    return hit
+
+
+def _settle(mono: dict, c: Fraction, acc: dict):
+    """Add c * mono to acc, reduced by the rules of the tree pass:
+
+    - a sum X with a positive integer part k (and a rational or product
+      base with any nonzero k) is replaced by the monomials of
+      ``_to_poly(pow_(X, k))``;
+    - sin(x)^n with an integer n >= 2 is replaced by the monomials of
+      ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
+      ``_sin_power_reduce`` does;
+    - each product is reduced again, and what is left is keyed by
+      ``_monomial_key``: zero exponents are dropped and a root that
+      reaches (X^(1/2))^2 becomes X (rho^2 = X).
+    """
+    for base, p in mono.items():
+        # the part of the exponent that is replaced by an expansion
+        if isinstance(base, Fun):
+            if base.name != "sin" or p.denominator != 1 or p < 2:
+                continue
+            whole = p - p % 2
+        elif isinstance(base, (Rat, Mul, Add)):
+            whole = p if p.denominator == 1 else \
+                p.numerator // 2 if p.denominator == 2 else 0
+            if not whole or (whole < 0 and isinstance(base, Add)):
+                continue
+        else:
+            continue
+        rest = dict(mono)
+        rest[base] = p - whole
+        for m, mc in _expansion(base, whole):
+            merged = dict(rest)
+            for b, x in m.items():
+                merged[b] = merged[b] + x if b in merged else x
+            _settle(merged, c * mc, acc)
+        return
+    key = _monomial_key(mono.items(), _ROOTS)
+    acc[key] = acc[key] + c if key in acc else c
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two dicts, unsorted, zero terms dropped: term by term,
+    as Monagan & Pearce multiply sparse polynomials ("Sparse polynomial
+    multiplication and division in Maple 14", 2009), instead of
+    distributing ``Expr`` trees."""
+    acc: dict[tuple, Fraction] = {}
+    right = [(_base_exponents(k), c) for k, c in b.items()]
+    for ka, ca in a.items():
+        left = _base_exponents(ka)
+        for mb, cb in right:
+            mono = dict(left)
+            for base, x in mb.items():
+                mono[base] = mono[base] + x if base in mono else x
+            _settle(mono, ca * cb, acc)
+    return {k: c for k, c in acc.items() if c}
+
+
+def _read(e: Expr) -> dict:
+    """The dict of e before clearing, unsorted: the sum of its terms'
+    sparse reads, where a term that holds a quotient or radical of a
+    sum (``_sparse`` gives None) is read by the tree pass instead."""
+    _make_room()
+    acc: dict[tuple, Fraction] = {}
+    for term in (e.terms if isinstance(e, Add) else (e,)):
+        poly = _sparse(term)
+        if poly is None:
+            tree = expand(_trig_multiple_expand(expand(term)))
+            poly, _ = _to_poly(expand(_sin_power_reduce(tree)))
+        for k, c in poly.items():
+            acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _sparse(e: Expr) -> dict | None:
+    """The dict of e read by products, or None when e holds a negative
+    or fractional power of a base that is not an atom.
+
+    Only ``mul`` on trees cancels such a power against a multiple of its
+    base written out elsewhere in the product, as in
+    t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1) = t, so those terms keep
+    the tree pass.  A sin/cos atom is read as its multiple-angle
+    expansion (``_trig_multiple_expand``).
+    """
+    out = _READS.get(e, _NOT_READ)
+    if out is not _NOT_READ:
+        _HITS["memo"] += 1
         return out
+    _MISSES["memo"] += 1
+    if isinstance(e, Rat):
+        out = {(): e.value} if e.value else {}
+    elif isinstance(e, Add):
+        parts = [_sparse(t) for t in e.terms]
+        out = None if any(p is None for p in parts) else {}
+        for p in parts if out is not None else ():
+            for k, c in p.items():
+                out[k] = out[k] + c if k in out else c
+        if out:
+            out = {k: c for k, c in out.items() if c}
+    elif isinstance(e, Mul):
+        parts = [_sparse(f) for f in e.factors]
+        if any(p is None for p in parts):
+            out = None
+        elif not all(parts):   # a zero factor
+            out = {}
+        else:
+            # the one-term factors are merged into one monomial first
+            out, mono, c, sums = {}, {}, _UNIT, []
+            for p in parts:
+                if len(p) > 1:
+                    sums.append(p)
+                    continue
+                (k, x), = p.items()
+                c *= x
+                for base, q in _base_exponents(k).items():
+                    mono[base] = mono[base] + q if base in mono else q
+            _settle(mono, c, out)
+            for p in sums:
+                out = _times(out, p)
+    elif isinstance(e, Pow):
+        base, p = e.base, e.exp
+        if isinstance(base, (Fun, AFun, AInt)):
+            base = _trig_multiple_expand(base)
+        if isinstance(base, _ATOMS):
+            out = {}
+            _settle({base: p}, _UNIT, out)
+        elif p.denominator == 1 and p > 0:
+            out = b = _sparse(base)
+            if b is not None:
+                for _ in range(p.numerator - 1):
+                    out = _times(out, b)
+        else:
+            out = None
+    else:
+        atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
+        out = {((atom, 1),): _UNIT} if isinstance(atom, _ATOMS) else _sparse(atom)
+    if not isinstance(e, Mul):
+        _store(_READS, e, out, len(out) if out else 1)
+    return out
 
 
 def _term_sorted(poly: dict) -> dict:
@@ -1114,15 +1160,15 @@ def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
 def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool]:
     """The normal form of poly times the monomial prod(b^k for b, k in factor).
 
-    One ``_Product.times`` of poly and the one-term dict of the factor: each
+    One ``_times`` of poly and the one-term dict of the factor: each
     monomial is read as {base: exponent} (``_base_exponents``), the factor's
-    exponents are added, and the result is reduced by ``_Product.settle``.
+    exponents are added, and the result is reduced by ``_settle``.
     The result is in term order (``_term_sorted``), and the flag is that of
     ``_decidable``, exactly what ``_to_poly`` reports on the expanded
     product tree.
     """
-    product = _Product()
-    out = _term_sorted(product.times(poly, {product.key(factor): _UNIT}))
+    _make_room()
+    out = _term_sorted(_times(poly, {_monomial_key(factor.items(), _ROOTS): _UNIT}))
     return out, _decidable(out)
 
 
@@ -1166,10 +1212,11 @@ _ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
 def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     """(polynomial, decidable, multiplier): the normal form of multiplier * e.
 
-    ``_Product.read`` reads the tree into the monomial dict with one sparse
-    product: sin/cos of integer multiples are reduced to the base angle,
-    sin(x)^n to cos powers, and products of sums are multiplied out on the
-    monomials.  A term that holds a negative or fractional power of a base
+    ``_read`` reads the tree into the monomial dict with sparse products,
+    through the read memo that every normal form shares: sin/cos of
+    integer multiples are reduced to the base angle, sin(x)^n to cos
+    powers, and products of sums are multiplied out on the monomials.  A
+    term that holds a negative or fractional power of a base
     that is not an atom (a sum in a denominator or under a root) is read by
     the tree pass instead (expand, multiple angles, expand, sin powers,
     expand, ``_to_poly``), which also rewrites inside radicals and
@@ -1180,12 +1227,44 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     """
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
+        _HITS["normal_form"] += 1
         return hit
-    poly = _Product().read(e)
+    _MISSES["normal_form"] += 1
+    poly = _read(e)
     decidable = _decidable(poly)
     poly, multiplier, cleared = _clear_denominators(poly)
     _ZNF_CACHE[e] = (poly, decidable and cleared, multiplier)
     return _ZNF_CACHE[e]
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Entries, hits and misses of the kernel's caches since the last
+    ``clear_caches``: ``expand`` (whole expansions), ``normal_form`` (whole
+    zero normal forms) and ``memo`` (node reads and power expansions, the
+    monomials they hold, at most ``_MEMO_BOUND``, and how often a full memo
+    was emptied); ``rat`` counts the interned rationals only."""
+    return {
+        "expand": {"entries": len(_EXPAND_CACHE), "hits": _HITS["expand"],
+                   "misses": _MISSES["expand"]},
+        "normal_form": {"entries": len(_ZNF_CACHE), "hits": _HITS["normal_form"],
+                        "misses": _MISSES["normal_form"]},
+        "memo": {"entries": len(_READS) + len(_EXPANSIONS), "held": _MEMO["held"],
+                 "clears": _MEMO["clears"], "hits": _HITS["memo"],
+                 "misses": _MISSES["memo"]},
+        "rat": {"entries": len(_RAT_CACHE)},
+    }
+
+
+def clear_caches():
+    """Empty the expansion, normal-form and read caches and zero their
+    counters.  No output depends on them.  The interned rationals stay:
+    ``ZERO`` and ``ONE`` are among them."""
+    _EXPAND_CACHE.clear()
+    _ZNF_CACHE.clear()
+    _clear_memo()
+    for counts in (_HITS, _MISSES):
+        counts.update(dict.fromkeys(counts, 0))
+    _MEMO["clears"] = 0
 
 
 def _atom_decidable(atom: Expr) -> bool:

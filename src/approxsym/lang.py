@@ -326,7 +326,12 @@ def _frac_text(v: Fraction) -> str:
 
 
 def to_text(e: ex.Expr) -> str:
-    """The text form of e, as ``Language.parse`` reads it.
+    """The text form of e, as ``Language.parse`` reads it."""
+    return _print(e, _text_node)
+
+
+def _print(e: ex.Expr, node_of) -> str:
+    """e printed by ``node_of`` (``_text_node`` or ``_latex_node``).
 
     Walks with an explicit stack, so that a tree of any depth prints.  A
     frame holds an iterator over a node's children, the texts printed of
@@ -338,7 +343,7 @@ def to_text(e: ex.Expr) -> str:
         frame = stack[-1]
         texts, prec = frame[1], frame[2]
         for child in frame[0]:
-            node = _text_node(child, prec)
+            node = node_of(child, prec)
             if isinstance(node, str):
                 texts.append(node)
             else:
@@ -415,10 +420,15 @@ def _latex_name(name: str) -> str:
 
 
 def to_latex(e: ex.Expr) -> str:
-    return _latex(e, 0)
+    return _print(e, _latex_node)
 
 
-def _latex(e: ex.Expr, prec: int) -> str:
+def _latex_node(e, prec: int):
+    """As ``_text_node``, in LaTeX.  A product with a denominator has two
+    children, the tuples of its numerator and denominator factors, each
+    printed as one node."""
+    if isinstance(e, tuple):
+        return e, 2, "", "\\,", ""
     if isinstance(e, ex.Rat):
         v = e.value
         if v.denominator == 1:
@@ -444,53 +454,35 @@ def _latex(e: ex.Expr, prec: int) -> str:
         den = "\\,".join(f"\\partial {v}" for v in e.deriv)
         return f"\\frac{{{num} {core}}}{{{den}}}"
     if isinstance(e, ex.Fun):
-        return f"\\{e.name}\\left({_latex(e.arg, 0)}\\right)"
+        return (e.arg,), 0, f"\\{e.name}\\left(", "", "\\right)"
     if isinstance(e, ex.AFun):
         name = e.name if e.family is None else f"{e.name}_{{({e.family})}}"
         if len(e.args) == 1 and e.deriv[0]:
             name += "'" * e.deriv[0]
-        return f"{name}\\left({', '.join(_latex(a, 0) for a in e.args)}\\right)"
-    if isinstance(e, ex.AInt):
-        a = _latex(e.arg, 0)
-        return f"\\int {e.name}({a})\\,d{a}"
+        return e.args, 0, name + "\\left(", ", ", "\\right)"
+    if isinstance(e, ex.AInt):   # \int F(a)\,da
+        return (e.arg, e.arg), 0, f"\\int {e.name}(", ")\\,d", ""
     if isinstance(e, ex.Pow):
         if e.exp < 0:
-            return f"\\frac{{1}}{{{_latex(ex.pow_(e.base, -e.exp), 0)}}}"
+            return (ex.pow_(e.base, -e.exp),), 0, "\\frac{1}{", "", "}"
         if e.exp == Fraction(1, 2):
-            return f"\\sqrt{{{_latex(e.base, 0)}}}"
-        return f"{_latex(e.base, 3)}^{{{_frac_text(e.exp)}}}"
+            return (e.base,), 0, "\\sqrt{", "", "}"
+        return (e.base,), 3, "", "", f"^{{{_frac_text(e.exp)}}}"
     if isinstance(e, ex.Mul):
         coeff, rest = ex._split_coeff(e)
         factors = rest.factors if isinstance(rest, ex.Mul) else (rest,)
-        num, den = [], []
-        for f in factors:
-            if isinstance(f, ex.Pow) and f.exp < 0:
-                den.append(ex.pow_(f.base, -f.exp))
-            else:
-                num.append(f)
+        num = tuple(f for f in factors if not (isinstance(f, ex.Pow) and f.exp < 0))
+        den = tuple(ex.pow_(f.base, -f.exp) for f in factors
+                    if isinstance(f, ex.Pow) and f.exp < 0)
+        sign = "" if coeff == 1 else "-" if coeff == -1 else \
+            _latex_node(ex.rat(coeff), 1) + "\\,"
+        left, right = ("\\left(", "\\right)") if prec >= 2 else ("", "")
         if den:
-            dtex = "\\,".join(_latex(f, 2) for f in den)
-            ntex = "\\,".join(_latex(f, 2) for f in num) if num else "1"
-            body = f"\\frac{{{ntex}}}{{{dtex}}}"
-        else:
-            body = "\\,".join(_latex(f, 2) for f in num)
-        if coeff == 1:
-            s = body
-        elif coeff == -1:
-            s = f"-{body}"
-        else:
-            s = f"{_latex(ex.rat(coeff), 1)}\\,{body}"
-        return f"\\left({s}\\right)" if prec >= 2 else s
+            return (num or (ex.ONE,), den), 2, left + sign + "\\frac{", "}{", "}" + right
+        return num, 2, left + sign, "\\,", right
     if isinstance(e, ex.Add):
-        parts = []
-        for i, t in enumerate(e.terms):
-            s = _latex(t, 1)
-            if i == 0:
-                parts.append(s)
-            else:
-                parts.append((" - " + s[1:]) if s.startswith("-") else (" + " + s))
-        s = "".join(parts)
-        return f"\\left({s}\\right)" if prec >= 1 else s
+        return (e.terms, 1, "\\left(", None, "\\right)") if prec >= 1 else \
+            (e.terms, 1, "", None, "")
     raise TypeError(f"cannot print {type(e).__name__}")
 
 

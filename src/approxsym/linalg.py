@@ -187,7 +187,7 @@ def _split_constants(form: tuple[dict, ex.Expr], constants) -> Split:
     nf, multiplier = form
     out: dict[tuple, FE] = {}
     for mono, value in nf.items():
-        const_part = [ex.rat(value)]
+        const_part = []
         sig = []
         for atom, power in mono:
             if isinstance(atom, ex.Sym) and atom.name in constants:
@@ -195,7 +195,8 @@ def _split_constants(form: tuple[dict, ex.Expr], constants) -> Split:
             else:
                 sig.append((atom, power))
         sig = tuple(sig)
-        entry = _demote(ex.mul(*const_part))
+        # without constants the entry is the coefficient itself, a Fraction
+        entry = _demote(ex.mul(ex.rat(value), *const_part)) if const_part else value
         prev = out.get(sig)
         out[sig] = entry if prev is None else fe_add(prev, entry)
     return out, multiplier

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from approxsym import expr as ex
 from approxsym.errors import DivisionByZero, NotPolynomial
-from approxsym.lang import Language, _frac_text, to_text
+from approxsym.lang import Language, _frac_text, _latex_name, to_latex, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1})
 
@@ -314,6 +314,245 @@ def normal_form_inputs(draw):
 @given(normal_form_inputs())
 def test_normal_form_reads_like_the_tree_on_drawn_expressions(e):
     assert_reads_like_the_tree(e)
+
+
+# ---------------------------------------------------------------------------
+# the read memo shared by every normal form against the per-call product
+
+
+class RefProduct:
+    """The reference: the sparse product as it was, with its expansions,
+    X^(1/2) atoms and node reads kept for one instance only."""
+
+    __slots__ = ("roots", "powers", "reads")
+
+    def __init__(self):
+        self.roots: dict[ex.Expr, ex.Pow] = {}
+        self.powers: dict[tuple, list] = {}
+        self.reads: dict[ex.Expr, dict | None] = {}
+
+    def key(self, mono) -> tuple:
+        return ex._monomial_key(mono.items(), self.roots)
+
+    def expansion(self, base: ex.Expr, k) -> list:
+        hit = self.powers.get((base, k))
+        if hit is None:
+            if isinstance(base, ex.Fun):
+                e = ex.pow_(ex.sub(ex.ONE, ex.pow_(ex.fun("cos", base.arg), 2)), k // 2)
+            else:
+                e = ex.pow_(base, k)
+            p, _ = ex._to_poly(e)
+            hit = self.powers[(base, k)] = [(ex._base_exponents(m), c) for m, c in p.items()]
+        return hit
+
+    def settle(self, mono: dict, c: Fraction, acc: dict):
+        """Add c * mono to acc, reduced as ``ex._settle`` does."""
+        for base, p in mono.items():
+            # the part of the exponent that is replaced by an expansion
+            if isinstance(base, ex.Fun):
+                if base.name != "sin" or p.denominator != 1 or p < 2:
+                    continue
+                whole = p - p % 2
+            elif isinstance(base, (ex.Rat, ex.Mul, ex.Add)):
+                whole = p if p.denominator == 1 else \
+                    p.numerator // 2 if p.denominator == 2 else 0
+                if not whole or (whole < 0 and isinstance(base, ex.Add)):
+                    continue
+            else:
+                continue
+            rest = dict(mono)
+            rest[base] = p - whole
+            for m, mc in self.expansion(base, whole):
+                merged = dict(rest)
+                for b, x in m.items():
+                    merged[b] = merged[b] + x if b in merged else x
+                self.settle(merged, c * mc, acc)
+            return
+        key = self.key(mono)
+        acc[key] = acc[key] + c if key in acc else c
+
+    def times(self, a: dict, b: dict) -> dict:
+        """The product of two dicts, unsorted, zero terms dropped."""
+        acc: dict[tuple, Fraction] = {}
+        right = [(ex._base_exponents(k), c) for k, c in b.items()]
+        for ka, ca in a.items():
+            left = ex._base_exponents(ka)
+            for mb, cb in right:
+                mono = dict(left)
+                for base, x in mb.items():
+                    mono[base] = mono[base] + x if base in mono else x
+                self.settle(mono, ca * cb, acc)
+        return {k: c for k, c in acc.items() if c}
+
+    def read(self, e: ex.Expr) -> dict:
+        """The dict of e before clearing, unsorted: the sum of its terms'
+        sparse reads, where a term that holds a quotient or radical of a
+        sum (``sparse`` gives None) is read by the tree pass instead."""
+        acc: dict[tuple, Fraction] = {}
+        for term in (e.terms if isinstance(e, ex.Add) else (e,)):
+            poly = self.sparse(term)
+            if poly is None:
+                tree = ex.expand(ex._trig_multiple_expand(ex.expand(term)))
+                poly, _ = ex._to_poly(ex.expand(ex._sin_power_reduce(tree)))
+            for k, c in poly.items():
+                acc[k] = acc[k] + c if k in acc else c
+        return {k: c for k, c in acc.items() if c}
+
+    def sparse(self, e: ex.Expr) -> dict | None:
+        """The dict of e read by products, or None for the tree pass."""
+        if e in self.reads:
+            return self.reads[e]
+        if isinstance(e, ex.Rat):
+            out = {(): e.value} if e.value else {}
+        elif isinstance(e, ex.Add):
+            parts = [self.sparse(t) for t in e.terms]
+            out = None if any(p is None for p in parts) else {}
+            for p in parts if out is not None else ():
+                for k, c in p.items():
+                    out[k] = out[k] + c if k in out else c
+            if out:
+                out = {k: c for k, c in out.items() if c}
+        elif isinstance(e, ex.Mul):
+            parts = [self.sparse(f) for f in e.factors]
+            if any(p is None for p in parts):
+                out = None
+            elif not all(parts):   # a zero factor
+                out = {}
+            else:
+                # the one-term factors are merged into one monomial first
+                out, mono, c, sums = {}, {}, ex._UNIT, []
+                for p in parts:
+                    if len(p) > 1:
+                        sums.append(p)
+                        continue
+                    (k, x), = p.items()
+                    c *= x
+                    for base, q in ex._base_exponents(k).items():
+                        mono[base] = mono[base] + q if base in mono else q
+                self.settle(mono, c, out)
+                for p in sums:
+                    out = self.times(out, p)
+        elif isinstance(e, ex.Pow):
+            base, p = e.base, e.exp
+            if isinstance(base, (ex.Fun, ex.AFun, ex.AInt)):
+                base = ex._trig_multiple_expand(base)
+            if isinstance(base, ex._ATOMS):
+                out = {}
+                self.settle({base: p}, ex._UNIT, out)
+            elif p.denominator == 1 and p > 0:
+                out = b = self.sparse(base)
+                if b is not None:
+                    for _ in range(p.numerator - 1):
+                        out = self.times(out, b)
+            else:
+                out = None
+        else:
+            atom = ex._trig_multiple_expand(e) if isinstance(e, (ex.Fun, ex.AFun, ex.AInt)) else e
+            out = {((atom, 1),): ex._UNIT} if isinstance(atom, ex._ATOMS) else self.sparse(atom)
+        self.reads[e] = out
+        return out
+
+
+
+def ref_normal_form(poly):
+    """The reference: ``_zero_normal_form`` of the read of one RefProduct,
+    cleared with another, as each normal form was before the memo."""
+    decidable = ex._decidable(poly)
+    need = {}
+    for key in poly:
+        for atom, q in key:
+            if q < 0 and isinstance(atom, ex.Add):
+                need[atom] = max(need.get(atom, 0), -q)
+    if not need:
+        return ex._term_sorted(poly), decidable, ex.ONE
+    product = RefProduct()
+    out = ex._term_sorted(product.times(poly, {product.key(need): Fraction(1)}))
+    return (out, decidable and ex._decidable(out),
+            ex.mul(*[ex.pow_(a, q) for a, q in need.items()]))
+
+
+def assert_reads_like_the_per_call_product(e):
+    ex._ZNF_CACHE.pop(e, None)   # read again, through the memo as it stands
+    out, decidable, multiplier = ex._zero_normal_form(e)
+    ref_read = RefProduct().read(e)
+    ref, ref_decidable, ref_multiplier = ref_normal_form(ref_read)
+    assert list(out.items()) == list(ref.items())   # same keys in the same order
+    assert decidable is ref_decidable
+    assert multiplier == ref_multiplier
+    # the read before clearing, unsorted, in the same order too
+    assert list(ex._read(e).items()) == list(ref_read.items())
+
+
+@st.composite
+def memo_inputs(draw):
+    """Sums of random_expr trees over t, u0, u1, a constant k and sin/cos of
+    t, 2*t and 3*t, some times a sum to a negative or half-integer power,
+    some times the root of an atom."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    t = ex.sym("t")
+    atoms = [t, ex.jet("u", 0), ex.jet("u", 1), ex.sym("k"), ex.rat(rng.randint(-3, 3))]
+    atoms += [ex.fun(f, ex.mul(ex.rat(m), t)) for f in ("sin", "cos") for m in (1, 2, 3)]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = random_expr(rng, draw(st.integers(1, 3)), atoms)
+        kind = draw(st.integers(0, 2))
+        if kind == 1:
+            base = ex.add(random_expr(rng, 1, atoms), draw(st.sampled_from(atoms)))
+            if base != ex.ZERO:
+                e = ex.mul(e, ex.pow_(base, draw(st.sampled_from(
+                    [-1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]))))
+        elif kind == 2:
+            e = ex.mul(e, ex.pow_(draw(st.sampled_from(atoms[:4])), Fraction(1, 2)))
+        terms.append(e)
+    return ex.add(*terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(memo_inputs(), min_size=3, max_size=3))
+def test_normal_form_through_the_memo_reads_like_the_per_call_product(exprs):
+    a, b, c = exprs
+    ex.clear_caches()
+    assert_reads_like_the_per_call_product(a)   # a cold memo
+    # a warm one: b and c, a sum and a product that repeat their nodes, a again
+    for e in (b, c, ex.add(a, b), ex.mul(a, c), a):
+        assert_reads_like_the_per_call_product(e)
+
+
+def test_memo_never_holds_more_than_its_bound(monkeypatch):
+    bound = 60
+    monkeypatch.setattr(ex, "_MEMO_BOUND", bound)
+    store, clear_memo, sparse, times = ex._store, ex._clear_memo, ex._sparse, ex._times
+    depth = [0]
+
+    def checked_store(table, key, value, size):
+        store(table, key, value, size)
+        held = sum(len(v) if v else 1 for v in ex._READS.values()) \
+            + sum(len(v) or 1 for v in ex._EXPANSIONS.values())
+        assert held == ex.cache_stats()["memo"]["held"] <= bound
+
+    def reading(read):
+        def counted(*args):
+            depth[0] += 1
+            try:
+                return read(*args)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    def checked_clear():
+        assert depth[0] == 0, "the memo was emptied in the middle of a read"
+        clear_memo()
+
+    monkeypatch.setattr(ex, "_store", checked_store)
+    monkeypatch.setattr(ex, "_clear_memo", checked_clear)
+    monkeypatch.setattr(ex, "_sparse", reading(sparse))
+    monkeypatch.setattr(ex, "_times", reading(times))
+    ex.clear_caches()
+    rng = random.Random(31)
+    for _ in range(40):
+        assert_reads_like_the_per_call_product(ex.add(
+            random_expr(rng), ex.mul(random_expr(rng), p("(1 + u0^2)^(-1)"))))
+    assert ex.cache_stats()["memo"]["clears"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +1034,83 @@ def ref_text(e, prec):
     raise TypeError(f"cannot print {type(e).__name__}")
 
 
+def ref_latex(e, prec):
+    """The reference: the recursive LaTeX printer that ``to_latex`` replaced."""
+    if isinstance(e, ex.Rat):
+        v = e.value
+        if v.denominator == 1:
+            s = str(v.numerator)
+        else:
+            sign = "-" if v < 0 else ""
+            s = f"{sign}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+        return f"\\left({s}\\right)" if prec >= 2 and v < 0 else s
+    if isinstance(e, ex.Sym):
+        return _latex_name(e.name)
+    if isinstance(e, ex.Eps):
+        return "\\varepsilon"
+    if isinstance(e, ex.Jet):
+        sub = "" if e.order is None else f"_{{({e.order})}}"
+        core = _latex_name(e.base) + sub
+        nd = len(e.deriv)
+        if nd == 0:
+            return core
+        if set(e.deriv) == {"t"}:
+            return ("\\dot " if nd == 1 else "\\ddot " if nd == 2 else
+                    f"\\frac{{d^{nd}}}{{dt^{nd}}}") + core
+        num = f"\\partial^{nd}" if nd > 1 else "\\partial"
+        den = "\\,".join(f"\\partial {v}" for v in e.deriv)
+        return f"\\frac{{{num} {core}}}{{{den}}}"
+    if isinstance(e, ex.Fun):
+        return f"\\{e.name}\\left({ref_latex(e.arg, 0)}\\right)"
+    if isinstance(e, ex.AFun):
+        name = e.name if e.family is None else f"{e.name}_{{({e.family})}}"
+        if len(e.args) == 1 and e.deriv[0]:
+            name += "'" * e.deriv[0]
+        return f"{name}\\left({', '.join(ref_latex(a, 0) for a in e.args)}\\right)"
+    if isinstance(e, ex.AInt):
+        a = ref_latex(e.arg, 0)
+        return f"\\int {e.name}({a})\\,d{a}"
+    if isinstance(e, ex.Pow):
+        if e.exp < 0:
+            return f"\\frac{{1}}{{{ref_latex(ex.pow_(e.base, -e.exp), 0)}}}"
+        if e.exp == Fraction(1, 2):
+            return f"\\sqrt{{{ref_latex(e.base, 0)}}}"
+        return f"{ref_latex(e.base, 3)}^{{{_frac_text(e.exp)}}}"
+    if isinstance(e, ex.Mul):
+        coeff, rest = ex._split_coeff(e)
+        factors = rest.factors if isinstance(rest, ex.Mul) else (rest,)
+        num, den = [], []
+        for f in factors:
+            if isinstance(f, ex.Pow) and f.exp < 0:
+                den.append(ex.pow_(f.base, -f.exp))
+            else:
+                num.append(f)
+        if den:
+            dtex = "\\,".join(ref_latex(f, 2) for f in den)
+            ntex = "\\,".join(ref_latex(f, 2) for f in num) if num else "1"
+            body = f"\\frac{{{ntex}}}{{{dtex}}}"
+        else:
+            body = "\\,".join(ref_latex(f, 2) for f in num)
+        if coeff == 1:
+            s = body
+        elif coeff == -1:
+            s = f"-{body}"
+        else:
+            s = f"{ref_latex(ex.rat(coeff), 1)}\\,{body}"
+        return f"\\left({s}\\right)" if prec >= 2 else s
+    if isinstance(e, ex.Add):
+        parts = []
+        for i, t in enumerate(e.terms):
+            s = ref_latex(t, 1)
+            if i == 0:
+                parts.append(s)
+            else:
+                parts.append((" - " + s[1:]) if s.startswith("-") else (" + " + s))
+        s = "".join(parts)
+        return f"\\left({s}\\right)" if prec >= 1 else s
+    raise TypeError(f"cannot print {type(e).__name__}")
+
+
 # leaves and names that the recipes do not draw
 PRINTED_EXTRAS = [
     ex.EPS, ex.jet("u", 1, ("t", "t")), ex.jet("u", None, ("t",)), ex.jet("v", None),
@@ -813,6 +1129,7 @@ def test_text_is_printed_as_by_the_recursive_printer(recipe, extra):
     for tree in (e, ex.add(ex.mul(ex.rat(Fraction(-2, 3)), extra, e), ex.pow_(extra, -1))):
         for node in nodes(tree):
             assert to_text(node) == ref_text(node, 0)
+            assert to_latex(node) == ref_latex(node, 0)
 
 
 # one node of each kind that holds others, with e as its only eps-bearing child
@@ -853,6 +1170,9 @@ def test_walks_and_series_reach_the_bottom_of_a_deep_tree():
     assert ex.contains_eps(nest(ex.add(u0, ex.EPS))) is True
     text = repr(e)
     assert text.startswith("(1 + sin((1 + sin(") and text.count("sin(") == 1500
+    latex = to_latex(e)
+    assert latex.startswith("\\left(1 + \\sin\\left(\\left(1 + ")
+    assert latex.count("\\sin\\left(") == 1500
     with pytest.raises(ValueError, match="contains eps"):
         EpsSeries((ex.mul(e, ex.EPS),))
 
@@ -928,3 +1248,21 @@ def test_expand_is_idempotent():
     for _ in range(100):
         e = ex.expand(random_expr(rng))
         assert ex.expand(e) == e
+
+
+def test_clear_caches_empties_all_but_the_interned_rationals():
+    ex.clear_caches()
+    ex.expand(p("(t + 1)^2*u0"))
+    assert ex.is_zero(p("(1 + u0)^2*(1 + u0)^(-1) - 1 - u0")) is True
+    stats = ex.cache_stats()
+    for cache in ("expand", "normal_form", "memo"):
+        assert stats[cache]["entries"] and stats[cache]["misses"]
+    rationals = stats["rat"]["entries"]
+    ex.clear_caches()
+    stats = ex.cache_stats()
+    assert stats.pop("rat") == {"entries": rationals}
+    assert stats.pop("memo") == {"entries": 0, "held": 0, "clears": 0, "hits": 0,
+                                 "misses": 0}
+    assert stats == {c: {"entries": 0, "hits": 0, "misses": 0}
+                     for c in ("expand", "normal_form")}
+    assert ex.rat(0) is ex.ZERO and ex.rat(1) is ex.ONE

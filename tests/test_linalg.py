@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from approxsym import expr as ex
+from approxsym import linalg
+from approxsym.determine import extract
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
 from approxsym.lang import to_text
 from approxsym.linalg import (_axpy, assemble_rows, coefficient_rows, common_multiplier,
                               fe_div, fe_expr, fe_is_zero, fe_mul, fe_neg, nullspace,
                               solve_dense, span_fits, sparse_rref, split_column)
+from approxsym.models import builtin_names, golden_check, load_builtin
 
 
 def F(x):
@@ -241,3 +244,54 @@ def test_solve_dense_rejects_inconsistent_rows():
     # an undecidable leftover right-hand side is an ambiguity, not a verdict
     with pytest.raises(SymbolicPivotAmbiguity):
         solve_dense([[ex.ONE], [ex.ONE]], [ex.ZERO, HARD])
+
+
+# ---------------------------------------------------------------------------
+# splitting off the constants against the version that built every entry
+
+
+def ref_split_constants(form, constants):
+    """The reference: every entry, a plain coefficient too, is built as the
+    product of rat(value) and the constant powers, then demoted."""
+    nf, multiplier = form
+    out = {}
+    for mono, value in nf.items():
+        const_part = [ex.rat(value)]
+        sig = []
+        for atom, power in mono:
+            if isinstance(atom, ex.Sym) and atom.name in constants:
+                const_part.append(ex.pow_(atom, power))
+            else:
+                sig.append((atom, power))
+        sig = tuple(sig)
+        entry = linalg._demote(ex.mul(*const_part))
+        prev = out.get(sig)
+        out[sig] = entry if prev is None else linalg.fe_add(prev, entry)
+    return out, multiplier
+
+
+def test_split_constants_matches_the_reference_on_every_builtin(monkeypatch):
+    # every form split by golden_check on each builtin, and the determining
+    # columns of one model with a constant, split over common multipliers
+    split = linalg._split_constants
+    forms = []
+
+    def recorded(form, constants):
+        forms.append((form, constants))
+        return split(form, constants)
+
+    monkeypatch.setattr(linalg, "_split_constants", recorded)
+    for name in builtin_names():
+        golden_check(load_builtin(name))
+    model = load_builtin("oscillator-quadratic")
+    extract(model.lagrangian, model.ansatz, model.constant_names)
+    with_constants = 0
+    for form, constants in forms:
+        got, multiplier = split(form, constants)
+        want, ref_multiplier = ref_split_constants(form, constants)
+        assert multiplier is ref_multiplier
+        assert list(got) == list(want)   # the same signatures in the same order
+        for sig, entry in got.items():
+            assert entry == want[sig] and type(entry) is type(want[sig])
+        with_constants += any(isinstance(e, ex.Expr) for e in got.values())
+    assert with_constants and len(forms) > with_constants

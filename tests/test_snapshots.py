@@ -4,15 +4,19 @@ Model files under ``tests/models`` pin cases no builtin reaches.
 
 Each file under ``tests/snapshots`` is the ``--format json`` stdout of one
 CLI call, listed in CASES with its exit code.  The test runs the call through
-``cli.main`` in-process and compares bytes.  Regenerate one file with
+``cli.main`` in-process, from empty caches as one CLI call starts, and
+compares bytes.  Regenerate one file with
 
     PYTHONPATH=src python -m approxsym.cli <argv of its CASES entry> > tests/snapshots/<name>.json
 """
 
 from pathlib import Path
 
+import itertools
+
 import pytest
 
+from approxsym import expr as ex
 from approxsym.cli import main
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
@@ -69,9 +73,38 @@ def _cases() -> dict[str, tuple[list[str], int]]:
 CASES = _cases()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_snapshot(name, capsys):
+def assert_snapshot(name, capsys):
     argv, code = CASES[name]
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out == (SNAPSHOTS / f"{name}.json").read_text(), f"{name}: {' '.join(argv)}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_snapshot(name, capsys):
+    ex.clear_caches()
+    assert_snapshot(name, capsys)
+
+
+def test_snapshot_after_another_model_in_the_same_process(capsys):
+    # the second call starts from the caches the first one left
+    ex.clear_caches()
+    for name in ("determine.coupled-system", "determine.oscillator-quadratic"):
+        assert_snapshot(name, capsys)
+    assert ex.cache_stats()["memo"]["hits"]
+
+
+@pytest.mark.parametrize("name", ["determine.oscillator-quadratic",
+                                  "noether-classify.three-body"])
+def test_snapshot_with_caches_emptied_midway(name, capsys, monkeypatch):
+    # every third normal form, a cache hit included, starts from empty caches
+    normal_form, calls = ex._zero_normal_form, itertools.count()
+
+    def emptying(e):
+        if next(calls) % 3 == 0:
+            ex.clear_caches()
+        return normal_form(e)
+
+    monkeypatch.setattr(ex, "_zero_normal_form", emptying)
+    assert_snapshot(name, capsys)
+    assert next(calls) > 3

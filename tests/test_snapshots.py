@@ -8,10 +8,15 @@ CLI call, listed in CASES with its exit code.  The test runs the call through
 compares bytes.  Regenerate one file with
 
     PYTHONPATH=src python -m approxsym.cli <argv of its CASES entry> > tests/snapshots/<name>.json
+
+The ``verify --csv`` file of two builtins is pinned too, gzip-compressed
+(mtime 0) as ``verify-csv.<model>.csv.gz``: no stdout snapshot reaches the
+code that writes it.
 """
 
 from pathlib import Path
 
+import gzip
 import itertools
 
 import pytest
@@ -84,6 +89,17 @@ def assert_snapshot(name, capsys):
 def test_snapshot(name, capsys):
     ex.clear_caches()
     assert_snapshot(name, capsys)
+
+
+@pytest.mark.parametrize("model", ["oscillator-quadratic", "three-body"])
+def test_csv_snapshot(model, tmp_path, capsys):
+    ex.clear_caches()
+    path = tmp_path / "out.csv"
+    assert main(["verify", "--model", model, "--csv", str(path), "--format", "json"]) == 0
+    # --csv integrates as --numeric does, so stdout is the numeric snapshot
+    assert capsys.readouterr().out == (SNAPSHOTS / f"verify-numeric.{model}.json").read_text()
+    expected = gzip.decompress((SNAPSHOTS / f"verify-csv.{model}.csv.gz").read_bytes())
+    assert path.read_bytes() == expected
 
 
 def test_snapshot_after_another_model_in_the_same_process(capsys):

@@ -2,8 +2,8 @@
 
 Model files are JSON (schema 1); builtins are the same format embedded and
 selected with --model.  Exit codes: 0 success, 1 a failed golden record or
-standard output closed early, 2 model errors, 3 symbolic pivot ambiguity,
-4 non-symmetry / formula mismatch, 5 non-finite state.
+standard output closed early, 2 model or usage errors, 3 symbolic pivot
+ambiguity, 4 non-symmetry / formula mismatch, 5 non-finite state.
 """
 
 from __future__ import annotations
@@ -71,17 +71,18 @@ def cmd_expand(args) -> int:
 
 
 def cmd_determine(args) -> int:
-    from .determine import extract, report, solve
+    from .determine import extract, monomial, report, solve
     model = _load_model(args)
     system = extract(model.lagrangian, model.ansatz, model.constant_names)
     if args.dump_system:
         lines = []
         dump = []
         for eq, (order, sig) in zip(system.equations, system.provenance):
+            mono = to_text(monomial(sig))
             terms = " + ".join(f"({to_text(fe_expr(v))})*c{c}"
                                for c, v in sorted(eq.items()))
-            lines.append(f"[eps^{order}] [{to_text(sig)}]  {terms} = 0")
-            dump.append({"order": order, "monomial": to_text(sig),
+            lines.append(f"[eps^{order}] [{mono}]  {terms} = 0")
+            dump.append({"order": order, "monomial": mono,
                          "terms": {str(c): to_text(fe_expr(v)) for c, v in eq.items()}})
         _emit(args, {"equations": dump}, lines)
     solutions = solve(system)
@@ -149,6 +150,11 @@ def cmd_noether(args) -> int:
 def cmd_verify(args) -> int:
     model = _load_model(args)
     recs = [r for r in _selected_golden(model, args.law) if r.quantity is not None]
+    if args.csv and recs:
+        try:   # a path that cannot be written fails now, not after the integration
+            open(args.csv, "a").close()
+        except OSError as err:
+            raise ModelError(f"cannot write CSV: {err}")
     payload: dict = {"model": model.name, "laws": []}
     text = []
     if args.sweep:
@@ -156,7 +162,7 @@ def cmd_verify(args) -> int:
             eps_values = [float(s) for s in args.sweep.split(",")]
             if not all(map(math.isfinite, eps_values)):
                 raise ValueError(f"expected finite numbers, got {args.sweep!r}")
-        source = concretize(model.lagrangian_source, model.functions, model.language)
+        source = concretize(model.lagrangian_source, model.bodies)
     if recs and (args.numeric or args.csv):
         nm = compile_numeric(model.lagrangian, model.bindings)
         traj = integrate(nm, nm.initial_state(model.initial, model.language),

@@ -19,22 +19,22 @@ span fit over the (xi, eta, phi) series coefficients of the solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from . import expr as ex
 from .errors import AnsatzIncomplete
-from .jet import JetSpace
+from .jet import JetSpace, total_derivative
 from .linalg import (FE, assemble_rows, coefficient_rows, common_multiplier, fe_expr,
                      nullspace, span_fits, sparse_rref, split_column)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
-from .perturb import (EpsSeries, const_series, series_divergence, series_shift,
-                      series_sub, validate_triangular)
+from .perturb import EpsSeries, series_shift, validate_triangular
 from .symmetry import Generator
 
 __all__ = ["AnsatzSpace", "DeterminingSystem", "Solution", "default_ansatz",
-           "extract", "solve", "report", "membership"]
+           "extract", "monomial", "solve", "report", "membership"]
 
 
 SEED_KINDS = ("xi", "eta")
@@ -79,7 +79,7 @@ def _check_independent(basis: list[ex.Expr], key):
     if not basis:
         return
     rows = coefficient_rows([[b] for b in basis], ()).values()
-    if len(sparse_rref(rows, len(basis))) != len(basis):
+    if len(sparse_rref(rows)) != len(basis):
         raise ValueError(f"basis for {key} is linearly dependent")
 
 
@@ -121,23 +121,31 @@ def default_ansatz(space: JetSpace, oscillatory: bool = False) -> AnsatzSpace:
 
 @dataclass
 class DeterminingSystem:
-    space: JetSpace
     lag: PerturbedLagrangian
     ansatz: AnsatzSpace
     unknowns: list[tuple]            # column -> (kind, k, slot, basis index)
     equations: list[dict[int, FE]]
-    provenance: list[tuple[int, ex.Expr]]
+    provenance: list[tuple[int, tuple]]   # (eps order, signature) of each equation
     first_gauge: int                 # first column belonging to a phi family
     constants: frozenset[str]
-    column: dict[tuple, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.column:
-            self.column = {key: i for i, key in enumerate(self.unknowns)}
+    @property
+    def space(self) -> JetSpace:
+        return self.lag.space
+
+    @cached_property
+    def column(self) -> dict[tuple, int]:
+        """Column index of each unknown."""
+        return {key: i for i, key in enumerate(self.unknowns)}
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
+
+
+def monomial(signature: tuple) -> ex.Expr:
+    """The monomial of an equation's signature, as ``--dump-system`` prints it."""
+    return ex.mul(*[ex.pow_(a, q) for a, q in signature])
 
 
 @dataclass
@@ -174,15 +182,12 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
     unknowns = [(*fam, b) for fam in seeds + gauges
                 for b in range(len(ansatz.basis(*fam)))]
     first_gauge = sum(len(ansatz.basis(*fam)) for fam in seeds)
-    zero = const_series(ex.ZERO, sp.order)
     shared: dict[tuple, EpsSeries] = {}   # (kind, slot, element) -> order-0 residual
     residuals = []
     for kind, k, slot, b in unknowns:
         e = ansatz.basis(kind, k, slot)[b]
         if kind == "phi":
-            fields = [zero] * sp.n
-            fields[slot] = EpsSeries(tuple(e if i == k else ex.ZERO for i in orders))
-            res = series_sub(zero, series_divergence(fields, sp))
+            res = _gauge_residual(sp, k, slot, e)
         else:
             if (kind, slot, e) not in shared:
                 shared[(kind, slot, e)] = _seed_residual(lag, kind, slot, e)
@@ -190,9 +195,9 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
         residuals.append(res.coeffs)
     rows = assemble_rows(common_multiplier(residuals, constants))
     keys = sorted(rows, key=lambda key: (key[0], key[2]))
-    provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
-    return DeterminingSystem(sp, lag, ansatz, unknowns, [rows[key] for key in keys],
-                             provenance, first_gauge, frozenset(constants))
+    return DeterminingSystem(lag, ansatz, unknowns, [rows[key] for key in keys],
+                             [(k, sig) for k, _, sig in keys], first_gauge,
+                             frozenset(constants))
 
 
 def _seed_residual(lag: PerturbedLagrangian, kind: str, slot: int,
@@ -203,6 +208,12 @@ def _seed_residual(lag: PerturbedLagrangian, kind: str, slot: int,
     seeds = {"xi": [none] * sp.n, "eta": [none] * sp.m}
     seeds[kind][slot] = [e] + none[1:]
     return variational_residual(Generator.from_seeds(sp, seeds["xi"], seeds["eta"]), lag)
+
+
+def _gauge_residual(sp: JetSpace, k: int, slot: int, e: ex.Expr) -> EpsSeries:
+    """Residual -Div phi of the gauge whose only term is e, at order k in slot."""
+    return EpsSeries(tuple(ex.neg(total_derivative(e, slot, sp)) if i == k else ex.ZERO
+                           for i in range(sp.order + 1)))
 
 
 def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, int],
@@ -228,7 +239,7 @@ def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, 
 def solve(sys: DeterminingSystem) -> list[Solution]:
     """Exact null space, canonicalized; every solution is re-verified."""
     basis = nullspace(sys.equations, sys.n_unknowns)
-    basis = _canonical_rows(basis, sys.n_unknowns)
+    basis = _canonical_rows(basis)
     out = []
     for vec in basis:
         sol = _instantiate(sys, vec)
@@ -240,9 +251,9 @@ def solve(sys: DeterminingSystem) -> list[Solution]:
     return out
 
 
-def _canonical_rows(vectors: list[dict[int, FE]], ncols: int) -> list[dict[int, FE]]:
+def _canonical_rows(vectors: list[dict[int, FE]]) -> list[dict[int, FE]]:
     """RREF the basis matrix (rows = vectors) for a deterministic report."""
-    pivots = sparse_rref(vectors, ncols)
+    pivots = sparse_rref(vectors)
     return [pivots[c] for c in sorted(pivots)]
 
 

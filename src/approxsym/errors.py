@@ -14,10 +14,6 @@ class SyntaxErrorAt(ApproxSymError):
         self.column = column
 
 
-class UnknownSymbol(ApproxSymError):
-    """Strict-mode parse encountered an undeclared identifier."""
-
-
 class DivisionByZero(ApproxSymError):
     """A zero base was raised to a negative power, e.g. 1/0 or 0^(-1/2)."""
 
@@ -43,7 +39,16 @@ class MissingFamilyIndex(ApproxSymError):
 
 
 class NotAVariationalSymmetry(ApproxSymError):
-    """Flux assembly requested for a generator/gauge pair with nonzero residual."""
+    """Flux assembly requested for a generator/gauge pair with nonzero residual.
+
+    The message, the whole residual, is formatted only when read."""
+
+    def __init__(self, residual):
+        super().__init__(residual)
+        self.residual = residual
+
+    def __str__(self):
+        return f"residual is not identically zero: {self.residual!r}"
 
 
 class FormulaMismatch(ApproxSymError):

@@ -1344,9 +1344,9 @@ def collect(e: Expr, gens: list[Expr]) -> dict[Expr, Expr]:
                     raise NotPolynomial(f"generator {base!r} has exponent {p}")
                 mono_part.append((base, p))
             else:
-                for g in genset:
-                    if _occurs_inside(base, g):
-                        raise NotPolynomial(f"generator {g!r} occurs inside {base!r}")
+                inside = atoms_of(base, Expr) & genset
+                if inside:
+                    raise NotPolynomial(f"generator {min(inside)!r} occurs inside {base!r}")
                 coeff_part.append(pow_(base, p))
         key = mul(*[pow_(b, p) for b, p in sorted(mono_part, key=lambda bp: bp[0]._key)])
         out.setdefault(key, []).append(mul(rat(c), *coeff_part))
@@ -1356,12 +1356,6 @@ def collect(e: Expr, gens: list[Expr]) -> dict[Expr, Expr]:
         if s != ZERO:
             result[key] = s
     return result
-
-
-def _occurs_inside(container: Expr, target: Expr) -> bool:
-    if container == target:
-        return True
-    return any(_occurs_inside(ch, target) for ch in _children(container))
 
 
 def linear_coeffs(e: Expr, unknowns: list[Expr]) -> tuple[dict[Expr, Expr], Expr]:

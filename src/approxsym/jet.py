@@ -55,10 +55,10 @@ class JetSpace:
                 f"derivative order {len(deriv)} exceeds bound {self.max_derivative + 1}")
         return ex.jet(base, order, deriv)
 
-    def language(self, functions=None, constants=(), strict=False):
+    def language(self, functions=None, constants=()):
         from .lang import Language
         return Language(self.independent, self.dependent, functions,
-                        constants, strict, max_eps_order=self.order)
+                        constants, max_eps_order=self.order)
 
 
 def total_derivative(e: ex.Expr, i: int | str, space: JetSpace) -> ex.Expr:

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from . import expr as ex
-from .errors import SyntaxErrorAt, UnknownSymbol
+from .errors import SyntaxErrorAt
 
 __all__ = ["Language", "parse", "to_text", "to_latex", "to_json"]
 
@@ -63,16 +63,16 @@ class Language:
 
     ``dependent`` / ``independent`` come from the jet space; ``functions``
     maps arbitrary-function names to arities; ``constants`` are additional
-    declared symbols.  In strict mode any other identifier is an error.
+    declared symbols.  Any other identifier parses as a symbol; a model
+    rejects the names it did not declare after parsing.
     """
 
     def __init__(self, independent=("t",), dependent=("u",), functions=None,
-                 constants=(), strict=False, max_eps_order=9):
+                 constants=(), max_eps_order=9):
         self.independent = tuple(independent)
         self.dependent = tuple(dependent)
         self.functions = dict(functions or {})
         self.constants = set(constants)
-        self.strict = strict
         self.max_eps_order = max_eps_order
 
     def split_jet_name(self, name: str) -> tuple[str, int | None] | None:
@@ -262,8 +262,6 @@ class _Parser:
         m = re.fullmatch(r"(.+?)_(\d+)", name)
         if m:
             name, family = m.group(1), int(m.group(2))
-        if self.lang.strict and name not in self.lang.functions:
-            raise UnknownSymbol(f"undeclared function {name!r}")
         arity = self.lang.functions.get(name)
         if arity is not None and arity != len(args):
             raise SyntaxErrorAt(f"{name} expects {arity} argument(s)", t.line, t.col)
@@ -282,18 +280,12 @@ class _Parser:
         hit = self.lang.split_jet_name(name)
         if hit:
             return ex.jet(hit[0], hit[1])
-        if name in self.lang.independent or name in self.lang.constants:
-            return ex.sym(name)
-        if self.lang.strict:
-            raise UnknownSymbol(f"undeclared symbol {name!r}")
         return ex.sym(name)
 
     def derivative(self, ds: str, count: str, rest: str, t: _Token) -> ex.Expr:
         hit = self.lang.split_jet_name(rest)
         if not hit:
             # not a declared dependent: treat the whole identifier as a symbol
-            if self.lang.strict:
-                raise UnknownSymbol(f"undeclared symbol {ds + count + rest!r}")
             return ex.sym(ds + count + rest)
         base, order = hit
         n = int(count) if count else len(ds)

@@ -107,7 +107,7 @@ def _sort_key(row: dict) -> tuple:
     return (lead, 0 if isinstance(row[lead], Fraction) else 1, len(row))
 
 
-def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
+def sparse_rref(rows: list[dict]) -> dict[int, dict]:
     """Reduced row echelon form; returns {pivot column: normalized row}.
 
     Pivot columns are chosen in increasing index order; plain-rational
@@ -163,7 +163,7 @@ def sparse_rref(rows: list[dict], ncols: int) -> dict[int, dict]:
 
 def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     """Basis of {x : A x = 0}, one sparse vector per free column."""
-    pivots = sparse_rref(rows, ncols)
+    pivots = sparse_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -308,7 +308,7 @@ def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr
         r = {j: _demote(a) for j, a in enumerate(row) if a != ex.ZERO}
         r[n + i] = Fraction(1)
         rows.append(r)
-    pivots = sparse_rref(rows, n + len(matrix))
+    pivots = sparse_rref(rows)
     if any(j not in pivots for j in range(n)):
         return None
 

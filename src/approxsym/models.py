@@ -61,7 +61,7 @@ class Model:
     lagrangian: PerturbedLagrangian  # concrete functions substituted
     constants: dict[str, str | None]
     functions: dict[str, dict]
-    bodies: list[tuple[str, ex.Sym, ex.Expr]]   # parsed concrete functions
+    bodies: list[tuple[str, ex.Sym, ex.Expr]]   # (name, formal, parsed closed form)
     oscillatory: bool
     ansatz_bases: dict[tuple, list[ex.Expr]] | None   # None: the default ansatz
     golden: list[GoldenRecord] = field(default_factory=list)
@@ -133,15 +133,13 @@ def load_model_dict(data: dict) -> Model:
         _declared(src, lang)
     for name, spec in functions.items():
         _check_formal(name, spec, lang)
-    bodies = _bodies(functions, lang)
+    bodies = [(name, ex.sym(f.get("formal") or "w"), lang.parse(f["concrete"]))
+              for name, f in functions.items() if f.get("concrete")]
     for name, formal, body in bodies:
-        stray = ex.atoms_of(body, (ex.Sym, ex.Jet, ex.Eps)) - {formal, *map(ex.sym, constants)}
-        if stray:
-            raise ModelError(f"functions.{name}.concrete: may use only the formal "
-                             f"{formal.name!r} and declared constants, not "
-                             f"{', '.join(sorted(map(to_text, stray)))}")
+        with named(f"functions.{name}.concrete"):
+            _declared(body, lang, formal)
     with named("lagrangian"):
-        lag = PerturbedLagrangian.from_expression(_substitute(src, bodies), space)
+        lag = PerturbedLagrangian.from_expression(concretize(src, bodies), space)
     ansatz_data = _optional(data, "ansatz", dict, {})
     ansatz_bases = _ansatz_bases(ansatz_data, space, lang) if ansatz_data else None
     numbers = {key: dict(_optional(data, key, dict, {}))
@@ -201,29 +199,36 @@ def parse_generator(model: Model, rec: dict) -> tuple[Generator, GaugeTerm]:
 def _parse(model: Model, text: str) -> ex.Expr:
     if not isinstance(text, str):
         raise TypeError(f"expected an expression string, got {text!r}")
-    return _substitute(_declared(model.language.parse(text), model.language), model.bodies)
+    return concretize(_declared(model.language.parse(text), model.language), model.bodies)
 
 
-def _declared(e: ex.Expr, lang: Language) -> ex.Expr:
-    """``e``, whose every symbol must be an independent variable or a declared
-    constant: any other is a typo that would load as a different model, so
-    it raises ValueError.  Function bodies, which may also use their formal,
-    are checked in ``load_model_dict``."""
-    stray = ex.atoms_of(e, ex.Sym) - set(map(ex.sym, (*lang.independent, *lang.constants)))
+def _declared(e: ex.Expr, lang: Language, formal: ex.Sym | None = None) -> ex.Expr:
+    """``e``, whose every name must be declared: each symbol an independent
+    variable or a constant, each function one of ``lang.functions``.  Any
+    other name is a typo that would load as a different model, so it raises
+    ValueError.  The body of a function (``formal`` given) may use only its
+    formal and the constants: no variable, jet coordinate or eps."""
+    if formal is None:
+        kinds, allowed = ex.Sym, (*lang.independent, *lang.constants)
+        lead = "undeclared symbol(s)"
+    else:
+        kinds, allowed = (ex.Sym, ex.Jet, ex.Eps), (formal.name, *lang.constants)
+        lead = f"may use only the formal {formal.name!r} and declared constants, not"
+    stray = ex.atoms_of(e, kinds) - set(map(ex.sym, allowed))
     if stray:
-        raise ValueError(f"undeclared symbol(s) {', '.join(sorted(map(to_text, stray)))}")
+        raise ValueError(f"{lead} {', '.join(sorted(map(to_text, stray)))}")
+    unknown = {f.name for f in ex.atoms_of(e, (ex.AFun, ex.AInt))} - set(lang.functions)
+    if unknown:
+        raise ValueError(f"undeclared function(s) {', '.join(sorted(unknown))}")
     return e
 
 
-def concretize(e: ex.Expr, functions: dict[str, dict], lang: Language) -> ex.Expr:
-    """Substitute the closed form of every function that declares one."""
-    return _substitute(e, _bodies(functions, lang))
-
-
-def _bodies(functions: dict[str, dict], lang: Language) -> list[tuple[str, ex.Sym, ex.Expr]]:
-    """(name, formal argument, parsed body) of every function with a closed form."""
-    return [(name, ex.sym(f.get("formal") or "w"), lang.parse(f["concrete"]))
-            for name, f in functions.items() if f.get("concrete")]
+def concretize(e: ex.Expr, bodies: list[tuple[str, ex.Sym, ex.Expr]]) -> ex.Expr:
+    """Substitute the closed form of every function that has one; ``bodies``
+    holds (name, formal argument, parsed body), as ``Model.bodies`` does."""
+    for name, formal, body in bodies:
+        e = ex.subst_function(e, name, formal, body)
+    return e
 
 
 def _check_formal(name: str, spec: dict, lang: Language):
@@ -240,12 +245,6 @@ def _check_formal(name: str, spec: dict, lang: Language):
     if not fresh or formal in lang.independent or formal in lang.constants:
         raise ModelError(f"functions.{name}.formal: expected a name that is no "
                          f"variable or constant, got {formal!r}")
-
-
-def _substitute(e: ex.Expr, bodies: list[tuple[str, ex.Sym, ex.Expr]]) -> ex.Expr:
-    for name, formal, body in bodies:
-        e = ex.subst_function(e, name, formal, body)
-    return e
 
 
 def _require(data: dict, key: str, type_, where: str = ""):

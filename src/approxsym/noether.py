@@ -29,7 +29,7 @@ from .jet import JetSpace, total_derivative
 from .linalg import coefficient_rows, fe_expr, nullspace, solve_dense
 from .perturb import (EpsSeries, const_series, expand_series, jet_series,
                       series_add, series_divergence, series_mul, series_shift,
-                      series_sub, validate_triangular)
+                      series_sub, series_u_partial, validate_triangular)
 from .symmetry import Generator
 
 __all__ = ["PerturbedLagrangian", "GaugeTerm", "ConservationLaw",
@@ -76,7 +76,7 @@ class PerturbedLagrangian:
         jet slot (see ``series_u_partial``), computed once per v."""
         d = self._partials.get(v)
         if d is None:
-            d = self._partials[v] = EpsSeries(tuple(ex.diff(c, v) for c in self.L.coeffs))
+            d = self._partials[v] = series_u_partial(self.L, v)
         return d
 
     @classmethod
@@ -211,10 +211,6 @@ def variational_residual(g: Generator, lag: PerturbedLagrangian,
     return series_sub(out, series_divergence(phi.phi, sp))
 
 
-def _dl_du_series(lag: PerturbedLagrangian, base: str, v: str) -> EpsSeries:
-    return lag.partial(ex.jet(base, 0, (v,)))
-
-
 def noether_fluxes(g: Generator, lag: PerturbedLagrangian,
                    phi: GaugeTerm | None = None, name: str = "",
                    residual: EpsSeries | None = None) -> ConservationLaw:
@@ -232,8 +228,7 @@ def noether_fluxes(g: Generator, lag: PerturbedLagrangian,
         residual = variational_residual(g, lag, phi)
     rz = residual.is_zero_series()
     if rz is not True:
-        raise NotAVariationalSymmetry(
-            f"residual is not identically zero: {residual!r}")
+        raise NotAVariationalSymmetry(residual)
     characteristics = []
     for a, base in enumerate(sp.dependent):
         w = g.eta[a]
@@ -245,7 +240,7 @@ def noether_fluxes(g: Generator, lag: PerturbedLagrangian,
         flux = series_mul(g.xi[i], lag.L)
         for a, base in enumerate(sp.dependent):
             flux = series_add(flux, series_mul(characteristics[a],
-                                               _dl_du_series(lag, base, v)))
+                                               lag.partial(ex.jet(base, 0, (v,)))))
         flux = series_sub(flux, phi.phi[i])
         fluxes.append(flux)
     law = ConservationLaw(sp, tuple(fluxes), source=g, gauge=phi, name=name)

@@ -38,25 +38,21 @@ __all__ = ["NumericModel", "Trajectory", "DriftReport", "compile_numeric",
 # expression compilation
 
 
-def _compile_source(e: ex.Expr, jet_src: dict[ex.Jet, str], bindings: dict[str, float],
-                    extra_syms: dict[str, str], hoisted: dict[ex.Expr, str]) -> str:
-    """Python source of e; a node in ``hoisted`` is read from its local."""
+def _compile_source(e: ex.Expr, names: dict[ex.Expr, str],
+                    bindings: dict[str, float]) -> str:
+    """Python source of e; a node in ``names`` is read from that name."""
     def src(node: ex.Expr) -> str:
-        name = hoisted.get(node)
+        name = names.get(node)
         if name is not None:
             return name
         if isinstance(node, ex.Rat):
             return repr(float(node.value))
         if isinstance(node, ex.Sym):
-            if node.name in extra_syms:
-                return extra_syms[node.name]
             if node.name in bindings:
                 return repr(float(bindings[node.name]))
             raise UnboundSymbol(f"symbol {node.name!r} has no numeric binding")
         if isinstance(node, ex.Jet):
-            if node not in jet_src:
-                raise UnboundSymbol(f"jet coordinate {node!r} is not part of the state")
-            return jet_src[node]
+            raise UnboundSymbol(f"jet coordinate {node!r} is not part of the state")
         if isinstance(node, ex.Add):
             return "(" + "+".join(src(t) for t in node.terms) + ")"
         if isinstance(node, ex.Mul):
@@ -106,25 +102,23 @@ def _sources(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str], bindings: dict[st
     radicals, which may read them; an assignment reads only the locals
     assigned before it.  Each local holds the same call on the same argument
     as the inline source it stands for, so the floats do not change.  The
-    strings read ``t``, the names in ``jet_src`` and the hoisted locals, so
-    any generated function can run them after the assignments.
+    strings read ``t``, the names in ``jet_src`` and the hoisted locals, all
+    in one table (a radical through its marker symbol), so any generated
+    function can run them after the assignments.
     """
-    base_syms = {space.independent[0]: "t"}
+    names: dict[ex.Expr, str] = {**jet_src, ex.sym(space.independent[0]): "t"}
     hoisted = []
-    trig: dict[ex.Expr, str] = {}
     for i, atom in enumerate(_repeated(exprs, _is_trig)):
-        arg = _compile_source(atom.arg, jet_src, bindings, base_syms, trig)
+        arg = _compile_source(atom.arg, names, bindings)
         hoisted.append(f"_f{i} = math.{atom.name}({arg})")
-        trig[atom] = f"_f{i}"
+        names[atom] = f"_f{i}"
     sub: dict[ex.Expr, ex.Expr] = {}
-    main_syms = dict(base_syms)
     for i, atom in enumerate(_repeated(exprs, _is_radical)):
-        hoisted.append(f"_r{i} = " + _compile_source(atom, jet_src, bindings, base_syms, trig))
+        hoisted.append(f"_r{i} = " + _compile_source(atom, names, bindings))
         marker = ex.sym(f"__h__r{i}")
-        main_syms[marker.name] = f"_r{i}"
+        names[marker] = f"_r{i}"
         sub[atom] = marker
-    return hoisted, [_compile_source(ex.subst(e, sub), jet_src, bindings, main_syms, trig)
-                     for e in exprs]
+    return hoisted, [_compile_source(ex.subst(e, sub), names, bindings) for e in exprs]
 
 
 def _tuple(items) -> str:

@@ -128,16 +128,17 @@ def jet_series(base: str, deriv, p: int) -> EpsSeries:
     return EpsSeries(tuple(ex.jet(base, k, deriv) for k in range(p + 1)))
 
 
-def series_u_partial(a: EpsSeries, slot: ex.Jet) -> EpsSeries:
-    """Coefficient-wise partial by the order-0 slot of a jet coordinate.
+def series_u_partial(a: EpsSeries, v: ex.Sym | ex.Jet) -> EpsSeries:
+    """Coefficient-wise partial by an independent variable or by the order-0
+    slot of a jet coordinate.
 
     For a series that arose by eps-expansion, [d(a_k)/d u_(0)alpha,J]_k is
     exactly the expansion of the partial derivative with respect to the
     unexpanded coordinate u_alpha,J (chain-rule identity of the expansion).
     """
-    if slot.order != 0:
+    if isinstance(v, ex.Jet) and v.order != 0:
         raise ValueError("extraction slot must be an order-0 jet coordinate")
-    return EpsSeries(tuple(ex.diff(c, slot) for c in a.coeffs))
+    return EpsSeries(tuple(ex.diff(c, v) for c in a.coeffs))
 
 
 # ---------------------------------------------------------------------------

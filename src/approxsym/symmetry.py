@@ -17,7 +17,7 @@ from . import expr as ex
 from .jet import JetSpace
 from .perturb import (EpsSeries, build_infinitesimals, const_series, jet_series,
                       series_add, series_mul, series_shift, series_sub,
-                      series_total_derivative, validate_triangular)
+                      series_total_derivative, series_u_partial, validate_triangular)
 
 __all__ = ["Generator", "commutator", "eps_shift"]
 
@@ -120,7 +120,7 @@ class Generator:
             raise ValueError("series order mismatch")
         if partial is None:
             def partial(v):
-                return EpsSeries(tuple(ex.diff(c, v) for c in s.coeffs))
+                return series_u_partial(s, v)
         self.prolong(order)
         out = _zero_series(sp)
         for i, v in enumerate(sp.independent):

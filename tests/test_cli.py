@@ -434,7 +434,15 @@ def test_bad_generator_override_exits_2(flags):
     ("1/2*du#t^2", {"golden": [{**_RECORD, "quantity": ["1/2*du0#t^2 + q", "0"]}]},
      "golden[0] (E): undeclared symbol(s) q"),
     ("1/2*du#t^2", {"ansatz": {"xi0": ["1", "k"]}}, "ansatz.xi0: undeclared symbol(s) k"),
-], ids=["lagrangian", "past-order_p", "golden", "ansatz"])
+    # a function no "functions" entry declares
+    ("1/2*du#t^2 + G(u)", {}, "lagrangian: undeclared function(s) G"),
+    ("1/2*du#t^2", {"golden": [{**_RECORD, "quantity": ["G'(u0) + Int(H, t)", "0"]}]},
+     "golden[0] (E): undeclared function(s) G, H"),
+    ("1/2*du#t^2", {"ansatz": {"eta0": ["G(t)"]}}, "ansatz.eta0: undeclared function(s) G"),
+    ("1/2*du#t^2 - F(u)", {"functions": {"F": {"concrete": "G(w)^2"}}},
+     "functions.F.concrete: undeclared function(s) G"),
+], ids=["lagrangian", "past-order_p", "golden", "ansatz", "function-lagrangian",
+        "function-golden", "function-ansatz", "function-body"])
 def test_undeclared_symbol_exits_2(tmp_path, lagrangian, fields, message):
     # a typo would otherwise load as a different model and exit 0
     proc = run("expand", write_model(tmp_path, lagrangian, **fields), check=False)
@@ -447,6 +455,27 @@ def test_undeclared_symbol_in_an_override_exits_2():
     proc = run("noether", "--model", "free-particle", "--xi", '"ab"', check=False)
     assert proc.returncode == 2
     assert proc.stderr == "error: generator override: undeclared symbol(s) a\n"
+
+
+def test_undeclared_function_in_an_override_exits_2():
+    proc = run("noether", "--model", "free-particle", "--xi", '[["G(t)"], ["0"]]',
+               check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: generator override: undeclared function(s) G\n"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_csv_exits_2_before_integrating(tmp_path, monkeypatch, capsys, where):
+    from approxsym import cli
+
+    def integrate(*args):
+        raise AssertionError("integrated before the CSV path was checked")
+    monkeypatch.setattr(cli, "integrate", integrate)
+    path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    assert cli.main(["verify", "--model", "free-particle", "--csv", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write CSV: [Errno "), err
+    assert err.count("\n") == 1 and str(path) in err
 
 
 def test_closed_standard_output_exits_1_without_a_traceback():

@@ -8,14 +8,15 @@ from pathlib import Path
 import pytest
 
 from approxsym import expr as ex
-from approxsym.determine import (AnsatzSpace, _generator_and_gauge, default_ansatz,
-                                 extract, membership, report, solve)
+from approxsym.determine import (AnsatzSpace, _gauge_residual, _generator_and_gauge,
+                                 default_ansatz, extract, membership, report, solve)
 from approxsym.errors import AnsatzIncomplete
 from approxsym.jet import JetSpace
 from approxsym.linalg import assemble_rows, common_multiplier, sparse_rref
-from approxsym.models import load_builtin, load_model_dict
+from approxsym.models import builtin_names, load_builtin, load_model_dict
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
-from approxsym.perturb import EpsSeries, series_add
+from approxsym.perturb import (EpsSeries, const_series, series_add, series_divergence,
+                               series_sub)
 from approxsym.symmetry import Generator
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
@@ -115,9 +116,9 @@ def test_each_distinct_basis_is_checked_once(monkeypatch):
     from approxsym import determine
     calls = []
 
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return sparse_rref(rows, ncols)
+    def counting(rows):
+        calls.append(rows)
+        return sparse_rref(rows)
     monkeypatch.setattr(determine, "sparse_rref", counting)
     model = load_builtin("coupled-system")
     distinct = {tuple(b) for b in model.ansatz.bases.values() if b}
@@ -174,8 +175,31 @@ def _reference_extract(lag, ansatz, constants):
         residuals.append(variational_residual(gen, lag, phi).coeffs)
     rows = assemble_rows(common_multiplier(residuals, constants))
     keys = sorted(rows, key=lambda key: (key[0], key[2]))
-    provenance = [(k, ex.mul(*[ex.pow_(a, q) for a, q in sig])) for k, _, sig in keys]
-    return unknowns, [rows[key] for key in keys], provenance
+    return unknowns, [rows[key] for key in keys], [(k, sig) for k, _, sig in keys]
+
+
+def reference_gauge_residual(sp, k, slot, e):
+    """-Div phi from zero series: phi has e at order k in slot, zero elsewhere."""
+    zero = const_series(ex.ZERO, sp.order)
+    fields = [zero] * sp.n
+    fields[slot] = EpsSeries(tuple(e if i == k else ex.ZERO for i in range(sp.order + 1)))
+    return series_sub(zero, series_divergence(fields, sp))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_gauge_columns_equal_the_zero_series_form(name):
+    model = load_builtin(name)
+    sp = model.space
+    columns = 0
+    for (kind, k, slot), basis in model.ansatz.bases.items():
+        if kind != "phi":
+            continue
+        for e in basis:
+            new = _gauge_residual(sp, k, slot, e).coeffs
+            old = reference_gauge_residual(sp, k, slot, e).coeffs
+            assert [c.key() for c in new] == [c.key() for c in old], (kind, k, slot, e)
+            columns += 1
+    assert columns
 
 
 @pytest.mark.parametrize("source", ["order2", "oscillator-quadratic"])

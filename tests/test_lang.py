@@ -1,9 +1,9 @@
-"""Grammar corners, error reporting, strict mode, LaTeX/JSON emitters."""
+"""Grammar corners, error reporting, LaTeX/JSON emitters."""
 
 import pytest
 
 from approxsym import expr as ex
-from approxsym.errors import SyntaxErrorAt, UnknownSymbol
+from approxsym.errors import SyntaxErrorAt
 from approxsym.lang import MAX_NESTING, Language, to_json, to_latex, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1},
@@ -77,13 +77,12 @@ def test_nesting_depth_is_bounded():
             L.parse(text)
 
 
-def test_strict_mode_rejects_unknown_symbols():
-    strict = Language(independent=["t"], dependent=["u"], strict=True)
-    with pytest.raises(UnknownSymbol):
-        strict.parse("mystery")
-    assert strict.parse("t + u0") == ex.add(ex.sym("t"), ex.jet("u", 0))
-    lax = Language(independent=["t"], dependent=["u"])
-    assert lax.parse("mystery") == ex.sym("mystery")
+def test_undeclared_names_parse_as_symbols_and_functions():
+    # a model rejects them after parsing (models._declared)
+    lang = Language(independent=["t"], dependent=["u"])
+    assert lang.parse("mystery") == ex.sym("mystery")
+    assert lang.parse("G(t)") == ex.afun("G", [ex.sym("t")])
+    assert lang.parse("t + u0") == ex.add(ex.sym("t"), ex.jet("u", 0))
 
 
 def test_float_literals_rejected():

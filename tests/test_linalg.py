@@ -42,7 +42,7 @@ def test_nullspace_simple():
 
 def test_rank_and_span():
     rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
-    assert len(sparse_rref(rows, 2)) == 1
+    assert len(sparse_rref(rows)) == 1
     column = [ex.rat(1), ex.rat(2)]
     assert list(fits([column, [ex.rat(3), ex.rat(6)]])) == [{0: F(3)}]
     assert list(fits([column, [ex.rat(1), ex.ZERO]])) == []
@@ -76,7 +76,7 @@ def test_cleared_denominators_are_not_compared_across_columns(pair, dependent):
     # only comparable where the multipliers agree
     lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
     columns = [[lang.parse(s)] for s in pair]
-    assert (len(sparse_rref(coefficient_rows(columns, ()).values(), 2)) == 1) is dependent
+    assert (len(sparse_rref(coefficient_rows(columns, ()).values())) == 1) is dependent
     assert bool(list(fits(columns))) is dependent
 
 
@@ -85,7 +85,7 @@ def test_common_multiplier_compares_across_denominators():
     lang = JetSpace(("t",), ("u",), order=0, max_derivative=2).language()
     columns = [[lang.parse(s)] for s in
                ("1/(1+u0^2)", "1/(2+u0^2)", "1/((1+u0^2)*(2+u0^2))")]
-    assert len(sparse_rref(coefficient_rows(columns, ()).values(), 3)) == 3
+    assert len(sparse_rref(coefficient_rows(columns, ()).values())) == 3
     rows = assemble_rows(common_multiplier(columns, ())).values()
     assert nullspace(rows, 3) == [{0: -1, 1: 1, 2: 1}]
     # multipliers that agree leave the tag as it was
@@ -133,7 +133,7 @@ def _over_ab(e):
 ])
 def test_duplicate_rows_do_not_change_the_reduction(rows, expected):
     def reduce(rows):
-        pivots = sparse_rref([dict(r) for r in rows], 3)
+        pivots = sparse_rref([dict(r) for r in rows])
         return pivots, [(c, [(j, to_text(fe_expr(v))) for j, v in row.items()])
                         for c, row in pivots.items()]
 
@@ -147,7 +147,7 @@ def test_duplicate_rows_do_not_change_the_reduction(rows, expected):
         assert all(list(got[c].items()) == list(pivots[c].items()) for c in pivots)
 
 
-def ref_sparse_rref(rows, ncols):
+def ref_sparse_rref(rows):
     """The reference: every pending row re-keyed at every promotion."""
     pivots = {}
     distinct = dict.fromkeys(tuple(r.items()) for r in rows)
@@ -199,16 +199,16 @@ def random_system(rng, symbolic):
             rng.shuffle(cols)
             rows.append({c: rng.choice(SYMBOLS) if symbolic and rng.random() < 0.4
                          else F(rng.randint(-2, 2)) for c in cols})
-    return rows, ncols
+    return rows
 
 
 @pytest.mark.parametrize("symbolic", [False, True], ids=["rational", "symbolic"])
 def test_sparse_rref_promotes_as_the_reference(symbolic):
     rng = random.Random(23 if symbolic else 29)
     for _ in range(400):
-        rows, ncols = random_system(rng, symbolic)
-        got = sparse_rref([dict(r) for r in rows], ncols)
-        want = ref_sparse_rref([dict(r) for r in rows], ncols)
+        rows = random_system(rng, symbolic)
+        got = sparse_rref([dict(r) for r in rows])
+        want = ref_sparse_rref([dict(r) for r in rows])
         assert list(got) == list(want)   # the same pivots, promoted in the same order
         for c in want:
             assert list(got[c].items()) == list(want[c].items())
@@ -218,7 +218,7 @@ def test_symbolic_pivot_ambiguity():
     assert ex.is_zero(HARD) is ex.UNKNOWN
     rows = [{0: HARD}]
     with pytest.raises(SymbolicPivotAmbiguity):
-        sparse_rref(rows, 1)
+        sparse_rref(rows)
 
 
 def test_solve_dense_symbolic():

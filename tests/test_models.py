@@ -6,7 +6,7 @@ import pytest
 
 from approxsym import expr as ex
 from approxsym.errors import ModelError, UnknownModel
-from approxsym.models import (builtin_names, golden_check, load_builtin,
+from approxsym.models import (builtin_names, concretize, golden_check, load_builtin,
                               load_model_dict, _BUILTINS)
 from approxsym.noether import ConservationLaw, classify, divergence_check
 
@@ -36,6 +36,18 @@ def test_load_parses_each_function_body_once(monkeypatch, name, body):
     xi1 = next(r for r in model.golden if r.name == "Xi1")
     shown = [to_text(c) for c in model.lagrangian.L.coeffs + xi1.quantity.coeffs]
     assert not any("F" in t for t in shown)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_concretize_equals_parsing_the_bodies_again(name):
+    # the reference parses every declared body from the model's functions
+    model = load_builtin(name)
+    want = model.lagrangian_source
+    for fname, f in model.functions.items():
+        if f.get("concrete"):
+            want = ex.subst_function(want, fname, ex.sym(f.get("formal") or "w"),
+                                     model.language.parse(f["concrete"]))
+    assert concretize(model.lagrangian_source, model.bodies).key() == want.key()
 
 
 def test_unknown_model():

@@ -10,7 +10,8 @@ from approxsym import numverify
 from approxsym.errors import CannotSolveForLeadingDerivative, NonFiniteState, UnboundSymbol
 from approxsym.jet import JetSpace
 from approxsym.models import concretize, load_builtin
-from approxsym.noether import ConservationLaw, PerturbedLagrangian, noether_fluxes
+from approxsym.noether import (ConservationLaw, PerturbedLagrangian, el_solved_map,
+                               noether_fluxes)
 from approxsym.numverify import (NumericModel, compile_full, compile_functions,
                                  compile_numeric, drift, eps_sweep, integrate)
 from approxsym.perturb import EpsSeries
@@ -35,7 +36,7 @@ def test_compile_numeric_rhs_oscillator():
 
 def test_compile_full_rhs_is_the_full_equation():
     model = load_builtin("oscillator-quadratic")
-    source = concretize(model.lagrangian_source, model.functions, model.language)
+    source = concretize(model.lagrangian_source, model.bodies)
     eps = 1e-2
     nm = compile_full(source, model.space, model.bindings, eps)
     u, du = 0.7, -0.3
@@ -136,7 +137,7 @@ def test_symbolic_numeric_agreement():
 def test_eps_sweep_scaling():
     model, nm, y0 = osc_model()
     law = energy_law(model)
-    src = concretize(model.lagrangian_source, model.functions, model.language)
+    src = concretize(model.lagrangian_source, model.bodies)
     sw = eps_sweep(src, model.space, law, [1e-2, 1e-3, 1e-4], model.bindings,
                    [1.0, 0.0], 0.0, 20.0, 1e-3)
     assert sw.slope >= 1.9
@@ -145,7 +146,7 @@ def test_eps_sweep_scaling():
 def test_eps_zero_sits_at_integrator_floor():
     model, nm, y0 = osc_model()
     law = energy_law(model)
-    src = concretize(model.lagrangian_source, model.functions, model.language)
+    src = concretize(model.lagrangian_source, model.bodies)
     sw = eps_sweep(src, model.space, law, [0.0], model.bindings,
                    [1.0, 0.0], 0.0, 20.0, 1e-3)
     assert sw.drifts[0] < 1e-12
@@ -155,7 +156,7 @@ def test_non_conserved_sweep_slope_near_zero():
     model, nm, y0 = osc_model()
     bogus = ConservationLaw(model.space,
                             (EpsSeries((ex.jet("u", 0), ex.ZERO)),), name="u0")
-    src = concretize(model.lagrangian_source, model.functions, model.language)
+    src = concretize(model.lagrangian_source, model.bodies)
     sw = eps_sweep(src, model.space, bogus, [1e-2, 1e-3, 1e-4], model.bindings,
                    [1.0, 0.0], 0.0, 20.0, 1e-2)
     assert abs(sw.slope) < 0.1
@@ -167,7 +168,7 @@ def test_sweep_states_computed_once_and_never_stale(monkeypatch):
     energy = energy_law(model)
     bogus = ConservationLaw(model.space,
                             (EpsSeries((ex.jet("u", 0), ex.ZERO)),), name="u0")
-    src = concretize(model.lagrangian_source, model.functions, model.language)
+    src = concretize(model.lagrangian_source, model.bodies)
     calls = {"compile_full": 0, "integrate": 0}
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(numverify, name)):
@@ -232,7 +233,7 @@ def test_law_without_a_finite_value_names_the_time():
     traj = integrate(nm, [0.0, 0.0, 1.0, 0.0], 0.0, 1.0, 1e-2)   # u0, u1, du0, du1
     with pytest.raises(NonFiniteState, match=r"inv .*t=0\.0"):
         drift(traj, law, nm)
-    src = concretize(model.lagrangian_source, model.functions, model.language)
+    src = concretize(model.lagrangian_source, model.bodies)
     with pytest.raises(NonFiniteState, match=r"inv at eps=0\.01 .*t=0\.0"):
         eps_sweep(src, model.space, law, [1e-2], model.bindings, [0.0, 1.0],
                   0.0, 1.0, 1e-2)
@@ -350,7 +351,7 @@ def test_generated_scans_equal_the_tuple_loops():
     model, nm, y0 = osc_model()
     t0, t1, h = 0.0, 5.0, 1e-3
     traj = integrate(nm, y0, t0, t1, h)
-    src = concretize(model.lagrangian_source, model.functions, model.language)
+    src = concretize(model.lagrangian_source, model.bodies)
     y_full = [1.0, 0.0]
     eps_values = [1e-2, 1e-3, 1e-4, 0.0]
     ts, base = reference_integrate(compile_full(src, model.space, model.bindings, 0.0),
@@ -379,3 +380,90 @@ def test_generated_scans_equal_the_tuple_loops():
         sw = eps_sweep(src, model.space, law, eps_values, model.bindings, y_full, t0, t1, h)
         assert sw.drifts == drifts, rec.name
         assert sw.slope == numverify._loglog_slope(eps_values, drifts), rec.name
+
+
+def reference_compile_source(e, jet_src, bindings, extra_syms, hoisted):
+    """The source compiler with three tables: hoisted nodes, symbols by name
+    and jets."""
+    def src(node):
+        name = hoisted.get(node)
+        if name is not None:
+            return name
+        if isinstance(node, ex.Rat):
+            return repr(float(node.value))
+        if isinstance(node, ex.Sym):
+            if node.name in extra_syms:
+                return extra_syms[node.name]
+            if node.name in bindings:
+                return repr(float(bindings[node.name]))
+            raise UnboundSymbol(f"symbol {node.name!r} has no numeric binding")
+        if isinstance(node, ex.Jet):
+            if node not in jet_src:
+                raise UnboundSymbol(f"jet coordinate {node!r} is not part of the state")
+            return jet_src[node]
+        if isinstance(node, ex.Add):
+            return "(" + "+".join(src(t) for t in node.terms) + ")"
+        if isinstance(node, ex.Mul):
+            return "(" + "*".join(src(f) for f in node.factors) + ")"
+        if isinstance(node, ex.Pow) and node.exp.denominator == 1:
+            return f"({src(node.base)}**{repr(float(node.exp))})"
+        if isinstance(node, ex.Pow):
+            return f"math.pow({src(node.base)}, {repr(float(node.exp))})"
+        if isinstance(node, ex.Fun):
+            return f"math.{node.name}({src(node.arg)})"
+        raise UnboundSymbol(
+            f"cannot evaluate {type(node).__name__}; bind arbitrary functions first")
+    return src(e)
+
+
+def reference_sources(exprs, jet_src, bindings, space):
+    base_syms = {space.independent[0]: "t"}
+    hoisted = []
+    trig = {}
+    for i, atom in enumerate(numverify._repeated(exprs, numverify._is_trig)):
+        arg = reference_compile_source(atom.arg, jet_src, bindings, base_syms, trig)
+        hoisted.append(f"_f{i} = math.{atom.name}({arg})")
+        trig[atom] = f"_f{i}"
+    sub = {}
+    main_syms = dict(base_syms)
+    for i, atom in enumerate(numverify._repeated(exprs, numverify._is_radical)):
+        hoisted.append(f"_r{i} = " + reference_compile_source(atom, jet_src, bindings,
+                                                              base_syms, trig))
+        marker = ex.sym(f"__h__r{i}")
+        main_syms[marker.name] = f"_r{i}"
+        sub[atom] = marker
+    return hoisted, [reference_compile_source(ex.subst(e, sub), jet_src, bindings,
+                                              main_syms, trig) for e in exprs]
+
+
+@pytest.mark.parametrize("name", ["coupled-system", "free-particle", "oscillator-arbitraryF",
+                                  "oscillator-cubic-inverse", "oscillator-quadratic",
+                                  "three-body"])
+def test_sources_equal_the_three_table_compiler(name):
+    # the right-hand sides and every golden quantity, read from the state
+    # (y[i]) and from unpacked locals (y<i>), with every constant bound
+    model = load_builtin(name)
+    sp = model.space
+    bindings = dict.fromkeys(model.constants, 0.5) | model.bindings
+    try:
+        solved = el_solved_map(model.lagrangian)
+    except CannotSolveForLeadingDerivative:
+        solved = {}
+    tname = sp.independent[0]
+    positions = sorted({ex.jet(j.base, j.order) for j in solved}, key=lambda j: j.key())
+    nm = NumericModel(sp, positions, None, bindings)
+    groups = [[solved[ex.jet(p.base, p.order, (tname, tname))] for p in positions]]
+    groups += [list(rec.quantity.coeffs) for rec in model.golden if rec.quantity]
+    compared = 0
+    for exprs in groups:
+        for slot in ("y[{}]", "y{}"):
+            jet_src = nm.jet_sources(slot)
+            try:
+                want = reference_sources(exprs, jet_src, bindings, sp)
+            except UnboundSymbol as err:   # an arbitrary function
+                with pytest.raises(UnboundSymbol, match=str(err)):
+                    numverify._sources(exprs, jet_src, bindings, sp)
+                continue
+            assert numverify._sources(exprs, jet_src, bindings, sp) == want
+            compared += 1
+    assert compared

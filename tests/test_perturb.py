@@ -10,7 +10,7 @@ from approxsym.errors import MissingFamilyIndex, OrderMismatch, SingularAtEpsZer
 from approxsym.jet import JetSpace
 from approxsym.perturb import (EpsSeries, build_infinitesimals, expand_series,
                                recursion_R, series_add, series_mul, series_shift,
-                               validate_triangular)
+                               series_u_partial, validate_triangular)
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
 L = SP.language(functions={"F": 1})
@@ -70,6 +70,16 @@ def test_series_arithmetic_examples():
     assert series_shift(a).coeffs == (ex.ZERO, ex.sym("a"))
     s = series_add(a, EpsSeries((ex.neg(ex.sym("a")), ex.neg(ex.sym("b")))))
     assert s.coeffs == (ex.ZERO, ex.ZERO)
+
+
+def test_series_partial_by_a_variable_or_an_order_0_slot():
+    s = EpsSeries((L.parse("t^2*u0*du0#t"), L.parse("t*u1 + sin(t)*u0")))
+    assert series_u_partial(s, ex.sym("t")).coeffs == (
+        L.parse("2*t*u0*du0#t"), L.parse("u1 + cos(t)*u0"))
+    assert series_u_partial(s, ex.jet("u", 0, ("t",))).coeffs == (
+        L.parse("t^2*u0"), ex.ZERO)
+    with pytest.raises(ValueError, match="order-0"):
+        series_u_partial(s, ex.jet("u", 1))
 
 
 def test_order_mismatch():

@@ -149,7 +149,13 @@ def cmd_noether(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _load_model(args)
-    recs = [r for r in _selected_golden(model, args.law) if r.quantity is not None]
+    recs = _selected_golden(model, args.law)
+    # a law named on the command line must be checked; without --law the
+    # records that have no transcribed quantity are skipped
+    untranscribed = [r.name for r in recs if r.quantity is None]
+    if args.law and untranscribed:
+        raise ModelError(f"no transcribed quantity for law(s) {', '.join(untranscribed)}")
+    recs = [r for r in recs if r.quantity is not None]
     if args.csv and recs:
         try:   # a path that cannot be written fails now, not after the integration
             open(args.csv, "a").close()

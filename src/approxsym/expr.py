@@ -24,7 +24,7 @@ from .errors import DivisionByZero, NotPolynomial
 __all__ = [
     "Expr", "Rat", "Sym", "Eps", "Jet", "Fun", "AFun", "AInt", "Pow", "Mul", "Add",
     "ZERO", "ONE", "EPS", "rat", "sym", "jet", "fun", "afun", "aint", "add", "mul",
-    "pow_", "neg", "sub", "div", "rebuild", "derivation", "diff", "subst",
+    "pow_", "neg", "sub", "div", "rebuild", "derivation", "diff", "gradient", "subst",
     "subst_function", "expand", "collect", "is_zero", "UNKNOWN", "equivalent",
     "atoms_of", "jets_of", "contains_eps", "poly_antiderivative", "linear_coeffs",
     "cache_stats", "clear_caches",
@@ -630,29 +630,117 @@ def diff(e: Expr, v: Expr) -> Expr:
     """Exact partial derivative; all other jet coordinates held fixed."""
     if not isinstance(v, (Sym, Jet, Eps)):
         raise TypeError("can only differentiate by a symbol or jet coordinate")
-    return _diff(e, v)
+    return gradient(e).get(v, ZERO)
 
 
-def _diff(e: Expr, v: Expr) -> Expr:
-    def leaf(a: Expr) -> Expr:
-        if a == v:
-            return ONE
-        if isinstance(a, (Rat, Sym, Jet, Eps)):
-            return ZERO
-        if isinstance(a, AFun):
-            out = []
-            for i, arg in enumerate(a.args):
-                d = derivation(arg, leaf)
-                if d == ZERO:
-                    continue
-                bumped = tuple(t + (1 if j == i else 0) for j, t in enumerate(a.deriv))
-                out.append(mul(AFun(a.name, a.args, bumped, a.family), d))
-            return add(*out) if out else ZERO
-        if isinstance(a, AInt):
-            d = derivation(a.arg, leaf)
-            return ZERO if d == ZERO else mul(afun(a.name, (a.arg,)), d)
-        raise TypeError(f"cannot differentiate {type(a).__name__}")
-    return derivation(e, leaf)
+# ---------------------------------------------------------------------------
+# the gradient memo: every partial derivative of a node, shared across calls
+#
+# ``gradient`` differentiates a tree by all of its variables in one walk, and
+# keeps what it built for each node: the fluxes, prolongations and residuals
+# of every generator tested hold the same Lagrangian coefficients and
+# partials as whole subtrees.  A gradient depends only on the node's
+# structure, so a stored one is what walking again would build; stored dicts
+# are never mutated.  Atoms are not stored.  The memo holds at most
+# _GRADIENT_BOUND derivatives (an entry without any counts as one).  A
+# gradient that does not fit is not stored and marks the memo full; the next
+# call of ``gradient`` then starts by emptying it, so a walk never loses the
+# memo halfway.
+
+_GRADIENT_BOUND = 4000
+_GRADIENTS: dict[Expr, dict[Expr, Expr]] = {}
+_GRADIENT_MEMO = {"held": 0, "full": False, "clears": 0}
+
+
+def gradient(e: Expr) -> dict[Expr, Expr]:
+    """{v: de/dv} for every symbol, jet coordinate and eps v in ``e``, in one
+    post-order walk; a derivative that cancels is ZERO.  The dict may be the
+    memo's own: do not mutate it.
+
+    Each entry is the tree ``derivation`` builds for v: the sum, product,
+    power and chain rules, with an arbitrary function F(a_1, ...) giving
+    sum_i F_(i)(a) * da_i/dv and Int(F, a) giving F(a) * da/dv, through the
+    same constructor calls.  Only terms without v are left out of sums,
+    which ``add`` drops anyway.
+    """
+    if _GRADIENT_MEMO["full"]:
+        _clear_gradients()
+        _GRADIENT_MEMO["clears"] += 1
+    return _gradient_of(e)
+
+
+def _gradient_of(e: Expr) -> dict[Expr, Expr]:
+    """The gradient of ``e``, from the memo or walked and stored."""
+    if isinstance(e, (Sym, Jet, Eps)):
+        return {e: ONE}
+    if isinstance(e, Rat):
+        return {}
+    g = _GRADIENTS.get(e)
+    if g is not None:
+        _HITS["gradient"] += 1
+        return g
+    _MISSES["gradient"] += 1
+    g = _gradient(e)
+    _store_gradient(e, g)
+    return g
+
+
+def _store_gradient(e: Expr, g: dict):
+    size = len(g) or 1
+    if _GRADIENT_MEMO["held"] + size <= _GRADIENT_BOUND:
+        _GRADIENTS[e] = g
+        _GRADIENT_MEMO["held"] += size
+    else:
+        _GRADIENT_MEMO["full"] = True
+
+
+def _clear_gradients():
+    _GRADIENTS.clear()
+    _GRADIENT_MEMO.update(held=0, full=False)
+
+
+def _gradient(e: Expr) -> dict[Expr, Expr]:
+    """The gradient of a node that is not an atom, from its children's."""
+    if isinstance(e, Add):
+        terms: dict[Expr, list] = {}
+        for t in e.terms:
+            for v, d in _gradient_of(t).items():
+                terms.setdefault(v, []).append(d)
+        return {v: add(*ds) for v, ds in terms.items()}
+    if isinstance(e, Mul):
+        fs = e.factors
+        terms = {}
+        for i, f in enumerate(fs):
+            for v, d in _gradient_of(f).items():
+                ts = terms.setdefault(v, [])
+                if d != ZERO:
+                    ts.append(mul(*(fs[:i] + (d,) + fs[i + 1:])))
+        return {v: add(*ts) if ts else ZERO for v, ts in terms.items()}
+    if isinstance(e, AFun):
+        terms = {}
+        for i, arg in enumerate(e.args):
+            g = _gradient_of(arg)
+            if not g:
+                continue
+            bumped = AFun(e.name, e.args, tuple(
+                t + (1 if j == i else 0) for j, t in enumerate(e.deriv)), e.family)
+            for v, d in g.items():
+                ts = terms.setdefault(v, [])
+                if d != ZERO:
+                    ts.append(mul(bumped, d))
+        return {v: add(*ts) if ts else ZERO for v, ts in terms.items()}
+    # one child: the chain rule with the outer derivative built once
+    if isinstance(e, Pow):
+        g = _gradient_of(e.base)
+        if not g:
+            return g
+        exp, outer = rat(e.exp), pow_(e.base, e.exp - 1)
+        return {v: ZERO if d == ZERO else mul(exp, outer, d) for v, d in g.items()}
+    g = _gradient_of(e.arg)   # Fun or AInt
+    if not g:
+        return g
+    outer = _FUN_DERIVATIVE[e.name](e.arg) if isinstance(e, Fun) else afun(e.name, (e.arg,))
+    return {v: ZERO if d == ZERO else mul(outer, d) for v, d in g.items()}
 
 
 # d/da of each elementary function, as a function of its argument a
@@ -927,7 +1015,7 @@ _READS: dict[Expr, dict | None] = {}          # node -> dict, or None: tree pass
 _EXPANSIONS: dict[tuple, list] = {}           # (base, k) -> [({base: exp}, c)]
 _ROOTS: dict[Expr, Pow] = {}                  # X -> the X^(1/2) that keys share
 _MEMO = {"held": 0, "full": False, "clears": 0}
-_HITS = {"expand": 0, "normal_form": 0, "memo": 0}
+_HITS = {"expand": 0, "normal_form": 0, "memo": 0, "gradient": 0}
 _MISSES = dict(_HITS)
 _NOT_READ = object()
 
@@ -1240,9 +1328,11 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
 def cache_stats() -> dict[str, dict[str, int]]:
     """Entries, hits and misses of the kernel's caches since the last
     ``clear_caches``: ``expand`` (whole expansions), ``normal_form`` (whole
-    zero normal forms) and ``memo`` (node reads and power expansions, the
+    zero normal forms), ``memo`` (node reads and power expansions, the
     monomials they hold, at most ``_MEMO_BOUND``, and how often a full memo
-    was emptied); ``rat`` counts the interned rationals only."""
+    was emptied) and ``gradient`` (node gradients, the derivatives they
+    hold, at most ``_GRADIENT_BOUND``, and how often a full memo was
+    emptied); ``rat`` counts the interned rationals only."""
     return {
         "expand": {"entries": len(_EXPAND_CACHE), "hits": _HITS["expand"],
                    "misses": _MISSES["expand"]},
@@ -1251,20 +1341,24 @@ def cache_stats() -> dict[str, dict[str, int]]:
         "memo": {"entries": len(_READS) + len(_EXPANSIONS), "held": _MEMO["held"],
                  "clears": _MEMO["clears"], "hits": _HITS["memo"],
                  "misses": _MISSES["memo"]},
+        "gradient": {"entries": len(_GRADIENTS), "held": _GRADIENT_MEMO["held"],
+                     "clears": _GRADIENT_MEMO["clears"], "hits": _HITS["gradient"],
+                     "misses": _MISSES["gradient"]},
         "rat": {"entries": len(_RAT_CACHE)},
     }
 
 
 def clear_caches():
-    """Empty the expansion, normal-form and read caches and zero their
-    counters.  No output depends on them.  The interned rationals stay:
-    ``ZERO`` and ``ONE`` are among them."""
+    """Empty the expansion, normal-form, read and gradient caches and zero
+    their counters.  No output depends on them.  The interned rationals
+    stay: ``ZERO`` and ``ONE`` are among them."""
     _EXPAND_CACHE.clear()
     _ZNF_CACHE.clear()
     _clear_memo()
+    _clear_gradients()
     for counts in (_HITS, _MISSES):
         counts.update(dict.fromkeys(counts, 0))
-    _MEMO["clears"] = 0
+    _MEMO["clears"] = _GRADIENT_MEMO["clears"] = 0
 
 
 def _atom_decidable(atom: Expr) -> bool:

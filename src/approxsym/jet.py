@@ -67,14 +67,16 @@ def total_derivative(e: ex.Expr, i: int | str, space: JetSpace) -> ex.Expr:
     D_i = d/dx_i + sum over eps orders k and dependents alpha of
     u_(k)alpha,i d/du_(k)alpha + higher-derivative terms; derivative indices
     are raised as needed.  No eps truncation happens here; that is an
-    explicit, separate pass.
+    explicit, separate pass.  Every partial is read from one
+    ``expr.gradient`` of e.
     """
     var = space.independent[i] if isinstance(i, int) else i
     if var not in space.independent:
         raise ValueError(f"{var!r} is not an independent variable")
-    out = [ex.diff(e, ex.sym(var))]
+    grad = ex.gradient(e)
+    out = [grad.get(ex.sym(var), ex.ZERO)]
     for j in ex.jets_of(e):
-        d = ex.diff(e, j)
+        d = grad[j]
         if d == ex.ZERO:
             continue
         if len(j.deriv) + 1 > space.max_derivative + 1:

@@ -464,6 +464,33 @@ def test_undeclared_function_in_an_override_exits_2():
     assert proc.stderr == "error: generator override: undeclared function(s) G\n"
 
 
+@pytest.mark.parametrize("laws, message", [
+    (["Xi11"], "no transcribed quantity for law(s) Xi11"),
+    (["Xi11", "Xi1"], "no transcribed quantity for law(s) Xi11"),
+    (["Xi11", "Xi12"], "no transcribed quantity for law(s) Xi11, Xi12"),
+    # --law repeats; it does not split on commas
+    (["Xi11,Xi1"], "unknown generator name(s): Xi11,Xi1"),
+])
+@pytest.mark.parametrize("csv", [False, True])
+def test_law_without_a_quantity_exits_2_before_any_check(
+        tmp_path, monkeypatch, capsys, laws, message, csv):
+    # Xi11 and Xi12 of three-body have no transcribed quantity
+    from approxsym import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("checked a law that cannot be checked")
+    for name in ("compile_numeric", "integrate", "divergence_check"):
+        monkeypatch.setattr(cli, name, never)
+    path = tmp_path / "out.csv"
+    argv = ["verify", "--model", "three-body", "--format", "json"]
+    argv += [a for law in laws for a in ("--law", law)]
+    argv += ["--csv", str(path)] if csv else []
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 def test_unwritable_csv_exits_2_before_integrating(tmp_path, monkeypatch, capsys, where):
     from approxsym import cli

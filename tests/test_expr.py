@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxsym import expr as ex
-from approxsym.errors import DivisionByZero, NotPolynomial
+from approxsym.errors import DerivativeOverflow, DivisionByZero, NotPolynomial
+from approxsym.jet import JetSpace, total_derivative
 from approxsym.lang import Language, _frac_text, _latex_name, to_latex, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1})
@@ -553,6 +554,138 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
         assert_reads_like_the_per_call_product(ex.add(
             random_expr(rng), ex.mul(random_expr(rng), p("(1 + u0^2)^(-1)"))))
     assert ex.cache_stats()["memo"]["clears"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the gradient memo against the per-variable derivation it replaced
+
+
+def ref_diff(e, v):
+    """The reference: one ``derivation`` walk per variable."""
+    def leaf(a):
+        if a == v:
+            return ex.ONE
+        if isinstance(a, (ex.Rat, ex.Sym, ex.Jet, ex.Eps)):
+            return ex.ZERO
+        if isinstance(a, ex.AFun):
+            out = []
+            for i, arg in enumerate(a.args):
+                d = ex.derivation(arg, leaf)
+                if d == ex.ZERO:
+                    continue
+                bumped = tuple(t + (1 if j == i else 0) for j, t in enumerate(a.deriv))
+                out.append(ex.mul(ex.AFun(a.name, a.args, bumped, a.family), d))
+            return ex.add(*out) if out else ex.ZERO
+        if isinstance(a, ex.AInt):
+            d = ex.derivation(a.arg, leaf)
+            return ex.ZERO if d == ex.ZERO else ex.mul(ex.afun(a.name, (a.arg,)), d)
+        raise TypeError(f"cannot differentiate {type(a).__name__}")
+    return ex.derivation(e, leaf)
+
+
+def ref_total_derivative(e, var, space):
+    """The reference: one ``ref_diff`` for d/dvar and one per jet."""
+    out = [ref_diff(e, ex.sym(var))]
+    for j in ex.jets_of(e):
+        d = ref_diff(e, j)
+        if d == ex.ZERO:
+            continue
+        if len(j.deriv) + 1 > space.max_derivative + 1:
+            raise DerivativeOverflow(
+                f"D_{var} of {j!r} needs derivative order {len(j.deriv) + 1}, "
+                f"beyond the transient bound {space.max_derivative + 1}")
+        out.append(ex.mul(ex.jet(j.base, j.order, j.deriv + (var,)), d))
+    return ex.add(*out)
+
+
+GRAD_SPACE = JetSpace(("t", "x"), ("u", "v"), order=1, max_derivative=2)
+GRAD_LEAVES = [ex.sym("t"), ex.sym("x"), ex.sym("k"), ex.EPS] + [
+    ex.jet(b, k, d) for b in ("u", "v") for k in (0, 1)
+    for d in ((), ("t",), ("t", "x"), ("x", "x"))]
+GRAD_EXPONENTS = [-1, Fraction(1, 2), Fraction(-3, 2), 3]
+
+
+@st.composite
+def gradient_inputs(draw):
+    """random_expr trees over symbols, eps and jets of derivative order 0-2,
+    where about half the atoms are sin/cos/exp/log, powers -1, 1/2, -3/2 or
+    3, a two-argument F with a derivative multi-index or Int(G, .) of a
+    subtree."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    leaves = rng.sample(GRAD_LEAVES, 6) + [ex.rat(rng.randint(-3, 3))]
+
+    def inner():
+        return random_expr(rng, rng.randint(0, 2), leaves)
+    specials = []
+    while len(specials) < 6:
+        kind, a = rng.randrange(4), inner()
+        if kind == 0:
+            specials.append(ex.fun(rng.choice(ex.ELEMENTARY), a))
+        elif kind == 1 and a != ex.ZERO:
+            specials.append(ex.pow_(a, rng.choice(GRAD_EXPONENTS)))
+        elif kind == 2:
+            specials.append(ex.afun("F", (a, inner()), (rng.randint(0, 2), rng.randint(0, 2))))
+        elif kind == 3:
+            specials.append(ex.aint("G", a))
+    return random_expr(rng, rng.randint(2, 4), leaves + specials)
+
+
+def assert_derivatives_like_the_reference(e):
+    variables = ex.atoms_of(e, (ex.Sym, ex.Jet, ex.Eps))
+    assert set(ex.gradient(e)) == variables
+    for v in variables:
+        assert ex.diff(e, v) == ref_diff(e, v)
+    for var in GRAD_SPACE.independent:
+        assert total_derivative(e, var, GRAD_SPACE) \
+            == ref_total_derivative(e, var, GRAD_SPACE)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(gradient_inputs(), min_size=3, max_size=3))
+def test_derivatives_through_the_gradient_memo_equal_the_reference(exprs):
+    a, b, c = exprs
+    ex.clear_caches()
+    assert_derivatives_like_the_reference(a)   # a cold memo
+    stored = {e: dict(g) for e, g in ex._GRADIENTS.items()}
+    # a warm one: b and c, a sum and a product that repeat their nodes, a again
+    for e in (b, c, ex.add(a, b), ex.mul(a, c), a):
+        assert_derivatives_like_the_reference(e)
+    assert all(ex._GRADIENTS[e] == g for e, g in stored.items() if e in ex._GRADIENTS), \
+        "a stored gradient was changed"
+
+
+def test_gradient_memo_never_holds_more_than_its_bound(monkeypatch):
+    bound = 50
+    monkeypatch.setattr(ex, "_GRADIENT_BOUND", bound)
+    store, clear, walk = ex._store_gradient, ex._clear_gradients, ex._gradient_of
+    depth = [0]
+
+    def checked_store(e, g):
+        store(e, g)
+        held = sum(len(g) or 1 for g in ex._GRADIENTS.values())
+        assert held == ex.cache_stats()["gradient"]["held"] <= bound
+
+    def counted(e):
+        depth[0] += 1
+        try:
+            return walk(e)
+        finally:
+            depth[0] -= 1
+
+    def checked_clear():
+        assert depth[0] == 0, "the gradient memo was emptied in the middle of a walk"
+        clear()
+
+    monkeypatch.setattr(ex, "_store_gradient", checked_store)
+    monkeypatch.setattr(ex, "_clear_gradients", checked_clear)
+    monkeypatch.setattr(ex, "_gradient_of", counted)
+    ex.clear_caches()
+    rng = random.Random(37)
+    for _ in range(40):
+        e = ex.add(random_expr(rng, 3, GRAD_LEAVES[:8]),
+                   ex.mul(random_expr(rng), p("(1 + u0^2)^(-1)")))
+        assert_derivatives_like_the_reference(e)
+    assert ex.cache_stats()["gradient"]["clears"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1254,15 +1387,17 @@ def test_clear_caches_empties_all_but_the_interned_rationals():
     ex.clear_caches()
     ex.expand(p("(t + 1)^2*u0"))
     assert ex.is_zero(p("(1 + u0)^2*(1 + u0)^(-1) - 1 - u0")) is True
+    ex.diff(p("sin(t)*u0^2"), ex.jet("u", 0))
     stats = ex.cache_stats()
-    for cache in ("expand", "normal_form", "memo"):
+    for cache in ("expand", "normal_form", "memo", "gradient"):
         assert stats[cache]["entries"] and stats[cache]["misses"]
     rationals = stats["rat"]["entries"]
     ex.clear_caches()
     stats = ex.cache_stats()
     assert stats.pop("rat") == {"entries": rationals}
-    assert stats.pop("memo") == {"entries": 0, "held": 0, "clears": 0, "hits": 0,
-                                 "misses": 0}
+    for memo in ("memo", "gradient"):
+        assert stats.pop(memo) == {"entries": 0, "held": 0, "clears": 0, "hits": 0,
+                                   "misses": 0}
     assert stats == {c: {"entries": 0, "hits": 0, "misses": 0}
                      for c in ("expand", "normal_form")}
     assert ex.rat(0) is ex.ZERO and ex.rat(1) is ex.ONE

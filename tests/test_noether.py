@@ -409,6 +409,31 @@ def test_lagrangian_is_differentiated_once(monkeypatch):
     assert first.verified and second.verified
 
 
+@pytest.mark.parametrize("name", ["oscillator-quadratic", "coupled-system"])
+def test_second_flux_walks_no_lagrangian_tree_again(name, monkeypatch):
+    # L's coefficients and partials are whole subtrees of every residual,
+    # flux and divergence: the second time their gradients come from the memo
+    model = load_builtin(name)
+    lag, rec = model.lagrangian, model.golden[0]
+    walk, walked = ex._gradient, []
+
+    def counting(e):
+        walked.append(e)
+        return walk(e)
+    monkeypatch.setattr(ex, "_gradient", counting)
+    ex.clear_caches()
+    noether_fluxes(rec.generator, lag, rec.gauge)
+    trees = set(lag.L.coeffs) | {c for s in lag._partials.values() for c in s.coeffs}
+    assert [e for e in walked if e in trees]
+    assert ex.cache_stats()["gradient"]["clears"] == 0
+    # the same record again, then another one, which walks trees of its own
+    for again in (rec, model.golden[1]):
+        walked.clear()
+        assert noether_fluxes(again.generator, lag, again.gauge).verified
+        assert [e for e in walked if e in trees] == []
+    assert walked
+
+
 def test_lagrangian_is_frozen():
     lag = PerturbedLagrangian(LAG.space, LAG.L)
     el_solved_map(lag)

@@ -107,7 +107,8 @@ def test_snapshot_after_another_model_in_the_same_process(capsys):
     ex.clear_caches()
     for name in ("determine.coupled-system", "determine.oscillator-quadratic"):
         assert_snapshot(name, capsys)
-    assert ex.cache_stats()["memo"]["hits"]
+    stats = ex.cache_stats()
+    assert stats["memo"]["hits"] and stats["gradient"]["hits"]
 
 
 @pytest.mark.parametrize("name", ["determine.oscillator-quadratic",
@@ -123,4 +124,18 @@ def test_snapshot_with_caches_emptied_midway(name, capsys, monkeypatch):
 
     monkeypatch.setattr(ex, "_zero_normal_form", emptying)
     assert_snapshot(name, capsys)
+    assert next(calls) > 3
+
+
+def test_snapshot_with_gradients_emptied_midway(capsys, monkeypatch):
+    # every third top-level gradient starts from empty caches
+    gradient, calls = ex.gradient, itertools.count()
+
+    def emptying(e):
+        if next(calls) % 3 == 0:
+            ex.clear_caches()
+        return gradient(e)
+
+    monkeypatch.setattr(ex, "gradient", emptying)
+    assert_snapshot("noether-override.coupled-system", capsys)
     assert next(calls) > 3

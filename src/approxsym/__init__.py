@@ -3,7 +3,7 @@
 from .expr import (
     Expr, Rat, Sym, Eps, Jet, Fun, AFun, AInt, Pow, Mul, Add,
     ZERO, ONE, EPS, rat, sym, jet, fun, afun, aint, add, mul, pow_, neg, sub,
-    div, diff, subst, expand, collect, is_zero, UNKNOWN, equivalent,
+    div, diff, subst, expand, collect, is_zero, UNKNOWN,
 )
 from .lang import Language, parse, to_text, to_latex, to_json
 
@@ -11,8 +11,8 @@ __all__ = [
     "Expr", "Rat", "Sym", "Eps", "Jet", "Fun", "AFun", "AInt", "Pow", "Mul",
     "Add", "ZERO", "ONE", "EPS", "rat", "sym", "jet", "fun", "afun", "aint",
     "add", "mul", "pow_", "neg", "sub", "div", "diff", "subst", "expand",
-    "collect", "is_zero", "UNKNOWN", "equivalent", "Language", "parse",
-    "to_text", "to_latex", "to_json",
+    "collect", "is_zero", "UNKNOWN", "Language", "parse", "to_text",
+    "to_latex", "to_json",
 ]
 
 __version__ = "0.1.0"

@@ -31,14 +31,14 @@ def _load_model(args) -> Model:
     if not args.file:
         raise ModelError("need a model file path or --model <builtin>")
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
         raise ModelError(f"cannot read model file: {err}")
+    except UnicodeDecodeError as err:
+        raise ModelError(f"model file is not UTF-8: {err}")
     except json.JSONDecodeError as err:
         raise ModelError(f"malformed JSON at line {err.lineno}, column {err.colno}")
-    if data.get("schema", 1) != 1:
-        raise ModelError(f"schema: unsupported version {data.get('schema')!r}")
     return load_model_dict(data)
 
 

@@ -34,10 +34,6 @@ class OrderMismatch(ApproxSymError):
     """Series arithmetic on series of different truncation orders."""
 
 
-class MissingFamilyIndex(ApproxSymError):
-    """Recursion operator applied to a named function without a family index."""
-
-
 class NotAVariationalSymmetry(ApproxSymError):
     """Flux assembly requested for a generator/gauge pair with nonzero residual.
 

@@ -24,8 +24,8 @@ from .errors import DivisionByZero, NotPolynomial
 __all__ = [
     "Expr", "Rat", "Sym", "Eps", "Jet", "Fun", "AFun", "AInt", "Pow", "Mul", "Add",
     "ZERO", "ONE", "EPS", "rat", "sym", "jet", "fun", "afun", "aint", "add", "mul",
-    "pow_", "neg", "sub", "div", "rebuild", "derivation", "diff", "gradient", "subst",
-    "subst_function", "expand", "collect", "is_zero", "UNKNOWN", "equivalent",
+    "pow_", "neg", "sub", "div", "rebuild", "diff", "gradient", "subst",
+    "subst_function", "expand", "collect", "is_zero", "UNKNOWN",
     "atoms_of", "jets_of", "contains_eps", "poly_antiderivative", "linear_coeffs",
     "cache_stats", "clear_caches",
 ]
@@ -657,8 +657,9 @@ def gradient(e: Expr) -> dict[Expr, Expr]:
     post-order walk; a derivative that cancels is ZERO.  The dict may be the
     memo's own: do not mutate it.
 
-    Each entry is the tree ``derivation`` builds for v: the sum, product,
-    power and chain rules, with an arbitrary function F(a_1, ...) giving
+    Each entry is the tree a walk by v alone builds (``ref_diff`` in
+    ``tests/test_expr.py``): the sum, product, power and chain rules, with
+    an arbitrary function F(a_1, ...) giving
     sum_i F_(i)(a) * da_i/dv and Int(F, a) giving F(a) * da/dv, through the
     same constructor calls.  Only terms without v are left out of sums,
     which ``add`` drops anyway.
@@ -750,37 +751,6 @@ _FUN_DERIVATIVE = {
     "exp": lambda a: fun("exp", a),
     "log": lambda a: pow_(a, Fraction(-1)),
 }
-
-
-def derivation(e: Expr, atom) -> Expr:
-    """Extend a derivation from the leaves of ``e`` to all of it.
-
-    Sums, products, rational powers and elementary functions follow the sum,
-    product, power and chain rules; every other node (symbols, jets, eps,
-    arbitrary functions, antiderivatives) is a leaf whose image is
-    ``atom(leaf)``.
-    """
-    if isinstance(e, Add):
-        return add(*[derivation(t, atom) for t in e.terms])
-    if isinstance(e, Mul):
-        out = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            d = derivation(f, atom)
-            if d != ZERO:
-                out.append(mul(*(fs[:i] + (d,) + fs[i + 1:])))
-        return add(*out) if out else ZERO
-    if isinstance(e, Pow):
-        d = derivation(e.base, atom)
-        if d == ZERO:
-            return ZERO
-        return mul(rat(e.exp), pow_(e.base, e.exp - 1), d)
-    if isinstance(e, Fun):
-        d = derivation(e.arg, atom)
-        if d == ZERO:
-            return ZERO
-        return mul(_FUN_DERIVATIVE[e.name](e.arg), d)
-    return atom(e)
 
 
 def subst(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
@@ -1406,10 +1376,6 @@ def is_zero(e: Expr):
             if isinstance(atom, Fun) and p < 0:
                 return UNKNOWN
     return False
-
-
-def equivalent(a: Expr, b: Expr):
-    return is_zero(sub(a, b))
 
 
 # ---------------------------------------------------------------------------

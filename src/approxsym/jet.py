@@ -75,9 +75,8 @@ def total_derivative(e: ex.Expr, i: int | str, space: JetSpace) -> ex.Expr:
         raise ValueError(f"{var!r} is not an independent variable")
     grad = ex.gradient(e)
     out = [grad.get(ex.sym(var), ex.ZERO)]
-    for j in ex.jets_of(e):
-        d = grad[j]
-        if d == ex.ZERO:
+    for j, d in grad.items():
+        if not isinstance(j, ex.Jet) or d == ex.ZERO:
             continue
         if len(j.deriv) + 1 > space.max_derivative + 1:
             raise DerivativeOverflow(

@@ -105,6 +105,10 @@ class Model:
 
 def load_model_dict(data: dict) -> Model:
     """Hydrate a model-file dictionary (schema 1)."""
+    if not isinstance(data, dict):
+        raise ModelError("model file: expected a JSON object at the top level")
+    if data.get("schema", 1) != 1:
+        raise ModelError(f"schema: unsupported version {data.get('schema')!r}")
     _require(data, "name", str)
     for key in ("independent", "dependent"):
         if not _require(data, key, list):

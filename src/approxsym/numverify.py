@@ -331,9 +331,6 @@ def integrate(model: NumericModel, y0, t0: float, t1: float, h: float) -> Trajec
 class DriftReport:
     max_drift: list[float]           # per eps order
 
-    def worst(self) -> float:
-        return max(self.max_drift)
-
 
 def drift(traj: Trajectory, law: ConservationLaw, model: NumericModel) -> DriftReport:
     """Max |I_k(t) - I_k(t0)| of every eps coefficient along the trajectory."""

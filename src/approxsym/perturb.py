@@ -1,11 +1,11 @@
-"""Eps-series machinery: expansion, truncated arithmetic, recursion operator.
+"""Eps-series machinery: expansion, truncated arithmetic, infinitesimals.
 
 An EpsSeries holds the p+1 coefficients of c_0 + eps c_1 + ... + eps^p c_p;
 no coefficient may contain eps itself.  ``expand_series`` substitutes the
 perturbation expansion u = sum eps^k u_(k) into an expression in the base
-variables and Taylor-expands in eps, dropping O(eps^(p+1)).  ``recursion_R``
-is the Leibniz-rule operator generating order-(k+1) infinitesimal
-coefficients from order-k ones.
+variables and Taylor-expands in eps, dropping O(eps^(p+1)).
+``build_infinitesimals`` gives the order-k infinitesimal coefficients from
+family-function seeds by the same expansion.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .errors import MissingFamilyIndex, OrderMismatch, SingularAtEpsZero
+from .errors import OrderMismatch, SingularAtEpsZero
 from .jet import JetSpace, total_derivative
 
 __all__ = [
     "EpsSeries", "series_add", "series_sub", "series_mul", "series_scale",
-    "series_shift", "series_neg", "series_total_derivative", "series_divergence",
-    "jet_series", "series_u_partial",
-    "const_series", "expand_series", "recursion_R", "build_infinitesimals",
-    "validate_triangular",
+    "series_shift", "series_total_derivative", "series_divergence",
+    "jet_series", "series_u_partial", "const_series", "expand_series",
+    "build_infinitesimals", "validate_triangular",
 ]
 
 
@@ -79,10 +78,6 @@ def series_add(a: EpsSeries, b: EpsSeries) -> EpsSeries:
 def series_sub(a: EpsSeries, b: EpsSeries) -> EpsSeries:
     _check(a, b)
     return EpsSeries(tuple(ex.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def series_neg(a: EpsSeries) -> EpsSeries:
-    return EpsSeries(tuple(ex.neg(x) for x in a.coeffs))
 
 
 def series_mul(a: EpsSeries, b: EpsSeries) -> EpsSeries:
@@ -271,46 +266,6 @@ def validate_triangular(s: EpsSeries, max_deriv: int | None = None):
                                  f"(x, u_(0)..u_({k})){bound}")
 
 
-# ---------------------------------------------------------------------------
-# the recursion operator
-
-
-def recursion_R(e: ex.Expr, space: JetSpace) -> ex.Expr:
-    """Leibniz-rule recursion operator on jets and family functions.
-
-    R[u_(k)j] = (k+1) u_(k+1)j; on a family function (or any of its
-    u_(0)-partials) it introduces the next family member plus the chain
-    term sum_i d/du_(0)i (...) u_(1)i; independent variables and declared
-    constants are R-constants.
-    """
-    def atom(a: ex.Expr) -> ex.Expr:
-        if isinstance(a, (ex.Rat, ex.Sym)):
-            return ex.ZERO
-        if isinstance(a, ex.Eps):
-            raise ValueError("recursion operator is defined on eps-free expressions")
-        if isinstance(a, ex.Jet):
-            if a.order is None:
-                raise ValueError("recursion operator needs expanded jet coordinates")
-            k = a.order
-            if k + 1 > space.order:
-                raise ValueError(f"R[{a!r}] would exceed the truncation order {space.order}")
-            return ex.mul(ex.rat(k + 1), ex.jet(a.base, k + 1, a.deriv))
-        if isinstance(a, ex.AFun):
-            if a.family is None:
-                raise MissingFamilyIndex(f"function {a.name!r} carries no family index")
-            bumped = ex.AFun(a.name, a.args, a.deriv, a.family + 1)
-            chain = []
-            for base in space.dependent:
-                d = ex.diff(a, ex.jet(base, 0))
-                if d != ex.ZERO:
-                    chain.append(ex.mul(d, ex.jet(base, 1)))
-            return ex.add(bumped, *chain)
-        if isinstance(a, ex.AInt):
-            raise MissingFamilyIndex("antiderivative nodes have no family structure")
-        raise TypeError(f"recursion operator undefined on {type(a).__name__}")
-    return ex.derivation(e, atom)
-
-
 def build_infinitesimals(seeds: list[ex.Expr], space: JetSpace) -> EpsSeries:
     """Build the tilde coefficient series of one infinitesimal from its seeds.
 
@@ -319,7 +274,9 @@ def build_infinitesimals(seeds: list[ex.Expr], space: JetSpace) -> EpsSeries:
     of xi(x, u; eps) = sum_k eps^k seed_k(x, u), i.e. the sum of the shifted
     expansions of the seeds; this is what the recursion-operator chain
     tilde_(k+1) = R[tilde_(k)]/(k+1) produces, up to the invertible
-    factorial rescaling of the fresh family functions it introduces.
+    factorial rescaling of the fresh family functions it introduces
+    (``tests/test_perturb.py::test_recursion_chain_equals_build_infinitesimals``
+    checks this against the operator R kept there as reference).
     """
     p = space.order
     if len(seeds) != p + 1:

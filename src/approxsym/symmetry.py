@@ -1,11 +1,11 @@
-"""Approximate Lie generators: prolongation, application, commutators.
+"""Approximate Lie generators: prolongation and application.
 
 A Generator stores the eps-series of its infinitesimals: one series per
 independent variable (xi) and one per dependent variable (eta), with
 coefficient k depending on (x, u_(0..k)) only.  Prolongation coefficients
 are computed by the recursive contact formula with all products as
 truncated series, and cached per (dependent, derivative multi-index); the
-cache is filled on demand by ``apply`` and ``prolongation_coefficient``.
+cache is filled on demand by ``apply``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from itertools import combinations_with_replacement
 from . import expr as ex
 from .jet import JetSpace
 from .perturb import (EpsSeries, build_infinitesimals, const_series, jet_series,
-                      series_add, series_mul, series_shift, series_sub,
-                      series_total_derivative, series_u_partial, validate_triangular)
+                      series_add, series_mul, series_sub, series_total_derivative,
+                      validate_triangular)
 
-__all__ = ["Generator", "commutator", "eps_shift"]
+__all__ = ["Generator"]
 
 
 def _zero_series(space: JetSpace) -> EpsSeries:
@@ -67,9 +67,6 @@ class Generator:
                     for a in range(space.m))
         return cls(space, xi, eta)
 
-    def is_zero_generator(self) -> bool:
-        return all(ex.is_zero(c) is True for s in self.xi + self.eta for c in s.coeffs)
-
     # -- prolongation ---------------------------------------------------------
 
     def prolong(self, order: int) -> "Generator":
@@ -97,13 +94,9 @@ class Generator:
                     self._cache[(a, deriv)] = out
         return self
 
-    def prolongation_coefficient(self, alpha: int, deriv) -> EpsSeries:
-        deriv = tuple(sorted(deriv))
-        return self.prolong(len(deriv))._cache[(alpha, deriv)]
-
     # -- action ---------------------------------------------------------------
 
-    def apply(self, s: EpsSeries, order: int, *, partial=None) -> EpsSeries:
+    def apply(self, s: EpsSeries, order: int, *, partial) -> EpsSeries:
         """Act on an expansion-series as a first-order operator.
 
         Coefficient k of the result is sum_l Xi^(order)_(l)[s_(k-l)], the
@@ -111,16 +104,13 @@ class Generator:
         extracted through the order-0 slots of the expanded ones.
 
         ``partial`` maps an independent-variable symbol or an order-0 jet
-        slot v to the series ds/dv.  By default each call differentiates
-        ``s``; ``variational_residual`` passes ``PerturbedLagrangian.partial``,
+        slot v to the series ds/dv (``series_u_partial(s, v)``);
+        ``variational_residual`` passes ``PerturbedLagrangian.partial``,
         which differentiates the Lagrangian once for every generator.
         """
         sp = self.space
         if s.order != sp.order:
             raise ValueError("series order mismatch")
-        if partial is None:
-            def partial(v):
-                return series_u_partial(s, v)
         self.prolong(order)
         out = _zero_series(sp)
         for i, v in enumerate(sp.independent):
@@ -152,21 +142,3 @@ class Generator:
         eta_rows = [[language.parse(s) for s in row] for row in data["eta"]]
         return cls.from_components(space, xi_rows, eta_rows)
 
-
-def commutator(g1: Generator, g2: Generator) -> Generator:
-    """Approximate Lie bracket, truncated at the space's eps order."""
-    if g1.space is not g2.space and g1.space != g2.space:
-        raise ValueError("commutator needs generators on the same space")
-    sp = g1.space
-    xi = tuple(series_sub(g1.apply(g2.xi[i], 0), g2.apply(g1.xi[i], 0))
-               for i in range(sp.n))
-    eta = tuple(series_sub(g1.apply(g2.eta[a], 0), g2.apply(g1.eta[a], 0))
-                for a in range(sp.m))
-    return Generator(sp, xi, eta)
-
-
-def eps_shift(g: Generator, s: int = 1) -> Generator:
-    """Multiply a generator by eps^s (series shift with truncation)."""
-    return Generator(g.space,
-                     tuple(series_shift(x, s) for x in g.xi),
-                     tuple(series_shift(e, s) for e in g.eta))

@@ -61,6 +61,18 @@ def test_malformed_json_exits_2(tmp_path):
     assert "line" in proc.stderr
 
 
+@pytest.mark.parametrize("content, named", [
+    (b"[1,2]", "JSON object"), (b'"str"', "JSON object"), (b"null", "JSON object"),
+    (b"\xff\xfe", "not UTF-8")])
+def test_model_file_not_an_object_or_not_utf8_exits_2(tmp_path, content, named):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    proc = run("expand", str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_field_exits_2_with_path(tmp_path):
     path = tmp_path / "bad2.json"
     path.write_text(json.dumps({"schema": 1, "name": "x"}))

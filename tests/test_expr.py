@@ -560,8 +560,39 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
 # the gradient memo against the per-variable derivation it replaced
 
 
+def ref_derivation(e, atom):
+    """Extend a derivation from the leaves of ``e`` to all of it.
+
+    Sums, products, rational powers and elementary functions follow the sum,
+    product, power and chain rules; every other node (symbols, jets, eps,
+    arbitrary functions, antiderivatives) is a leaf whose image is
+    ``atom(leaf)``.
+    """
+    if isinstance(e, ex.Add):
+        return ex.add(*[ref_derivation(t, atom) for t in e.terms])
+    if isinstance(e, ex.Mul):
+        out = []
+        fs = e.factors
+        for i, f in enumerate(fs):
+            d = ref_derivation(f, atom)
+            if d != ex.ZERO:
+                out.append(ex.mul(*(fs[:i] + (d,) + fs[i + 1:])))
+        return ex.add(*out) if out else ex.ZERO
+    if isinstance(e, ex.Pow):
+        d = ref_derivation(e.base, atom)
+        if d == ex.ZERO:
+            return ex.ZERO
+        return ex.mul(ex.rat(e.exp), ex.pow_(e.base, e.exp - 1), d)
+    if isinstance(e, ex.Fun):
+        d = ref_derivation(e.arg, atom)
+        if d == ex.ZERO:
+            return ex.ZERO
+        return ex.mul(ex._FUN_DERIVATIVE[e.name](e.arg), d)
+    return atom(e)
+
+
 def ref_diff(e, v):
-    """The reference: one ``derivation`` walk per variable."""
+    """The reference: one ``ref_derivation`` walk per variable."""
     def leaf(a):
         if a == v:
             return ex.ONE
@@ -570,17 +601,17 @@ def ref_diff(e, v):
         if isinstance(a, ex.AFun):
             out = []
             for i, arg in enumerate(a.args):
-                d = ex.derivation(arg, leaf)
+                d = ref_derivation(arg, leaf)
                 if d == ex.ZERO:
                     continue
                 bumped = tuple(t + (1 if j == i else 0) for j, t in enumerate(a.deriv))
                 out.append(ex.mul(ex.AFun(a.name, a.args, bumped, a.family), d))
             return ex.add(*out) if out else ex.ZERO
         if isinstance(a, ex.AInt):
-            d = ex.derivation(a.arg, leaf)
+            d = ref_derivation(a.arg, leaf)
             return ex.ZERO if d == ex.ZERO else ex.mul(ex.afun(a.name, (a.arg,)), d)
         raise TypeError(f"cannot differentiate {type(a).__name__}")
-    return ex.derivation(e, leaf)
+    return ref_derivation(e, leaf)
 
 
 def ref_total_derivative(e, var, space):
@@ -652,6 +683,25 @@ def test_derivatives_through_the_gradient_memo_equal_the_reference(exprs):
         assert_derivatives_like_the_reference(e)
     assert all(ex._GRADIENTS[e] == g for e, g in stored.items() if e in ex._GRADIENTS), \
         "a stored gradient was changed"
+
+
+def test_total_derivative_lists_jets_from_the_gradient(monkeypatch):
+    # the gradient already names every jet: no second walk of the tree
+    calls = []
+    atoms_of = ex.atoms_of
+
+    def counted(e, kind):
+        calls.append(e)
+        return atoms_of(e, kind)
+
+    rng = random.Random(53)
+    exprs = [random_expr(rng, 3, GRAD_LEAVES) for _ in range(20)]
+    monkeypatch.setattr(ex, "atoms_of", counted)
+    ex.clear_caches()
+    for e in exprs:
+        for var in GRAD_SPACE.independent:
+            total_derivative(e, var, GRAD_SPACE)
+    assert calls == []
 
 
 def test_gradient_memo_never_holds_more_than_its_bound(monkeypatch):

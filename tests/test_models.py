@@ -174,14 +174,14 @@ def test_three_body_barycenter_record_verifies():
 
 def test_three_body_dependency_identity():
     # m1*m2*I6 - eps*(m1+m2)*I4 + eps*I5 is identically zero
-    from approxsym.perturb import series_add, series_neg, series_scale, series_shift
+    from approxsym.perturb import series_add, series_scale, series_shift
     model = load_builtin("three-body")
     recs = {r.name: r for r in model.golden}
     i4, i5, i6 = (recs[n].quantity for n in ("Xi4", "Xi5", "Xi6"))
     m1, m2 = ex.sym("m1"), ex.sym("m2")
     combo = series_add(
         series_scale(i6, ex.mul(m1, m2)),
-        series_add(series_neg(series_shift(series_scale(i4, ex.add(m1, m2)))),
+        series_add(series_shift(series_scale(i4, ex.neg(ex.add(m1, m2)))),
                    series_shift(i5)))
     assert combo.is_zero_series() is True
 

@@ -1,16 +1,19 @@
-"""Eps-series: expansion, truncated arithmetic, recursion operator."""
+"""Eps-series: expansion, truncated arithmetic, infinitesimals and the
+recursion operator they are checked against."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from approxsym import expr as ex
-from approxsym.errors import MissingFamilyIndex, OrderMismatch, SingularAtEpsZero
+from approxsym.errors import ApproxSymError, OrderMismatch, SingularAtEpsZero
 from approxsym.jet import JetSpace
 from approxsym.perturb import (EpsSeries, build_infinitesimals, expand_series,
-                               recursion_R, series_add, series_mul, series_shift,
+                               series_add, series_mul, series_shift,
                                series_u_partial, validate_triangular)
+from test_expr import ref_derivation
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
 L = SP.language(functions={"F": 1})
@@ -92,16 +95,61 @@ def test_series_coefficients_reject_eps():
         EpsSeries((ex.EPS, ex.ZERO))
 
 
+# ---------------------------------------------------------------------------
+# the recursion operator of the paper's consistent approach, kept as the
+# reference that build_infinitesimals is checked against
+
+
+class MissingFamilyIndex(ApproxSymError):
+    """Recursion operator applied to a named function without a family index."""
+
+
+def ref_recursion_R(e, space):
+    """Leibniz-rule recursion operator on jets and family functions.
+
+    R[u_(k)j] = (k+1) u_(k+1)j; on a family function (or any of its
+    u_(0)-partials) it introduces the next family member plus the chain
+    term sum_i d/du_(0)i (...) u_(1)i; independent variables and declared
+    constants are R-constants.
+    """
+    def atom(a):
+        if isinstance(a, (ex.Rat, ex.Sym)):
+            return ex.ZERO
+        if isinstance(a, ex.Eps):
+            raise ValueError("recursion operator is defined on eps-free expressions")
+        if isinstance(a, ex.Jet):
+            if a.order is None:
+                raise ValueError("recursion operator needs expanded jet coordinates")
+            k = a.order
+            if k + 1 > space.order:
+                raise ValueError(f"R[{a!r}] would exceed the truncation order {space.order}")
+            return ex.mul(ex.rat(k + 1), ex.jet(a.base, k + 1, a.deriv))
+        if isinstance(a, ex.AFun):
+            if a.family is None:
+                raise MissingFamilyIndex(f"function {a.name!r} carries no family index")
+            bumped = ex.AFun(a.name, a.args, a.deriv, a.family + 1)
+            chain = []
+            for base in space.dependent:
+                d = ex.diff(a, ex.jet(base, 0))
+                if d != ex.ZERO:
+                    chain.append(ex.mul(d, ex.jet(base, 1)))
+            return ex.add(bumped, *chain)
+        if isinstance(a, ex.AInt):
+            raise MissingFamilyIndex("antiderivative nodes have no family structure")
+        raise TypeError(f"recursion operator undefined on {type(a).__name__}")
+    return ref_derivation(e, atom)
+
+
 def test_recursion_operator_on_jets():
-    assert recursion_R(L.parse("u0"), SP) == L.parse("u1")
+    assert ref_recursion_R(L.parse("u0"), SP) == L.parse("u1")
     sp2 = JetSpace(("t",), ("u",), order=2)
-    assert recursion_R(L.parse("u1"), sp2) == sp2.language().parse("2*u2")
-    assert recursion_R(L.parse("u0^2"), SP) == L.parse("2*u0*u1")
+    assert ref_recursion_R(L.parse("u1"), sp2) == sp2.language().parse("2*u2")
+    assert ref_recursion_R(L.parse("u0^2"), SP) == L.parse("2*u0*u1")
 
 
 def test_recursion_operator_on_family_functions():
     xi0 = ex.afun("xi", (ex.sym("t"), ex.jet("u", 0)), family=0)
-    got = recursion_R(xi0, SP)
+    got = ref_recursion_R(xi0, SP)
     xi1 = ex.afun("xi", (ex.sym("t"), ex.jet("u", 0)), family=1)
     dxi0 = ex.AFun("xi", xi0.args, (0, 1), 0)
     assert ex.is_zero(ex.sub(got, ex.add(xi1, ex.mul(dxi0, ex.jet("u", 1))))) is True
@@ -109,7 +157,7 @@ def test_recursion_operator_on_family_functions():
 
 def test_recursion_requires_family_index():
     with pytest.raises(MissingFamilyIndex):
-        recursion_R(L.parse("F(u0)"), SP)
+        ref_recursion_R(L.parse("F(u0)"), SP)
 
 
 def test_recursion_leibniz_randomized():
@@ -129,8 +177,9 @@ def test_recursion_leibniz_randomized():
 
     for _ in range(120):
         a, b = rand(), rand()
-        lhs = recursion_R(ex.mul(a, b), sp2)
-        rhs = ex.add(ex.mul(recursion_R(a, sp2), b), ex.mul(a, recursion_R(b, sp2)))
+        lhs = ref_recursion_R(ex.mul(a, b), sp2)
+        rhs = ex.add(ex.mul(ref_recursion_R(a, sp2), b),
+                     ex.mul(a, ref_recursion_R(b, sp2)))
         assert ex.is_zero(ex.sub(lhs, rhs)) is True
 
 
@@ -145,6 +194,23 @@ def test_build_infinitesimals_examples():
 
     s3 = build_infinitesimals([ex.jet("u", 0), ex.ZERO], SP)
     assert s3.coeffs == (ex.jet("u", 0), ex.jet("u", 1))
+
+
+@pytest.mark.parametrize("p, dependent", [
+    (1, ("u",)), (2, ("u",)), (3, ("u",)), (2, ("u", "v"))])
+def test_recursion_chain_equals_build_infinitesimals(p, dependent):
+    # tilde_0 = xi_0, tilde_(k+1) = R[tilde_k]/(k+1) gives the expansion of
+    # sum_k eps^k xi_k/k! with family functions xi_k(t, u_(0))
+    sp = JetSpace(("t",), dependent, order=p)
+    args = (ex.sym("t"),) + tuple(ex.jet(b, 0) for b in dependent)
+    family = [ex.afun("xi", args, family=k) for k in range(p + 1)]
+    chain = [family[0]]
+    for k in range(p):
+        chain.append(ex.mul(ex.rat(Fraction(1, k + 1)), ref_recursion_R(chain[-1], sp)))
+    seeds = [ex.mul(ex.rat(Fraction(1, math.factorial(k))), f) for k, f in enumerate(family)]
+    built = build_infinitesimals(seeds, sp)
+    for a, b in zip(chain, built.coeffs, strict=True):
+        assert ex.is_zero(ex.sub(a, b)) is True
 
 
 def test_consistency_with_expansion():

@@ -15,7 +15,13 @@ class SyntaxErrorAt(ApproxSymError):
 
 
 class DivisionByZero(ApproxSymError):
-    """A zero base was raised to a negative power, e.g. 1/0 or 0^(-1/2)."""
+    """A zero base was raised to a negative power, e.g. 1/0 or 0^(-1/2), or
+    log(0) was built."""
+
+
+class NumberTooLong(ApproxSymError):
+    """A rational has more digits than ``int`` and ``str`` convert between
+    decimal text and numbers (``sys.get_int_max_str_digits``)."""
 
 
 class NotPolynomial(ApproxSymError):

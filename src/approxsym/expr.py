@@ -10,6 +10,13 @@ combined, and zero/one units are elided.  Products are NOT distributed over
 sums by the constructors; ``expand`` does that explicitly, and the zero
 decision ``is_zero`` additionally applies the trigonometric rewrite rules
 (integer multiple angles expanded, sin^2 reduced modulo 1 - cos^2).
+
+The zero normal form works on a sparse polynomial of its own, the id form:
+a monomial is a sorted tuple of (interned atom id, int exponent) pairs and a
+coefficient is an int wherever it is integral.  Products of monomials merge
+these tuples and hash no tree.  The returned normal form is converted back,
+once per distinct monomial, to keys of (atom, exponent) pairs with Fraction
+coefficients, which ``linalg`` and the printers read.
 """
 
 from __future__ import annotations
@@ -262,7 +269,8 @@ def jet(base: str, order: int | None, deriv: Iterable[str] = ()) -> Jet:
 
 
 def fun(name: str, arg: Expr) -> Expr:
-    """Elementary function application with parity/zero folding."""
+    """Elementary function application with parity/zero folding; log(0)
+    raises ``DivisionByZero``, as 1/0 does."""
     if name not in ELEMENTARY:
         raise ValueError(f"unknown elementary function {name!r}")
     if name in ("sin", "cos"):
@@ -277,6 +285,8 @@ def fun(name: str, arg: Expr) -> Expr:
         return ONE
     if name == "log" and arg == ONE:
         return ZERO
+    if name == "log" and arg == ZERO:
+        raise DivisionByZero("division by zero: log(0)")
     return Fun(name, arg)
 
 
@@ -337,7 +347,7 @@ def add(*terms) -> Expr:
     out = []
     for fs, (c, p) in groups.items():
         if p is None:
-            # like terms met: c * prod(fs), as _mk_mul builds it
+            # like terms met: c * prod(fs), the coefficient first
             if c == 0:
                 continue
             p = (fs[0] if len(fs) == 1 else Mul(fs)) if c == 1 else Mul((rat(c),) + fs)
@@ -350,12 +360,6 @@ def add(*terms) -> Expr:
         return out[0]
     out.sort(key=_node_key)
     return Add(tuple(out))
-
-
-def _mk_mul(c: Fraction, rest: Expr) -> Expr:
-    if isinstance(rest, Mul):
-        return Mul((rat(c),) + rest.factors)
-    return Mul((rat(c), rest))
 
 
 def _as_base_exp(f: Expr) -> tuple[Expr, Fraction]:
@@ -815,9 +819,33 @@ def poly_antiderivative(e: Expr, v: Sym) -> Expr:
 
 # ---------------------------------------------------------------------------
 # expansion and the polynomial normal form
+#
+# The expansion and normal-form caches follow the memo rule (see the read
+# memo below) with one entry as the unit: each holds at most _CACHE_BOUND
+# entries, a store that does not fit is skipped and marks the cache full,
+# and the next top-level ``expand`` or ``_zero_normal_form`` empties it
+# first.
 
-
+_CACHE_BOUND = 4000
 _EXPAND_CACHE: dict[Expr, Expr] = {}
+_ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
+_CACHE_STATE = {name: {"full": False, "clears": 0} for name in ("expand", "normal_form")}
+
+
+def _cache_put(name: str, table: dict, key, value):
+    if key in table or len(table) < _CACHE_BOUND:
+        table[key] = value
+    else:
+        _CACHE_STATE[name]["full"] = True
+
+
+def _cache_room(name: str, table: dict):
+    """Empty a full cache: called only at a top-level call."""
+    state = _CACHE_STATE[name]
+    if state["full"]:
+        table.clear()
+        state["full"] = False
+        state["clears"] += 1
 
 
 def expand(e: Expr) -> Expr:
@@ -826,6 +854,12 @@ def expand(e: Expr) -> Expr:
     Iterated to a fixpoint: combining exponents during term-by-term
     multiplication can recreate positive integer powers of sums.
     """
+    _cache_room("expand", _EXPAND_CACHE)
+    return _expanded(e)
+
+
+def _expanded(e: Expr) -> Expr:
+    """``expand`` from the cache, or walked and stored."""
     orig = e
     hit = _EXPAND_CACHE.get(orig)
     if hit is not None:
@@ -835,8 +869,8 @@ def expand(e: Expr) -> Expr:
     out = _expand(e)
     while out != e:
         e, out = out, _expand(out)
-    _EXPAND_CACHE[orig] = out
-    _EXPAND_CACHE[out] = out
+    _cache_put("expand", _EXPAND_CACHE, orig, out)
+    _cache_put("expand", _EXPAND_CACHE, out, out)
     return out
 
 
@@ -844,9 +878,9 @@ def _expand(e: Expr) -> Expr:
     if isinstance(e, (Rat, Sym, Jet, Eps, Fun, AFun, AInt)):
         return e
     if isinstance(e, Add):
-        return add(*[expand(t) for t in e.terms])
+        return add(*[_expanded(t) for t in e.terms])
     if isinstance(e, Pow):
-        base = expand(e.base)
+        base = _expanded(e.base)
         if isinstance(base, Add) and e.exp.denominator == 1 and e.exp >= 2:
             out = base
             for _ in range(int(e.exp) - 1):
@@ -855,17 +889,17 @@ def _expand(e: Expr) -> Expr:
         if isinstance(base, Add) and e.exp.denominator == 2 and e.exp > 1:
             # split off the expandable integer part of a half-integer power
             q = Fraction(e.exp.numerator // 2)
-            return _distribute(expand(pow_(base, q)), Pow(base, e.exp - q))
+            return _distribute(_expanded(pow_(base, q)), Pow(base, e.exp - q))
         return pow_(base, e.exp)
     if isinstance(e, Mul):
-        pieces = [expand(f) for f in e.factors]
+        pieces = [_expanded(f) for f in e.factors]
         # re-normalize first (exponent folding), then distribute sums
         prod = mul(*pieces)
         if not isinstance(prod, Mul):
-            return expand(prod) if prod != e else prod
+            return _expanded(prod) if prod != e else prod
         acc = ONE
         for f in prod.factors:
-            f = expand(f)
+            f = _expanded(f)
             acc = _distribute(acc, f)
         return acc
     raise TypeError(f"cannot expand {type(e).__name__}")
@@ -900,90 +934,162 @@ def _monomial_pairs(term: Expr) -> tuple[Fraction, list[tuple[Expr, Fraction]]]:
     return c, [_as_base_exp(f) for f in factors]
 
 
+# ---------------------------------------------------------------------------
+# the id form: monomials on interned atoms
+#
+# Inside the normal form a monomial is a key, a tuple of (atom id, int
+# exponent) pairs sorted by id, and a coefficient is an int wherever it is
+# integral, else a Fraction.  ``_intern`` gives every atom an id in order of
+# first use.  The atoms are those of the keys ``_zero_normal_form`` returns:
+# a base X to an integer power, its root X^(1/2) (so (X^(1/2))^2 = X always
+# holds), and the atom X^p for any other fractional p.  A power atom X^w
+# folds into (X, w) when exponents of one base are added (``_fold``), one
+# level deep as ``mul`` merges the factors of a product; ``_key_of`` splits a
+# base's exponent back into atoms.  The kind of an atom says which rule of
+# ``_settle_folded`` reads it as a base, and _LO/_HI give the exponents at
+# which a key holding it needs no rule, so most products are a merge of two
+# keys (``_times``).
+
+_PLAIN, _SIN, _SUM, _FOLD, _ROOT, _POW, _FRAC = range(7)
+_HALF = Fraction(1, 2)
+# the exponents x at which an atom of a kind is left as it is: lo <= x <= hi
+_STABLE = {_PLAIN: (-math.inf, math.inf), _SIN: (-math.inf, 1), _SUM: (-math.inf, -1),
+           _FOLD: (1, 0), _ROOT: (1, 1), _POW: (1, 0), _FRAC: (1, 0)}
+
+_ATOM_IDS: dict[Expr, int] = {}        # atom -> id
+_ATOM_OF: list[Expr] = []              # id -> atom
+_KIND: list[int] = []                  # id -> kind
+_LO: list = []                         # id -> least exponent left as it is
+_HI: list = []                         # id -> largest exponent left as it is
+_FOLDS: list[tuple | None] = []        # id -> (base id, w) of X^w, else None
+_ROOT_IDS: dict[int, int] = {}         # base id -> id of its X^(1/2)
+
+
+def _intern(atom: Expr) -> int:
+    """The id of an atom, given on first use.  An atom is always interned,
+    since a read cannot go on without it; an interning that takes the table
+    past _MEMO_BOUND atoms marks the memo full, so the next read empties it."""
+    i = _ATOM_IDS.get(atom)
+    if i is not None:
+        return i
+    fold = None
+    if isinstance(atom, Pow):
+        fold = (_intern(atom.base), atom.exp)
+        kind = _ROOT if atom.exp == _HALF else _FRAC if atom.exp.denominator > 2 else _POW
+    elif isinstance(atom, Fun) and atom.name == "sin":
+        kind = _SIN
+    elif isinstance(atom, Add):
+        kind = _SUM
+    elif isinstance(atom, (Rat, Mul)):
+        kind = _FOLD
+    else:
+        kind = _PLAIN
+    i = _ATOM_IDS[atom] = len(_ATOM_OF)
+    lo, hi = _STABLE[kind]
+    _ATOM_OF.append(atom)
+    _KIND.append(kind)
+    _LO.append(lo)
+    _HI.append(hi)
+    _FOLDS.append(fold)
+    if len(_ATOM_OF) > _MEMO_BOUND:
+        _MEMO["full"] = True
+    return i
+
+
+def _stable(pairs) -> bool:
+    """True when no rule of ``_settle_folded`` reads the (id, exponent)
+    pairs: then they are their own key once sorted."""
+    lo, hi = _LO, _HI
+    for i, x in pairs:
+        if x and not lo[i] <= x <= hi[i]:
+            return False
+    return True
+
+
+def _fold(pairs) -> dict:
+    """(id, exponent) pairs as {base id: exponent}: each power atom X^w is
+    folded into X with its exponent times w."""
+    out: dict = {}
+    folds = _FOLDS
+    for i, x in pairs:
+        f = folds[i]
+        if f is not None:
+            i, x = f[0], f[1] * x
+        out[i] = out[i] + x if i in out else x
+    return out
+
+
+def _key_of(bases: dict) -> tuple:
+    """{base id: exponent} as a key: X^(p/2) is split as X^floor(p/2) *
+    X^(1/2), any other fractional power is the atom X^p, and zero exponents
+    are dropped.  Where two bases give one atom, their exponents add."""
+    atoms: dict[int, int] = {}
+    for b, p in bases.items():
+        d = p.denominator
+        if d == 1:
+            i, x = b, p.numerator
+        else:
+            if d == 2:
+                x = p.numerator // 2
+                if x:
+                    atoms[b] = atoms[b] + x if b in atoms else x
+                i = _ROOT_IDS.get(b)
+                if i is None:
+                    i = _ROOT_IDS[b] = _intern(Pow(_ATOM_OF[b], _HALF))
+            else:
+                i = _intern(Pow(_ATOM_OF[b], p))
+            x = 1
+        atoms[i] = atoms[i] + x if i in atoms else x
+    return tuple(sorted(kv for kv in atoms.items() if kv[1]))
+
+
 def _to_poly(e: Expr) -> tuple[dict, bool]:
-    """Normal form of the expanded tree: dict {monomial key: Fraction}, keys
-    as ``_monomial_key`` builds them, plus the decidability flag of
+    """The id-form dict of the expanded tree, each term keyed by
+    ``_key_of`` as it stands (no rule applied), plus the flag of
     ``_decidable``."""
     e = expand(e)
-    poly: dict[tuple, Fraction] = {}
-    roots: dict[Expr, Pow] = {}
+    poly: dict[tuple, int | Fraction] = {}
     for term in (e.terms if isinstance(e, Add) else (e,)):
-        coeff, pairs = _monomial_pairs(term)
-        key = _monomial_key(pairs, roots)
-        poly[key] = poly.get(key, Fraction(0)) + coeff
-    poly = {k: v for k, v in poly.items() if v != 0}
+        c, pairs = _monomial_pairs(term)
+        key = _key_of({_intern(b): p for b, p in pairs})
+        c = c.numerator if c.denominator == 1 else c
+        poly[key] = poly[key] + c if key in poly else c
+    poly = {k: c for k, c in poly.items() if c}
     return poly, _decidable(poly)
-
-
-def _monomial_key(pairs, roots: dict[Expr, Pow]) -> tuple:
-    """(base, exponent) pairs as a key, a tuple of (atom, exponent) sorted by
-    atom: X^(p/2) is split as X^floor(p/2) * X^(1/2), so (X^(1/2))^2 = X
-    always holds, any other fractional power is the atom X^p, and zero
-    exponents are dropped.  Exponents in keys are ints, which hash faster
-    than (and equal) the Fractions they stand for.  roots holds the caller's
-    X^(1/2) atoms, which keys then share, so dict lookups find them by
-    identity."""
-    atoms: dict[Expr, int] = {}
-
-    def put(atom: Expr, x: int):
-        # exponents are added only where an atom repeats, which is rare
-        atoms[atom] = atoms[atom] + x if atom in atoms else x
-
-    for base, p in pairs:
-        if p.denominator == 1:
-            put(base, p.numerator)
-        elif p.denominator == 2:
-            if p.numerator // 2:
-                put(base, p.numerator // 2)
-            root = roots.get(base)
-            if root is None:
-                root = roots[base] = Pow(base, Fraction(1, 2))
-            put(root, 1)
-        else:
-            put(Pow(base, p), 1)
-    return tuple(sorted(((a, x) for a, x in atoms.items() if x),
-                        key=lambda ax: ax[0]._key))
 
 
 def _decidable(poly: dict) -> bool:
     """False when a monomial keeps a power whose exponent has a denominator
     above 2, an atom outside the class ``is_zero`` decides."""
-    return not any(isinstance(a, Pow) and a.exp.denominator > 2
-                   for key in poly for a, _ in key)
-
-
-def _base_exponents(key: tuple) -> dict[Expr, Fraction | int]:
-    """A monomial key as {base: exponent}: root and other power atoms are
-    folded into their bases, as ``mul`` merges the factors of a product."""
-    out: dict[Expr, Fraction | int] = {}
-    for atom, p in key:
-        if isinstance(atom, Pow):
-            atom, p = atom.base, atom.exp * p
-        out[atom] = out[atom] + p if atom in out else p
-    return out
+    kind = _KIND
+    return not any(kind[i] == _FRAC for key in poly for i, _ in key)
 
 
 # ---------------------------------------------------------------------------
 # the read memo: sparse products shared by every normal form
 #
-# ``_sparse`` reads a node into its dict of monomials, and every normal
-# form, ``_poly_times`` and ``_clear_denominators`` share what was read:
-# the residuals of one system hold the same Lagrangian coefficients,
-# partials and sin/cos atoms.  A read depends only on the node's structure,
-# so a stored read is what reading again would give, keys in the same
-# order; stored dicts and lists are never mutated.  Products are read but
-# not stored: in the benchmark's cases they were most of the monomials
-# stored and few of the hits, and reading one again starts from its
-# factors' stored reads.  The memo holds at most _MEMO_BOUND monomials (an
-# entry without any counts as one).  A read that does not fit is not
-# stored and marks the memo full; the next read then starts by emptying
-# it, reads, expansions and X^(1/2) atoms alike, so a read never loses the
-# memo halfway.
+# ``_sparse`` reads a node into its id-form dict of monomials, and every
+# normal form and ``_clear_denominators`` share what was read: the residuals
+# of one system hold the same Lagrangian coefficients, partials and sin/cos
+# atoms.  A read depends only on the node's structure, so a stored read is
+# what reading again would give; stored dicts and lists are never mutated.
+# Products are read but not stored: in the benchmark's cases they were most
+# of the monomials stored and few of the hits, and reading one again starts
+# from its factors' stored reads.
+#
+# The memo holds the reads, the expansions of ``_expansion``, the Expr form
+# of each key that reached a returned normal form (``_KEYS``) and the atom
+# table.  Reads, expansions and keys count their monomials (an entry without
+# any counts as one) against _MEMO_BOUND; a store that does not fit is not
+# stored and marks the memo full.  The atom table marks it full past
+# _MEMO_BOUND atoms.  The next top-level call, ``_zero_normal_form`` or
+# ``_poly_times``, then empties all of it: every id-form value dies with the
+# atom ids it is written in, so the memo is never emptied halfway through.
 
 _MEMO_BOUND = 4000
 _READS: dict[Expr, dict | None] = {}          # node -> dict, or None: tree pass
-_EXPANSIONS: dict[tuple, list] = {}           # (base, k) -> [({base: exp}, c)]
-_ROOTS: dict[Expr, Pow] = {}                  # X -> the X^(1/2) that keys share
+_EXPANSIONS: dict[tuple, list] = {}           # (base id, k) -> [({id: exp}, c)]
+_KEYS: dict[tuple, tuple] = {}                # key -> (Expr key, factor keys)
 _MEMO = {"held": 0, "full": False, "clears": 0}
 _HITS = {"expand": 0, "normal_form": 0, "memo": 0, "gradient": 0}
 _MISSES = dict(_HITS)
@@ -999,36 +1105,39 @@ def _store(table: dict, key, value, size: int):
 
 
 def _clear_memo():
-    _READS.clear()
-    _EXPANSIONS.clear()
-    _ROOTS.clear()
+    for table in (_READS, _EXPANSIONS, _KEYS, _ATOM_IDS, _ROOT_IDS):
+        table.clear()
+    for column in (_ATOM_OF, _KIND, _LO, _HI, _FOLDS):
+        column.clear()
     _MEMO.update(held=0, full=False)
 
 
 def _make_room():
-    """Empty a full memo: called only before a read."""
+    """Empty a full memo: called only at a top-level call."""
     if _MEMO["full"]:
         _clear_memo()
         _MEMO["clears"] += 1
 
 
-def _expansion(base: Expr, k) -> list:
-    """The monomials of base^k as ({base: exponent}, coefficient) pairs; of
-    (1 - cos(x)^2)^(k/2) for base sin(x)."""
-    hit = _EXPANSIONS.get((base, k))
+def _expansion(b: int, k) -> list:
+    """The monomials of X^k for the atom X of id b as ({base id: exponent},
+    coefficient) pairs; of (1 - cos(x)^2)^(k/2) for X = sin(x)."""
+    hit = _EXPANSIONS.get((b, k))
     if hit is None:
-        if isinstance(base, Fun):
+        base = _ATOM_OF[b]
+        if _KIND[b] == _SIN:
             e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k // 2)
         else:
             e = pow_(base, k)
         p, _ = _to_poly(e)
-        hit = [(_base_exponents(m), c) for m, c in p.items()]
-        _store(_EXPANSIONS, (base, k), hit, len(hit) or 1)
+        hit = [(_fold(_in_key_order(m)), c) for m, c in p.items()]
+        _store(_EXPANSIONS, (b, k), hit, len(hit) or 1)
     return hit
 
 
-def _settle(mono: dict, c: Fraction, acc: dict):
-    """Add c * mono to acc, reduced by the rules of the tree pass:
+def _settle_folded(mono: dict, c, acc: dict):
+    """Add c * mono, {base id: exponent}, to acc, reduced by the rules of
+    the tree pass:
 
     - a sum X with a positive integer part k (and a rational or product
       base with any nonzero k) is replaced by the monomials of
@@ -1037,57 +1146,89 @@ def _settle(mono: dict, c: Fraction, acc: dict):
       ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
       ``_sin_power_reduce`` does;
     - each product is reduced again, and what is left is keyed by
-      ``_monomial_key``: zero exponents are dropped and a root that
-      reaches (X^(1/2))^2 becomes X (rho^2 = X).
+      ``_key_of``: zero exponents are dropped and a root that reaches
+      (X^(1/2))^2 becomes X (rho^2 = X).
+
+    A power atom as a base takes no rule.
     """
-    for base, p in mono.items():
+    for b, p in mono.items():
+        kind = _KIND[b]
         # the part of the exponent that is replaced by an expansion
-        if isinstance(base, Fun):
-            if base.name != "sin" or p.denominator != 1 or p < 2:
+        if kind == _SIN:
+            if p.denominator != 1 or p < 2:
                 continue
             whole = p - p % 2
-        elif isinstance(base, (Rat, Mul, Add)):
+        elif kind == _SUM or kind == _FOLD:
             whole = p if p.denominator == 1 else \
                 p.numerator // 2 if p.denominator == 2 else 0
-            if not whole or (whole < 0 and isinstance(base, Add)):
+            if not whole or (whole < 0 and kind == _SUM):
                 continue
         else:
             continue
         rest = dict(mono)
-        rest[base] = p - whole
-        for m, mc in _expansion(base, whole):
+        rest[b] = p - whole
+        for m, mc in _expansion(b, whole):
             merged = dict(rest)
-            for b, x in m.items():
-                merged[b] = merged[b] + x if b in merged else x
-            _settle(merged, c * mc, acc)
+            for i, x in m.items():
+                merged[i] = merged[i] + x if i in merged else x
+            _settle_folded(merged, c * mc, acc)
         return
-    key = _monomial_key(mono.items(), _ROOTS)
+    key = _key_of(mono)
     acc[key] = acc[key] + c if key in acc else c
+
+
+def _settle(keys: tuple, c, acc: dict):
+    """Add c times the product of the id keys to acc, as
+    ``_settle_folded`` reduces it.  A product that no rule reads is sorted
+    into its key as it is.  Otherwise the keys are folded with each key's
+    atoms in ``_key`` order, as the tree pass meets them: where a reduction
+    brings in negative powers of another sum, the order in which two sums
+    are expanded changes the form the normal form takes."""
+    mono: dict[int, int] = {}
+    for k in keys:
+        for i, x in k:
+            mono[i] = mono[i] + x if i in mono else x
+    if _stable(mono.items()):
+        key = tuple(sorted(kv for kv in mono.items() if kv[1]))
+        acc[key] = acc[key] + c if key in acc else c
+        return
+    _settle_folded(_fold(pair for k in keys for pair in _in_key_order(k)), c, acc)
+
+
+def _in_key_order(key: tuple):
+    return sorted(key, key=_atom_order) if len(key) > 1 else key
+
+
+def _atom_order(pair) -> tuple:
+    return _ATOM_OF[pair[0]]._key
 
 
 def _times(a: dict, b: dict) -> dict:
     """The product of two dicts, unsorted, zero terms dropped: term by term,
     as Monagan & Pearce multiply sparse polynomials ("Sparse polynomial
-    multiplication and division in Maple 14", 2009), instead of
-    distributing ``Expr`` trees."""
-    acc: dict[tuple, Fraction] = {}
-    right = [(_base_exponents(k), c) for k, c in b.items()]
+    multiplication and division in Maple 14", 2009).  Two keys that no
+    rule reads and that share no atom multiply by merging; any other pair
+    is settled."""
+    acc: dict[tuple, int | Fraction] = {}
+    right = [(kb, cb, {i for i, _ in kb}, _stable(kb)) for kb, cb in b.items()]
     for ka, ca in a.items():
-        left = _base_exponents(ka)
-        for mb, cb in right:
-            mono = dict(left)
-            for base, x in mb.items():
-                mono[base] = mono[base] + x if base in mono else x
-            _settle(mono, ca * cb, acc)
+        ids, stable = {i for i, _ in ka}, _stable(ka)
+        for kb, cb, idb, stable_b in right:
+            c = ca * cb
+            if stable and stable_b and ids.isdisjoint(idb):
+                key = tuple(sorted(ka + kb))
+                acc[key] = acc[key] + c if key in acc else c
+                continue
+            _settle((ka, kb), c, acc)
     return {k: c for k, c in acc.items() if c}
 
 
 def _read(e: Expr) -> dict:
-    """The dict of e before clearing, unsorted: the sum of its terms'
-    sparse reads, where a term that holds a quotient or radical of a
+    """The id-form dict of e before clearing, unsorted: the sum of its
+    terms' sparse reads, where a term that holds a quotient or radical of a
     sum (``_sparse`` gives None) is read by the tree pass instead."""
     _make_room()
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, int | Fraction] = {}
     for term in (e.terms if isinstance(e, Add) else (e,)):
         poly = _sparse(term)
         if poly is None:
@@ -1114,7 +1255,8 @@ def _sparse(e: Expr) -> dict | None:
         return out
     _MISSES["memo"] += 1
     if isinstance(e, Rat):
-        out = {(): e.value} if e.value else {}
+        v = e.value
+        out = {(): v.numerator if v.denominator == 1 else v} if v else {}
     elif isinstance(e, Add):
         parts = [_sparse(t) for t in e.terms]
         out = None if any(p is None for p in parts) else {}
@@ -1131,16 +1273,15 @@ def _sparse(e: Expr) -> dict | None:
             out = {}
         else:
             # the one-term factors are merged into one monomial first
-            out, mono, c, sums = {}, {}, _UNIT, []
+            out, keys, c, sums = {}, [], 1, []
             for p in parts:
                 if len(p) > 1:
                     sums.append(p)
                     continue
                 (k, x), = p.items()
                 c *= x
-                for base, q in _base_exponents(k).items():
-                    mono[base] = mono[base] + q if base in mono else q
-            _settle(mono, c, out)
+                keys.append(k)
+            _settle(keys, c, out)
             for p in sums:
                 out = _times(out, p)
     elif isinstance(e, Pow):
@@ -1149,7 +1290,7 @@ def _sparse(e: Expr) -> dict | None:
             base = _trig_multiple_expand(base)
         if isinstance(base, _ATOMS):
             out = {}
-            _settle({base: p}, _UNIT, out)
+            _settle_folded({_intern(base): p}, 1, out)
         elif p.denominator == 1 and p > 0:
             out = b = _sparse(base)
             if b is not None:
@@ -1159,75 +1300,104 @@ def _sparse(e: Expr) -> dict | None:
             out = None
     else:
         atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
-        out = {((atom, 1),): _UNIT} if isinstance(atom, _ATOMS) else _sparse(atom)
+        out = {((_intern(atom), 1),): 1} if isinstance(atom, _ATOMS) else _sparse(atom)
     if not isinstance(e, Mul):
         _store(_READS, e, out, len(out) if out else 1)
     return out
 
 
-def _term_sorted(poly: dict) -> dict:
-    """poly without zero terms, ordered as ``add`` orders the terms of the
-    expanded tree: by the ``_key`` of the term it holds for each monomial
-    (``c*rest`` as ``_mk_mul`` builds it, ``rest`` when c == 1).  That order
-    reaches printed output (see ``linalg.assemble_rows``)."""
-    def term_key(item) -> tuple:
-        key, c = item
-        if not key:
-            return rat(c)._key
-        if all(isinstance(a, _ATOMS) for a, _ in key):
-            # mul of distinct atoms to integer powers only sorts the powers,
-            # so their keys are built without building the term
-            keys = sorted(a._key if p == 1 else (7, a._key, p, 1) for a, p in key)
-            if c != 1:
-                return (8, (rat(c)._key, *keys))
-            return keys[0] if len(keys) == 1 else (8, tuple(keys))
-        # undo _monomial_key's split: a root or X^(p/q) atom goes back onto
-        # its base before the powers are taken, as in (t^2)^(-1/2)
-        pairs: dict[Expr, Fraction] = {}
-        for a, p in key:
-            if isinstance(a, Pow) and a.exp.denominator > 1 and p == 1:
-                a, p = a.base, a.exp
-            pairs[a] = pairs[a] + p if a in pairs else p
-        rest = mul(*[pow_(a, p) for a, p in pairs.items()])
-        return (rest if c == 1 else _mk_mul(c, rest))._key
+# ---------------------------------------------------------------------------
+# the boundary: id-form dicts back in Expr keys and term order
 
-    return dict(sorted(((k, v) for k, v in poly.items() if v != 0), key=term_key))
+
+def _expr_key(key: tuple) -> tuple:
+    """(Expr key, factor keys) of an id key, from ``_KEYS`` or built and
+    stored.  The Expr key is a tuple of (atom, exponent) sorted by atom;
+    the factor keys are the ``_key``s of the factors of the product the
+    key stands for, in ``mul``'s order, which ``_term_sorted`` sorts by."""
+    hit = _KEYS.get(key)
+    if hit is not None:
+        return hit
+    pairs = [(_ATOM_OF[i], x) for i, x in _in_key_order(key)]
+    if all(isinstance(a, _ATOMS) for a, _ in pairs):
+        # mul of distinct atoms to integer powers only sorts the powers,
+        # so their keys are built without building the product
+        factors = tuple(sorted(a._key if x == 1 else (7, a._key, x, 1) for a, x in pairs))
+    else:
+        # undo _key_of's split: a root or X^(p/q) atom goes back onto its
+        # base before the powers are taken, as in (t^2)^(-1/2)
+        bases: dict[Expr, Fraction | int] = {}
+        for a, x in pairs:
+            if isinstance(a, Pow) and a.exp.denominator > 1 and x == 1:
+                a, x = a.base, a.exp
+            bases[a] = bases[a] + x if a in bases else x
+        rest = mul(*[pow_(a, x) for a, x in bases.items()])
+        factors = rest._key[1] if isinstance(rest, Mul) else (rest._key,)
+    hit = (tuple(pairs), factors)
+    _store(_KEYS, key, hit, 1)
+    return hit
+
+
+def _term_sorted(poly: dict) -> dict:
+    """The id-form poly in Expr keys with Fraction values, zero terms
+    dropped, ordered as ``add`` orders the terms of the expanded tree: by
+    the ``_key`` of the term it holds for each monomial: ``rest``, the
+    product of the key's powers, when c == 1, else the product node of c
+    and the factors of ``rest``.  That order reaches printed output (see
+    ``linalg.assemble_rows``)."""
+    items = []
+    for key, c in poly.items():
+        if not c:
+            continue
+        ekey, factors = _expr_key(key)
+        if not key:
+            order = (0, c.numerator, c.denominator)
+        elif c == 1:
+            order = factors[0] if len(factors) == 1 else (8, factors)
+        else:
+            order = (8, ((0, c.numerator, c.denominator),) + factors)
+        items.append((order, ekey, c))
+    items.sort(key=operator.itemgetter(0))
+    return {ekey: c if isinstance(c, Fraction) else Fraction(c) for _, ekey, c in items}
 
 
 def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
-    """Multiply through by positive powers of sum-based atoms in denominators.
+    """Multiply the id-form poly through by positive powers of sum atoms in
+    denominators.
 
     Needed for a complete zero test when an expanded polynomial part can
     cancel against an atomic inverse of the same sum, e.g. (x+y)*(x+y)^(-1).
     Multiplying by a nonzero function preserves zero-ness both ways.
-    Returns the cleared polynomial in term order (``_term_sorted``), the
-    multiplier used (ONE if none) and the decidability flag of the product,
-    which ``_poly_times`` takes.
+    Returns the cleared polynomial in Expr keys and term order
+    (``_term_sorted``), the multiplier used (ONE if none) and the
+    decidability flag of the product.
     """
-    need: dict[Expr, int] = {}
+    need: dict[int, int] = {}
+    kind = _KIND
     for key in poly:
-        for atom, p in key:
-            if p < 0 and isinstance(atom, Add):
-                need[atom] = max(need.get(atom, 0), -p)
+        for i, x in key:
+            if x < 0 and kind[i] == _SUM:
+                need[i] = max(need.get(i, 0), -x)
     if not need:
         return _term_sorted(poly), ONE, True
-    out, decidable = _poly_times(poly, need)
-    return out, mul(*[pow_(a, p) for a, p in need.items()]), decidable
+    out = _times(poly, {tuple(sorted(need.items())): 1})
+    return (_term_sorted(out), mul(*[pow_(_ATOM_OF[i], x) for i, x in need.items()]),
+            _decidable(out))
 
 
 def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool]:
-    """The normal form of poly times the monomial prod(b^k for b, k in factor).
+    """The normal form of poly, a dict that ``_zero_normal_form`` returned,
+    times the monomial prod(b^k for b, k in factor).
 
-    One ``_times`` of poly and the one-term dict of the factor: each
-    monomial is read as {base: exponent} (``_base_exponents``), the factor's
-    exponents are added, and the result is reduced by ``_settle``.
-    The result is in term order (``_term_sorted``), and the flag is that of
-    ``_decidable``, exactly what ``_to_poly`` reports on the expanded
-    product tree.
+    One ``_times`` in the id form: poly's keys are interned again and the
+    factor is keyed by ``_key_of``.  The result is in Expr keys and term
+    order (``_term_sorted``), and the flag is that of ``_decidable``,
+    exactly what the tree pass reports on the expanded product tree.
     """
     _make_room()
-    out = _term_sorted(_times(poly, {_monomial_key(factor.items(), _ROOTS): _UNIT}))
-    return out, _decidable(out)
+    ids = {tuple(sorted((_intern(a), x) for a, x in key)): c for key, c in poly.items()}
+    out = _times(ids, {_key_of({_intern(b): q for b, q in factor.items()}): 1})
+    return _term_sorted(out), _decidable(out)
 
 
 def _trig_multiple_expand(e: Expr) -> Expr:
@@ -1264,25 +1434,27 @@ def _sin_power_reduce(e: Expr) -> Expr:
     return out
 
 
-_ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
-
-
 def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     """(polynomial, decidable, multiplier): the normal form of multiplier * e.
 
-    ``_read`` reads the tree into the monomial dict with sparse products,
+    ``_read`` reads the tree into the id-form dict with sparse products,
     through the read memo that every normal form shares: sin/cos of
     integer multiples are reduced to the base angle, sin(x)^n to cos
     powers, and products of sums are multiplied out on the monomials.  A
-    term that holds a negative or fractional power of a base
-    that is not an atom (a sum in a denominator or under a root) is read by
-    the tree pass instead (expand, multiple angles, expand, sin powers,
-    expand, ``_to_poly``), which also rewrites inside radicals and
-    denominators.  ``_clear_denominators`` then clears the dict with the
-    same product.  The multiplier is the product of the nonzero
-    denominators cleared (ONE if none); normal forms of different
-    expressions are comparable only where their multipliers agree.
+    term that holds a negative or fractional power of a base that is not an
+    atom (a sum in a denominator or under a root) is read by the tree pass
+    instead (expand, multiple angles, expand, sin powers, expand,
+    ``_to_poly``), which also rewrites inside radicals and denominators.
+    ``_clear_denominators`` then clears the dict with the same product.
+    The multiplier is the product of the nonzero denominators cleared (ONE
+    if none); normal forms of different expressions are comparable only
+    where their multipliers agree.
+
+    The polynomial is returned as {Expr key: Fraction} in term order
+    (``_term_sorted``): an Expr key is a tuple of (atom, int exponent)
+    sorted by atom, each distinct id key converted once through ``_KEYS``.
     """
+    _cache_room("normal_form", _ZNF_CACHE)
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
         _HITS["normal_form"] += 1
@@ -1291,43 +1463,48 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     poly = _read(e)
     decidable = _decidable(poly)
     poly, multiplier, cleared = _clear_denominators(poly)
-    _ZNF_CACHE[e] = (poly, decidable and cleared, multiplier)
-    return _ZNF_CACHE[e]
+    hit = (poly, decidable and cleared, multiplier)
+    _cache_put("normal_form", _ZNF_CACHE, e, hit)
+    return hit
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
     """Entries, hits and misses of the kernel's caches since the last
-    ``clear_caches``: ``expand`` (whole expansions), ``normal_form`` (whole
-    zero normal forms), ``memo`` (node reads and power expansions, the
-    monomials they hold, at most ``_MEMO_BOUND``, and how often a full memo
-    was emptied) and ``gradient`` (node gradients, the derivatives they
-    hold, at most ``_GRADIENT_BOUND``, and how often a full memo was
-    emptied); ``rat`` counts the interned rationals only."""
-    return {
-        "expand": {"entries": len(_EXPAND_CACHE), "hits": _HITS["expand"],
-                   "misses": _MISSES["expand"]},
-        "normal_form": {"entries": len(_ZNF_CACHE), "hits": _HITS["normal_form"],
-                        "misses": _MISSES["normal_form"]},
-        "memo": {"entries": len(_READS) + len(_EXPANSIONS), "held": _MEMO["held"],
-                 "clears": _MEMO["clears"], "hits": _HITS["memo"],
-                 "misses": _MISSES["memo"]},
-        "gradient": {"entries": len(_GRADIENTS), "held": _GRADIENT_MEMO["held"],
-                     "clears": _GRADIENT_MEMO["clears"], "hits": _HITS["gradient"],
-                     "misses": _MISSES["gradient"]},
-        "rat": {"entries": len(_RAT_CACHE)},
-    }
+    ``clear_caches``: ``expand`` (whole expansions) and ``normal_form``
+    (whole zero normal forms), each at most ``_CACHE_BOUND`` entries, with
+    how often a full cache was emptied; ``memo`` (node reads, power
+    expansions and converted keys, the monomials they hold, at most
+    ``_MEMO_BOUND``, the interned atoms, and how often a full memo was
+    emptied) and ``gradient`` (node gradients, the derivatives they hold,
+    at most ``_GRADIENT_BOUND``, and how often a full memo was emptied);
+    ``rat`` counts the interned rationals only."""
+    caches = {"expand": _EXPAND_CACHE, "normal_form": _ZNF_CACHE}
+    stats = {name: {"entries": len(table), "held": len(table),
+                    "clears": _CACHE_STATE[name]["clears"], "hits": _HITS[name],
+                    "misses": _MISSES[name]} for name, table in caches.items()}
+    stats["memo"] = {"entries": len(_READS) + len(_EXPANSIONS) + len(_KEYS),
+                     "atoms": len(_ATOM_OF), "held": _MEMO["held"],
+                     "clears": _MEMO["clears"], "hits": _HITS["memo"],
+                     "misses": _MISSES["memo"]}
+    stats["gradient"] = {"entries": len(_GRADIENTS), "held": _GRADIENT_MEMO["held"],
+                         "clears": _GRADIENT_MEMO["clears"], "hits": _HITS["gradient"],
+                         "misses": _MISSES["gradient"]}
+    stats["rat"] = {"entries": len(_RAT_CACHE)}
+    return stats
 
 
 def clear_caches():
-    """Empty the expansion, normal-form, read and gradient caches and zero
-    their counters.  No output depends on them.  The interned rationals
-    stay: ``ZERO`` and ``ONE`` are among them."""
+    """Empty the expansion, normal-form, read and gradient caches, the atom
+    table with them, and zero their counters.  No output depends on them.
+    The interned rationals stay: ``ZERO`` and ``ONE`` are among them."""
     _EXPAND_CACHE.clear()
     _ZNF_CACHE.clear()
     _clear_memo()
     _clear_gradients()
     for counts in (_HITS, _MISSES):
         counts.update(dict.fromkeys(counts, 0))
+    for state in _CACHE_STATE.values():
+        state.update(full=False, clears=0)
     _MEMO["clears"] = _GRADIENT_MEMO["clears"] = 0
 
 

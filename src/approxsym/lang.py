@@ -12,10 +12,11 @@ idempotent; the parser performs no rewriting beyond canonical ordering.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from . import expr as ex
-from .errors import SyntaxErrorAt
+from .errors import NumberTooLong, SyntaxErrorAt
 
 __all__ = ["Language", "parse", "to_text", "to_latex", "to_json"]
 
@@ -85,7 +86,10 @@ class Language:
             return name, None
         for i in range(len(name) - 1, 0, -1):
             if name[i:].isdigit() and name[:i] in self.dependent:
-                order = int(name[i:])
+                try:
+                    order = int(name[i:])
+                except ValueError:   # too many digits: far above max_eps_order
+                    continue
                 if order <= self.max_eps_order:
                     return name[:i], order
         return None
@@ -135,6 +139,15 @@ class _Parser:
     def close_paren(self) -> None:
         self.expect(")")
         self.depth -= 1
+
+    def integer(self, digits: str, t: _Token) -> int:
+        """The int a run of digits spells, or a SyntaxErrorAt at t when it
+        is longer than ``int`` converts (``sys.get_int_max_str_digits``)."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise SyntaxErrorAt(f"number of {len(digits)} digits is too long",
+                                t.line, t.col) from None
 
     def error(self, msg: str):
         t = self.peek()
@@ -191,14 +204,14 @@ class _Parser:
             t = self.next()
             if t.kind != "num":
                 raise SyntaxErrorAt("exponent must be rational", t.line, t.col)
-            e = Fraction(int(t.text))
+            e = Fraction(self.integer(t.text, t))
             if self.peek().text == "/":
                 save = self.pos
                 self.next()
                 d = self.peek()
                 if d.kind == "num":
                     self.next()
-                    e = Fraction(e, int(d.text))
+                    e = Fraction(e, self.integer(d.text, d))
                 else:
                     self.pos = save
         return -e if neg_ else e
@@ -212,7 +225,7 @@ class _Parser:
             return e
         if t.kind == "num":
             self.next()
-            return ex.rat(int(t.text))
+            return ex.rat(self.integer(t.text, t))
         if t.kind == "name":
             return self.name()
         self.error(f"unexpected token {t.text!r}")
@@ -261,7 +274,7 @@ class _Parser:
         family = None
         m = re.fullmatch(r"(.+?)_(\d+)", name)
         if m:
-            name, family = m.group(1), int(m.group(2))
+            name, family = m.group(1), self.integer(m.group(2), t)
         arity = self.lang.functions.get(name)
         if arity is not None and arity != len(args):
             raise SyntaxErrorAt(f"{name} expects {arity} argument(s)", t.line, t.col)
@@ -288,7 +301,7 @@ class _Parser:
             # not a declared dependent: treat the whole identifier as a symbol
             return ex.sym(ds + count + rest)
         base, order = hit
-        n = int(count) if count else len(ds)
+        n = self.integer(count, t) if count else len(ds)
         vs: list[str] = []
         while self.peek().text == "#":
             self.next()
@@ -296,7 +309,7 @@ class _Parser:
             if v.kind != "name":
                 raise SyntaxErrorAt("expected independent variable after '#'", v.line, v.col)
             m = re.fullmatch(r"([A-Za-z_]+)(\d*)", v.text)
-            vname, rep = m.group(1), int(m.group(2) or 1)
+            vname, rep = m.group(1), self.integer(m.group(2) or "1", v)
             if vname not in self.lang.independent:
                 raise SyntaxErrorAt(f"{vname!r} is not an independent variable", v.line, v.col)
             vs.extend([vname] * rep)
@@ -312,9 +325,13 @@ class _Parser:
 
 
 def _frac_text(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        raise NumberTooLong(f"a rational of more than {sys.get_int_max_str_digits()} "
+                            "digits is too long to print") from None
 
 
 def to_text(e: ex.Expr) -> str:

@@ -422,6 +422,36 @@ def test_deep_nesting_exits_2(tmp_path):
     assert "nested deeper" in proc.stderr
 
 
+@pytest.mark.parametrize("lagrangian", [
+    "1/2*du#t^2 - " + "9" * 5000 + "*u^2",
+    "1/2*du#t^2 - u^" + "9" * 5000,
+    "1/2*du#t^2 - u^(1/" + "9" * 5000 + ")",
+])
+def test_oversized_literal_exits_2(tmp_path, lagrangian):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    proc = run("expand", write_model(tmp_path, lagrangian), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: number of 5000 digits is too long (line 1")
+    assert "Traceback" not in proc.stderr
+
+
+def test_rational_too_long_to_print_exits_2():
+    # the law verifies; only printing 2^100000, 30,103 digits, fails
+    proc = run("noether", "--model", "oscillator-quadratic",
+               "--xi", '[["2^100000"],["0"]]', check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: a rational of more than 4300 digits")
+    assert "Traceback" not in proc.stderr
+
+
+def test_log_of_zero_exits_2_as_division_by_zero_does():
+    for xi in ('[["log(0)"],["0"]]', '[["1/0"],["0"]]'):
+        proc = run("noether", "--model", "oscillator-quadratic", "--xi", xi, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "division by zero" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_long_sign_chain_model_exits_0(tmp_path):
     path = write_model(tmp_path, "1/2*du#t^2 - 1/2*" + "-" * 2000 + "u^2")
     data = json.loads(run("expand", path, "--format", "json").stdout)

@@ -1,9 +1,11 @@
 """Grammar corners, error reporting, LaTeX/JSON emitters."""
 
+from fractions import Fraction
+
 import pytest
 
 from approxsym import expr as ex
-from approxsym.errors import SyntaxErrorAt
+from approxsym.errors import NumberTooLong, SyntaxErrorAt
 from approxsym.lang import MAX_NESTING, Language, to_json, to_latex, to_text
 
 L = Language(independent=["t"], dependent=["u", "v"], functions={"F": 1},
@@ -83,6 +85,21 @@ def test_undeclared_names_parse_as_symbols_and_functions():
     assert lang.parse("mystery") == ex.sym("mystery")
     assert lang.parse("G(t)") == ex.afun("G", [ex.sym("t")])
     assert lang.parse("t + u0") == ex.add(ex.sym("t"), ex.jet("u", 0))
+
+
+def test_numbers_longer_than_int_converts():
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    digits = "7" * 5000
+    for text in (digits, "u0^" + digits, "u0^(1/" + digits + ")", "xi_" + digits + "(t)",
+                 "d" + digits + "u0#t", "du0#t" + digits):
+        with pytest.raises(SyntaxErrorAt, match="number of 5000 digits is too long"):
+            L.parse(text)
+    # an eps order of that length is above any max_eps_order: not a jet
+    assert L.parse("u" + digits) == ex.sym("u" + digits)
+    with pytest.raises(NumberTooLong):
+        to_text(ex.pow_(ex.rat(2), 20000))
+    with pytest.raises(NumberTooLong):
+        to_json(ex.pow_(ex.sym("t"), Fraction(1, 3 ** 10000)))
 
 
 def test_float_literals_rejected():

@@ -127,6 +127,20 @@ def test_snapshot_with_caches_emptied_midway(name, capsys, monkeypatch):
     assert next(calls) > 3
 
 
+@pytest.mark.parametrize("name", ["determine.oscillator-quadratic",
+                                  "noether-classify.three-body"])
+def test_snapshot_with_small_cache_bounds(name, capsys, monkeypatch):
+    # the expansion and normal-form caches fill and are emptied many times
+    bound = 20
+    monkeypatch.setattr(ex, "_CACHE_BOUND", bound)
+    ex.clear_caches()
+    assert_snapshot(name, capsys)
+    stats = ex.cache_stats()
+    for cache in ("expand", "normal_form"):
+        assert stats[cache]["clears"] > 0
+        assert stats[cache]["entries"] == stats[cache]["held"] <= bound
+
+
 def test_snapshot_with_gradients_emptied_midway(capsys, monkeypatch):
     # every third top-level gradient starts from empty caches
     gradient, calls = ex.gradient, itertools.count()

@@ -627,6 +627,69 @@ def contains_eps(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the kernel's memos: one bounded rule
+#
+# The gradient memo, the expansion and normal-form caches and the read memo
+# each keep what a walk built for a node, so that the next walk that meets
+# the node reads it.  A stored value depends only on the node's structure,
+# so it is what walking again would build, and it is never mutated.  Every
+# memo follows one rule.  A store counts its size (the derivatives or
+# monomials a value holds, or one) against ``bound``; a store that does not
+# fit is skipped and marks the memo full.  The next top-level call of the
+# memo's walk (``gradient``, ``expand``, ``_zero_normal_form``, ``_read``
+# or ``_poly_times``) then starts by emptying it, so a walk never loses its
+# memo halfway.  ``cache_stats`` and ``clear_caches`` walk ``_MEMOS``, so a
+# new memo is covered by being built.
+
+_BOUND = 4000
+_MEMOS: list[_Memo] = []
+
+
+class _Memo:
+    """A bounded memo over ``tables``, emptied together; ``atoms`` are the
+    columns of an atom table emptied with them, and ``stats`` counts the
+    first.  Lookups read the tables directly and count ``hits`` and
+    ``misses``."""
+
+    __slots__ = ("name", "tables", "atoms", "bound", "held", "full", "clears", "hits",
+                 "misses")
+
+    def __init__(self, name: str, *tables, atoms: tuple = ()):
+        self.name, self.tables, self.atoms = name, tables, atoms
+        self.bound, self.held, self.full = _BOUND, 0, False
+        self.clears = self.hits = self.misses = 0
+        _MEMOS.append(self)
+
+    def put(self, table: dict, key, value, size: int = 1):
+        """Store value under key unless it does not fit; overwriting a key
+        that is already stored counts nothing."""
+        if key not in table:
+            if self.held + size > self.bound:
+                self.full = True
+                return
+            self.held += size
+        table[key] = value
+
+    def room(self):
+        """Empty a full memo: called only where a top-level call starts."""
+        if self.full:
+            self.empty()
+            self.clears += 1
+
+    def empty(self):
+        for table in self.tables + self.atoms:
+            table.clear()
+        self.held, self.full = 0, False
+
+    def stats(self) -> dict[str, int]:
+        out = {"entries": sum(map(len, self.tables))}
+        if self.atoms:
+            out["atoms"] = len(self.atoms[0])
+        return out | {"held": self.held, "clears": self.clears, "hits": self.hits,
+                      "misses": self.misses}
+
+
+# ---------------------------------------------------------------------------
 # differentiation and substitution
 
 
@@ -643,17 +706,11 @@ def diff(e: Expr, v: Expr) -> Expr:
 # ``gradient`` differentiates a tree by all of its variables in one walk, and
 # keeps what it built for each node: the fluxes, prolongations and residuals
 # of every generator tested hold the same Lagrangian coefficients and
-# partials as whole subtrees.  A gradient depends only on the node's
-# structure, so a stored one is what walking again would build; stored dicts
-# are never mutated.  Atoms are not stored.  The memo holds at most
-# _GRADIENT_BOUND derivatives (an entry without any counts as one).  A
-# gradient that does not fit is not stored and marks the memo full; the next
-# call of ``gradient`` then starts by emptying it, so a walk never loses the
-# memo halfway.
+# partials as whole subtrees.  Atoms are not stored; a gradient counts its
+# derivatives.
 
-_GRADIENT_BOUND = 4000
 _GRADIENTS: dict[Expr, dict[Expr, Expr]] = {}
-_GRADIENT_MEMO = {"held": 0, "full": False, "clears": 0}
+_GRADIENT_MEMO = _Memo("gradient", _GRADIENTS)
 
 
 def gradient(e: Expr) -> dict[Expr, Expr]:
@@ -668,9 +725,7 @@ def gradient(e: Expr) -> dict[Expr, Expr]:
     same constructor calls.  Only terms without v are left out of sums,
     which ``add`` drops anyway.
     """
-    if _GRADIENT_MEMO["full"]:
-        _clear_gradients()
-        _GRADIENT_MEMO["clears"] += 1
+    _GRADIENT_MEMO.room()
     return _gradient_of(e)
 
 
@@ -682,26 +737,12 @@ def _gradient_of(e: Expr) -> dict[Expr, Expr]:
         return {}
     g = _GRADIENTS.get(e)
     if g is not None:
-        _HITS["gradient"] += 1
+        _GRADIENT_MEMO.hits += 1
         return g
-    _MISSES["gradient"] += 1
+    _GRADIENT_MEMO.misses += 1
     g = _gradient(e)
-    _store_gradient(e, g)
+    _GRADIENT_MEMO.put(_GRADIENTS, e, g, len(g) or 1)
     return g
-
-
-def _store_gradient(e: Expr, g: dict):
-    size = len(g) or 1
-    if _GRADIENT_MEMO["held"] + size <= _GRADIENT_BOUND:
-        _GRADIENTS[e] = g
-        _GRADIENT_MEMO["held"] += size
-    else:
-        _GRADIENT_MEMO["full"] = True
-
-
-def _clear_gradients():
-    _GRADIENTS.clear()
-    _GRADIENT_MEMO.update(held=0, full=False)
 
 
 def _gradient(e: Expr) -> dict[Expr, Expr]:
@@ -820,32 +861,13 @@ def poly_antiderivative(e: Expr, v: Sym) -> Expr:
 # ---------------------------------------------------------------------------
 # expansion and the polynomial normal form
 #
-# The expansion and normal-form caches follow the memo rule (see the read
-# memo below) with one entry as the unit: each holds at most _CACHE_BOUND
-# entries, a store that does not fit is skipped and marks the cache full,
-# and the next top-level ``expand`` or ``_zero_normal_form`` empties it
-# first.
+# The expansion and normal-form caches are memos whose entries count one
+# each.
 
-_CACHE_BOUND = 4000
 _EXPAND_CACHE: dict[Expr, Expr] = {}
 _ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
-_CACHE_STATE = {name: {"full": False, "clears": 0} for name in ("expand", "normal_form")}
-
-
-def _cache_put(name: str, table: dict, key, value):
-    if key in table or len(table) < _CACHE_BOUND:
-        table[key] = value
-    else:
-        _CACHE_STATE[name]["full"] = True
-
-
-def _cache_room(name: str, table: dict):
-    """Empty a full cache: called only at a top-level call."""
-    state = _CACHE_STATE[name]
-    if state["full"]:
-        table.clear()
-        state["full"] = False
-        state["clears"] += 1
+_EXPAND_MEMO = _Memo("expand", _EXPAND_CACHE)
+_ZNF_MEMO = _Memo("normal_form", _ZNF_CACHE)
 
 
 def expand(e: Expr) -> Expr:
@@ -854,7 +876,7 @@ def expand(e: Expr) -> Expr:
     Iterated to a fixpoint: combining exponents during term-by-term
     multiplication can recreate positive integer powers of sums.
     """
-    _cache_room("expand", _EXPAND_CACHE)
+    _EXPAND_MEMO.room()
     return _expanded(e)
 
 
@@ -863,14 +885,14 @@ def _expanded(e: Expr) -> Expr:
     orig = e
     hit = _EXPAND_CACHE.get(orig)
     if hit is not None:
-        _HITS["expand"] += 1
+        _EXPAND_MEMO.hits += 1
         return hit
-    _MISSES["expand"] += 1
+    _EXPAND_MEMO.misses += 1
     out = _expand(e)
     while out != e:
         e, out = out, _expand(out)
-    _cache_put("expand", _EXPAND_CACHE, orig, out)
-    _cache_put("expand", _EXPAND_CACHE, out, out)
+    _EXPAND_MEMO.put(_EXPAND_CACHE, orig, out)
+    _EXPAND_MEMO.put(_EXPAND_CACHE, out, out)
     return out
 
 
@@ -968,7 +990,7 @@ _ROOT_IDS: dict[int, int] = {}         # base id -> id of its X^(1/2)
 def _intern(atom: Expr) -> int:
     """The id of an atom, given on first use.  An atom is always interned,
     since a read cannot go on without it; an interning that takes the table
-    past _MEMO_BOUND atoms marks the memo full, so the next read empties it."""
+    past the read memo's bound marks it full, so the next read empties it."""
     i = _ATOM_IDS.get(atom)
     if i is not None:
         return i
@@ -991,8 +1013,8 @@ def _intern(atom: Expr) -> int:
     _LO.append(lo)
     _HI.append(hi)
     _FOLDS.append(fold)
-    if len(_ATOM_OF) > _MEMO_BOUND:
-        _MEMO["full"] = True
+    if len(_ATOM_OF) > _READ_MEMO.bound:
+        _READ_MEMO.full = True
     return i
 
 
@@ -1071,52 +1093,23 @@ def _decidable(poly: dict) -> bool:
 # ``_sparse`` reads a node into its id-form dict of monomials, and every
 # normal form and ``_clear_denominators`` share what was read: the residuals
 # of one system hold the same Lagrangian coefficients, partials and sin/cos
-# atoms.  A read depends only on the node's structure, so a stored read is
-# what reading again would give; stored dicts and lists are never mutated.
-# Products are read but not stored: in the benchmark's cases they were most
-# of the monomials stored and few of the hits, and reading one again starts
-# from its factors' stored reads.
+# atoms.  Products are read but not stored: in the benchmark's cases they
+# were most of the monomials stored and few of the hits, and reading one
+# again starts from its factors' stored reads.
 #
-# The memo holds the reads, the expansions of ``_expansion``, the Expr form
-# of each key that reached a returned normal form (``_KEYS``) and the atom
-# table.  Reads, expansions and keys count their monomials (an entry without
-# any counts as one) against _MEMO_BOUND; a store that does not fit is not
-# stored and marks the memo full.  The atom table marks it full past
-# _MEMO_BOUND atoms.  The next top-level call, ``_zero_normal_form`` or
-# ``_poly_times``, then empties all of it: every id-form value dies with the
-# atom ids it is written in, so the memo is never emptied halfway through.
+# The memo holds the reads, the expansions of ``_expansion`` and the Expr
+# form of each key that reached a returned normal form (``_KEYS``), each
+# counting its monomials, and the atom table, which marks the memo full past
+# its bound.  Every id-form value dies with the atom ids it is written in,
+# so the memo is emptied, atom table and all, only where ``_read`` or
+# ``_poly_times`` starts, never inside a read.
 
-_MEMO_BOUND = 4000
 _READS: dict[Expr, dict | None] = {}          # node -> dict, or None: tree pass
 _EXPANSIONS: dict[tuple, list] = {}           # (base id, k) -> [({id: exp}, c)]
 _KEYS: dict[tuple, tuple] = {}                # key -> (Expr key, factor keys)
-_MEMO = {"held": 0, "full": False, "clears": 0}
-_HITS = {"expand": 0, "normal_form": 0, "memo": 0, "gradient": 0}
-_MISSES = dict(_HITS)
+_READ_MEMO = _Memo("memo", _READS, _EXPANSIONS, _KEYS,
+                   atoms=(_ATOM_OF, _KIND, _LO, _HI, _FOLDS, _ATOM_IDS, _ROOT_IDS))
 _NOT_READ = object()
-
-
-def _store(table: dict, key, value, size: int):
-    if _MEMO["held"] + size <= _MEMO_BOUND:
-        table[key] = value
-        _MEMO["held"] += size
-    else:
-        _MEMO["full"] = True
-
-
-def _clear_memo():
-    for table in (_READS, _EXPANSIONS, _KEYS, _ATOM_IDS, _ROOT_IDS):
-        table.clear()
-    for column in (_ATOM_OF, _KIND, _LO, _HI, _FOLDS):
-        column.clear()
-    _MEMO.update(held=0, full=False)
-
-
-def _make_room():
-    """Empty a full memo: called only at a top-level call."""
-    if _MEMO["full"]:
-        _clear_memo()
-        _MEMO["clears"] += 1
 
 
 def _expansion(b: int, k) -> list:
@@ -1131,7 +1124,7 @@ def _expansion(b: int, k) -> list:
             e = pow_(base, k)
         p, _ = _to_poly(e)
         hit = [(_fold(_in_key_order(m)), c) for m, c in p.items()]
-        _store(_EXPANSIONS, (b, k), hit, len(hit) or 1)
+        _READ_MEMO.put(_EXPANSIONS, (b, k), hit, len(hit) or 1)
     return hit
 
 
@@ -1227,7 +1220,7 @@ def _read(e: Expr) -> dict:
     """The id-form dict of e before clearing, unsorted: the sum of its
     terms' sparse reads, where a term that holds a quotient or radical of a
     sum (``_sparse`` gives None) is read by the tree pass instead."""
-    _make_room()
+    _READ_MEMO.room()
     acc: dict[tuple, int | Fraction] = {}
     for term in (e.terms if isinstance(e, Add) else (e,)):
         poly = _sparse(term)
@@ -1251,9 +1244,9 @@ def _sparse(e: Expr) -> dict | None:
     """
     out = _READS.get(e, _NOT_READ)
     if out is not _NOT_READ:
-        _HITS["memo"] += 1
+        _READ_MEMO.hits += 1
         return out
-    _MISSES["memo"] += 1
+    _READ_MEMO.misses += 1
     if isinstance(e, Rat):
         v = e.value
         out = {(): v.numerator if v.denominator == 1 else v} if v else {}
@@ -1302,7 +1295,7 @@ def _sparse(e: Expr) -> dict | None:
         atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
         out = {((_intern(atom), 1),): 1} if isinstance(atom, _ATOMS) else _sparse(atom)
     if not isinstance(e, Mul):
-        _store(_READS, e, out, len(out) if out else 1)
+        _READ_MEMO.put(_READS, e, out, len(out) if out else 1)
     return out
 
 
@@ -1334,7 +1327,7 @@ def _expr_key(key: tuple) -> tuple:
         rest = mul(*[pow_(a, x) for a, x in bases.items()])
         factors = rest._key[1] if isinstance(rest, Mul) else (rest._key,)
     hit = (tuple(pairs), factors)
-    _store(_KEYS, key, hit, 1)
+    _READ_MEMO.put(_KEYS, key, hit)
     return hit
 
 
@@ -1394,7 +1387,7 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool
     order (``_term_sorted``), and the flag is that of ``_decidable``,
     exactly what the tree pass reports on the expanded product tree.
     """
-    _make_room()
+    _READ_MEMO.room()
     ids = {tuple(sorted((_intern(a), x) for a, x in key)): c for key, c in poly.items()}
     out = _times(ids, {_key_of({_intern(b): q for b, q in factor.items()}): 1})
     return _term_sorted(out), _decidable(out)
@@ -1454,58 +1447,39 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     (``_term_sorted``): an Expr key is a tuple of (atom, int exponent)
     sorted by atom, each distinct id key converted once through ``_KEYS``.
     """
-    _cache_room("normal_form", _ZNF_CACHE)
+    _ZNF_MEMO.room()
     hit = _ZNF_CACHE.get(e)
     if hit is not None:
-        _HITS["normal_form"] += 1
+        _ZNF_MEMO.hits += 1
         return hit
-    _MISSES["normal_form"] += 1
+    _ZNF_MEMO.misses += 1
     poly = _read(e)
     decidable = _decidable(poly)
     poly, multiplier, cleared = _clear_denominators(poly)
     hit = (poly, decidable and cleared, multiplier)
-    _cache_put("normal_form", _ZNF_CACHE, e, hit)
+    _ZNF_MEMO.put(_ZNF_CACHE, e, hit)
     return hit
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Entries, hits and misses of the kernel's caches since the last
-    ``clear_caches``: ``expand`` (whole expansions) and ``normal_form``
-    (whole zero normal forms), each at most ``_CACHE_BOUND`` entries, with
-    how often a full cache was emptied; ``memo`` (node reads, power
-    expansions and converted keys, the monomials they hold, at most
-    ``_MEMO_BOUND``, the interned atoms, and how often a full memo was
-    emptied) and ``gradient`` (node gradients, the derivatives they hold,
-    at most ``_GRADIENT_BOUND``, and how often a full memo was emptied);
+    """Entries, held size, emptyings of a full memo, hits and misses of
+    each memo since the last ``clear_caches``: ``gradient`` (node gradients,
+    holding their derivatives), ``expand`` (whole expansions), ``normal_form``
+    (whole zero normal forms) and ``memo`` (node reads, power expansions and
+    converted keys, holding their monomials, and the interned ``atoms``);
     ``rat`` counts the interned rationals only."""
-    caches = {"expand": _EXPAND_CACHE, "normal_form": _ZNF_CACHE}
-    stats = {name: {"entries": len(table), "held": len(table),
-                    "clears": _CACHE_STATE[name]["clears"], "hits": _HITS[name],
-                    "misses": _MISSES[name]} for name, table in caches.items()}
-    stats["memo"] = {"entries": len(_READS) + len(_EXPANSIONS) + len(_KEYS),
-                     "atoms": len(_ATOM_OF), "held": _MEMO["held"],
-                     "clears": _MEMO["clears"], "hits": _HITS["memo"],
-                     "misses": _MISSES["memo"]}
-    stats["gradient"] = {"entries": len(_GRADIENTS), "held": _GRADIENT_MEMO["held"],
-                         "clears": _GRADIENT_MEMO["clears"], "hits": _HITS["gradient"],
-                         "misses": _MISSES["gradient"]}
+    stats = {memo.name: memo.stats() for memo in _MEMOS}
     stats["rat"] = {"entries": len(_RAT_CACHE)}
     return stats
 
 
 def clear_caches():
-    """Empty the expansion, normal-form, read and gradient caches, the atom
-    table with them, and zero their counters.  No output depends on them.
-    The interned rationals stay: ``ZERO`` and ``ONE`` are among them."""
-    _EXPAND_CACHE.clear()
-    _ZNF_CACHE.clear()
-    _clear_memo()
-    _clear_gradients()
-    for counts in (_HITS, _MISSES):
-        counts.update(dict.fromkeys(counts, 0))
-    for state in _CACHE_STATE.values():
-        state.update(full=False, clears=0)
-    _MEMO["clears"] = _GRADIENT_MEMO["clears"] = 0
+    """Empty every memo, the atom table with the read memo, and zero their
+    counters.  No output depends on them.  The interned rationals stay:
+    ``ZERO`` and ``ONE`` are among them."""
+    for memo in _MEMOS:
+        memo.empty()
+        memo.clears = memo.hits = memo.misses = 0
 
 
 def _atom_decidable(atom: Expr) -> bool:

@@ -1,4 +1,4 @@
-"""Text grammar, pretty printer, LaTeX and JSON emitters.
+"""Text grammar, pretty printer and LaTeX emitter.
 
 Grammar (also the print format): ``+ - * / ^`` with standard precedence and
 a right-associative ``^``; jet coordinates are written ``u0``, ``u1``, ``v0``
@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import expr as ex
 from .errors import NumberTooLong, SyntaxErrorAt
 
-__all__ = ["Language", "parse", "to_text", "to_latex", "to_json"]
+__all__ = ["Language", "parse", "to_text", "to_latex"]
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+)
@@ -106,6 +106,10 @@ def parse(text: str, language: Language | None = None) -> ex.Expr:
 # parser accepts.  It descends recursively, several frames per level, so the
 # bound keeps deep input a SyntaxErrorAt instead of a RecursionError.
 MAX_NESTING = 64
+# Highest derivative order the parser accepts.  Every jet space refuses
+# orders above its max_derivative + 1, so the bound keeps ``d1000000u0#t...``
+# from building a list of a million suffixes first.
+MAX_DERIVATIVE = 64
 
 
 class _Parser:
@@ -302,6 +306,8 @@ class _Parser:
             return ex.sym(ds + count + rest)
         base, order = hit
         n = self.integer(count, t) if count else len(ds)
+        if n > MAX_DERIVATIVE:
+            raise SyntaxErrorAt(f"derivative order {n} is above {MAX_DERIVATIVE}", t.line, t.col)
         vs: list[str] = []
         while self.peek().text == "#":
             self.next()
@@ -312,6 +318,9 @@ class _Parser:
             vname, rep = m.group(1), self.integer(m.group(2) or "1", v)
             if vname not in self.lang.independent:
                 raise SyntaxErrorAt(f"{vname!r} is not an independent variable", v.line, v.col)
+            if len(vs) + rep > n:
+                raise SyntaxErrorAt(f"derivative count {n} is less than its suffixes",
+                                    v.line, v.col)
             vs.extend([vname] * rep)
         if not vs:
             raise SyntaxErrorAt("derivative needs '#var' suffixes", t.line, t.col)
@@ -493,30 +502,4 @@ def _latex_node(e, prec: int):
         return (e.terms, 1, "\\left(", None, "\\right)") if prec >= 1 else \
             (e.terms, 1, "", None, "")
     raise TypeError(f"cannot print {type(e).__name__}")
-
-
-def to_json(e: ex.Expr) -> dict:
-    """JSON tree with schema {"op": ..., "args": [...]} plus node payloads."""
-    if isinstance(e, ex.Rat):
-        return {"op": "rat", "value": _frac_text(e.value)}
-    if isinstance(e, ex.Sym):
-        return {"op": "sym", "name": e.name}
-    if isinstance(e, ex.Eps):
-        return {"op": "eps"}
-    if isinstance(e, ex.Jet):
-        return {"op": "jet", "base": e.base, "order": e.order, "deriv": list(e.deriv)}
-    if isinstance(e, ex.Fun):
-        return {"op": e.name, "args": [to_json(e.arg)]}
-    if isinstance(e, ex.AFun):
-        return {"op": "fn", "name": e.name, "family": e.family,
-                "deriv": list(e.deriv), "args": [to_json(a) for a in e.args]}
-    if isinstance(e, ex.AInt):
-        return {"op": "antiderivative", "name": e.name, "args": [to_json(e.arg)]}
-    if isinstance(e, ex.Pow):
-        return {"op": "pow", "exp": _frac_text(e.exp), "args": [to_json(e.base)]}
-    if isinstance(e, ex.Mul):
-        return {"op": "mul", "args": [to_json(f) for f in e.factors]}
-    if isinstance(e, ex.Add):
-        return {"op": "add", "args": [to_json(t) for t in e.terms]}
-    raise TypeError(f"cannot serialize {type(e).__name__}")
 

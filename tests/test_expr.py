@@ -687,43 +687,72 @@ def test_every_normal_form_of_the_builtins_is_the_reference(monkeypatch):
         assert multiplier == ref_multiplier
 
 
-def test_memo_never_holds_more_than_its_bound(monkeypatch):
-    bound = 60
-    monkeypatch.setattr(ex, "_MEMO_BOUND", bound)
-    store, clear_memo = ex._store, ex._clear_memo
-    depth = [0]
+def check_memo_rule(monkeypatch, bound, walks):
+    """Bound each memo of ``walks``, {memo: names of the functions its walk
+    runs through}, at ``bound``, and check the memo rule on each of them:
+    after every store, ``held`` recounted from the tables (the derivatives
+    or monomials a dict or list holds, one for any other value) stays at or
+    under the bound, and an atom table past the bound has marked the memo
+    full; a memo is never emptied while one of its walks runs.  Empties
+    every memo, and returns a check to call after the workload: that each
+    bounded memo was emptied at least once."""
+    put, empty = ex._Memo.put, ex._Memo.empty
+    depth = dict.fromkeys(walks, 0)
 
-    def checked_store(table, key, value, size):
-        store(table, key, value, size)
-        held = sum(len(v) if v else 1 for v in ex._READS.values()) \
-            + sum(len(v) or 1 for v in ex._EXPANSIONS.values()) + len(ex._KEYS)
-        assert held == ex.cache_stats()["memo"]["held"] <= bound
-        # the atom table is never stored past the bound without marking it full
-        assert len(ex._ATOM_OF) <= bound or ex._MEMO["full"]
+    def size(value):
+        return len(value) or 1 if isinstance(value, (dict, list)) else 1
 
-    def reading(read):
+    def checked_put(memo, table, key, value, size_=1):
+        put(memo, table, key, value, size_)
+        if memo in walks:
+            held = sum(size(v) for t in memo.tables for v in t.values())
+            assert held == memo.held <= bound, memo.name
+            assert not memo.atoms or len(memo.atoms[0]) <= bound or memo.full, memo.name
+
+    def checked_empty(memo):
+        assert not depth.get(memo), f"{memo.name} was emptied in the middle of a walk"
+        empty(memo)
+
+    def walking(memo, walk):
         def counted(*args):
-            depth[0] += 1
+            depth[memo] += 1
             try:
-                return read(*args)
+                return walk(*args)
             finally:
-                depth[0] -= 1
+                depth[memo] -= 1
         return counted
 
-    def checked_clear():
-        assert depth[0] == 0, "the memo was emptied while ids were in use"
-        clear_memo()
-
-    monkeypatch.setattr(ex, "_store", checked_store)
-    monkeypatch.setattr(ex, "_clear_memo", checked_clear)
-    for name in ("_sparse", "_times", "_clear_denominators", "_term_sorted"):
-        monkeypatch.setattr(ex, name, reading(getattr(ex, name)))
+    for memo, names in walks.items():
+        monkeypatch.setattr(memo, "bound", bound)
+        for name in names:
+            monkeypatch.setattr(ex, name, walking(memo, getattr(ex, name)))
+    monkeypatch.setattr(ex._Memo, "put", checked_put)
+    monkeypatch.setattr(ex._Memo, "empty", checked_empty)
     ex.clear_caches()
+
+    def every_memo_was_emptied():
+        for memo in walks:
+            assert memo.clears > 0, f"{memo.name} never filled up"
+    return every_memo_was_emptied
+
+
+def test_memo_never_holds_more_than_its_bound(monkeypatch):
+    emptied = check_memo_rule(monkeypatch, 60, {ex._READ_MEMO: (
+        "_sparse", "_times", "_clear_denominators", "_term_sorted")})
     rng = random.Random(31)
     for _ in range(40):
         assert_reads_like_the_per_call_product(ex.add(
             random_expr(rng), ex.mul(random_expr(rng), p("(1 + u0^2)^(-1)"))))
-    assert ex.cache_stats()["memo"]["clears"] > 0
+    emptied()
+
+
+def test_every_memo_is_in_the_registry():
+    # cache_stats and clear_caches walk the registry: a memo outside it
+    # would be neither reported nor emptied
+    memos = [v for v in vars(ex).values() if isinstance(v, ex._Memo)]
+    assert len(memos) == 4
+    assert {id(m) for m in memos} == {id(m) for m in ex._MEMOS}
+    assert set(ex.cache_stats()) == {m.name for m in memos} | {"rat"}
 
 
 # ---------------------------------------------------------------------------
@@ -875,37 +904,13 @@ def test_total_derivative_lists_jets_from_the_gradient(monkeypatch):
 
 
 def test_gradient_memo_never_holds_more_than_its_bound(monkeypatch):
-    bound = 50
-    monkeypatch.setattr(ex, "_GRADIENT_BOUND", bound)
-    store, clear, walk = ex._store_gradient, ex._clear_gradients, ex._gradient_of
-    depth = [0]
-
-    def checked_store(e, g):
-        store(e, g)
-        held = sum(len(g) or 1 for g in ex._GRADIENTS.values())
-        assert held == ex.cache_stats()["gradient"]["held"] <= bound
-
-    def counted(e):
-        depth[0] += 1
-        try:
-            return walk(e)
-        finally:
-            depth[0] -= 1
-
-    def checked_clear():
-        assert depth[0] == 0, "the gradient memo was emptied in the middle of a walk"
-        clear()
-
-    monkeypatch.setattr(ex, "_store_gradient", checked_store)
-    monkeypatch.setattr(ex, "_clear_gradients", checked_clear)
-    monkeypatch.setattr(ex, "_gradient_of", counted)
-    ex.clear_caches()
+    emptied = check_memo_rule(monkeypatch, 50, {ex._GRADIENT_MEMO: ("_gradient_of",)})
     rng = random.Random(37)
     for _ in range(40):
         e = ex.add(random_expr(rng, 3, GRAD_LEAVES[:8]),
                    ex.mul(random_expr(rng), p("(1 + u0^2)^(-1)")))
         assert_derivatives_like_the_reference(e)
-    assert ex.cache_stats()["gradient"]["clears"] > 0
+    emptied()
 
 
 # ---------------------------------------------------------------------------

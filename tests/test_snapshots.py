@@ -23,6 +23,7 @@ import pytest
 
 from approxsym import expr as ex
 from approxsym.cli import main
+from test_expr import check_memo_rule
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 MODEL_FILES = Path(__file__).parent / "models"
@@ -131,14 +132,10 @@ def test_snapshot_with_caches_emptied_midway(name, capsys, monkeypatch):
                                   "noether-classify.three-body"])
 def test_snapshot_with_small_cache_bounds(name, capsys, monkeypatch):
     # the expansion and normal-form caches fill and are emptied many times
-    bound = 20
-    monkeypatch.setattr(ex, "_CACHE_BOUND", bound)
-    ex.clear_caches()
+    emptied = check_memo_rule(monkeypatch, 20, {ex._EXPAND_MEMO: ("_expanded",),
+                                                ex._ZNF_MEMO: ("_read", "_clear_denominators")})
     assert_snapshot(name, capsys)
-    stats = ex.cache_stats()
-    for cache in ("expand", "normal_form"):
-        assert stats[cache]["clears"] > 0
-        assert stats[cache]["entries"] == stats[cache]["held"] <= bound
+    emptied()
 
 
 def test_snapshot_with_gradients_emptied_midway(capsys, monkeypatch):

@@ -972,11 +972,11 @@ def _monomial_pairs(term: Expr) -> tuple[Fraction, list[tuple[Expr, Fraction]]]:
 # which a key holding it needs no rule, so most products are a merge of two
 # keys (``_times``).
 
-_PLAIN, _SIN, _SUM, _FOLD, _ROOT, _POW, _FRAC = range(7)
+_PLAIN, _SIN, _SUM, _FOLD, _ROOT, _POW = range(6)
 _HALF = Fraction(1, 2)
 # the exponents x at which an atom of a kind is left as it is: lo <= x <= hi
 _STABLE = {_PLAIN: (-math.inf, math.inf), _SIN: (-math.inf, 1), _SUM: (-math.inf, -1),
-           _FOLD: (1, 0), _ROOT: (1, 1), _POW: (1, 0), _FRAC: (1, 0)}
+           _FOLD: (1, 0), _ROOT: (1, 1), _POW: (1, 0)}
 
 _ATOM_IDS: dict[Expr, int] = {}        # atom -> id
 _ATOM_OF: list[Expr] = []              # id -> atom
@@ -997,7 +997,7 @@ def _intern(atom: Expr) -> int:
     fold = None
     if isinstance(atom, Pow):
         fold = (_intern(atom.base), atom.exp)
-        kind = _ROOT if atom.exp == _HALF else _FRAC if atom.exp.denominator > 2 else _POW
+        kind = _ROOT if atom.exp == _HALF else _POW
     elif isinstance(atom, Fun) and atom.name == "sin":
         kind = _SIN
     elif isinstance(atom, Add):
@@ -1065,10 +1065,9 @@ def _key_of(bases: dict) -> tuple:
     return tuple(sorted(kv for kv in atoms.items() if kv[1]))
 
 
-def _to_poly(e: Expr) -> tuple[dict, bool]:
+def _to_poly(e: Expr) -> dict:
     """The id-form dict of the expanded tree, each term keyed by
-    ``_key_of`` as it stands (no rule applied), plus the flag of
-    ``_decidable``."""
+    ``_key_of`` as it stands (no rule applied)."""
     e = expand(e)
     poly: dict[tuple, int | Fraction] = {}
     for term in (e.terms if isinstance(e, Add) else (e,)):
@@ -1076,15 +1075,7 @@ def _to_poly(e: Expr) -> tuple[dict, bool]:
         key = _key_of({_intern(b): p for b, p in pairs})
         c = c.numerator if c.denominator == 1 else c
         poly[key] = poly[key] + c if key in poly else c
-    poly = {k: c for k, c in poly.items() if c}
-    return poly, _decidable(poly)
-
-
-def _decidable(poly: dict) -> bool:
-    """False when a monomial keeps a power whose exponent has a denominator
-    above 2, an atom outside the class ``is_zero`` decides."""
-    kind = _KIND
-    return not any(kind[i] == _FRAC for key in poly for i, _ in key)
+    return {k: c for k, c in poly.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -1122,8 +1113,7 @@ def _expansion(b: int, k) -> list:
             e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k // 2)
         else:
             e = pow_(base, k)
-        p, _ = _to_poly(e)
-        hit = [(_fold(_in_key_order(m)), c) for m, c in p.items()]
+        hit = [(_fold(_in_key_order(m)), c) for m, c in _to_poly(e).items()]
         _READ_MEMO.put(_EXPANSIONS, (b, k), hit, len(hit) or 1)
     return hit
 
@@ -1226,7 +1216,7 @@ def _read(e: Expr) -> dict:
         poly = _sparse(term)
         if poly is None:
             tree = expand(_trig_multiple_expand(expand(term)))
-            poly, _ = _to_poly(expand(_sin_power_reduce(tree)))
+            poly = _to_poly(expand(_sin_power_reduce(tree)))
         for k, c in poly.items():
             acc[k] = acc[k] + c if k in acc else c
     return {k: c for k, c in acc.items() if c}
@@ -1354,7 +1344,7 @@ def _term_sorted(poly: dict) -> dict:
     return {ekey: c if isinstance(c, Fraction) else Fraction(c) for _, ekey, c in items}
 
 
-def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
+def _clear_denominators(poly: dict) -> tuple[dict, Expr]:
     """Multiply the id-form poly through by positive powers of sum atoms in
     denominators.
 
@@ -1362,8 +1352,7 @@ def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
     cancel against an atomic inverse of the same sum, e.g. (x+y)*(x+y)^(-1).
     Multiplying by a nonzero function preserves zero-ness both ways.
     Returns the cleared polynomial in Expr keys and term order
-    (``_term_sorted``), the multiplier used (ONE if none) and the
-    decidability flag of the product.
+    (``_term_sorted``) and the multiplier used (ONE if none).
     """
     need: dict[int, int] = {}
     kind = _KIND
@@ -1372,25 +1361,24 @@ def _clear_denominators(poly: dict) -> tuple[dict, Expr, bool]:
             if x < 0 and kind[i] == _SUM:
                 need[i] = max(need.get(i, 0), -x)
     if not need:
-        return _term_sorted(poly), ONE, True
+        return _term_sorted(poly), ONE
     out = _times(poly, {tuple(sorted(need.items())): 1})
-    return (_term_sorted(out), mul(*[pow_(_ATOM_OF[i], x) for i, x in need.items()]),
-            _decidable(out))
+    return _term_sorted(out), mul(*[pow_(_ATOM_OF[i], x) for i, x in need.items()])
 
 
-def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> tuple[dict, bool]:
+def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> dict:
     """The normal form of poly, a dict that ``_zero_normal_form`` returned,
     times the monomial prod(b^k for b, k in factor).
 
     One ``_times`` in the id form: poly's keys are interned again and the
     factor is keyed by ``_key_of``.  The result is in Expr keys and term
-    order (``_term_sorted``), and the flag is that of ``_decidable``,
-    exactly what the tree pass reports on the expanded product tree.
+    order (``_term_sorted``), exactly what the tree pass reads from the
+    expanded product tree.
     """
     _READ_MEMO.room()
     ids = {tuple(sorted((_intern(a), x) for a, x in key)): c for key, c in poly.items()}
     out = _times(ids, {_key_of({_intern(b): q for b, q in factor.items()}): 1})
-    return _term_sorted(out), _decidable(out)
+    return _term_sorted(out)
 
 
 def _trig_multiple_expand(e: Expr) -> Expr:
@@ -1405,13 +1393,14 @@ def _trig_multiple_expand(e: Expr) -> Expr:
 
 
 def _angle_multiple(name: str, k: int, x: Expr) -> Expr:
-    s, c = fun("sin", x), fun("cos", x)
-    sk, ck = ZERO, ONE  # sin(0x), cos(0x)
-    for _ in range(abs(k)):
-        sk, ck = add(mul(sk, c), mul(ck, s)), sub(mul(ck, c), mul(sk, s))
-    if k < 0:
-        sk = neg(sk)
-    return sk if name == "sin" else ck
+    """sin(k*x) or cos(k*x) as the flat sum of (cos(x) + i*sin(x))^|k|'s
+    imaginary or real part: (-1)^(j//2) * C(|k|, j) * cos(x)^(|k|-j) *
+    sin(x)^j over odd or even j.  It must stay flat: ``_init_key`` hashes a
+    node's whole key tuple, so a tree that shares its subtrees costs 2^k."""
+    n, s, c = abs(k), fun("sin", x), fun("cos", x)
+    out = add(*[mul(rat((-1) ** (j // 2) * math.comb(n, j)), pow_(c, n - j), pow_(s, j))
+                for j in range(int(name == "sin"), n + 1, 2)])
+    return neg(out) if k < 0 and name == "sin" else out
 
 
 def _sin_power_reduce(e: Expr) -> Expr:
@@ -1427,8 +1416,8 @@ def _sin_power_reduce(e: Expr) -> Expr:
     return out
 
 
-def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
-    """(polynomial, decidable, multiplier): the normal form of multiplier * e.
+def _zero_normal_form(e: Expr) -> tuple[dict, Expr]:
+    """(polynomial, multiplier): the normal form of multiplier * e.
 
     ``_read`` reads the tree into the id-form dict with sparse products,
     through the read memo that every normal form shares: sin/cos of
@@ -1446,6 +1435,7 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
     The polynomial is returned as {Expr key: Fraction} in term order
     (``_term_sorted``): an Expr key is a tuple of (atom, int exponent)
     sorted by atom, each distinct id key converted once through ``_KEYS``.
+    Which atoms it holds is for ``is_zero`` to judge.
     """
     _ZNF_MEMO.room()
     hit = _ZNF_CACHE.get(e)
@@ -1453,10 +1443,7 @@ def _zero_normal_form(e: Expr) -> tuple[dict, bool, Expr]:
         _ZNF_MEMO.hits += 1
         return hit
     _ZNF_MEMO.misses += 1
-    poly = _read(e)
-    decidable = _decidable(poly)
-    poly, multiplier, cleared = _clear_denominators(poly)
-    hit = (poly, decidable and cleared, multiplier)
+    hit = _clear_denominators(_read(e))
     _ZNF_MEMO.put(_ZNF_CACHE, e, hit)
     return hit
 
@@ -1483,48 +1470,39 @@ def clear_caches():
 
 
 def _atom_decidable(atom: Expr) -> bool:
-    if isinstance(atom, (Sym, Jet, Eps, AInt)):
-        return True
-    if isinstance(atom, AFun):
-        return True
+    """True for an atom of the class ``is_zero`` decides."""
     if isinstance(atom, Fun):
-        if atom.name in ("sin", "cos"):
-            a = atom.arg
-            c, rest = _split_coeff(a)
-            return isinstance(rest, (Sym, Jet)) and abs(c) == 1
-        return False
+        c, rest = _split_coeff(atom.arg)
+        return atom.name in ("sin", "cos") and abs(c) == 1 and isinstance(rest, (Sym, Jet))
     if isinstance(atom, Pow):
-        base = atom.base
-        return isinstance(base, Add) and atom.exp == Fraction(1, 2)
-    if isinstance(atom, Add):
-        return True
-    return False
+        return isinstance(atom.base, Add) and atom.exp == _HALF
+    return isinstance(atom, (Sym, Jet, Eps, AFun, AInt, Add))
 
 
 def is_zero(e: Expr):
     """Three-valued zero decision: True, False, or UNKNOWN.
 
-    Sound: True implies the expression is identically zero.  Complete on
-    Laurent polynomials over symbols, jet coordinates, opaque function
-    atoms, sin/cos of declared variables, and square roots of sums (the
-    class every determining computation in this package stays inside).
+    Sound: True implies e is identically zero.  An empty normal form is
+    True; otherwise the verdict is False when every atom of the cleared
+    normal form lies in the class on which the test is complete (the class
+    every determining computation in this package stays inside):
+
+    - symbols, jet coordinates, eps, arbitrary functions and their
+      antiderivatives, to any integer power;
+    - sums, and square roots of sums only;
+    - sin/cos only of +-(a symbol or jet coordinate), and only to
+      non-negative powers.
+
+    Any other atom gives UNKNOWN: exp or log, sin/cos of any other argument
+    or to a negative power, a root of anything but a sum, and every other
+    fractional power, such as x^(1/3).
     """
-    poly, decidable, _ = _zero_normal_form(e)
+    poly, _ = _zero_normal_form(e)
     if not poly:
         return True
-    if not decidable:
-        return UNKNOWN
-    seen_primitive: dict[Expr, Fraction] = {}
-    for key, _ in poly.items():
+    for key in poly:
         for atom, p in key:
-            if not _atom_decidable(atom):
-                return UNKNOWN
-            if isinstance(atom, Fun):
-                c, rest = _split_coeff(atom.arg)
-                prev = seen_primitive.setdefault(rest, abs(c))
-                if prev != abs(c):
-                    return UNKNOWN
-            if isinstance(atom, Fun) and p < 0:
+            if not _atom_decidable(atom) or (p < 0 and isinstance(atom, Fun)):
                 return UNKNOWN
     return False
 

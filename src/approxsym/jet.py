@@ -41,20 +41,6 @@ class JetSpace:
     def m(self) -> int:
         return len(self.dependent)
 
-    def jet(self, base: str, order: int | None, deriv=()) -> ex.Jet:
-        if base not in self.dependent:
-            raise ValueError(f"{base!r} is not a dependent variable")
-        if order is not None and not (0 <= order <= self.order):
-            raise ValueError(f"eps order {order} outside 0..{self.order}")
-        deriv = tuple(deriv)
-        for v in deriv:
-            if v not in self.independent:
-                raise ValueError(f"{v!r} is not an independent variable")
-        if len(deriv) > self.max_derivative + 1:
-            raise DerivativeOverflow(
-                f"derivative order {len(deriv)} exceeds bound {self.max_derivative + 1}")
-        return ex.jet(base, order, deriv)
-
     def language(self, functions=None, constants=()):
         from .lang import Language
         return Language(self.independent, self.dependent, functions,

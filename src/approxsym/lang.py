@@ -215,7 +215,10 @@ class _Parser:
                 d = self.peek()
                 if d.kind == "num":
                     self.next()
-                    e = Fraction(e, self.integer(d.text, d))
+                    q = self.integer(d.text, d)
+                    if not q:
+                        raise SyntaxErrorAt("exponent has a zero denominator", d.line, d.col)
+                    e = Fraction(e, q)
                 else:
                     self.pos = save
         return -e if neg_ else e

@@ -213,8 +213,7 @@ def common_multiplier(columns: list[list[ex.Expr]], constants) -> list[list[Spli
     the M_j, and split keyed by M, so every row of that tag compares normal
     forms scaled alike.  Other tags keep their own multiplier.
     """
-    forms = [[(poly, m) for poly, _, m in map(ex._zero_normal_form, parts)]
-             for parts in columns]
+    forms = [list(map(ex._zero_normal_form, parts)) for parts in columns]
     for tag, tagged in enumerate(zip(*forms)):
         if len({m for poly, m in tagged if poly}) < 2:
             continue
@@ -223,7 +222,7 @@ def common_multiplier(columns: list[list[ex.Expr]], constants) -> list[list[Spli
         common = ex.mul(*[ex.pow_(b, q) for b, q in top.items()])
         for j, ((poly, _), have) in enumerate(zip(tagged, powers)):
             if poly:
-                scaled, _ = ex._poly_times(
+                scaled = ex._poly_times(
                     poly, {b: q - have.get(b, 0) for b, q in top.items()})
                 forms[j][tag] = (scaled, common)
     return [[_split_constants(f, constants) for f in parts] for parts in forms]
@@ -232,8 +231,7 @@ def common_multiplier(columns: list[list[ex.Expr]], constants) -> list[list[Spli
 def split_column(parts: list[ex.Expr], constants) -> list[Split]:
     """One column of ``coefficient_rows``: each tag's zero normal form split
     by ``_split_constants``; ``assemble_rows`` turns split columns into rows."""
-    return [_split_constants((poly, m), constants)
-            for poly, _, m in map(ex._zero_normal_form, parts)]
+    return [_split_constants(form, constants) for form in map(ex._zero_normal_form, parts)]
 
 
 def assemble_rows(columns: list[list[Split]]) -> dict[tuple, dict[int, FE]]:

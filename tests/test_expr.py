@@ -128,6 +128,40 @@ def test_is_zero_negative_and_unknown_verdicts():
     assert verdict is ex.UNKNOWN
 
 
+@pytest.mark.parametrize("text", [
+    "x^(1/3) + 1",      # a fractional power other than a root
+    "sin(t)^(-1) + 1",  # sin/cos to a negative power
+    "u0^(1/2) + 1",     # the root of something other than a sum
+    "sin(1/2*t) + 1",   # sin/cos of anything but +-(symbol or jet)
+    "exp(t) + 1",       # exp or log
+])
+def test_is_zero_outside_its_class_is_unknown(text):
+    assert ex.is_zero(p(text)) is ex.UNKNOWN
+
+
+def test_is_zero_decides_a_cube_root_that_cancels_in_clearing():
+    # x^(1/3)*(u0^2 - 1)/(u0 + 1) - x^(1/3)*(u0 - 1) = 0: only the cleared
+    # form is free of the cube root, and t is left
+    cancelling = "x^(1/3)*(u0^2 - 1)*(u0 + 1)^(-1) - x^(1/3)*(u0 - 1)"
+    assert ex.is_zero(p(cancelling)) is True
+    assert ex.is_zero(p(cancelling + " + t")) is False
+
+
+def test_multiple_angles_are_flat_sums():
+    t = ex.sym("t")
+    for k in (2, 3, 7, 40, -5):
+        for name in ("sin", "cos"):
+            e = ex._angle_multiple(name, k, t)
+            e = ex.neg(e) if k < 0 and name == "sin" else e
+            terms = e.terms if isinstance(e, ex.Add) else (e,)
+            assert len(terms) <= abs(k) // 2 + 1, (name, k)
+            assert not any(ex.atoms_of(term, ex.Add) for term in terms), (name, k)
+    # a tree of shared partial sums would cost 2^40 to hash here
+    assert ex.is_zero(p("sin(40*t)^2 + cos(40*t)^2 - 1")) is True
+    assert ex.is_zero(p("sin(-5*t) + sin(5*t)")) is True
+    assert ex.is_zero(p("cos(3*t) - 4*cos(t)^3 + 3*cos(t)")) is True
+
+
 def test_is_zero_radical_identities():
     assert ex.is_zero(p("(x^2+y^2)^(1/2)*(x^2+y^2)^(1/2) - x^2 - y^2")) is True
     assert ex.is_zero(
@@ -170,7 +204,7 @@ def test_sin_squared_is_reduced_again_after_clearing():
     # sin^2 appears only once (1 + sin)^2 has been multiplied in
     e = p("(2 - cos(t)^2 + 2*sin(t))*(1 + sin(t))^(-2) - 1")
     assert ex.is_zero(e) is True
-    assert ex._zero_normal_form(e)[2] == p("(1 + sin(t))^2")
+    assert ex._zero_normal_form(e)[1] == p("(1 + sin(t))^2")
     assert ex.is_zero(p("(2 - cos(t)^2 + 2*sin(t))*(1 + sin(t))^(-2) - 2")) is False
 
 
@@ -217,14 +251,8 @@ def ref_base_exponents(key) -> dict:
     return out
 
 
-def ref_decidable(poly) -> bool:
-    return not any(isinstance(a, ex.Pow) and a.exp.denominator > 2
-                   for key in poly for a, _ in key)
-
-
 def ref_to_poly(e, roots=None):
-    """The expanded tree read into {Expr key: Fraction}, plus the flag of
-    ``ref_decidable``."""
+    """The expanded tree read into {Expr key: Fraction}."""
     roots = {} if roots is None else roots
     e = ex.expand(e)
     poly = {}
@@ -232,8 +260,7 @@ def ref_to_poly(e, roots=None):
         coeff, pairs = ex._monomial_pairs(term)
         key = ref_monomial_key(pairs, roots)
         poly[key] = poly.get(key, Fraction(0)) + coeff
-    poly = {k: v for k, v in poly.items() if v != 0}
-    return poly, ref_decidable(poly)
+    return {k: v for k, v in poly.items() if v != 0}
 
 
 def ref_term_sorted(poly) -> dict:
@@ -256,36 +283,32 @@ def ref_term_sorted(poly) -> dict:
 
 
 def ref_clear_denominators(poly):
-    """(cleared poly in term order, multiplier, decidable flag of the
-    product): poly times the positive powers of its sum atoms in
-    denominators, by one RefProduct."""
+    """(cleared poly in term order, multiplier): poly times the positive
+    powers of its sum atoms in denominators, by one RefProduct."""
     need = {}
     for key in poly:
         for atom, q in key:
             if q < 0 and isinstance(atom, ex.Add):
                 need[atom] = max(need.get(atom, 0), -q)
     if not need:
-        return ref_term_sorted(poly), ex.ONE, True
+        return ref_term_sorted(poly), ex.ONE
     product = RefProduct()
     out = ref_term_sorted(product.times(poly, {product.key(need): Fraction(1)}))
-    return out, ex.mul(*[ex.pow_(a, q) for a, q in need.items()]), ref_decidable(out)
+    return out, ex.mul(*[ex.pow_(a, q) for a, q in need.items()])
 
 
 def ref_normal_form(e):
     """The reference ``_zero_normal_form``: the read of one RefProduct,
     cleared with another."""
-    poly = RefProduct().read(e)
-    out, multiplier, cleared = ref_clear_denominators(poly)
-    return out, ref_decidable(poly) and cleared, multiplier
+    return ref_clear_denominators(RefProduct().read(e))
 
 
 def assert_normal_form_is_the_reference(e):
     ex._ZNF_CACHE.pop(e, None)   # read again, through the memo as it stands
-    out, decidable, multiplier = ex._zero_normal_form(e)
-    ref, ref_decidable_, ref_multiplier = ref_normal_form(e)
+    out, multiplier = ex._zero_normal_form(e)
+    ref, ref_multiplier = ref_normal_form(e)
     assert list(out.items()) == list(ref.items())   # same keys in the same order
     assert all(type(c) is Fraction for c in out.values())
-    assert decidable is ref_decidable_
     assert multiplier == ref_multiplier
 
 
@@ -303,21 +326,18 @@ def tree_clear(poly):
             if q < 0 and isinstance(atom, ex.Add):
                 need[atom] = max(need.get(atom, Fraction(0)), -q)
     if not need:
-        return poly, ex.ONE, True
+        return poly, ex.ONE
     mult = [ex.pow_(a, q) for a, q in need.items()]
     terms = [ex.expand(ex.mul(ex.rat(c), *[ex.pow_(a, q) for a, q in key], *mult))
              for key, c in poly.items()]
-    out, decidable = ref_to_poly(ex.expand(ex._sin_power_reduce(ex.add(*terms))))
-    return out, ex.mul(*mult), decidable
+    return ref_to_poly(ex.expand(ex._sin_power_reduce(ex.add(*terms)))), ex.mul(*mult)
 
 
 def assert_clears_like_the_tree(e):
-    poly, _ = ex._to_poly(e)
-    out, multiplier, decidable = ex._clear_denominators(poly)
-    ref, ref_multiplier, ref_decidable_ = tree_clear(ref_to_poly(e)[0])
+    out, multiplier = ex._clear_denominators(ex._to_poly(e))
+    ref, ref_multiplier = tree_clear(ref_to_poly(e))
     assert list(out.items()) == list(ref.items())   # same keys in the same order
     assert multiplier == ref_multiplier
-    assert decidable is ref_decidable_
 
 
 # small sums to clear; the last holds a root, so roots meet in products
@@ -368,17 +388,14 @@ def tree_normal_form(e):
     """The reference: distribute the tree (expand, multiple angles, expand,
     sin powers, expand), read it with ``ref_to_poly`` and clear it with
     ``ref_clear_denominators``, which the tests above hold to ``tree_clear``."""
-    poly, decidable = ref_to_poly(ex.expand(ex._sin_power_reduce(
-        ex.expand(ex._trig_multiple_expand(ex.expand(e))))))
-    out, multiplier, cleared = ref_clear_denominators(poly)
-    return out, decidable and cleared, multiplier
+    return ref_clear_denominators(ref_to_poly(ex.expand(ex._sin_power_reduce(
+        ex.expand(ex._trig_multiple_expand(ex.expand(e)))))))
 
 
 def assert_reads_like_the_tree(e):
-    out, decidable, multiplier = ex._zero_normal_form(e)
-    ref, ref_decidable_, ref_multiplier = tree_normal_form(e)
+    out, multiplier = ex._zero_normal_form(e)
+    ref, ref_multiplier = tree_normal_form(e)
     assert list(out.items()) == list(ref.items())   # same keys in the same order
-    assert decidable is ref_decidable_
     assert multiplier == ref_multiplier
 
 
@@ -458,7 +475,7 @@ class RefProduct:
         return ref_monomial_key(mono.items(), self.roots)
 
     def to_poly(self, e) -> dict:
-        return ref_to_poly(e, self.roots)[0]
+        return ref_to_poly(e, self.roots)
 
     def expansion(self, base: ex.Expr, k) -> list:
         hit = self.powers.get((base, k))
@@ -646,22 +663,22 @@ def test_normal_form_on_power_atoms_is_the_reference(text):
 def test_poly_times_is_the_reference():
     # linalg scales a returned normal form by a monomial of sum powers
     e = p("u0*(1 + u0^2)^(-1) + (1 + t^2)^(1/2)*(u0 - t)^(-2) + sin(t)^2*(u0 - t)")
-    poly, _, _ = ex._zero_normal_form(e)
+    poly, _ = ex._zero_normal_form(e)
     factor = {p("1 + u0^2"): Fraction(2), p("u0 - t"): Fraction(1),
               p("1 + t^2"): Fraction(1, 2), p("t"): Fraction(0)}
     ex.clear_caches()   # the ids of the read are gone: the keys are interned again
-    out, decidable = ex._poly_times(poly, factor)
+    out = ex._poly_times(poly, factor)
     product = RefProduct()
     ref = ref_term_sorted(product.times(poly, {product.key(factor): Fraction(1)}))
     assert list(out.items()) == list(ref.items())
-    assert decidable is ref_decidable(ref)
+    assert all(type(c) is Fraction for c in out.values())
 
 
 def test_every_normal_form_of_the_builtins_is_the_reference(monkeypatch):
     """Each distinct normal form that ``golden_check`` of every builtin and
     ``extract`` of the five builtins whose determining system finishes ask
     for, as the program built it through the shared memo, against the
-    reference: keys, key order, Fraction values, flag and multiplier."""
+    reference: keys, key order, Fraction values and multiplier."""
     from approxsym import determine, models
     met = {}
     normal_form = ex._zero_normal_form
@@ -679,11 +696,10 @@ def test_every_normal_form_of_the_builtins_is_the_reference(monkeypatch):
         if name != "three-body":   # its determining system does not finish
             determine.extract(model.lagrangian, model.ansatz, model.constant_names)
     assert len(met) > 1000
-    for e, (out, decidable, multiplier) in met.items():
-        ref, ref_decidable_, ref_multiplier = ref_normal_form(e)
+    for e, (out, multiplier) in met.items():
+        ref, ref_multiplier = ref_normal_form(e)
         assert list(out.items()) == list(ref.items()), to_text(e)
         assert all(type(c) is Fraction for c in out.values())
-        assert decidable is ref_decidable_
         assert multiplier == ref_multiplier
 
 
@@ -743,6 +759,10 @@ def test_memo_never_holds_more_than_its_bound(monkeypatch):
     for _ in range(40):
         assert_reads_like_the_per_call_product(ex.add(
             random_expr(rng), ex.mul(random_expr(rng), p("(1 + u0^2)^(-1)"))))
+    # one read per term but two atoms, the sum and its root: the atom table
+    # passes the bound long before the reads do
+    roots = " + ".join(f"(1 + x{i})^(1/2)" for i in range(40))
+    assert ex.is_zero(p(roots)) is False
     emptied()
 
 

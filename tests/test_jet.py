@@ -71,6 +71,6 @@ def test_space_validation():
     with pytest.raises(ValueError):
         JetSpace(("t",), ("t",))
     with pytest.raises(ValueError):
-        SP.jet("w", 0)
+        JetSpace(order=-1)
     with pytest.raises(ValueError):
-        SP.jet("u", 5)
+        JetSpace(max_derivative=0)

@@ -118,6 +118,13 @@ def test_numbers_longer_than_int_converts():
         to_text(ex.pow_(ex.rat(2), 20000))
 
 
+def test_exponent_with_a_zero_denominator_is_a_syntax_error():
+    for text, column in (("u0^(1/0)", 7), ("t^-3/0", 6), ("u0^((2/00))", 8)):
+        with pytest.raises(SyntaxErrorAt, match="zero denominator") as err:
+            L.parse(text)
+        assert err.value.column == column, text
+
+
 def test_float_literals_rejected():
     with pytest.raises(SyntaxErrorAt):
         L.parse("0.5*u0")

@@ -107,20 +107,23 @@ def _selected_golden(model: Model, names: list[str] | None):
 
 
 def _generator_override(args, model: Model):
+    """The generator and gauge of --xi, --eta and --phi; an option that is
+    absent is zero."""
     p = model.space.order
 
     def rows(text, width):
-        return (json.loads(text) if text else None) or [["0"] * width for _ in range(p + 1)]
+        return json.loads(text) if text is not None else [["0"] * width for _ in range(p + 1)]
     with named("generator override"):   # JSONDecodeError is a ValueError
         return parse_generator(model, {
             "xi": rows(args.xi, model.space.n), "eta": rows(args.eta, model.space.m),
-            "phi": json.loads(args.phi) if args.phi else None})
+            "phi": None if args.phi is None else json.loads(args.phi)},
+            "generator override: ")
 
 
 def cmd_noether(args) -> int:
     model = _load_model(args)
     laws = []
-    if args.xi or args.eta or args.phi:
+    if (args.xi, args.eta, args.phi) != (None, None, None):
         gen, phi = _generator_override(args, model)
         laws.append(noether_fluxes(gen, model.lagrangian, phi, name="custom"))
     else:

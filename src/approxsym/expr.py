@@ -1065,19 +1065,6 @@ def _key_of(bases: dict) -> tuple:
     return tuple(sorted(kv for kv in atoms.items() if kv[1]))
 
 
-def _to_poly(e: Expr) -> dict:
-    """The id-form dict of the expanded tree, each term keyed by
-    ``_key_of`` as it stands (no rule applied)."""
-    e = expand(e)
-    poly: dict[tuple, int | Fraction] = {}
-    for term in (e.terms if isinstance(e, Add) else (e,)):
-        c, pairs = _monomial_pairs(term)
-        key = _key_of({_intern(b): p for b, p in pairs})
-        c = c.numerator if c.denominator == 1 else c
-        poly[key] = poly[key] + c if key in poly else c
-    return {k: c for k, c in poly.items() if c}
-
-
 # ---------------------------------------------------------------------------
 # the read memo: sparse products shared by every normal form
 #
@@ -1095,38 +1082,39 @@ def _to_poly(e: Expr) -> dict:
 # so the memo is emptied, atom table and all, only where ``_read`` or
 # ``_poly_times`` starts, never inside a read.
 
-_READS: dict[Expr, dict | None] = {}          # node -> dict, or None: tree pass
+_READS: dict[Expr, dict] = {}                 # node -> dict
 _EXPANSIONS: dict[tuple, list] = {}           # (base id, k) -> [({id: exp}, c)]
 _KEYS: dict[tuple, tuple] = {}                # key -> (Expr key, factor keys)
 _READ_MEMO = _Memo("memo", _READS, _EXPANSIONS, _KEYS,
                    atoms=(_ATOM_OF, _KIND, _LO, _HI, _FOLDS, _ATOM_IDS, _ROOT_IDS))
-_NOT_READ = object()
 
 
 def _expansion(b: int, k) -> list:
     """The monomials of X^k for the atom X of id b as ({base id: exponent},
-    coefficient) pairs; of (1 - cos(x)^2)^(k/2) for X = sin(x)."""
+    coefficient) pairs: for X = sin(x) and an even k = 2m those of
+    (1 - cos(x)^2)^m, sum_j (-1)^j C(m, j) cos(x)^(2j); for a sum, a
+    product or a rational those of ``_sparse(pow_(X, k))``."""
     hit = _EXPANSIONS.get((b, k))
     if hit is None:
         base = _ATOM_OF[b]
         if _KIND[b] == _SIN:
-            e = pow_(sub(ONE, pow_(fun("cos", base.arg), 2)), k // 2)
+            m, cos = k // 2, _intern(fun("cos", base.arg))
+            hit = [({cos: 2 * j} if j else {}, (-1) ** j * math.comb(m, j))
+                   for j in range(m + 1)]
         else:
-            e = pow_(base, k)
-        hit = [(_fold(_in_key_order(m)), c) for m, c in _to_poly(e).items()]
+            hit = [(_fold(_in_key_order(m)), c) for m, c in _sparse(pow_(base, k)).items()]
         _READ_MEMO.put(_EXPANSIONS, (b, k), hit, len(hit) or 1)
     return hit
 
 
 def _settle_folded(mono: dict, c, acc: dict):
-    """Add c * mono, {base id: exponent}, to acc, reduced by the rules of
-    the tree pass:
+    """Add c * mono, {base id: exponent}, to acc, reduced by the rules:
 
     - a sum X with a positive integer part k (and a rational or product
       base with any nonzero k) is replaced by the monomials of
-      ``_to_poly(pow_(X, k))``;
+      ``_sparse(pow_(X, k))``;
     - sin(x)^n with an integer n >= 2 is replaced by the monomials of
-      ``_to_poly((1 - cos(x)^2)^(n//2))`` times sin(x)^(n mod 2), as
+      (1 - cos(x)^2)^(n//2) times sin(x)^(n mod 2), as
       ``_sin_power_reduce`` does;
     - each product is reduced again, and what is left is keyed by
       ``_key_of``: zero exponents are dropped and a root that reaches
@@ -1164,9 +1152,9 @@ def _settle(keys: tuple, c, acc: dict):
     """Add c times the product of the id keys to acc, as
     ``_settle_folded`` reduces it.  A product that no rule reads is sorted
     into its key as it is.  Otherwise the keys are folded with each key's
-    atoms in ``_key`` order, as the tree pass meets them: where a reduction
-    brings in negative powers of another sum, the order in which two sums
-    are expanded changes the form the normal form takes."""
+    atoms in ``_key`` order, as the Expr-keyed product met them: where a
+    reduction brings in negative powers of another sum, the order in which
+    two sums are expanded changes the form the normal form takes."""
     mono: dict[int, int] = {}
     for k in keys:
         for i, x in k:
@@ -1208,32 +1196,30 @@ def _times(a: dict, b: dict) -> dict:
 
 def _read(e: Expr) -> dict:
     """The id-form dict of e before clearing, unsorted: the sum of its
-    terms' sparse reads, where a term that holds a quotient or radical of a
-    sum (``_sparse`` gives None) is read by the tree pass instead."""
+    terms' sparse reads."""
     _READ_MEMO.room()
     acc: dict[tuple, int | Fraction] = {}
     for term in (e.terms if isinstance(e, Add) else (e,)):
-        poly = _sparse(term)
-        if poly is None:
-            tree = expand(_trig_multiple_expand(expand(term)))
-            poly = _to_poly(expand(_sin_power_reduce(tree)))
-        for k, c in poly.items():
+        for k, c in _sparse(term).items():
             acc[k] = acc[k] + c if k in acc else c
     return {k: c for k, c in acc.items() if c}
 
 
-def _sparse(e: Expr) -> dict | None:
-    """The dict of e read by products, or None when e holds a negative
-    or fractional power of a base that is not an atom.
+def _sparse(e: Expr) -> dict:
+    """The dict of e read by products.
 
-    Only ``mul`` on trees cancels such a power against a multiple of its
-    base written out elsewhere in the product, as in
-    t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1) = t, so those terms keep
-    the tree pass.  A sin/cos atom is read as its multiple-angle
-    expansion (``_trig_multiple_expand``).
+    A sin/cos atom is read as its multiple-angle expansion
+    (``_trig_multiple_expand``).  A negative or fractional power of a base
+    that is not an atom (a sum, a product or a rational) is the one node
+    the tree rewrites reach, so that they run inside radicals and
+    denominators too: the power alone is expanded, its multiple angles and
+    sin powers are rewritten (expand, multiple angles, expand, sin powers,
+    expand), and each term of the result is settled on its (base,
+    exponent) pairs as they stand.  Those pairs are not folded: the root
+    of u0^2 is not u0.
     """
-    out = _READS.get(e, _NOT_READ)
-    if out is not _NOT_READ:
+    out = _READS.get(e)
+    if out is not None:
         _READ_MEMO.hits += 1
         return out
     _READ_MEMO.misses += 1
@@ -1241,18 +1227,14 @@ def _sparse(e: Expr) -> dict | None:
         v = e.value
         out = {(): v.numerator if v.denominator == 1 else v} if v else {}
     elif isinstance(e, Add):
-        parts = [_sparse(t) for t in e.terms]
-        out = None if any(p is None for p in parts) else {}
-        for p in parts if out is not None else ():
-            for k, c in p.items():
+        out = {}
+        for t in e.terms:
+            for k, c in _sparse(t).items():
                 out[k] = out[k] + c if k in out else c
-        if out:
-            out = {k: c for k, c in out.items() if c}
+        out = {k: c for k, c in out.items() if c}
     elif isinstance(e, Mul):
         parts = [_sparse(f) for f in e.factors]
-        if any(p is None for p in parts):
-            out = None
-        elif not all(parts):   # a zero factor
+        if not all(parts):   # a zero factor
             out = {}
         else:
             # the one-term factors are merged into one monomial first
@@ -1271,21 +1253,25 @@ def _sparse(e: Expr) -> dict | None:
         base, p = e.base, e.exp
         if isinstance(base, (Fun, AFun, AInt)):
             base = _trig_multiple_expand(base)
+        out = {}
         if isinstance(base, _ATOMS):
-            out = {}
             _settle_folded({_intern(base): p}, 1, out)
         elif p.denominator == 1 and p > 0:
             out = b = _sparse(base)
-            if b is not None:
-                for _ in range(p.numerator - 1):
-                    out = _times(out, b)
+            for _ in range(p.numerator - 1):
+                out = _times(out, b)
         else:
-            out = None
+            tree = expand(_sin_power_reduce(expand(_trig_multiple_expand(expand(e)))))
+            for term in (tree.terms if isinstance(tree, Add) else (tree,)):
+                c, pairs = _monomial_pairs(term)
+                _settle_folded({_intern(b): x for b, x in pairs},
+                               c.numerator if c.denominator == 1 else c, out)
+            out = {k: c for k, c in out.items() if c}
     else:
         atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
         out = {((_intern(atom), 1),): 1} if isinstance(atom, _ATOMS) else _sparse(atom)
     if not isinstance(e, Mul):
-        _READ_MEMO.put(_READS, e, out, len(out) if out else 1)
+        _READ_MEMO.put(_READS, e, out, len(out) or 1)
     return out
 
 
@@ -1372,8 +1358,7 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> dict:
 
     One ``_times`` in the id form: poly's keys are interned again and the
     factor is keyed by ``_key_of``.  The result is in Expr keys and term
-    order (``_term_sorted``), exactly what the tree pass reads from the
-    expanded product tree.
+    order (``_term_sorted``).
     """
     _READ_MEMO.room()
     ids = {tuple(sorted((_intern(a), x) for a, x in key)): c for key, c in poly.items()}
@@ -1423,11 +1408,11 @@ def _zero_normal_form(e: Expr) -> tuple[dict, Expr]:
     through the read memo that every normal form shares: sin/cos of
     integer multiples are reduced to the base angle, sin(x)^n to cos
     powers, and products of sums are multiplied out on the monomials.  A
-    term that holds a negative or fractional power of a base that is not an
-    atom (a sum in a denominator or under a root) is read by the tree pass
-    instead (expand, multiple angles, expand, sin powers, expand,
-    ``_to_poly``), which also rewrites inside radicals and denominators.
-    ``_clear_denominators`` then clears the dict with the same product.
+    negative or fractional power of a base that is not an atom (a sum in a
+    denominator or under a root) is the one node whose tree is rewritten
+    (``_sparse``), so the same rewrites reach inside radicals and
+    denominators.  ``_clear_denominators`` then clears the dict with the
+    same product.
     The multiplier is the product of the nonzero denominators cleared (ONE
     if none); normal forms of different expressions are comparable only
     where their multipliers agree.

@@ -163,14 +163,9 @@ def load_model_dict(data: dict) -> Model:
         if not isinstance(rec, dict):
             raise ModelError(f"golden[{i}]: expected object")
         _require(rec, "name", str, where)
-        _require(rec, "xi", list, where)
-        _require(rec, "eta", list, where)
-        for key in ("xi", "eta", "phi"):
-            if not all(isinstance(row, list) for row in _optional(rec, key, list, [], where)):
-                raise ModelError(f"{where}{key}: expected a list of lists")
         texts = _optional(rec, "quantity", list, [], where)
         with named(f"golden[{i}] ({rec['name']})"):
-            gen, gauge = parse_generator(model, rec)
+            gen, gauge = parse_generator(model, rec, where)
             quantity = (EpsSeries(tuple(_parse(model, s) for s in texts))
                         if texts else None)
         model.golden.append(GoldenRecord(
@@ -179,24 +174,27 @@ def load_model_dict(data: dict) -> Model:
     return model
 
 
-def parse_generator(model: Model, rec: dict) -> tuple[Generator, GaugeTerm]:
+def parse_generator(model: Model, rec: dict, where: str = "") -> tuple[Generator, GaugeTerm]:
     """Generator and gauge of an {"xi", "eta", "phi"} record.
 
     xi and eta are matrices indexed [k][slot], phi (optional, zero when
-    absent) one series per independent variable; every entry is parsed in
-    the model's language and concretized.  Bad shapes raise ValueError or
-    TypeError.
+    absent, null or empty) one series per independent variable; each must
+    be a list of lists of expression strings, or a ModelError names
+    ``where`` + the field.  Every entry is parsed in the model's language
+    and concretized.  Bad shapes raise ValueError or TypeError.
     """
-    def parse_rows(rows) -> list[list[ex.Expr]]:
+    def parse_rows(key) -> list[list[ex.Expr]]:
+        rows = _require(rec, key, list, where) if key != "phi" else \
+            _optional(rec, key, list, [], where)
+        if not all(isinstance(row, list) and all(isinstance(s, str) for s in row)
+                   for row in rows):
+            raise ModelError(f"{where}{key}: expected a list of lists of strings")
         return [[_parse(model, s) for s in row] for row in rows]
 
-    gen = Generator.from_components(model.space, parse_rows(rec["xi"]),
-                                    parse_rows(rec["eta"]))
-    if rec.get("phi"):
-        gauge = GaugeTerm(model.space, tuple(EpsSeries(tuple(row))
-                                             for row in parse_rows(rec["phi"])))
-    else:
-        gauge = GaugeTerm.zero(model.space)
+    gen = Generator.from_components(model.space, parse_rows("xi"), parse_rows("eta"))
+    phi = parse_rows("phi")
+    gauge = GaugeTerm(model.space, tuple(EpsSeries(tuple(row)) for row in phi)) if phi \
+        else GaugeTerm.zero(model.space)
     return gen, gauge
 
 

@@ -247,6 +247,8 @@ _RECORD = {"name": "E", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]]}
     ("golden", [{**_RECORD, "xi": [1, 2]}], "golden[0].xi"),
     ("golden", [{**_RECORD, "eta": ["0", "0"]}], "golden[0].eta"),
     ("golden", [{**_RECORD, "xi": [["1", "t"], ["0", "0"]]}], "golden[0] (E)"),  # width 2
+    ("golden", [{**_RECORD, "xi": ["t", "0"]}], "golden[0].xi"),
+    ("golden", [{**_RECORD, "xi": [[1], [0]]}], "golden[0].xi"),
 ])
 def test_malformed_model_field_is_named(tmp_path, field, value, named):
     proc = run("expand", write_model(tmp_path, "1/2*du#t^2", **{field: value}),
@@ -466,6 +468,27 @@ def test_bad_generator_override_exits_2(flags):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    # each of these ran as the zero generator: exit 0, verified, trivial
+    (("--xi", "{}"), "xi: expected list"),
+    (("--xi", "0"), "xi: expected list"),
+    (("--xi", "null"), "xi: expected list"),
+    (("--xi", "false"), "xi: expected list"),
+    (("--xi", "[]"), "generator matrices need one row per eps order"),
+    # a bare string row ran character by character
+    (("--xi", '["1","0"]'), "xi: expected a list of lists of strings"),
+    (("--xi", '"abc"'), "xi: expected list"),
+    (("--eta", '["0","0"]'), "eta: expected a list of lists of strings"),
+    (("--phi", '["0"]'), "phi: expected a list of lists of strings"),
+    (("--phi", "0"), "phi: expected list"),
+    (("--xi", ""), "Expecting value"),
+])
+def test_generator_override_that_is_not_rows_exits_2(flags, message):
+    proc = run("noether", "--model", "free-particle", *flags, check=False)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr.startswith(f"error: generator override: {message}"), proc.stderr
+
+
 @pytest.mark.parametrize("lagrangian, fields, message", [
     ("1/2*du#t^2 + z*u", {}, "lagrangian: undeclared symbol(s) z"),
     ("1/2*du#t^2 + u2", {}, "lagrangian: undeclared symbol(s) u2"),   # order_p is 1
@@ -489,10 +512,10 @@ def test_undeclared_symbol_exits_2(tmp_path, lagrangian, fields, message):
 
 
 def test_undeclared_symbol_in_an_override_exits_2():
-    # the string "ab" was read as the rows a and b
-    proc = run("noether", "--model", "free-particle", "--xi", '"ab"', check=False)
+    proc = run("noether", "--model", "free-particle", "--xi", '[["ab"], ["0"]]',
+               check=False)
     assert proc.returncode == 2
-    assert proc.stderr == "error: generator override: undeclared symbol(s) a\n"
+    assert proc.stderr == "error: generator override: undeclared symbol(s) ab\n"
 
 
 def test_undeclared_function_in_an_override_exits_2():

@@ -333,8 +333,22 @@ def tree_clear(poly):
     return ref_to_poly(ex.expand(ex._sin_power_reduce(ex.add(*terms)))), ex.mul(*mult)
 
 
+def id_to_poly(e):
+    """The id-form dict of the expanded tree, each term keyed by
+    ``_key_of`` as it stands (no rule applied): the reader the sparse read
+    replaced, kept to build the clearing tests' input."""
+    e = ex.expand(e)
+    poly = {}
+    for term in (e.terms if isinstance(e, ex.Add) else (e,)):
+        c, pairs = ex._monomial_pairs(term)
+        key = ex._key_of({ex._intern(b): q for b, q in pairs})
+        c = c.numerator if c.denominator == 1 else c
+        poly[key] = poly[key] + c if key in poly else c
+    return {k: c for k, c in poly.items() if c}
+
+
 def assert_clears_like_the_tree(e):
-    out, multiplier = ex._clear_denominators(ex._to_poly(e))
+    out, multiplier = ex._clear_denominators(id_to_poly(e))
     ref, ref_multiplier = tree_clear(ref_to_poly(e))
     assert list(out.items()) == list(ref.items())   # same keys in the same order
     assert multiplier == ref_multiplier
@@ -392,15 +406,45 @@ def tree_normal_form(e):
         ex.expand(ex._trig_multiple_expand(ex.expand(e)))))))
 
 
+def verdict(poly):
+    """The verdict ``is_zero`` gives on a cleared normal form."""
+    if not poly:
+        return True
+    for key in poly:
+        for atom, q in key:
+            if not ex._atom_decidable(atom) or (q < 0 and isinstance(atom, ex.Fun)):
+                return ex.UNKNOWN
+    return False
+
+
 def assert_reads_like_the_tree(e):
+    """The normal form gives the tree pass's verdict, and both take the
+    value of e times their multipliers; the form is the per-call product's,
+    keys, order and multiplier.  Forms may differ from the tree pass's: tree
+    ``mul`` cancels a power of a sum against its multiple inside a term,
+    and the tree pass leaves a rational base unsettled."""
     out, multiplier = ex._zero_normal_form(e)
     ref, ref_multiplier = tree_normal_form(e)
+    assert verdict(out) is verdict(ref)
+    rng = random.Random(to_text(e))
+    assert_takes_the_value(e, out, multiplier, rng)
+    assert_takes_the_value(e, ref, ref_multiplier, rng)
+    ref, ref_multiplier = ref_normal_form(e)
     assert list(out.items()) == list(ref.items())   # same keys in the same order
     assert multiplier == ref_multiplier
 
 
+def test_a_power_of_a_sum_is_read_apart_from_its_product():
+    # tree mul cancelled the numerator against 1/(1 + u0) inside the term, to
+    # t over 1; the power is now read alone and the clearing multiplies it out
+    t, u0 = ex.sym("t"), ex.jet("u", 0)
+    out, multiplier = ex._zero_normal_form(p("t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1)"))
+    assert list(out.items()) == [(((t, 1),), 1), (((t, 1), (u0, 1)), 1)]
+    assert multiplier == p("1 + u0")
+
+
 @pytest.mark.parametrize("text", [
-    # only mul on the tree cancels the numerator against 1/(1 + u0): t
+    # only mul on the tree cancels the numerator against 1/(1 + u0)
     "t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1)",
     "t*(u0*(1 + u0) - u0^2 + 1)*(1 + u0)^(-1) + (u0 + v0)^2*sin(2*t)",
     "(sin(t) + cos(2*t))^2*(u0 + sin(3*t)) - sin(2*t)^3",
@@ -469,7 +513,7 @@ class RefProduct:
     def __init__(self):
         self.roots: dict[ex.Expr, ex.Pow] = {}
         self.powers: dict[tuple, list] = {}
-        self.reads: dict[ex.Expr, dict | None] = {}
+        self.reads: dict[ex.Expr, dict] = {}
 
     def key(self, mono) -> tuple:
         return ref_monomial_key(mono.items(), self.roots)
@@ -529,37 +573,30 @@ class RefProduct:
 
     def read(self, e: ex.Expr) -> dict:
         """The dict of e before clearing, unsorted: the sum of its terms'
-        sparse reads, where a term that holds a quotient or radical of a
-        sum (``sparse`` gives None) is read by the tree pass instead."""
+        sparse reads."""
         acc: dict[tuple, Fraction] = {}
         for term in (e.terms if isinstance(e, ex.Add) else (e,)):
-            poly = self.sparse(term)
-            if poly is None:
-                tree = ex.expand(ex._trig_multiple_expand(ex.expand(term)))
-                poly = self.to_poly(ex.expand(ex._sin_power_reduce(tree)))
-            for k, c in poly.items():
+            for k, c in self.sparse(term).items():
                 acc[k] = acc[k] + c if k in acc else c
         return {k: c for k, c in acc.items() if c}
 
-    def sparse(self, e: ex.Expr) -> dict | None:
-        """The dict of e read by products, or None for the tree pass."""
+    def sparse(self, e: ex.Expr) -> dict:
+        """The dict of e read by products; a negative or fractional power
+        of a base that is not an atom by a tree pass on that node alone,
+        each term settled."""
         if e in self.reads:
             return self.reads[e]
         if isinstance(e, ex.Rat):
             out = {(): e.value} if e.value else {}
         elif isinstance(e, ex.Add):
-            parts = [self.sparse(t) for t in e.terms]
-            out = None if any(p is None for p in parts) else {}
-            for p in parts if out is not None else ():
-                for k, c in p.items():
+            out = {}
+            for t in e.terms:
+                for k, c in self.sparse(t).items():
                     out[k] = out[k] + c if k in out else c
-            if out:
-                out = {k: c for k, c in out.items() if c}
+            out = {k: c for k, c in out.items() if c}
         elif isinstance(e, ex.Mul):
             parts = [self.sparse(f) for f in e.factors]
-            if any(p is None for p in parts):
-                out = None
-            elif not all(parts):   # a zero factor
+            if not all(parts):   # a zero factor
                 out = {}
             else:
                 # the one-term factors are merged into one monomial first
@@ -584,11 +621,16 @@ class RefProduct:
                 self.settle({base: q}, Fraction(1), out)
             elif q.denominator == 1 and q > 0:
                 out = b = self.sparse(base)
-                if b is not None:
-                    for _ in range(q.numerator - 1):
-                        out = self.times(out, b)
+                for _ in range(q.numerator - 1):
+                    out = self.times(out, b)
             else:
-                out = None
+                tree = ex.expand(ex._sin_power_reduce(
+                    ex.expand(ex._trig_multiple_expand(ex.expand(e)))))
+                out = {}
+                for term in (tree.terms if isinstance(tree, ex.Add) else (tree,)):
+                    c, pairs = ex._monomial_pairs(term)
+                    self.settle(dict(pairs), c, out)
+                out = {k: c for k, c in out.items() if c}
         else:
             atom = ex._trig_multiple_expand(e) if isinstance(e, (ex.Fun, ex.AFun, ex.AInt)) else e
             out = {((atom, 1),): Fraction(1)} if isinstance(atom, ex._ATOMS) else self.sparse(atom)
@@ -641,6 +683,172 @@ def test_normal_form_through_the_memo_reads_like_the_per_call_product(exprs):
     # a warm one: b and c, a sum and a product that repeat their nodes, a again
     for e in (b, c, ex.add(a, b), ex.mul(a, c), a):
         assert_reads_like_the_per_call_product(e)
+
+
+# ---------------------------------------------------------------------------
+# an independent value oracle: the normal form takes the value of e times its
+# multiplier at random points
+
+
+class Skipped(Exception):
+    """A point at which the float walk does not stand for the expression."""
+
+
+class Point:
+    """A random point: each opaque atom (symbol, jet, eps, exp or log) takes
+    a fresh value from [-2, 2] on first use, and each arbitrary function or
+    antiderivative a fresh smooth function of its arguments' values, so
+    F(sin(2*t)) and F(2*sin(t)*cos(t)) agree."""
+
+    def __init__(self, rng):
+        self.rng, self.values, self.functions = rng, {}, {}
+
+    def value(self, e) -> tuple[float, float]:
+        """(value, size) of e: size times the unit round-off bounds the
+        rounding error of the walk."""
+        hit = self.values.get(e)
+        if hit is None:
+            hit = self.values[e] = self.walk(e)
+        return hit
+
+    def walk(self, e) -> tuple[float, float]:
+        if isinstance(e, ex.Rat):
+            v = float(e.value)
+            return v, abs(v)
+        if isinstance(e, (ex.Add, ex.Mul)):
+            parts = [self.value(c) for c in (e.terms if isinstance(e, ex.Add) else e.factors)]
+            if isinstance(e, ex.Add):
+                return math.fsum(v for v, _ in parts), math.fsum(s for _, s in parts)
+            return math.prod(v for v, _ in parts), math.prod(s for _, s in parts)
+        if isinstance(e, ex.Pow):
+            return self.power(*self.value(e.base), e.exp)
+        if isinstance(e, ex.Fun) and e.name in ("sin", "cos"):
+            v, s = self.value(e.arg)
+            return (math.sin if e.name == "sin" else math.cos)(v), 1 + s
+        if isinstance(e, (ex.AFun, ex.AInt)):
+            args = e.args if isinstance(e, ex.AFun) else (e.arg,)
+            sig = (type(e), e.name, getattr(e, "deriv", ()), getattr(e, "family", None))
+            c = self.functions.get(sig)
+            if c is None:
+                c = self.functions[sig] = [self.rng.uniform(-2, 2) for _ in range(len(args) + 1)]
+            parts = [self.value(a) for a in args]
+            return (c[0] + sum(ci * math.sin(v) for ci, (v, _) in zip(c[1:], parts)),
+                    abs(c[0]) + sum(abs(ci) * (1 + s) for ci, (_, s) in zip(c[1:], parts)))
+        v = self.rng.uniform(-2, 2)
+        return v, abs(v)
+
+    @staticmethod
+    def power(v, s, q) -> tuple[float, float]:
+        if q.denominator != 1 and v <= 0:
+            raise Skipped   # a fractional power of a non-positive base
+        if q < 0 and abs(v) <= 1e-6 * s:
+            raise Skipped   # at or near a pole
+        if q.denominator == 1 and q > 0:
+            return v ** int(q), s ** int(q)
+        out = v ** int(q) if q.denominator == 1 else v ** float(q)
+        return out, abs(out) * abs(float(q)) * s / abs(v)
+
+
+def assert_takes_the_value(e, form, multiplier, rng, points=3):
+    """At each of ``points`` random points where the walk stands for e,
+    e * multiplier equals the normal form ``form`` ({Expr key: Fraction})."""
+    for _ in range(points):
+        point = Point(rng)
+        try:
+            v, s = point.value(e)
+            m, sm = point.value(multiplier)
+            terms = []
+            for key, c in form.items():
+                tv, ts = float(c), abs(float(c))
+                for atom, x in key:
+                    av, sa = point.power(*point.value(atom), Fraction(x))
+                    tv, ts = tv * av, ts * sa
+                terms.append((tv, ts))
+        except Skipped:
+            continue
+        w = math.fsum(tv for tv, _ in terms)
+        size = s * sm + math.fsum(ts for _, ts in terms)
+        assert abs(v * m - w) <= 1e-9 * size, (to_text(e), v * m, w)
+
+
+@pytest.mark.parametrize("inputs", [normal_form_inputs, memo_inputs, cleared_sums],
+                         ids=lambda s: s.__name__)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_normal_form_takes_the_value_of_the_expression(inputs, data):
+    e = data.draw(inputs())
+    out, multiplier = ex._zero_normal_form(e)
+    assert_takes_the_value(e, out, multiplier, random.Random(to_text(e)))
+
+
+def test_value_oracle_sees_a_root_read_as_its_base():
+    # the root of u0^2 is |u0|, not u0: a normal form that read it as u0
+    # differs at a point where u0 < 0
+    e = p("(u0^2)^(3/2)")
+    u0 = ex.jet("u", 0)
+    with pytest.raises(AssertionError):
+        for seed in range(20):
+            assert_takes_the_value(e, {((u0, 3),): Fraction(1)}, ex.ONE, random.Random(seed))
+    assert_takes_the_value(e, ex._zero_normal_form(e)[0], ex.ONE, random.Random(0), 20)
+
+
+# ---------------------------------------------------------------------------
+# sin powers and the powers the tree rewrites still reach
+
+
+def test_sin_powers_expand_without_trees(monkeypatch):
+    # sin(t)^(2m) once went through a tree expand of (1 - cos(t)^2)^m, so
+    # multiple angles as high as sin(800*t) did not finish
+    depth, inside, met = [0], [0], []
+    expand, expansion = ex.expand, ex._expansion
+
+    def counted_expand(e):
+        inside[0] += depth[0] > 0
+        return expand(e)
+
+    def counted_expansion(b, k):
+        met.append(k)
+        depth[0] += 1
+        try:
+            return expansion(b, k)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "expand", counted_expand)
+    monkeypatch.setattr(ex, "_expansion", counted_expansion)
+    ex.clear_caches()
+    poly, _ = ex._zero_normal_form(p("sin(t)^40"))
+    assert met == [40] and inside == [0]
+    assert len(poly) == 21
+
+
+def test_sin_power_expansions_are_the_tree_built_ones():
+    ex.clear_caches()
+    t = ex.sym("t")
+    sin = ex._intern(ex.fun("sin", t))
+    cos_squared = ex.pow_(ex.fun("cos", t), 2)
+
+    def monomials(expansion):
+        return {tuple(sorted(m.items())): c for m, c in expansion}
+
+    for m in range(1, 31):
+        tree = [(ex._fold(ex._in_key_order(k)), c)
+                for k, c in id_to_poly(ex.pow_(ex.sub(ex.ONE, cos_squared), m)).items()]
+        got = ex._expansion(sin, Fraction(2 * m))
+        assert len(got) == len(tree) == m + 1
+        assert monomials(got) == monomials(tree), m
+
+
+@pytest.mark.parametrize("text", [
+    # a rational or product base under a root is settled: 2^(3/2) = 2*2^(1/2)
+    "2^(3/2) - 2*2^(1/2)",
+    "(2*u0)^(3/2) - 2*u0*(2*u0)^(1/2)",
+    # the trig rewrites reach inside radicals and denominators
+    "(sin(t)^2 + cos(t)^2)^(1/2) - 1",
+    "(1 + sin(2*t))^(-1) - (1 + 2*sin(t)*cos(t))^(-1)",
+])
+def test_is_zero_reads_inside_the_powers_of_non_atoms(text):
+    assert ex.is_zero(p(text)) is True
 
 
 @pytest.mark.parametrize("text", [

@@ -3,7 +3,8 @@
 Model files are JSON (schema 1); builtins are the same format embedded and
 selected with --model.  Exit codes: 0 success, 1 a failed golden record or
 standard output closed early, 2 model or usage errors, 3 symbolic pivot
-ambiguity, 4 non-symmetry / formula mismatch, 5 non-finite state.
+ambiguity, 4 non-symmetry / formula mismatch, 5 non-finite state, 6 a solved
+symmetry that fails its re-verification.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .errors import (ApproxSymError, FormulaMismatch, ModelError,
                      NonFiniteState, NotAVariationalSymmetry,
-                     SymbolicPivotAmbiguity)
+                     SymbolicPivotAmbiguity, UnverifiedSolution)
 from .lang import to_latex, to_text
 from .linalg import fe_expr
 from .models import (Model, builtin_names, concretize, golden_check, load_builtin,
@@ -124,6 +125,8 @@ def cmd_noether(args) -> int:
     model = _load_model(args)
     laws = []
     if (args.xi, args.eta, args.phi) != (None, None, None):
+        if args.generator:
+            raise ModelError("--generator cannot be combined with --xi, --eta or --phi")
         gen, phi = _generator_override(args, model)
         laws.append(noether_fluxes(gen, model.lagrangian, phi, name="custom"))
     else:
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 # output closed before everything was written (`| head`) exits 1, as Python
 # itself does on EPIPE
 EXIT_CODES = {SymbolicPivotAmbiguity: 3, NotAVariationalSymmetry: 4,
-              FormulaMismatch: 4, NonFiniteState: 5}
+              FormulaMismatch: 4, NonFiniteState: 5, UnverifiedSolution: 6}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import product
 
 from . import expr as ex
-from .errors import AnsatzIncomplete
+from .errors import AnsatzIncomplete, UnverifiedSolution
 from .jet import JetSpace, total_derivative
 from .linalg import (FE, assemble_rows, coefficient_rows, common_multiplier, fe_expr,
                      nullspace, span_fits, sparse_rref, split_column)
@@ -237,16 +237,22 @@ def _generator_and_gauge(sp: JetSpace, ansatz: AnsatzSpace, column: dict[tuple, 
 
 
 def solve(sys: DeterminingSystem) -> list[Solution]:
-    """Exact null space, canonicalized; every solution is re-verified."""
+    """Exact null space, canonicalized; every solution is re-verified.
+
+    Raises ``UnverifiedSolution`` on the first vector whose residual does
+    not read zero at every eps order."""
     basis = nullspace(sys.equations, sys.n_unknowns)
     basis = _canonical_rows(basis)
     out = []
-    for vec in basis:
+    for i, vec in enumerate(basis, 1):
         sol = _instantiate(sys, vec)
         res = variational_residual(sol.generator, sys.lag, sol.gauge)
-        if res.is_zero_series() is not True:
-            raise AssertionError(
-                f"solver returned a non-symmetry; residual {res!r}")
+        for k, c in enumerate(res.coeffs):
+            verdict = ex.is_zero(c)
+            if verdict is not True:
+                raise UnverifiedSolution(
+                    f"solution vector {i} of {len(basis)} fails re-verification: "
+                    f"its residual at eps^{k} reads {verdict}, not zero")
         out.append(sol)
     return out
 

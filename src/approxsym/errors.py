@@ -65,6 +65,10 @@ class AnsatzIncomplete(ApproxSymError):
     """Determining extraction met a family function with no declared ansatz."""
 
 
+class UnverifiedSolution(ApproxSymError):
+    """A vector of the solved null space whose residual does not read zero."""
+
+
 class SymbolicPivotAmbiguity(ApproxSymError):
     """Elimination would need to decide whether a symbolic constant expression is zero."""
 

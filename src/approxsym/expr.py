@@ -8,8 +8,8 @@ canonical form: sums and products are flattened and sorted under a fixed
 total order, rational constants are folded, like terms and like powers are
 combined, and zero/one units are elided.  Products are NOT distributed over
 sums by the constructors; ``expand`` does that explicitly, and the zero
-decision ``is_zero`` additionally applies the trigonometric rewrite rules
-(integer multiple angles expanded, sin^2 reduced modulo 1 - cos^2).
+decision ``is_zero`` additionally reads integer multiple angles in the base
+angle and sin^2 modulo 1 - cos^2, inside function arguments too.
 
 The zero normal form works on a sparse polynomial of its own, the id form:
 a monomial is a sorted tuple of (interned atom id, int exponent) pairs and a
@@ -865,7 +865,7 @@ def poly_antiderivative(e: Expr, v: Sym) -> Expr:
 # each.
 
 _EXPAND_CACHE: dict[Expr, Expr] = {}
-_ZNF_CACHE: dict[Expr, tuple[dict, bool, Expr]] = {}
+_ZNF_CACHE: dict[Expr, tuple[dict, Expr]] = {}
 _EXPAND_MEMO = _Memo("expand", _EXPAND_CACHE)
 _ZNF_MEMO = _Memo("normal_form", _ZNF_CACHE)
 
@@ -1114,8 +1114,7 @@ def _settle_folded(mono: dict, c, acc: dict):
       base with any nonzero k) is replaced by the monomials of
       ``_sparse(pow_(X, k))``;
     - sin(x)^n with an integer n >= 2 is replaced by the monomials of
-      (1 - cos(x)^2)^(n//2) times sin(x)^(n mod 2), as
-      ``_sin_power_reduce`` does;
+      (1 - cos(x)^2)^(n//2) times sin(x)^(n mod 2);
     - each product is reduced again, and what is left is keyed by
       ``_key_of``: zero exponents are dropped and a root that reaches
       (X^(1/2))^2 becomes X (rho^2 = X).
@@ -1208,15 +1207,16 @@ def _read(e: Expr) -> dict:
 def _sparse(e: Expr) -> dict:
     """The dict of e read by products.
 
-    A sin/cos atom is read as its multiple-angle expansion
-    (``_trig_multiple_expand``).  A negative or fractional power of a base
-    that is not an atom (a sum, a product or a rational) is the one node
-    the tree rewrites reach, so that they run inside radicals and
-    denominators too: the power alone is expanded, its multiple angles and
-    sin powers are rewritten (expand, multiple angles, expand, sin powers,
-    expand), and each term of the result is settled on its (base,
-    exponent) pairs as they stand.  Those pairs are not folded: the root
-    of u0^2 is not u0.
+    Every atom is read with its insides in the reader's own form: the
+    arguments of a function and the base of a power are read and written
+    back as trees (``_written``), so F(t*(1 + u0)) and F(t + t*u0) are one
+    atom.  sin/cos of an integer multiple k*x, k >= 2, of the written
+    argument (the content of a sum, the coefficient of anything else) is
+    read as its multiple-angle expansion in sin(x) and cos(x).  A positive
+    integer power of a sum, product or rational is the product of its
+    base's reads; any other power is the power of the written base, settled
+    on its (base, exponent) pairs as they stand.  Those pairs are not
+    folded: the root of u0^2 is not u0.
     """
     out = _READS.get(e)
     if out is not None:
@@ -1249,30 +1249,44 @@ def _sparse(e: Expr) -> dict:
             _settle(keys, c, out)
             for p in sums:
                 out = _times(out, p)
+    elif isinstance(e, Pow) and e.exp.denominator == 1 and e.exp > 0 \
+            and not isinstance(e.base, _ATOMS):
+        out = b = _sparse(e.base)
+        for _ in range(e.exp.numerator - 1):
+            out = _times(out, b)
     elif isinstance(e, Pow):
-        base, p = e.base, e.exp
-        if isinstance(base, (Fun, AFun, AInt)):
-            base = _trig_multiple_expand(base)
+        c, pairs = _monomial_pairs(pow_(_written(e.base), e.exp))
         out = {}
-        if isinstance(base, _ATOMS):
-            _settle_folded({_intern(base): p}, 1, out)
-        elif p.denominator == 1 and p > 0:
-            out = b = _sparse(base)
-            for _ in range(p.numerator - 1):
-                out = _times(out, b)
-        else:
-            tree = expand(_sin_power_reduce(expand(_trig_multiple_expand(expand(e)))))
-            for term in (tree.terms if isinstance(tree, Add) else (tree,)):
-                c, pairs = _monomial_pairs(term)
-                _settle_folded({_intern(b): x for b, x in pairs},
-                               c.numerator if c.denominator == 1 else c, out)
-            out = {k: c for k, c in out.items() if c}
+        _settle_folded({_intern(b): x for b, x in pairs},
+                       c.numerator if c.denominator == 1 else c, out)
+        out = {k: c for k, c in out.items() if c}
     else:
-        atom = _trig_multiple_expand(e) if isinstance(e, (Fun, AFun, AInt)) else e
-        out = {((_intern(atom), 1),): 1} if isinstance(atom, _ATOMS) else _sparse(atom)
+        atom = rebuild(e, _written)
+        k = _UNIT
+        if isinstance(atom, Fun) and atom.name in ("sin", "cos"):
+            k, x = _add_content(atom.arg) if isinstance(atom.arg, Add) else \
+                _split_coeff(atom.arg)
+        if k.denominator == 1 and k >= 2:
+            # the real or imaginary part of (cos(x) + i*sin(x))^n, settled
+            # term by term: (-1)^(j//2) * C(n, j) * cos(x)^(n-j) * sin(x)^j
+            # over even or odd j
+            out, n, sin, cos = {}, k.numerator, _intern(fun("sin", x)), _intern(fun("cos", x))
+            for j in range(atom.name == "sin", n + 1, 2):
+                _settle_folded({cos: n - j, sin: j}, (-1) ** (j // 2) * math.comb(n, j), out)
+            out = {key: c for key, c in out.items() if c}
+        else:
+            out = {((_intern(atom), 1),): 1} if isinstance(atom, _ATOMS) else _sparse(atom)
     if not isinstance(e, Mul):
         _READ_MEMO.put(_READS, e, out, len(out) or 1)
     return out
+
+
+def _written(e: Expr) -> Expr:
+    """The read of e written back as a tree: the sum of its monomials, each
+    the product of its coefficient and its atoms' powers, which puts a root
+    atom back onto its base."""
+    return add(*[mul(rat(c), *[pow_(_ATOM_OF[i], x) for i, x in key])
+                 for key, c in _sparse(e).items()])
 
 
 # ---------------------------------------------------------------------------
@@ -1366,53 +1380,18 @@ def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> dict:
     return _term_sorted(out)
 
 
-def _trig_multiple_expand(e: Expr) -> Expr:
-    """Rewrite sin/cos of integer multiples down to the base angle."""
-    if isinstance(e, Fun) and e.name in ("sin", "cos"):
-        arg = _trig_multiple_expand(e.arg)
-        c, rest = _split_coeff(arg)
-        if c.denominator == 1 and abs(c) >= 2:
-            return _angle_multiple(e.name, int(c), rest)
-        return fun(e.name, arg)
-    return rebuild(e, _trig_multiple_expand)
-
-
-def _angle_multiple(name: str, k: int, x: Expr) -> Expr:
-    """sin(k*x) or cos(k*x) as the flat sum of (cos(x) + i*sin(x))^|k|'s
-    imaginary or real part: (-1)^(j//2) * C(|k|, j) * cos(x)^(|k|-j) *
-    sin(x)^j over odd or even j.  It must stay flat: ``_init_key`` hashes a
-    node's whole key tuple, so a tree that shares its subtrees costs 2^k."""
-    n, s, c = abs(k), fun("sin", x), fun("cos", x)
-    out = add(*[mul(rat((-1) ** (j // 2) * math.comb(n, j)), pow_(c, n - j), pow_(s, j))
-                for j in range(int(name == "sin"), n + 1, 2)])
-    return neg(out) if k < 0 and name == "sin" else out
-
-
-def _sin_power_reduce(e: Expr) -> Expr:
-    """Replace sin(x)^n (n >= 2) by (1 - cos(x)^2)^(n//2) * sin(x)^(n%2)."""
-    if isinstance(e, (Fun, AFun, AInt)):
-        return e
-    out = rebuild(e, _sin_power_reduce)
-    if isinstance(out, Pow) and isinstance(out.base, Fun) and out.base.name == "sin" \
-            and out.exp.denominator == 1 and out.exp >= 2:
-        q, r = divmod(int(out.exp), 2)
-        reduced = pow_(sub(ONE, pow_(fun("cos", out.base.arg), 2)), Fraction(q))
-        return mul(reduced, out.base) if r else reduced
-    return out
-
-
 def _zero_normal_form(e: Expr) -> tuple[dict, Expr]:
     """(polynomial, multiplier): the normal form of multiplier * e.
 
     ``_read`` reads the tree into the id-form dict with sparse products,
     through the read memo that every normal form shares: sin/cos of
     integer multiples are reduced to the base angle, sin(x)^n to cos
-    powers, and products of sums are multiplied out on the monomials.  A
-    negative or fractional power of a base that is not an atom (a sum in a
-    denominator or under a root) is the one node whose tree is rewritten
-    (``_sparse``), so the same rewrites reach inside radicals and
-    denominators.  ``_clear_denominators`` then clears the dict with the
-    same product.
+    powers, and products of sums are multiplied out on the monomials.  An
+    atom is put in form by the same read: a function's arguments and the
+    base of a negative or fractional power (a sum in a denominator or under
+    a root) are read and written back (``_sparse``), so the rules reach
+    inside arguments, radicals and denominators, and no tree is rewritten.
+    ``_clear_denominators`` then clears the dict with the same product.
     The multiplier is the product of the nonzero denominators cleared (ONE
     if none); normal forms of different expressions are comparable only
     where their multipliers agree.
@@ -1461,7 +1440,10 @@ def _atom_decidable(atom: Expr) -> bool:
         return atom.name in ("sin", "cos") and abs(c) == 1 and isinstance(rest, (Sym, Jet))
     if isinstance(atom, Pow):
         return isinstance(atom.base, Add) and atom.exp == _HALF
-    return isinstance(atom, (Sym, Jet, Eps, AFun, AInt, Add))
+    if isinstance(atom, (AFun, AInt)):
+        # a written argument is not cleared: over a sum it may be 1 unseen
+        return not any(isinstance(p.base, Add) and p.exp < 0 for p in atoms_of(atom, Pow))
+    return isinstance(atom, (Sym, Jet, Eps, Add))
 
 
 def is_zero(e: Expr):
@@ -1478,9 +1460,13 @@ def is_zero(e: Expr):
     - sin/cos only of +-(a symbol or jet coordinate), and only to
       non-negative powers.
 
-    Any other atom gives UNKNOWN: exp or log, sin/cos of any other argument
-    or to a negative power, a root of anything but a sum, and every other
-    fractional power, such as x^(1/3).
+    The arguments of a function atom are in the read's own form, so equal
+    arguments give one atom.  That form is not cleared, so an arbitrary
+    function or antiderivative whose argument holds a negative power of a
+    sum gives UNKNOWN: F(m1*(m1+m2)^(-1) + m2*(m1+m2)^(-1)) - F(1) is zero.
+    Any other atom outside the class gives UNKNOWN too: exp or log, sin/cos
+    of any other argument or to a negative power, a root of anything but a
+    sum, and every other fractional power, such as x^(1/3).
     """
     poly, _ = _zero_normal_form(e)
     if not poly:

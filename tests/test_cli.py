@@ -1,13 +1,20 @@
 """CLI: commands, formats, exit-code taxonomy, determinism."""
 
+import contextlib
 import copy
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
+
+from approxsym import cli
+from approxsym import expr as ex
 
 CLI = [sys.executable, "-m", "approxsym.cli"]
 # the package's source, for CLI subprocesses run from a checkout
@@ -15,10 +22,39 @@ ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "sr
 
 
 def run(*args, check=True):
-    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, env=ENV)
+    """One CLI command run in this process, with cold caches: ``cli.main``
+    with standard output and error captured.  An exception that ``main``
+    lets through is printed as a traceback with return code 1, as the
+    interpreter prints it, so "Traceback" in stderr keeps its meaning."""
+    ex.clear_caches()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as stop:   # argparse's usage errors
+            code = stop.code or 0
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    proc = subprocess.CompletedProcess(CLI + list(args), code, out.getvalue(), err.getvalue())
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def run_process(*args, hash_seed):
+    """One CLI command in a process of its own, under the given hash seed."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env={**ENV, "PYTHONHASHSEED": str(hash_seed)})
+
+
+def test_run_prints_an_escaped_exception_as_a_traceback(monkeypatch):
+    def broken(args):
+        raise KeyError("broken")
+    monkeypatch.setattr(cli, "cmd_models", broken)
+    proc = run("models", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback") and "KeyError: 'broken'" in proc.stderr
 
 
 def test_models_list():
@@ -118,6 +154,32 @@ def test_noether_override_non_symmetry_exit_4():
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize("override", [
+    ("--xi", '[["1"],["0"]]'), ("--eta", '[["0"],["0"]]'), ("--phi", '[["0","0"]]')])
+@pytest.mark.parametrize("name", ["Nope", "Xi1"])
+def test_generator_name_beside_an_override_exits_2(override, name):
+    # the name was ignored without a word: exit 0 with the custom law
+    proc = run("noether", "--model", "free-particle", "--generator", name, *override,
+               check=False)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == "error: --generator cannot be combined with --xi, --eta or --phi\n"
+    assert proc.stdout == ""
+
+
+def test_solution_that_fails_reverification_exits_6(monkeypatch):
+    # with no equations every coordinate vector is a solution; the second
+    # is no symmetry, and solve's re-verification must say so, not assert
+    from approxsym import determine
+    extract = determine.extract
+    monkeypatch.setattr(determine, "extract", lambda *args: dataclasses.replace(
+        extract(*args), equations=[]))
+    proc = run("determine", "--model", "free-particle", check=False)
+    assert proc.returncode == 6
+    assert proc.stderr == ("error: solution vector 2 of 72 fails re-verification: "
+                           "its residual at eps^0 reads False, not zero\n")
+    assert proc.stdout == ""
+
+
 def test_override_concretizes_model_functions():
     # oscillator-quadratic binds F(w) = (w + delta)^2, so this gauge is zero
     data = json.loads(run("noether", "--model", "oscillator-quadratic",
@@ -181,12 +243,12 @@ def test_golden_subcommand():
 
 
 def test_outputs_are_deterministic():
-    a = run("determine", "--model", "free-particle", "--format", "json").stdout
-    b = run("determine", "--model", "free-particle", "--format", "json").stdout
-    assert a == b
-    c = run("expand", "--model", "coupled-system").stdout
-    d = run("expand", "--model", "coupled-system").stdout
-    assert c == d
+    # set order differs between hash seeds; the output must not
+    for args in (("determine", "--model", "free-particle", "--format", "json"),
+                 ("expand", "--model", "coupled-system")):
+        a, b = (run_process(*args, hash_seed=seed) for seed in (1, 2))
+        assert a.returncode == b.returncode == 0, a.stderr + b.stderr
+        assert a.stdout == b.stdout
 
 
 def test_determine_output_feeds_noether(tmp_path):
@@ -317,7 +379,6 @@ _MUTATIONS = (
 
 def test_mutated_model_exits_0_or_2(tmp_path, capsys):
     # every mutation, not a sample: one case is a few milliseconds
-    from approxsym import cli
     from approxsym.models import _BUILTINS
     path = tmp_path / "model.json"
     for (*parents, key), value in _MUTATIONS:
@@ -357,7 +418,7 @@ def test_function_body_in_its_formal_and_constants_loads(tmp_path):
 
 
 def test_expand_and_golden_never_build_the_ansatz(monkeypatch, capsys):
-    from approxsym import cli, determine
+    from approxsym import determine
     from approxsym.models import load_builtin
 
     def checked(basis, key):
@@ -536,8 +597,6 @@ def test_undeclared_function_in_an_override_exits_2():
 def test_law_without_a_quantity_exits_2_before_any_check(
         tmp_path, monkeypatch, capsys, laws, message, csv):
     # Xi11 and Xi12 of three-body have no transcribed quantity
-    from approxsym import cli
-
     def never(*args, **kwargs):
         raise AssertionError("checked a law that cannot be checked")
     for name in ("compile_numeric", "integrate", "divergence_check"):
@@ -554,8 +613,6 @@ def test_law_without_a_quantity_exits_2_before_any_check(
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 def test_unwritable_csv_exits_2_before_integrating(tmp_path, monkeypatch, capsys, where):
-    from approxsym import cli
-
     def integrate(*args):
         raise AssertionError("integrated before the CSV path was checked")
     monkeypatch.setattr(cli, "integrate", integrate)

@@ -1,5 +1,6 @@
 """Discovery: extraction, exact solving, canonical report, span membership."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from approxsym import expr as ex
 from approxsym.determine import (AnsatzSpace, _gauge_residual, _generator_and_gauge,
                                  default_ansatz, extract, membership, report, solve)
-from approxsym.errors import AnsatzIncomplete
+from approxsym.errors import AnsatzIncomplete, UnverifiedSolution
 from approxsym.jet import JetSpace
 from approxsym.linalg import assemble_rows, common_multiplier, sparse_rref
 from approxsym.models import builtin_names, load_builtin, load_model_dict
@@ -90,6 +91,17 @@ def test_empty_ansatz_no_generators():
         data[("phi", k, 0)] = []
     system = extract(LAG, AnsatzSpace(SP, data), set())
     assert solve(system) == []
+
+
+def test_solution_that_fails_reverification_is_a_typed_error():
+    # with no equations every coordinate vector is a solution: the first, a
+    # translation in t, is a symmetry of the free particle, the second is not
+    model = load_builtin("free-particle")
+    system = extract(model.lagrangian, model.ansatz, model.constant_names)
+    with pytest.raises(UnverifiedSolution) as err:
+        solve(dataclasses.replace(system, equations=[]))
+    assert str(err.value) == ("solution vector 2 of 72 fails re-verification: "
+                              "its residual at eps^0 reads False, not zero")
 
 
 def test_ansatz_incomplete():

@@ -20,6 +20,47 @@ def p(s):
     return L.parse(s)
 
 
+# ---------------------------------------------------------------------------
+# the tree rewrites the reader replaced: the multiple angles and sin powers of
+# the references below
+
+
+def _trig_multiple_expand(e):
+    """Rewrite sin/cos of integer multiples down to the base angle."""
+    if isinstance(e, ex.Fun) and e.name in ("sin", "cos"):
+        arg = _trig_multiple_expand(e.arg)
+        c, rest = ex._split_coeff(arg)
+        if c.denominator == 1 and abs(c) >= 2:
+            return _angle_multiple(e.name, int(c), rest)
+        return ex.fun(e.name, arg)
+    return ex.rebuild(e, _trig_multiple_expand)
+
+
+def _angle_multiple(name, k, x):
+    """sin(k*x) or cos(k*x) as the flat sum of (cos(x) + i*sin(x))^|k|'s
+    imaginary or real part: (-1)^(j//2) * C(|k|, j) * cos(x)^(|k|-j) *
+    sin(x)^j over odd or even j.  It must stay flat: ``_init_key`` hashes a
+    node's whole key tuple, so a tree that shares its subtrees costs 2^k."""
+    n, s, c = abs(k), ex.fun("sin", x), ex.fun("cos", x)
+    out = ex.add(*[ex.mul(ex.rat((-1) ** (j // 2) * math.comb(n, j)), ex.pow_(c, n - j),
+                          ex.pow_(s, j))
+                   for j in range(int(name == "sin"), n + 1, 2)])
+    return ex.neg(out) if k < 0 and name == "sin" else out
+
+
+def _sin_power_reduce(e):
+    """Replace sin(x)^n (n >= 2) by (1 - cos(x)^2)^(n//2) * sin(x)^(n%2)."""
+    if isinstance(e, (ex.Fun, ex.AFun, ex.AInt)):
+        return e
+    out = ex.rebuild(e, _sin_power_reduce)
+    if isinstance(out, ex.Pow) and isinstance(out.base, ex.Fun) and out.base.name == "sin" \
+            and out.exp.denominator == 1 and out.exp >= 2:
+        q, r = divmod(int(out.exp), 2)
+        reduced = ex.pow_(ex.sub(ex.ONE, ex.pow_(ex.fun("cos", out.base.arg), 2)), Fraction(q))
+        return ex.mul(reduced, out.base) if r else reduced
+    return out
+
+
 def test_parse_oscillator_lagrangian_shape():
     e = p("1/2*(du0#t^2 - u0^2)")
     assert to_text(e) == "1/2*(du0#t^2 - u0^2)"
@@ -151,7 +192,7 @@ def test_multiple_angles_are_flat_sums():
     t = ex.sym("t")
     for k in (2, 3, 7, 40, -5):
         for name in ("sin", "cos"):
-            e = ex._angle_multiple(name, k, t)
+            e = _angle_multiple(name, k, t)
             e = ex.neg(e) if k < 0 and name == "sin" else e
             terms = e.terms if isinstance(e, ex.Add) else (e,)
             assert len(terms) <= abs(k) // 2 + 1, (name, k)
@@ -184,6 +225,39 @@ def test_is_zero_nested_sum_under_a_negative_power(text):
     assert ex.is_zero(p(text)) is True
 
 
+@pytest.mark.parametrize("text, verdict", [
+    # an atom's insides are read: equal arguments are one atom
+    ("F(t*(1 + u0)) - F(t + t*u0)", True),
+    ("F((t + 1)^2) - F(t^2 + 2*t + 1)", True),
+    ("Int(F, (t + 1)^2) - Int(F, t^2 + 2*t + 1)", True),
+    ("F(sin(t)^2) - F(1 - cos(t)^2)", True),
+    ("exp((t + 1)^2) - exp(t^2 + 2*t + 1)", True),
+    ("F(t*(1 + u0)) - F(t + u0)", False),
+    # the multiple of a sum is its content
+    ("sin(2*(t + u0)) - 2*sin(t + u0)*cos(t + u0)", True),
+    ("sin(2*t + 2*u0) - 2*sin(t + u0)*cos(t + u0)", True),
+    # an argument is not cleared, so a zero over a sum is not seen
+    ("F((u0 + 1)^(-1)*u0 + (u0 + 1)^(-1)) - F(1)", ex.UNKNOWN),
+    ("F(m1*(m1 + m2)^(-1) + m2*(m1 + m2)^(-1)) - F(1)", ex.UNKNOWN),
+])
+def test_is_zero_reads_the_insides_of_function_atoms(text, verdict):
+    assert ex.is_zero(p(text)) is verdict
+
+
+def test_atoms_are_put_in_form_without_a_tree_expand(monkeypatch):
+    calls = []
+    for name in ("expand", "_expanded"):
+        def counted(e, walk=getattr(ex, name)):
+            calls.append(e)
+            return walk(e)
+        monkeypatch.setattr(ex, name, counted)
+    ex.clear_caches()
+    for text in ("(1 + sin(2*t))^(-1)", "((x1 - x2)^2 + (y1 - y2)^2)^(-1/2)",
+                 "F(t*(1 + u0))", "cos(3*t)^2"):
+        assert ex._zero_normal_form(p(text))[0]
+    assert calls == []
+
+
 def test_zero_base_to_a_negative_power_is_a_typed_error():
     for e in (-1, Fraction(-1, 2), Fraction(-3, 2), -2):
         with pytest.raises(DivisionByZero):
@@ -196,6 +270,10 @@ def test_zero_base_to_a_negative_power_is_a_typed_error():
         p("log(0)")
     with pytest.raises(DivisionByZero):
         p("log(u0 - u0)")
+    # a zero that only the read sees: the written base or argument is 0
+    for text in ("(sin(t)^2 + cos(t)^2 - 1)^(-1) + 1", "log(sin(t)^2 + cos(t)^2 - 1) + 1"):
+        with pytest.raises(DivisionByZero):
+            ex.is_zero(p(text))
     assert ex.pow_(ex.ZERO, Fraction(1, 2)) == ex.ZERO
 
 
@@ -330,7 +408,7 @@ def tree_clear(poly):
     mult = [ex.pow_(a, q) for a, q in need.items()]
     terms = [ex.expand(ex.mul(ex.rat(c), *[ex.pow_(a, q) for a, q in key], *mult))
              for key, c in poly.items()]
-    return ref_to_poly(ex.expand(ex._sin_power_reduce(ex.add(*terms)))), ex.mul(*mult)
+    return ref_to_poly(ex.expand(_sin_power_reduce(ex.add(*terms)))), ex.mul(*mult)
 
 
 def id_to_poly(e):
@@ -402,8 +480,8 @@ def tree_normal_form(e):
     """The reference: distribute the tree (expand, multiple angles, expand,
     sin powers, expand), read it with ``ref_to_poly`` and clear it with
     ``ref_clear_denominators``, which the tests above hold to ``tree_clear``."""
-    return ref_clear_denominators(ref_to_poly(ex.expand(ex._sin_power_reduce(
-        ex.expand(ex._trig_multiple_expand(ex.expand(e)))))))
+    return ref_clear_denominators(ref_to_poly(ex.expand(_sin_power_reduce(
+        ex.expand(_trig_multiple_expand(ex.expand(e)))))))
 
 
 def verdict(poly):
@@ -615,7 +693,7 @@ class RefProduct:
         elif isinstance(e, ex.Pow):
             base, q = e.base, e.exp
             if isinstance(base, (ex.Fun, ex.AFun, ex.AInt)):
-                base = ex._trig_multiple_expand(base)
+                base = _trig_multiple_expand(base)
             if isinstance(base, ex._ATOMS):
                 out = {}
                 self.settle({base: q}, Fraction(1), out)
@@ -624,15 +702,15 @@ class RefProduct:
                 for _ in range(q.numerator - 1):
                     out = self.times(out, b)
             else:
-                tree = ex.expand(ex._sin_power_reduce(
-                    ex.expand(ex._trig_multiple_expand(ex.expand(e)))))
+                tree = ex.expand(_sin_power_reduce(
+                    ex.expand(_trig_multiple_expand(ex.expand(e)))))
                 out = {}
                 for term in (tree.terms if isinstance(tree, ex.Add) else (tree,)):
                     c, pairs = ex._monomial_pairs(term)
                     self.settle(dict(pairs), c, out)
                 out = {k: c for k, c in out.items() if c}
         else:
-            atom = ex._trig_multiple_expand(e) if isinstance(e, (ex.Fun, ex.AFun, ex.AInt)) else e
+            atom = _trig_multiple_expand(e) if isinstance(e, (ex.Fun, ex.AFun, ex.AInt)) else e
             out = {((atom, 1),): Fraction(1)} if isinstance(atom, ex._ATOMS) else self.sparse(atom)
         self.reads[e] = out
         return out

@@ -1433,16 +1433,22 @@ def clear_caches():
         memo.clears = memo.hits = memo.misses = 0
 
 
+def _holds_inverse_sum(e: Expr) -> bool:
+    """True when e holds a negative power of a sum.  A written argument or
+    root base is not cleared, so over such a power it may be 1 unseen."""
+    return any(isinstance(p.base, Add) and p.exp < 0 for p in atoms_of(e, Pow))
+
+
 def _atom_decidable(atom: Expr) -> bool:
     """True for an atom of the class ``is_zero`` decides."""
     if isinstance(atom, Fun):
         c, rest = _split_coeff(atom.arg)
         return atom.name in ("sin", "cos") and abs(c) == 1 and isinstance(rest, (Sym, Jet))
     if isinstance(atom, Pow):
-        return isinstance(atom.base, Add) and atom.exp == _HALF
+        return (isinstance(atom.base, Add) and atom.exp == _HALF
+                and not _holds_inverse_sum(atom.base))
     if isinstance(atom, (AFun, AInt)):
-        # a written argument is not cleared: over a sum it may be 1 unseen
-        return not any(isinstance(p.base, Add) and p.exp < 0 for p in atoms_of(atom, Pow))
+        return not _holds_inverse_sum(atom)
     return isinstance(atom, (Sym, Jet, Eps, Add))
 
 
@@ -1460,10 +1466,13 @@ def is_zero(e: Expr):
     - sin/cos only of +-(a symbol or jet coordinate), and only to
       non-negative powers.
 
-    The arguments of a function atom are in the read's own form, so equal
-    arguments give one atom.  That form is not cleared, so an arbitrary
-    function or antiderivative whose argument holds a negative power of a
-    sum gives UNKNOWN: F(m1*(m1+m2)^(-1) + m2*(m1+m2)^(-1)) - F(1) is zero.
+    The arguments of a function atom and the base of a root are in the
+    read's own form, so equal arguments give one atom.  That form is not
+    cleared, so an arbitrary function or antiderivative whose argument
+    holds a negative power of a sum gives UNKNOWN, and so does a root of a
+    sum whose terms hold negative powers of sums:
+    F(m1*(m1+m2)^(-1) + m2*(m1+m2)^(-1)) - F(1) and
+    (m1*(m1+m2)^(-1) + m2*(m1+m2)^(-1))^(1/2) - 1 are zero.
     Any other atom outside the class gives UNKNOWN too: exp or log, sin/cos
     of any other argument or to a negative power, a root of anything but a
     sum, and every other fractional power, such as x^(1/3).

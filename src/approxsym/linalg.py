@@ -290,13 +290,23 @@ def span_fits(columns: list[list[Split]]):
     Columns are split columns (``split_column``), so a caller fitting many
     targets against one basis splits the basis once.  Yields one {j: c_j}
     per null vector of [columns[:-1] | -columns[-1]] with a nonzero target
-    coordinate, zero coordinates omitted.
+    coordinate, zero coordinates omitted.  Each distinct target entry that
+    is an Expr is negated once: many rows, twins that ``sparse_rref`` drops,
+    share one.  A Fraction is negated directly, which costs less than
+    hashing it.
     """
     target = len(columns) - 1
     rows = assemble_rows(columns).values()
+    negated = {}
     for row in rows:
-        if target in row:
-            row[target] = fe_neg(row[target])
+        entry = row.get(target)
+        if isinstance(entry, Fraction):
+            row[target] = -entry
+        elif entry is not None:
+            neg = negated.get(entry)
+            if neg is None:
+                neg = negated[entry] = fe_neg(entry)
+            row[target] = neg
     for vec in nullspace(rows, len(columns)):
         t = vec.get(target)
         if t is not None and not fe_is_zero(t):

@@ -394,12 +394,20 @@ def _sweep_states(lag_expr: ex.Expr, space: JetSpace, eps_values: tuple,
     blocks].  Each eps trajectory is dropped as soon as it is packed.
     """
     binds = dict(bindings)
-    base_model = compile_full(lag_expr, space, binds, 0.0)
-    base = integrate(base_model, y0, t0, t1, h)
+
+    def run(eps: float) -> tuple[NumericModel, Trajectory]:
+        model = compile_full(lag_expr, space, binds, eps)
+        try:
+            return model, integrate(model, y0, t0, t1, h)
+        except NonFiniteState as err:
+            raise NonFiniteState(f"eps sweep, system at eps={eps}: {err}") from None
+
+    # the eps=0 system is the unperturbed solution every eps is compared with
+    base_model, base = run(0.0)
     nb = len(base_model.positions)
     packed = []
     for eps in eps_values:
-        traj = integrate(compile_full(lag_expr, space, binds, eps), y0, t0, t1, h)
+        _, traj = run(eps)
         states = array("d")
         _pack_loop(nb, bool(eps))(traj.ys, base.ys, eps, states.extend)
         del traj

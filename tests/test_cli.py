@@ -350,6 +350,15 @@ def test_non_finite_sweep_exits_2(sweep):
     assert proc.stderr.startswith("error: --sweep:"), proc.stderr
 
 
+def test_singular_sweep_base_names_the_sweep_and_exits_5():
+    # body 3's kinetic term carries eps, so its acceleration divides by zero
+    # in the eps=0 system the sweep compares with; --numeric alone succeeds
+    proc = run("verify", "--model", "three-body", "--law", "Xi1",
+               "--sweep", "1e-2,1e-3", check=False)
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: eps sweep, system at eps=0.0:"), proc.stderr
+
+
 _BAD_ROWS = [[["u1"], ["0"]], [["du0#t"], ["0"]], [["u2"], ["0"]], [["1"]],
              [["1", "2"], ["0"]], [["eps"], ["0"]], [[1], [0]], [["("], ["0"]], "x"]
 _NUMBERS = [{"k": float("nan")}, {"u0": float("inf")}, {"k": -float("inf")},

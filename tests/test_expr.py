@@ -1477,6 +1477,8 @@ CONSTRUCTOR_CASES = [
     M(P(X("x"), Fraction(1, 2)), P(X("x"), Fraction(1, 2)), X("sin(t)")),
     P(P(X("x"), Fraction(1, 2)), 4), P(M(R(-2), X("x"), P(X("y"), -1)), -3),
     M(X("raw (4x+4y)^(1/2)"), X("x")), M(X("raw (2x-2)^(-1)"), R(3)),
+    M(R(1), X("raw (4x+4y)^(1/2)")),           # a lone root: 2*(x + y)^(1/2)
+    M(X("raw (2x-2)^(-1)"), R(0)), A(TWO_X_TWO_Y), A(R(0), TWO_X_TWO_Y, R(0)),
     P(R(0), -1),                                                  # raises on both sides
 ]
 
@@ -1521,6 +1523,38 @@ def test_constructed_trees_hold_fractions_only(recipe):
     except DivisionByZero:
         return
     assert_fraction_fields(new)
+
+
+# the units of the identity checks, and plain ints, which are not an Expr and
+# so send a call down the general path
+UNITS = [ex.ZERO, ex.ONE, 0, 1, 2, -1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(RECIPES, st.lists(st.sampled_from(UNITS), max_size=3), st.integers(0, 3),
+       st.booleans())
+def test_identity_checks_build_what_the_general_path_builds(recipe, units, at, summed):
+    # an extra int 0 in a sum, or 1 in a product, changes nothing but the
+    # path: the call takes the general one
+    try:
+        x = build(recipe, RECIPE_ATOMS)
+    except DivisionByZero:
+        return
+    ops = units[:at] + [x] + units[at:]
+    if summed:
+        got, general = ex.add(*ops), ex.add(*ops, 0)
+    else:
+        got, general = ex.mul(*ops), ex.mul(*ops, 1)
+    assert_same_tree(got, general)
+    if summed and all(u is ex.ZERO for u in units):
+        assert got is x
+
+
+@pytest.mark.parametrize("operands", [(None, ex.ZERO), (ex.ZERO, None), (None,)],
+                         ids=["x+0", "0+x", "x"])
+def test_add_returns_its_lone_operand_itself(operands):
+    x = ex.add(ex.mul(2, ex.sym("x")), ex.mul(2, ex.sym("y")))
+    assert ex.add(*[x if o is None else o for o in operands]) is x
 
 
 # ---------------------------------------------------------------------------
@@ -1645,6 +1679,37 @@ def test_subst_builds_the_reference_tree(recipe, bindings):
             ex.subst(e, bindings)
         return
     assert_same_tree(ex.subst(e, bindings), ref)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(RECIPES, st.sampled_from(SUBSTITUTIONS))
+def test_subst_rebuilds_each_distinct_subtree_once(recipe, bindings):
+    # w occurs twice, once in each product; each distinct node that the walk
+    # reaches, not under a bound node, is rebuilt once
+    try:
+        w = wrapped(build(recipe, CANONICAL_ATOMS))
+        e = ex.add(ex.mul(w, ex.sym("a")), ex.mul(w, ex.sym("b")))
+    except DivisionByZero:
+        return
+    reached, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if node not in bindings and node not in reached:
+            reached.add(node)
+            stack.extend(ex._children(node))
+    calls, real = [0], ex.rebuild
+
+    def counted(node, fn):
+        calls[0] += 1
+        return real(node, fn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "rebuild", counted)
+        try:
+            ex.subst(e, bindings)
+        except DivisionByZero:
+            return
+    assert calls[0] == len(reached)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

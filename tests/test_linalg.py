@@ -328,3 +328,30 @@ def test_split_constants_builds_one_entry_per_constant_part(monkeypatch):
             for rec in model.golden if rec.quantity is not None]
     noether.classify(laws, model.constant_names)
     assert products[0] <= pairs[0] < with_constants[0]
+
+
+def test_span_fits_negates_each_distinct_target_entry_once(monkeypatch):
+    # golden_check on three-body: the fits hold 3,134 target entries, all of
+    # them Expr and 149 distinct within their fit; each is negated once, not
+    # once per row (a Fraction entry is negated without fe_neg)
+    code, neg, assemble = linalg.span_fits.__code__, linalg.fe_neg, linalg.assemble_rows
+    negations, distinct, entries = [0], [0], [0]
+
+    def counted_neg(a):
+        negations[0] += sys._getframe(1).f_code is code
+        return neg(a)
+
+    def recorded(columns):
+        rows = assemble(columns)
+        if sys._getframe(1).f_code is code:
+            target = len(columns) - 1
+            targets = [row[target] for row in rows.values()
+                       if not isinstance(row.get(target, Fraction(0)), Fraction)]
+            entries[0] += len(targets)
+            distinct[0] += len(set(targets))
+        return rows
+
+    monkeypatch.setattr(linalg, "fe_neg", counted_neg)
+    monkeypatch.setattr(linalg, "assemble_rows", recorded)
+    assert all(r.passed for r in golden_check(load_builtin("three-body")))
+    assert negations[0] == distinct[0] < entries[0]

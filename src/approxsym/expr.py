@@ -26,8 +26,19 @@ The zero normal form works on a sparse polynomial of its own, the id form:
 a monomial is a sorted tuple of (interned atom id, int exponent) pairs and a
 coefficient is an int wherever it is integral.  Products of monomials merge
 these tuples and hash no tree.  The returned normal form is converted back,
-once per distinct monomial, to keys of (atom, exponent) pairs with Fraction
-coefficients, which ``linalg`` and the printers read.
+once per distinct monomial, to keys of (atom, exponent) pairs, which
+``linalg`` and the printers read.
+
+Every exact rational the kernel holds is an int when it is integral and a
+Fraction only otherwise: ``Rat.value``, ``Pow.exp``, the coefficients of a
+normal form and, in ``linalg``, the rational entries.  The constructors
+normalise what they are given, so a Fraction with denominator 1 is never
+stored.  Keys are read from ``numerator`` and ``denominator``, which ints
+have too, and an int hashes and compares as the equal Fraction, so the
+keys, their order and every printed form are those of the Fraction alone.
+Integer arithmetic stays in ints where it can: ``int / int`` and
+``int ** -k`` would give floats, so a quotient or a negative power goes
+through Fraction.
 """
 
 from __future__ import annotations
@@ -131,10 +142,16 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot coerce {x!r} into an expression")
 
 
+def _rational(v: int | Fraction) -> int | Fraction:
+    """v as an int when it is integral, else the Fraction itself."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
+
+
 class Rat(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: int | Fraction):
+        value = _rational(value)
         object.__setattr__(self, "value", value)
         self._init_key((0, value.numerator, value.denominator))
 
@@ -221,7 +238,8 @@ class AInt(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exp")
 
-    def __init__(self, base: Expr, exp: Fraction):
+    def __init__(self, base: Expr, exp: int | Fraction):
+        exp = _rational(exp)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
         self._init_key((7, base._key, exp.numerator, exp.denominator), base._eps)
@@ -249,20 +267,30 @@ class Add(Expr):
 # smart constructors
 
 
-_RAT_CACHE: dict[Fraction, Rat] = {}
-_UNIT = Fraction(1)
+# the size bound of every module-level table: each memo, and the interned
+# rationals
+_BOUND = 4000
+# the interned rationals, keyed by their value as Rat holds it, at most
+# _BOUND of them: ZERO and ONE are interned first and so always.  Past the
+# bound rat builds an equal Rat that is not interned; only `is ZERO` and
+# `is ONE` rely on identity
+_RAT_CACHE: dict[int | Fraction, Rat] = {}
+_UNIT = 1
 # the nodes that pow_ only wraps: base^e is Pow(base, e) for every e but 0, 1
 _ATOMS = (Sym, Jet, Eps, Fun, AFun, AInt)
 
 
 def rat(x) -> Rat:
-    # an int finds the Rat of the equal Fraction: they hash and compare alike
     r = _RAT_CACHE.get(x)
     if r is None:
-        v = x if isinstance(x, Fraction) else Fraction(x)
+        # a Fraction equal to an int finds the int's Rat: they hash and
+        # compare alike.  Anything else is stored under its normalised value
+        v = _rational(x if isinstance(x, (int, Fraction)) else Fraction(x))
         r = _RAT_CACHE.get(v)
         if r is None:
-            r = _RAT_CACHE[v] = Rat(v)
+            r = Rat(v)
+            if len(_RAT_CACHE) < _BOUND:
+                _RAT_CACHE[v] = r
     return r
 
 
@@ -312,7 +340,7 @@ def aint(name: str, arg: Expr) -> AInt:
     return AInt(name, _coerce(arg))
 
 
-def _split_coeff(e: Expr) -> tuple[Fraction, Expr]:
+def _split_coeff(e: Expr) -> tuple[int | Fraction, Expr]:
     """Split off the rational coefficient: e = coeff * rest."""
     if isinstance(e, Rat):
         return e.value, ONE
@@ -322,7 +350,7 @@ def _split_coeff(e: Expr) -> tuple[Fraction, Expr]:
     return _UNIT, e
 
 
-def _coeff_factors(e: Expr) -> tuple[Fraction | int, tuple[Expr, ...]]:
+def _coeff_factors(e: Expr) -> tuple[int | Fraction, tuple[Expr, ...]]:
     """e as its rational coefficient and the tuple of its other factors,
     without building the rest: () for a rational, (e,) for a non-product."""
     if isinstance(e, Mul):
@@ -386,7 +414,7 @@ def add(*terms) -> Expr:
     return Add(tuple(out))
 
 
-def _as_base_exp(f: Expr) -> tuple[Expr, Fraction]:
+def _as_base_exp(f: Expr) -> tuple[Expr, int | Fraction]:
     if isinstance(f, Pow):
         return f.base, f.exp
     return f, _UNIT
@@ -432,8 +460,7 @@ def mul(*factors) -> Expr:
             f = _coerce(f)
         for p in (f.factors if isinstance(f, Mul) else (f,)):
             if isinstance(p, Rat):
-                v = p.value
-                coeff *= v.numerator if v.denominator == 1 else v
+                coeff *= p.value
                 continue
             base = p.base if isinstance(p, Pow) else p
             prev = powers.get(base)
@@ -467,13 +494,12 @@ def mul(*factors) -> Expr:
         elif v == 0:
             continue
         elif isinstance(base, _ATOMS):
-            piece = Pow(base, v if isinstance(v, Fraction) else Fraction(v))
+            piece = Pow(base, v)
         else:
             piece = pow_(base, v)
         if isinstance(piece, Rat):
             # ONE included
-            v = piece.value
-            coeff *= v.numerator if v.denominator == 1 else v
+            coeff *= piece.value
             continue
         # pow_ may have rewritten the base (content extraction, exponent
         # merging); anything not anchored on the original base must go
@@ -524,7 +550,7 @@ def _rat_root(v: Fraction, q: int) -> Fraction | None:
     return Fraction(a, b)
 
 
-def _add_content(e: Add) -> tuple[Fraction, Expr]:
+def _add_content(e: Add) -> tuple[int | Fraction, Expr]:
     """Positive rational content of a sum (gcd of term coefficients)."""
     num = 0
     den = 1
@@ -541,7 +567,8 @@ def _add_content(e: Add) -> tuple[Fraction, Expr]:
 
 
 def pow_(base, e) -> Expr:
-    """base^e for an int or Fraction e; a Pow node always holds a Fraction."""
+    """base^e for an int or Fraction e; a Pow node holds e as an int when
+    it is integral, else as the Fraction."""
     if not isinstance(base, Expr):
         base = _coerce(base)
     if not isinstance(e, (int, Fraction)):
@@ -558,7 +585,9 @@ def pow_(base, e) -> Expr:
         if v == 0 and e < 0:
             raise DivisionByZero(f"division by zero: 0^({e})")
         if q == 1:
-            return rat(v ** e.numerator)
+            # int ** -k is a float: a negative power goes through Fraction
+            n = e.numerator
+            return rat(v ** n if n > 0 else Fraction(v) ** n)
         if v >= 0:
             root = _rat_root(v, q)
             if root is not None:
@@ -569,8 +598,6 @@ def pow_(base, e) -> Expr:
             return pow_(base.base, base.exp * e)
         if isinstance(base, Mul):
             return mul(*[pow_(f, e) for f in base.factors])
-        if not isinstance(e, Fraction):
-            e = Fraction(e)
     if isinstance(base, Add):
         out = _pow_sum(base, e)
         if out is not None:
@@ -578,7 +605,7 @@ def pow_(base, e) -> Expr:
     return Pow(base, e)
 
 
-def _pow_sum(base: Add, e: Fraction) -> Expr | None:
+def _pow_sum(base: Add, e: int | Fraction) -> Expr | None:
     """pow_(base, e) where taking out the sum's rational content changes
     it, else None: then it is Pow(base, e)."""
     content, rest = _add_content(base)
@@ -600,7 +627,7 @@ def sub(a, b) -> Expr:
 
 
 def div(a, b) -> Expr:
-    return mul(_coerce(a), pow_(_coerce(b), Fraction(-1)))
+    return mul(_coerce(a), pow_(_coerce(b), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +719,9 @@ def contains_eps(e: Expr) -> bool:
 # memo's walk (``gradient``, ``expand``, ``_zero_normal_form``, ``_read``
 # or ``_poly_times``) then starts by emptying it, so a walk never loses its
 # memo halfway.  ``cache_stats`` and ``clear_caches`` walk ``_MEMOS``, so a
-# new memo is covered by being built.
+# new memo is covered by being built.  The bound is ``_BOUND``, which also
+# bounds the interned rationals.
 
-_BOUND = 4000
 _MEMOS: list[_Memo] = []
 
 
@@ -847,7 +874,7 @@ _FUN_DERIVATIVE = {
     "sin": lambda a: fun("cos", a),
     "cos": lambda a: neg(fun("sin", a)),
     "exp": lambda a: fun("exp", a),
-    "log": lambda a: pow_(a, Fraction(-1)),
+    "log": lambda a: pow_(a, -1),
 }
 
 
@@ -976,7 +1003,7 @@ def _expand(e: Expr) -> Expr:
             return out
         if isinstance(base, Add) and e.exp.denominator == 2 and e.exp > 1:
             # split off the expandable integer part of a half-integer power
-            q = Fraction(e.exp.numerator // 2)
+            q = e.exp.numerator // 2
             return _distribute(_expanded(pow_(base, q)), Pow(base, e.exp - q))
         return pow_(base, e.exp)
     if isinstance(e, Mul):
@@ -1014,7 +1041,7 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-def _monomial_pairs(term: Expr) -> tuple[Fraction, list[tuple[Expr, Fraction]]]:
+def _monomial_pairs(term: Expr) -> tuple[int | Fraction, list[tuple[Expr, int | Fraction]]]:
     c, rest = _split_coeff(term)
     if rest == ONE:
         return c, []
@@ -1290,8 +1317,7 @@ def _sparse(e: Expr) -> dict:
         return out
     _READ_MEMO.misses += 1
     if isinstance(e, Rat):
-        v = e.value
-        out = {(): v.numerator if v.denominator == 1 else v} if v else {}
+        out = {(): e.value} if e.value else {}
     elif isinstance(e, Add):
         out = {}
         for t in e.terms:
@@ -1323,8 +1349,7 @@ def _sparse(e: Expr) -> dict:
     elif isinstance(e, Pow):
         c, pairs = _monomial_pairs(pow_(_written(e.base), e.exp))
         out = {}
-        _settle_folded({_intern(b): x for b, x in pairs},
-                       c.numerator if c.denominator == 1 else c, out)
+        _settle_folded({_intern(b): x for b, x in pairs}, c, out)
         out = {k: c for k, c in out.items() if c}
     else:
         atom = rebuild(e, _written)
@@ -1375,7 +1400,7 @@ def _expr_key(key: tuple) -> tuple:
     else:
         # undo _key_of's split: a root or X^(p/q) atom goes back onto its
         # base before the powers are taken, as in (t^2)^(-1/2)
-        bases: dict[Expr, Fraction | int] = {}
+        bases: dict[Expr, int | Fraction] = {}
         for a, x in pairs:
             if isinstance(a, Pow) and a.exp.denominator > 1 and x == 1:
                 a, x = a.base, a.exp
@@ -1388,16 +1413,18 @@ def _expr_key(key: tuple) -> tuple:
 
 
 def _term_sorted(poly: dict) -> dict:
-    """The id-form poly in Expr keys with Fraction values, zero terms
-    dropped, ordered as ``add`` orders the terms of the expanded tree: by
-    the ``_key`` of the term it holds for each monomial: ``rest``, the
-    product of the key's powers, when c == 1, else the product node of c
-    and the factors of ``rest``.  That order reaches printed output (see
-    ``linalg.assemble_rows``)."""
+    """The id-form poly in Expr keys, zero terms dropped, ordered as ``add``
+    orders the terms of the expanded tree: by the ``_key`` of the term it
+    holds for each monomial: ``rest``, the product of the key's powers, when
+    c == 1, else the product node of c and the factors of ``rest``.  That
+    order reaches printed output (see ``linalg.assemble_rows``).  Each value
+    is an int when it is integral, else a Fraction: a product or a sum of
+    Fractions in the id form can be integral."""
     items = []
     for key, c in poly.items():
         if not c:
             continue
+        c = _rational(c)
         ekey, factors = _expr_key(key)
         if not key:
             order = (0, c.numerator, c.denominator)
@@ -1407,7 +1434,7 @@ def _term_sorted(poly: dict) -> dict:
             order = (8, ((0, c.numerator, c.denominator),) + factors)
         items.append((order, ekey, c))
     items.sort(key=operator.itemgetter(0))
-    return {ekey: c if isinstance(c, Fraction) else Fraction(c) for _, ekey, c in items}
+    return {ekey: c for _, ekey, c in items}
 
 
 def _clear_denominators(poly: dict) -> tuple[dict, Expr]:
@@ -1432,7 +1459,7 @@ def _clear_denominators(poly: dict) -> tuple[dict, Expr]:
     return _term_sorted(out), mul(*[pow_(_ATOM_OF[i], x) for i, x in need.items()])
 
 
-def _poly_times(poly: dict, factor: Mapping[Expr, Fraction]) -> dict:
+def _poly_times(poly: dict, factor: Mapping[Expr, int | Fraction]) -> dict:
     """The normal form of poly, a dict that ``_zero_normal_form`` returned,
     times the monomial prod(b^k for b, k in factor).
 
@@ -1462,9 +1489,10 @@ def _zero_normal_form(e: Expr) -> tuple[dict, Expr]:
     if none); normal forms of different expressions are comparable only
     where their multipliers agree.
 
-    The polynomial is returned as {Expr key: Fraction} in term order
+    The polynomial is returned as {Expr key: coefficient} in term order
     (``_term_sorted``): an Expr key is a tuple of (atom, int exponent)
-    sorted by atom, each distinct id key converted once through ``_KEYS``.
+    sorted by atom, each distinct id key converted once through ``_KEYS``,
+    and a coefficient is an int when it is integral, else a Fraction.
     Which atoms it holds is for ``is_zero`` to judge.
     """
     _ZNF_MEMO.room()
@@ -1484,16 +1512,20 @@ def cache_stats() -> dict[str, dict[str, int]]:
     holding their derivatives), ``expand`` (whole expansions), ``normal_form``
     (whole zero normal forms) and ``memo`` (node reads, power expansions and
     converted keys, holding their monomials, and the interned ``atoms``);
-    ``rat`` counts the interned rationals only."""
+    ``rat`` gives the interned rationals, their bound and whether it was
+    reached (``full``)."""
     stats = {memo.name: memo.stats() for memo in _MEMOS}
-    stats["rat"] = {"entries": len(_RAT_CACHE)}
+    stats["rat"] = {"entries": len(_RAT_CACHE), "bound": _BOUND,
+                    "full": len(_RAT_CACHE) >= _BOUND}
     return stats
 
 
 def clear_caches():
     """Empty every memo, the atom table with the read memo, and zero their
-    counters.  No output depends on them.  The interned rationals stay:
-    ``ZERO`` and ``ONE`` are among them."""
+    counters.  No output depends on them.  The interned rationals are never
+    emptied: ``add`` and ``mul`` test operands with ``is ZERO`` and
+    ``is ONE``, so those two must stay the interned ones, and the table is
+    bounded already (a value past the bound is built uninterned)."""
     for memo in _MEMOS:
         memo.empty()
         memo.clears = memo.hits = memo.misses = 0

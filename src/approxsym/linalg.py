@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals extended by symbolic constants.
 
-Entries are either plain Fractions (the fast path) or canonical expressions
-in declared constants, treated as independent transcendentals: any entry
-whose zero test succeeds is a valid pivot, and an Unknown zero test raises
-SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column index.
+Entries are either plain rationals (the fast path), each an int when it is
+integral and a Fraction otherwise, as ``expr`` holds them, or canonical
+expressions in declared constants, treated as independent transcendentals:
+any entry whose zero test succeeds is a valid pivot, and an Unknown zero
+test raises SymbolicPivotAmbiguity.  Rows are sparse dicts keyed by column
+index.
 
 One elimination, ``sparse_rref``, serves every system.  It first drops each
 row that repeats an earlier one exactly (the span fits of ``golden_check``
@@ -47,13 +49,16 @@ __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
            "common_multiplier", "split_column", "assemble_rows", "coefficient_rows",
            "span_fits", "sparse_rref", "nullspace", "solve_dense"]
 
-FE = Fraction | ex.Expr
+# an entry: an int when it is integral, a Fraction when it is another
+# rational, an Expr when it holds a constant.  Every entry that is not an
+# Expr is a rational, so the fast path tests for Expr only
+FE = int | Fraction | ex.Expr
 # one part split by ``_split_constants``: ({signature: entry}, multiplier)
 Split = tuple[dict[tuple, FE], ex.Expr]
 
 
 def fe_expr(a: FE) -> ex.Expr:
-    return ex.rat(a) if isinstance(a, Fraction) else a
+    return a if isinstance(a, ex.Expr) else ex.rat(a)
 
 
 def _demote(e: ex.Expr) -> FE:
@@ -61,29 +66,30 @@ def _demote(e: ex.Expr) -> FE:
 
 
 def fe_add(a: FE, b: FE) -> FE:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
+    if not isinstance(a, ex.Expr) and not isinstance(b, ex.Expr):
+        return ex._rational(a + b)
     return _demote(ex.expand(ex.add(fe_expr(a), fe_expr(b))))
 
 
 def fe_mul(a: FE, b: FE) -> FE:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
+    if not isinstance(a, ex.Expr) and not isinstance(b, ex.Expr):
+        return ex._rational(a * b)
     return _demote(ex.expand(ex.mul(fe_expr(a), fe_expr(b))))
 
 
 def fe_neg(a: FE) -> FE:
-    return -a if isinstance(a, Fraction) else _demote(ex.neg(a))
+    return _demote(ex.neg(a)) if isinstance(a, ex.Expr) else -a
 
 
 def fe_div(a: FE, b: FE) -> FE:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
+    if not isinstance(a, ex.Expr) and not isinstance(b, ex.Expr):
+        # int / int is a float: the quotient is taken as a Fraction
+        return ex._rational(Fraction(a, b))
     return _demote(ex.expand(ex.div(fe_expr(a), fe_expr(b))))
 
 
 def fe_is_zero(a: FE) -> bool:
-    if isinstance(a, Fraction):
+    if not isinstance(a, ex.Expr):
         return a == 0
     z = ex.is_zero(a)
     if z is ex.UNKNOWN:
@@ -95,7 +101,7 @@ def _axpy(row: dict, pivot_row: dict, factor: FE) -> dict:
     """row + factor * pivot_row, dropping zero entries."""
     out = dict(row)
     for c, v in pivot_row.items():
-        nv = fe_add(out.get(c, Fraction(0)), fe_mul(factor, v))
+        nv = fe_add(out.get(c, 0), fe_mul(factor, v))
         if fe_is_zero(nv):
             out.pop(c, None)
         else:
@@ -107,7 +113,7 @@ def _sort_key(row: dict) -> tuple:
     """Promotion order of a reduced row: smallest leading column first, then
     a rational pivot before a symbolic one, then the shorter row."""
     lead = min(row)
-    return (lead, 0 if isinstance(row[lead], Fraction) else 1, len(row))
+    return (lead, 1 if isinstance(row[lead], ex.Expr) else 0, len(row))
 
 
 def sparse_rref(rows: list[dict]) -> dict[int, dict]:
@@ -131,8 +137,17 @@ def sparse_rref(rows: list[dict]) -> dict[int, dict]:
     stable re-sort of the whole list would put them.  Rows are therefore
     promoted in the same order as when every pending row was re-keyed and
     the list re-sorted at each promotion.
+
+    Pivots are promoted in increasing column order, and a column index maps
+    each column that is not yet a pivot to the pivot columns whose rows may
+    hold it, so back-substitution visits only the pivot rows that hold the
+    new pivot column, in promotion order, instead of probing every pivot
+    row.
     """
     pivots: dict[int, dict] = {}
+    # column -> pivot columns whose rows held it when last written; a row
+    # that has lost the column since is skipped
+    holders: dict[int, set[int]] = {}
     distinct = dict.fromkeys(tuple(r.items()) for r in rows)
     pending = []   # (sort key, tie, row)
     for items in distinct:
@@ -144,13 +159,21 @@ def sparse_rref(rows: list[dict]) -> dict[int, dict]:
     while pending:
         # promote the row whose leading column is smallest; prefer rational pivots
         (lead, _, _), _, row = heapq.heappop(pending)
-        inv = fe_div(Fraction(1), row[lead])
+        inv = fe_div(1, row[lead])
         row = {c: fe_mul(inv, v) for c, v in row.items()}
-        row[lead] = Fraction(1)
-        # eliminate the new pivot column from existing pivot rows
-        for pc, prow in list(pivots.items()):
+        row[lead] = 1
+        for c in row:
+            if c != lead:
+                holders.setdefault(c, set()).add(lead)
+        # eliminate the new pivot column from the pivot rows that hold it;
+        # the columns they gain are those of the new row
+        for pc in sorted(holders.pop(lead, ())):
+            prow = pivots[pc]
             if lead in prow:
-                pivots[pc] = _axpy(prow, row, fe_neg(prow[lead]))
+                pivots[pc] = new = _axpy(prow, row, fe_neg(prow[lead]))
+                for c in new:
+                    if c not in prow:
+                        holders[c].add(pc)
         pivots[lead] = row
         # and from the pending rows that hold it, which all lead with it
         held = []
@@ -165,17 +188,18 @@ def sparse_rref(rows: list[dict]) -> dict[int, dict]:
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[dict]:
-    """Basis of {x : A x = 0}, one sparse vector per free column."""
+    """Basis of {x : A x = 0}, one sparse vector per free column.
+
+    A pivot row holds, besides its pivot, only free columns, so one pass
+    over the pivot rows in promotion order fills every vector."""
     pivots = sparse_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for pc, prow in pivots.items():
-            if f in prow:
-                vec[pc] = fe_neg(prow[f])
-        basis.append(vec)
-    return basis
+    basis = {c: {c: 1} for c in range(ncols) if c not in pivots}
+    for pc, prow in pivots.items():
+        for c, v in prow.items():
+            vec = basis.get(c)   # None at the pivot itself
+            if vec is not None:
+                vec[pc] = fe_neg(v)
+    return list(basis.values())
 
 
 def _split_constants(form: tuple[dict, ex.Expr], constants) -> Split:
@@ -211,7 +235,8 @@ def _split_constants(form: tuple[dict, ex.Expr], constants) -> Split:
                 entry = built[key] = _demote(
                     ex.mul(ex.rat(value), *[ex.pow_(a, p) for a, p in const_part]))
         else:
-            # without constants the entry is the coefficient itself, a Fraction
+            # without constants the entry is the coefficient itself, an int
+            # when it is integral, else a Fraction
             entry = value
         prev = out.get(sig)
         out[sig] = entry if prev is None else fe_add(prev, entry)
@@ -292,7 +317,7 @@ def span_fits(columns: list[list[Split]]):
     per null vector of [columns[:-1] | -columns[-1]] with a nonzero target
     coordinate, zero coordinates omitted.  Each distinct target entry that
     is an Expr is negated once: many rows, twins that ``sparse_rref`` drops,
-    share one.  A Fraction is negated directly, which costs less than
+    share one.  A rational is negated directly, which costs less than
     hashing it.
     """
     target = len(columns) - 1
@@ -300,13 +325,13 @@ def span_fits(columns: list[list[Split]]):
     negated = {}
     for row in rows:
         entry = row.get(target)
-        if isinstance(entry, Fraction):
-            row[target] = -entry
-        elif entry is not None:
+        if isinstance(entry, ex.Expr):
             neg = negated.get(entry)
             if neg is None:
                 neg = negated[entry] = fe_neg(entry)
             row[target] = neg
+        elif entry is not None:
+            row[target] = -entry
     for vec in nullspace(rows, len(columns)):
         t = vec.get(target)
         if t is not None and not fe_is_zero(t):
@@ -330,7 +355,7 @@ def solve_dense(matrix: list[list[ex.Expr]], rhs: list[ex.Expr]) -> list[ex.Expr
     rows = []
     for i, row in enumerate(matrix):
         r = {j: _demote(a) for j, a in enumerate(row) if a != ex.ZERO}
-        r[n + i] = Fraction(1)
+        r[n + i] = 1
         rows.append(r)
     pivots = sparse_rref(rows)
     if any(j not in pivots for j in range(n)):

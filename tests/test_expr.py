@@ -386,12 +386,18 @@ def ref_normal_form(e):
     return ref_clear_denominators(RefProduct().read(e))
 
 
+def exact(v) -> bool:
+    """True for a rational as the kernel holds it: an int when it is
+    integral, else a Fraction; never a float."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 def assert_normal_form_is_the_reference(e):
     ex._ZNF_CACHE.pop(e, None)   # read again, through the memo as it stands
     out, multiplier = ex._zero_normal_form(e)
     ref, ref_multiplier = ref_normal_form(e)
     assert list(out.items()) == list(ref.items())   # same keys in the same order
-    assert all(type(c) is Fraction for c in out.values())
+    assert all(map(exact, out.values()))
     assert multiplier == ref_multiplier
 
 
@@ -970,14 +976,15 @@ def test_poly_times_is_the_reference():
     product = RefProduct()
     ref = ref_term_sorted(product.times(poly, {product.key(factor): Fraction(1)}))
     assert list(out.items()) == list(ref.items())
-    assert all(type(c) is Fraction for c in out.values())
+    assert all(map(exact, out.values()))
 
 
 def test_every_normal_form_of_the_builtins_is_the_reference(monkeypatch):
     """Each distinct normal form that ``golden_check`` of every builtin and
     ``extract`` of the five builtins whose determining system finishes ask
     for, as the program built it through the shared memo, against the
-    reference: keys, key order, Fraction values and multiplier."""
+    reference: keys, key order, values and multiplier; each value an int
+    when it is integral, else a Fraction."""
     from approxsym import determine, models
     met = {}
     normal_form = ex._zero_normal_form
@@ -998,7 +1005,7 @@ def test_every_normal_form_of_the_builtins_is_the_reference(monkeypatch):
     for e, (out, multiplier) in met.items():
         ref, ref_multiplier = ref_normal_form(e)
         assert list(out.items()) == list(ref.items()), to_text(e)
-        assert all(type(c) is Fraction for c in out.values())
+        assert all(map(exact, out.values()))
         assert multiplier == ref_multiplier
 
 
@@ -1350,7 +1357,7 @@ def ref_pow(base, e):
         if base.value == 0 and e < 0:
             raise DivisionByZero(f"division by zero: 0^({e})")
         if e.denominator == 1:
-            return ex.rat(base.value ** e.numerator)
+            return ex.rat(Fraction(base.value) ** e.numerator)
         if base.value >= 0:
             root = ex._rat_root(base.value, e.denominator)
             if root is not None:
@@ -1443,14 +1450,15 @@ def build_both(recipe):
     return new, ref
 
 
-def assert_fraction_fields(e):
-    """Every Rat.value and Pow.exp reachable from e is a Fraction, not an int."""
+def assert_exact_fields(e):
+    """Every Rat.value and Pow.exp reachable from e is an int when it is
+    integral, else a Fraction."""
     if isinstance(e, ex.Rat):
-        assert type(e.value) is Fraction
+        assert exact(e.value)
     if isinstance(e, ex.Pow):
-        assert type(e.exp) is Fraction
+        assert exact(e.exp)
     for child in ex._children(e):
-        assert_fraction_fields(child)
+        assert_exact_fields(child)
 
 
 TWO_X_TWO_Y = A(M(R(2), X("x")), M(R(2), X("y")))
@@ -1489,7 +1497,7 @@ def test_constructors_build_the_reference_tree_on_picked_cases(recipe):
         new, _ = build_both(recipe)
     except DivisionByZero:
         return
-    assert_fraction_fields(new)
+    assert_exact_fields(new)
 
 
 EXPONENTS = [0, 1, -1, 2, -2, 3, Fraction(2), Fraction(-1), Fraction(1, 2),
@@ -1517,12 +1525,12 @@ def test_constructors_build_the_reference_tree_on_drawn_cases(recipe):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(RECIPES)
-def test_constructed_trees_hold_fractions_only(recipe):
+def test_constructed_trees_hold_ints_iff_integral(recipe):
     try:
         new, _ = build_both(recipe)
     except DivisionByZero:
         return
-    assert_fraction_fields(new)
+    assert_exact_fields(new)
 
 
 # the units of the identity checks, and plain ints, which are not an Expr and
@@ -2011,10 +2019,30 @@ def test_clear_caches_empties_all_but_the_interned_rationals():
     rationals = stats["rat"]["entries"]
     ex.clear_caches()
     stats = ex.cache_stats()
-    assert stats.pop("rat") == {"entries": rationals}
+    assert stats.pop("rat") == {"entries": rationals, "bound": ex._BOUND, "full": False}
     assert stats.pop("memo") == {"entries": 0, "atoms": 0, "held": 0, "clears": 0,
                                  "hits": 0, "misses": 0}
     assert stats == {c: {"entries": 0, "held": 0, "clears": 0, "hits": 0, "misses": 0}
                      for c in ("expand", "normal_form", "gradient")}
     assert not (ex._ATOM_IDS or ex._ATOM_OF or ex._ROOT_IDS or ex._KEYS)
     assert ex.rat(0) is ex.ZERO and ex.rat(1) is ex.ONE
+
+
+def test_interned_rationals_stay_within_the_bound(monkeypatch):
+    # on a copy of the table, so the interned rationals are as before after
+    monkeypatch.setattr(ex, "_RAT_CACHE", dict(ex._RAT_CACHE))
+    values = [Fraction(k, 7) for k in range(-ex._BOUND, ex._BOUND)]
+    built = [ex.rat(v) for v in values]
+    assert len(ex._RAT_CACHE) == ex._BOUND
+    assert ex.cache_stats()["rat"] == {"entries": ex._BOUND, "bound": ex._BOUND,
+                                       "full": True}
+    assert all(r.value == v and exact(r.value) for r, v in zip(built, values))
+    # past the bound a rational is built again, equal but not the same node
+    again = ex.rat(values[-1])
+    assert again == built[-1] and again is not built[-1]
+    assert len(ex._RAT_CACHE) == ex._BOUND
+    # the units stay interned, so the constructors' identity checks hold
+    assert ex.rat(0) is ex.ZERO and ex.rat(Fraction(0, 3)) is ex.ZERO
+    assert ex.rat(1) is ex.ONE and ex.rat(Fraction(7, 7)) is ex.ONE
+    x = ex.sym("x")
+    assert ex.add(ex.rat(0), x) is x and ex.mul(ex.rat(Fraction(1)), x) is x

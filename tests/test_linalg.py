@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from approxsym import expr as ex
 from approxsym import linalg, noether
@@ -13,9 +15,10 @@ from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
 from approxsym.lang import to_text
 from approxsym.linalg import (_axpy, assemble_rows, coefficient_rows, common_multiplier,
-                              fe_div, fe_expr, fe_is_zero, fe_mul, fe_neg, nullspace,
+                              fe_add, fe_div, fe_expr, fe_is_zero, fe_mul, fe_neg, nullspace,
                               solve_dense, span_fits, sparse_rref, split_column)
 from approxsym.models import builtin_names, golden_check, load_builtin
+from test_expr import exact
 
 
 def F(x):
@@ -164,7 +167,7 @@ def ref_sparse_rref(rows):
 
         def sort_key(r):
             lead = min(r)
-            rational = isinstance(r[lead], Fraction)
+            rational = not isinstance(r[lead], ex.Expr)
             return (lead, 0 if rational else 1, len(r))
         reduced.sort(key=sort_key)
         row = reduced[0]
@@ -183,12 +186,13 @@ def ref_sparse_rref(rows):
 SYMBOLS = [_A, _B, _AB, ex.mul(_A, _B), ex.neg(_C), ex.pow_(_AB, -1), ex.mul(_D, ex.pow_(_A, -1))]
 
 
-def random_system(rng, symbolic):
+def random_system(rng, symbolic, ncols=None, nrows=None, density=0.6):
     """Rows over a few columns with zero entries, exact twins, multiples of
-    earlier rows and shuffled column order, so leads tie often."""
-    ncols = rng.randint(1, 5)
+    earlier rows and shuffled column order, so leads tie often.  By default
+    1-5 columns and 1-7 rows; a wide system gives ``ncols`` and ``nrows``."""
+    ncols = ncols or rng.randint(1, 5)
     rows = []
-    for _ in range(rng.randint(1, 7)):
+    for _ in range(nrows or rng.randint(1, 7)):
         pick = rng.random()
         if rows and pick < 0.15:
             rows.append(dict(rng.choice(rows)))
@@ -196,7 +200,7 @@ def random_system(rng, symbolic):
             k = F(rng.choice([-2, -1, 2, 3]))
             rows.append({c: fe_mul(k, v) for c, v in rng.choice(rows).items()})
         else:
-            cols = [c for c in range(ncols) if rng.random() < 0.6]
+            cols = [c for c in range(ncols) if rng.random() < density]
             rng.shuffle(cols)
             rows.append({c: rng.choice(SYMBOLS) if symbolic and rng.random() < 0.4
                          else F(rng.randint(-2, 2)) for c in cols})
@@ -213,6 +217,58 @@ def test_sparse_rref_promotes_as_the_reference(symbolic):
         assert list(got) == list(want)   # the same pivots, promoted in the same order
         for c in want:
             assert list(got[c].items()) == list(want[c].items())
+
+
+def test_sparse_rref_promotes_as_the_reference_on_wide_systems():
+    # 30-60 columns: fill-in makes pivot rows long, so back-substitution
+    # through the column index visits long chains of pivot rows.  Rational
+    # only: symbolic entries swell past any test budget at this width
+    rng = random.Random(41)
+    longest = 0
+    for _ in range(40):
+        ncols = rng.randint(30, 60)
+        rows = random_system(rng, False, ncols, rng.randint(ncols // 2, ncols), density=0.1)
+        got = sparse_rref([dict(r) for r in rows])
+        want = ref_sparse_rref([dict(r) for r in rows])
+        assert list(got) == list(want)
+        for c in want:
+            assert list(got[c].items()) == list(want[c].items())
+        longest = max(longest, max(map(len, got.values()), default=0))
+    assert longest >= 10
+
+
+def test_sparse_rref_reads_ints_as_the_equal_fractions():
+    # the same rows with every entry a Fraction, and with each integral one
+    # an int: equal pivots in equal order, each entry an int iff integral
+    rng = random.Random(43)
+    for _ in range(200):
+        rows = random_system(rng, False, rng.randint(1, 12), rng.randint(1, 12))
+        as_fractions = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+        as_ints = [{c: ex._rational(Fraction(v)) for c, v in r.items()} for r in rows]
+        got, want = sparse_rref(as_ints), sparse_rref(as_fractions)
+        assert list(got) == list(want)
+        for c in want:
+            assert list(got[c].items()) == list(want[c].items())
+            assert all(map(exact, got[c].values())) and all(map(exact, want[c].values()))
+
+
+RATIONALS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(max_denominator=10 ** 4)).map(ex._rational)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(RATIONALS, RATIONALS)
+def test_rational_entries_follow_fraction_arithmetic(a, b):
+    # the fast path on ints and Fractions: the value Fraction arithmetic
+    # gives, an int exactly when it is integral, and never a float
+    want = [Fraction(a) + Fraction(b), Fraction(a) * Fraction(b), -Fraction(a)]
+    got = [fe_add(a, b), fe_mul(a, b), fe_neg(a)]
+    if b != 0:
+        want.append(Fraction(a) / Fraction(b))
+        got.append(fe_div(a, b))
+    for g, w in zip(got, want, strict=True):
+        assert g == w and exact(g)
+        assert (type(g) is int) == (w.denominator == 1)
 
 
 def test_symbolic_pivot_ambiguity():
@@ -294,6 +350,7 @@ def test_split_constants_matches_the_reference_on_every_builtin(monkeypatch):
         assert list(got) == list(want)   # the same signatures in the same order
         for sig, entry in got.items():
             assert entry == want[sig] and type(entry) is type(want[sig])
+            assert isinstance(entry, ex.Expr) or exact(entry)
         with_constants += any(isinstance(e, ex.Expr) for e in got.values())
     assert with_constants and len(forms) > with_constants
 
@@ -333,7 +390,7 @@ def test_split_constants_builds_one_entry_per_constant_part(monkeypatch):
 def test_span_fits_negates_each_distinct_target_entry_once(monkeypatch):
     # golden_check on three-body: the fits hold 3,134 target entries, all of
     # them Expr and 149 distinct within their fit; each is negated once, not
-    # once per row (a Fraction entry is negated without fe_neg)
+    # once per row (a rational entry is negated without fe_neg)
     code, neg, assemble = linalg.span_fits.__code__, linalg.fe_neg, linalg.assemble_rows
     negations, distinct, entries = [0], [0], [0]
 
@@ -346,7 +403,7 @@ def test_span_fits_negates_each_distinct_target_entry_once(monkeypatch):
         if sys._getframe(1).f_code is code:
             target = len(columns) - 1
             targets = [row[target] for row in rows.values()
-                       if not isinstance(row.get(target, Fraction(0)), Fraction)]
+                       if isinstance(row.get(target), ex.Expr)]
             entries[0] += len(targets)
             distinct[0] += len(set(targets))
         return rows

@@ -25,9 +25,15 @@ directly for a normal-form key may still hold.
 The zero normal form works on a sparse polynomial of its own, the id form:
 a monomial is a sorted tuple of (interned atom id, int exponent) pairs and a
 coefficient is an int wherever it is integral.  Products of monomials merge
-these tuples and hash no tree.  The returned normal form is converted back,
-once per distinct monomial, to keys of (atom, exponent) pairs, which
-``linalg`` and the printers read.
+these tuples and hash no tree.  Where a product raises sums or sin to powers
+that a rule expands, and every monomial of those expansions holds only plain
+atoms to integer powers, the expansions cannot reach each other's exponents:
+their product is built once per call of the sparse product and merged into
+the rest of each monomial.  Otherwise they are expanded one at a time in the
+Expr-keyed product's order, since expanding one sum can bring in a negative
+power of another.  The returned normal form is converted back, once per
+distinct monomial, to keys of (atom, exponent) pairs, which ``linalg`` and
+the printers read.
 
 Every exact rational the kernel holds is an int when it is integral and a
 Fraction only otherwise: ``Rat.value``, ``Pow.exp``, the coefficients of a
@@ -281,11 +287,16 @@ _ATOMS = (Sym, Jet, Eps, Fun, AFun, AInt)
 
 
 def rat(x) -> Rat:
+    """The rational x, an int or a Fraction, as a Rat.  Anything else is a
+    TypeError, as in ``_coerce``: a float would become its binary Fraction,
+    so rat(3 ** -1) would not be 1/3."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"cannot coerce {x!r} into a rational: it is not an int or a Fraction")
     r = _RAT_CACHE.get(x)
     if r is None:
         # a Fraction equal to an int finds the int's Rat: they hash and
-        # compare alike.  Anything else is stored under its normalised value
-        v = _rational(x if isinstance(x, (int, Fraction)) else Fraction(x))
+        # compare alike.  A new value is stored under its normalised value
+        v = _rational(x)
         r = _RAT_CACHE.get(v)
         if r is None:
             r = Rat(v)
@@ -568,11 +579,11 @@ def _add_content(e: Add) -> tuple[int | Fraction, Expr]:
 
 def pow_(base, e) -> Expr:
     """base^e for an int or Fraction e; a Pow node holds e as an int when
-    it is integral, else as the Fraction."""
+    it is integral, else as the Fraction.  Any other e is a TypeError."""
     if not isinstance(base, Expr):
         base = _coerce(base)
     if not isinstance(e, (int, Fraction)):
-        e = Fraction(e)
+        raise TypeError(f"cannot take the power {e!r}: it is not an int or a Fraction")
     if e == 0:
         return ONE
     if e == 1:
@@ -1063,7 +1074,9 @@ def _monomial_pairs(term: Expr) -> tuple[int | Fraction, list[tuple[Expr, int | 
 # base's exponent back into atoms.  The kind of an atom says which rule of
 # ``_settle_folded`` reads it as a base, and _LO/_HI give the exponents at
 # which a key holding it needs no rule, so most products are a merge of two
-# keys (``_times``).
+# keys (``_times``).  A plain atom takes no rule at any exponent, so
+# expansions that hold only plain atoms are multiplied with each other at
+# once (``_product``).
 
 _PLAIN, _SIN, _SUM, _FOLD, _ROOT, _POW = range(6)
 _HALF = Fraction(1, 2)
@@ -1200,7 +1213,7 @@ def _expansion(b: int, k) -> list:
     return hit
 
 
-def _settle_folded(mono: dict, c, acc: dict):
+def _settle_folded(mono: dict, c, acc: dict, products: dict):
     """Add c * mono, {base id: exponent}, to acc, reduced by the rules:
 
     - a sum X with a positive integer part k (and a rational or product
@@ -1213,7 +1226,21 @@ def _settle_folded(mono: dict, c, acc: dict):
       (X^(1/2))^2 becomes X (rho^2 = X).
 
     A power atom as a base takes no rule.
+
+    The parts that rules replace, (base id, whole exponent) pairs, are
+    collected first.  When every monomial of every part's expansion holds
+    only plain atoms to integer powers, no expansion reaches another part's
+    exponent, so expanding them one at a time in any order gives one sum:
+    the product of the expansions is built once per parts tuple
+    (``_product``, kept in ``products``, a table local to the caller's
+    call), and the key of the rest of mono is merged into each of its
+    monomials (``_merge_rest``), adding to acc in the order the nested
+    expansion would.  Any other mono has its first part expanded and each
+    product reduced again, in mono's order: an expansion that brings in a
+    negative power of another part's sum changes that part's exponent, so
+    there the order of expansion changes the form.
     """
+    parts = []
     for b, p in mono.items():
         kind = _KIND[b]
         # the part of the exponent that is replaced by an expansion
@@ -1228,19 +1255,88 @@ def _settle_folded(mono: dict, c, acc: dict):
                 continue
         else:
             continue
-        rest = dict(mono)
-        rest[b] = p - whole
-        for m, mc in _expansion(b, whole):
-            merged = dict(rest)
-            for i, x in m.items():
-                merged[i] = merged[i] + x if i in merged else x
-            _settle_folded(merged, c * mc, acc)
+        parts.append((b, whole))
+    if not parts:
+        key = _key_of(mono)
+        acc[key] = acc[key] + c if key in acc else c
         return
-    key = _key_of(mono)
-    acc[key] = acc[key] + c if key in acc else c
+    parts = tuple(parts)
+    product = products.get(parts, False)
+    if product is False:
+        product = products[parts] = _product(parts)
+    if product is not None:
+        rest = dict(mono)
+        for b, whole in parts:
+            rest[b] -= whole
+        # _key_of splits X^p of a plain X as X^floor(p) * X^(1/2) when p is
+        # a half-integer, so adding an integer power of X to the key is
+        # adding it to p; any other fractional p is one atom X^p, which a
+        # power of X from the product would change
+        ids = product[1]
+        if all(p.denominator <= 2 or b not in ids for b, p in rest.items()):
+            _merge_rest(_key_of(rest), product, c, acc)
+            return
+    b, whole = parts[0]
+    rest = dict(mono)
+    rest[b] -= whole
+    for m, mc in _expansion(b, whole):
+        merged = dict(rest)
+        for i, x in m.items():
+            merged[i] = merged[i] + x if i in merged else x
+        _settle_folded(merged, c * mc, acc, products)
 
 
-def _settle(keys: tuple, c, acc: dict):
+def _product(parts: tuple):
+    """(monomials, ids) of the product of the parts' expansions when each
+    of their monomials holds only plain atoms to integer powers, else None.
+
+    The monomials are (key, coefficient) pairs, keys sorted (id, exponent)
+    tuples without zero exponents, in the order in which the nested
+    expansion meets each first; a coefficient that cancels to zero is kept,
+    so a caller adds each key to its sum where the nested expansion would
+    have first added it.  ids are the atoms the keys hold.  The expansions
+    are asked for in the parts' order, each only while every earlier one is
+    plain, as the nested expansion asks for them.
+    """
+    kind = _KIND
+    out = {(): 1}
+    for b, whole in parts:
+        expansion = _expansion(b, whole)
+        for m, _ in expansion:
+            for i, x in m.items():
+                if kind[i] != _PLAIN or x.denominator != 1:
+                    return None
+        nxt: dict = {}
+        for pk, pc in out.items():
+            for m, mc in expansion:
+                merged = dict(pk)
+                for i, x in m.items():
+                    merged[i] = merged[i] + x if i in merged else x
+                key = tuple(sorted(kv for kv in merged.items() if kv[1]))
+                nxt[key] = nxt[key] + pc * mc if key in nxt else pc * mc
+        out = nxt
+    return list(out.items()), {i for key in out for i, _ in key}
+
+
+def _merge_rest(rest: tuple, product: tuple, c, acc: dict):
+    """Add c times the key rest times each monomial of a ``_product`` to
+    acc: exponents of one atom add, and zero exponents are dropped."""
+    monomials, ids = product
+    if ids.isdisjoint(i for i, _ in rest):
+        for key, pc in monomials:
+            key = tuple(sorted(rest + key))
+            acc[key] = acc[key] + c * pc if key in acc else c * pc
+        return
+    held = dict(rest)
+    for key, pc in monomials:
+        merged = held.copy()
+        for i, x in key:
+            merged[i] = merged[i] + x if i in merged else x
+        key = tuple(sorted(kv for kv in merged.items() if kv[1]))
+        acc[key] = acc[key] + c * pc if key in acc else c * pc
+
+
+def _settle(keys: tuple, c, acc: dict, products: dict):
     """Add c times the product of the id keys to acc, as
     ``_settle_folded`` reduces it.  A product that no rule reads is sorted
     into its key as it is.  Otherwise the keys are folded with each key's
@@ -1255,7 +1351,7 @@ def _settle(keys: tuple, c, acc: dict):
         key = tuple(sorted(kv for kv in mono.items() if kv[1]))
         acc[key] = acc[key] + c if key in acc else c
         return
-    _settle_folded(_fold(pair for k in keys for pair in _in_key_order(k)), c, acc)
+    _settle_folded(_fold(pair for k in keys for pair in _in_key_order(k)), c, acc, products)
 
 
 def _in_key_order(key: tuple):
@@ -1273,6 +1369,7 @@ def _times(a: dict, b: dict) -> dict:
     rule reads and that share no atom multiply by merging; any other pair
     is settled."""
     acc: dict[tuple, int | Fraction] = {}
+    products: dict[tuple, tuple | None] = {}   # parts: product, for this call
     right = [(kb, cb, {i for i, _ in kb}, _stable(kb)) for kb, cb in b.items()]
     for ka, ca in a.items():
         ids, stable = {i for i, _ in ka}, _stable(ka)
@@ -1282,7 +1379,7 @@ def _times(a: dict, b: dict) -> dict:
                 key = tuple(sorted(ka + kb))
                 acc[key] = acc[key] + c if key in acc else c
                 continue
-            _settle((ka, kb), c, acc)
+            _settle((ka, kb), c, acc, products)
     return {k: c for k, c in acc.items() if c}
 
 
@@ -1338,7 +1435,7 @@ def _sparse(e: Expr) -> dict:
                 (k, x), = p.items()
                 c *= x
                 keys.append(k)
-            _settle(keys, c, out)
+            _settle(keys, c, out, {})
             for p in sums:
                 out = _times(out, p)
     elif isinstance(e, Pow) and e.exp.denominator == 1 and e.exp > 0 \
@@ -1349,7 +1446,7 @@ def _sparse(e: Expr) -> dict:
     elif isinstance(e, Pow):
         c, pairs = _monomial_pairs(pow_(_written(e.base), e.exp))
         out = {}
-        _settle_folded({_intern(b): x for b, x in pairs}, c, out)
+        _settle_folded({_intern(b): x for b, x in pairs}, c, out, {})
         out = {k: c for k, c in out.items() if c}
     else:
         atom = rebuild(e, _written)
@@ -1362,8 +1459,10 @@ def _sparse(e: Expr) -> dict:
             # term by term: (-1)^(j//2) * C(n, j) * cos(x)^(n-j) * sin(x)^j
             # over even or odd j
             out, n, sin, cos = {}, k.numerator, _intern(fun("sin", x)), _intern(fun("cos", x))
+            products: dict[tuple, tuple | None] = {}
             for j in range(atom.name == "sin", n + 1, 2):
-                _settle_folded({cos: n - j, sin: j}, (-1) ** (j // 2) * math.comb(n, j), out)
+                _settle_folded({cos: n - j, sin: j}, (-1) ** (j // 2) * math.comb(n, j), out,
+                               products)
             out = {key: c for key, c in out.items() if c}
         else:
             out = {((_intern(atom), 1),): 1} if isinstance(atom, _ATOMS) else _sparse(atom)
@@ -1405,8 +1504,25 @@ def _expr_key(key: tuple) -> tuple:
             if isinstance(a, Pow) and a.exp.denominator > 1 and x == 1:
                 a, x = a.base, a.exp
             bases[a] = bases[a] + x if a in bases else x
-        rest = mul(*[pow_(a, x) for a, x in bases.items()])
-        factors = rest._key[1] if isinstance(rest, Mul) else (rest._key,)
+        # a power on its own base, distinct for each piece, is a factor
+        # that mul keeps as it is, so mul would only sort the pieces: an
+        # atom's is keyed without building it, any other base's is taken by
+        # pow_.  A product or a rational, or a piece on another base (a
+        # power of a power atom), goes through mul, which merges and folds
+        keys = []
+        for a, x in bases.items():
+            if isinstance(a, _ATOMS) and x:
+                keys.append(a._key if x == 1 else (7, a._key, x.numerator, x.denominator))
+                continue
+            f = pow_(a, x)
+            if not ((f is a and not isinstance(a, (Rat, Mul))) or (
+                    type(f) is Pow and f.base is a)):
+                rest = mul(*[pow_(a, x) for a, x in bases.items()])
+                factors = rest._key[1] if isinstance(rest, Mul) else (rest._key,)
+                break
+            keys.append(f._key)
+        else:
+            factors = tuple(sorted(keys))
     hit = (tuple(pairs), factors)
     _READ_MEMO.put(_KEYS, key, hit)
     return hit

@@ -97,6 +97,34 @@ def test_rational_roots_of_huge_integers_are_exact():
     assert isinstance(ex.pow_(ex.rat(10 ** 400 + 1), Fraction(1, 3)), ex.Pow)
 
 
+@pytest.mark.parametrize("value", [3 ** -1, 0.1, 0.5, 1.0, "1/3", "2", None],
+                         ids=repr)
+def test_rat_and_pow_take_only_ints_and_fractions(value):
+    # a float would become its binary Fraction: 3 ** -1 is not 1/3.  A float
+    # equal to an interned rational (0.5, 1.0) is refused too
+    u0 = ex.jet("u", 0)
+    with pytest.raises(TypeError):
+        ex.rat(value)
+    with pytest.raises(TypeError):
+        ex.pow_(u0, value)
+    with pytest.raises(TypeError):
+        ex.pow_(ex.rat(4), value)
+    with pytest.raises(TypeError):
+        u0 ** value
+    with pytest.raises(TypeError):
+        u0 + value    # _coerce, which rat and pow_ now agree with
+
+
+def test_rat_and_pow_keep_ints_and_fractions_exact():
+    assert ex.rat(Fraction(1, 3)).value == Fraction(1, 3)
+    assert ex.rat(Fraction(4, 2)) is ex.rat(2)
+    assert ex.rat(True) is ex.ONE and ex.rat(False) is ex.ZERO   # bool is an int
+    u0 = ex.jet("u", 0)
+    assert ex.pow_(u0, Fraction(1, 2)).exp == Fraction(1, 2)
+    assert ex.pow_(ex.rat(3), -1) == ex.rat(Fraction(1, 3))
+    assert ex.pow_(u0, Fraction(6, 3)) == ex.pow_(u0, 2)
+
+
 def test_differentiate_product_rule():
     d = ex.diff(p("u0^2*v0"), ex.jet("u", 0))
     assert d == p("2*u0*v0")
@@ -346,6 +374,17 @@ def ref_to_poly(e, roots=None):
     return {k: v for k, v in poly.items() if v != 0}
 
 
+def ref_rest(key):
+    """The product a key stands for, by ``mul``: a root or X^(p/q) atom to
+    the first power goes back onto its base before the powers are taken."""
+    pairs = {}
+    for a, q in key:
+        if isinstance(a, ex.Pow) and a.exp.denominator > 1 and q == 1:
+            a, q = a.base, a.exp
+        pairs[a] = pairs[a] + q if a in pairs else q
+    return ex.mul(*[ex.pow_(a, q) for a, q in pairs.items()])
+
+
 def ref_term_sorted(poly) -> dict:
     """poly without zero terms, ordered by the ``_key`` of the term each
     monomial stands for: ``rest``, or the product node of c and the factors
@@ -354,12 +393,7 @@ def ref_term_sorted(poly) -> dict:
         key, c = item
         if not key:
             return ex.rat(c)._key
-        pairs = {}
-        for a, q in key:
-            if isinstance(a, ex.Pow) and a.exp.denominator > 1 and q == 1:
-                a, q = a.base, a.exp
-            pairs[a] = pairs[a] + q if a in pairs else q
-        rest = ex.mul(*[ex.pow_(a, q) for a, q in pairs.items()])
+        rest = ref_rest(key)
         return (rest if c == 1 else ref_mk_mul(c, rest))._key
 
     return dict(sorted(((k, v) for k, v in poly.items() if v != 0), key=term_key))
@@ -963,6 +997,216 @@ def test_normal_form_on_power_atoms_is_the_reference(text):
     e = p(text)
     assert_normal_form_is_the_reference(e)
     assert_normal_form_is_the_reference(ex.mul(e, e))
+
+
+# ---------------------------------------------------------------------------
+# settling one folded monomial against the nested expansion of RefProduct
+
+
+def _settle_bases():
+    """(bases, partners): (base, exponents to draw from) for the monomials
+    that ``_settle_folded`` is handed, each base once, and the index of the
+    base that each of the first bases reaches."""
+    t, u0, u1 = ex.sym("t"), ex.jet("u", 0), ex.jet("u", 1)
+    powers = [1, 2, 3, Fraction(3, 2), Fraction(5, 2), -1, Fraction(-3, 2), Fraction(1, 2)]
+    # sums of plain atoms to integer powers: their expansions multiply at
+    # once.  Then sums whose expansions hold another kind of atom (a sin, a
+    # root, a negative power of a sum, a power atom), each with the base
+    # whose exponent that atom reaches: u0 for the first, where the rest
+    # holds u0^(1/3)
+    sums = [("1 + u0^2", u0), ("t - u0 + 2*v0", None), ("u0*u1 + t^2", None),
+            ("v0*u0^(-1) + 3", None), ("1 + sin(t)", ex.fun("sin", t)),
+            ("t + u1^(1/2)", u1), ("u1 + (1 + t)^(-1)", p("1 + t")),
+            ("v0 + (u0 + t)^(1/3)", p("u0 + t"))]
+    bases = [(p(text), powers) for text, _ in sums]
+    bases += [
+        (p("1 + t"), [1, 2, -1, Fraction(1, 2), Fraction(-1, 2)]),
+        (p("u0 + t"), [1, 2, Fraction(2, 3), -1]),
+        (ex.fun("sin", t), [1, 2, 3, 4, 5]),
+        (ex.fun("cos", t), [1, 2, -1]),
+        # rational and product bases take their rule at every nonzero part
+        (ex.rat(2), [Fraction(3, 2), Fraction(-3, 2), Fraction(1, 2)]),
+        (ex.rat(Fraction(2, 3)), [2, Fraction(5, 2), -1]),
+        (p("2*u0"), [Fraction(3, 2), Fraction(-1, 2)]),
+        (p("u0*t"), [2, Fraction(-3, 2)]),
+        # roots as atoms, and plain atoms to fractional powers in the rest
+        (ex.pow_(p("1 + u0^2"), Fraction(1, 2)), [1, 2, -1]),
+        (ex.pow_(p("u1 + (1 + t)^(-1)"), Fraction(1, 2)), [1, -1]),
+        (u0, [1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), -2]),
+        (t, [Fraction(1, 3), Fraction(3, 2), -1]),
+        (u1, [1, Fraction(-1, 2), Fraction(4, 3)]),
+    ]
+    index = {b: i for i, (b, _) in enumerate(bases)}
+    partners = {i: index[partner] for i, (_, partner) in enumerate(sums) if partner is not None}
+    return bases, partners
+
+
+SETTLE_BASES, SETTLE_PARTNERS = _settle_bases()
+
+
+@st.composite
+def settled_monomials(draw):
+    """(mono as (base, exponent) pairs in drawn order, coefficient); a sum
+    drawn with a partner brings it in half of the time, at a drawn place."""
+    picks = draw(st.lists(st.integers(0, len(SETTLE_BASES) - 1), min_size=1, max_size=4,
+                          unique=True))
+    for i in list(picks):
+        j = SETTLE_PARTNERS.get(i)
+        if j is not None and j not in picks and draw(st.booleans()):
+            picks.insert(draw(st.integers(0, len(picks))), j)
+    mono = [(SETTLE_BASES[i][0], draw(st.sampled_from(SETTLE_BASES[i][1]))) for i in picks]
+    c = Fraction(draw(st.sampled_from([-3, -1, 1, 2, 5])), draw(st.integers(1, 3)))
+    return mono, c
+
+
+def assert_settles_like_the_reference(monos):
+    """Each (mono, c) settled into one sum with one product table, as in
+    one _times call, the first twice, so that its product is read from the
+    table: the keys and values of the nested expansion of RefProduct."""
+    ex.clear_caches()
+    acc, products, ref, ref_acc = {}, {}, RefProduct(), {}
+    for mono, c in monos + monos[:1]:
+        ex._settle_folded({ex._intern(b): x for b, x in mono}, c, acc, products)
+        ref.settle(dict(mono), c, ref_acc)
+    assert expr_keyed({k: c for k, c in acc.items() if c}) == \
+        {k: c for k, c in ref_acc.items() if c}
+
+
+@pytest.mark.parametrize("mono", [
+    # expanding the first sum brings in a negative power of the second, so
+    # the order of expansion changes the form; both orders
+    [("u1 + (1 + t)^(-1)", 2), ("1 + t", 1)],
+    [("1 + t", 2), ("u1 + (1 + t)^(-1)", 2)],
+    # an expansion that holds sin(t) beside a sin power of the rest
+    [("1 + sin(t)", 2), ("sin(t)", 3)],
+    [("sin(t)", 3), ("1 + sin(t)", 3), ("cos(t)", -1)],
+    # an expansion that holds a root of u1 beside a root of u1 in the rest
+    [("t + u1^(1/2)", 2), ("u1", Fraction(-1, 2))],
+    # a plain power in the rest that the product reaches: the atom u0^(1/3)
+    # becomes u0^(4/3), not u0^(1/3)*u0
+    [("1 + u0^2", Fraction(3, 2)), ("u0", Fraction(1, 3))],
+    # four parts of one product: sums, a product base and a half-integer rest
+    [("t - u0 + 2*v0", 2), ("1 + u0^2", 1), ("u0*u1 + t^2", Fraction(5, 2)),
+     ("2*u0", Fraction(3, 2)), ("u0", Fraction(-1, 2))],
+], ids=lambda mono: " * ".join(f"({b})^({x})" for b, x in mono))
+def test_settle_folded_is_the_reference_on_picked_monomials(mono):
+    assert_settles_like_the_reference([([(p(b), x) for b, x in mono], Fraction(-2, 3))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(settled_monomials(), min_size=1, max_size=3))
+def test_settle_folded_is_the_reference_on_drawn_monomials(monos):
+    assert_settles_like_the_reference(monos)
+
+
+def test_three_body_clearing_keys_each_settled_monomial_once(monkeypatch):
+    """``golden_check`` on three-body clears two forms of 16 monomials to
+    2,984 by the product S12^2*S13*S23 of its pair-distance sums.  Every
+    monomial settled on the way takes the product of its sum powers whole:
+    ``_settle_folded`` does not call itself, and keys each monomial it is
+    handed once.  Expanding one sum at a time made 11,062 nested calls."""
+    from approxsym import models
+    state = {"depth": 0, "settled": 0, "nested": 0, "keyed": 0}
+    cleared = []
+    settle, key_of, expansion, clear = \
+        ex._settle_folded, ex._key_of, ex._expansion, ex._clear_denominators
+
+    def counted_settle(*args):
+        state["settled"] += 1
+        state["nested"] += state["depth"] > 0
+        state["depth"] += 1
+        try:
+            return settle(*args)
+        finally:
+            state["depth"] -= 1
+
+    def counted_key_of(bases):
+        state["keyed"] += state["depth"] > 0
+        return key_of(bases)
+
+    def expansion_apart(b, k):
+        # an expansion reads a product of its own: its settling is not nested
+        depth, state["depth"] = state["depth"], 0
+        try:
+            return expansion(b, k)
+        finally:
+            state["depth"] = depth
+
+    def recorded_clear(poly):
+        out = clear(poly)
+        cleared.append((len(poly), len(out[0])))
+        return out
+
+    monkeypatch.setattr(ex, "_settle_folded", counted_settle)
+    monkeypatch.setattr(ex, "_key_of", counted_key_of)
+    monkeypatch.setattr(ex, "_expansion", expansion_apart)
+    monkeypatch.setattr(ex, "_clear_denominators", recorded_clear)
+    ex.clear_caches()
+    models.golden_check(models.load_builtin("three-body"))
+    assert cleared.count((16, 2984)) == 2
+    assert state["settled"] > 0
+    assert state["nested"] == 0
+    assert state["keyed"] == state["settled"]
+
+
+# ---------------------------------------------------------------------------
+# key conversion against the product the key stands for
+
+
+def ref_factor_keys(ekey) -> tuple:
+    """The ``_key``s of the factors of ``ref_rest``'s product, in ``mul``'s
+    order."""
+    rest = ref_rest(ekey)
+    return rest._key[1] if isinstance(rest, ex.Mul) else (rest._key,)
+
+
+def assert_keys_convert_as_the_reference(e):
+    """Every key that the normal form of e converts (``_KEYS``) has the
+    factor keys of ``ref_rest``'s product, in ``mul``'s order; the empty
+    key's factors are never read (``_term_sorted`` orders a constant by its
+    value)."""
+    ex.clear_caches()
+    ex._zero_normal_form(e)
+    for ekey, factors in ex._KEYS.values():
+        if not ekey:
+            continue
+        assert factors == ref_factor_keys(ekey), ekey
+
+
+@pytest.mark.parametrize("text", [
+    # an atom to a half-integer power beside the same atom to an integer one
+    "t*u0^(3/2) + t*u0^3 + F(u0)^(1/2)*sin(t)^3 + F(u0)^(3/2)*v0",
+    # X^(1/3) atoms of an atom and of a sum, and a power of a power atom
+    "u0^(1/3)*(1 + u0)^(-1) + u0^(4/3)*t",
+    "((1 + u0)^(1/3))^(3/2)*(1 + u0)^(-1) + u0*((1 + u0)^(1/3))^(3/2)",
+    # rational and product bases, and a root of a sum with rational content
+    "(u0*t)^(3/2)*(1 + t)^(-1) + 2^(1/2)*u0 + (4*u0 + 4*t)^(1/2)*(1 + t)^(-1)",
+])
+def test_expr_key_is_the_reference_product_on_picked_keys(text):
+    assert_keys_convert_as_the_reference(p(text))
+
+
+@pytest.mark.parametrize("pairs", [
+    # pieces that are not a power on their own base go through mul: a
+    # product base back from its root, a power atom to a whole power beside
+    # its base, (u0^(1/3))^3 * u0 = u0^2, and a rational root that is rational
+    [(ex.Pow(p("t*u0"), Fraction(1, 2)), 2), (p("v0"), 1)],
+    [(ex.Pow(p("u0"), Fraction(1, 3)), 3), (p("u0"), 1), (p("t"), -1)],
+    [(ex.Pow(ex.rat(4), Fraction(1, 2)), 1), (p("t"), 1)],
+    # a sum back from its root, beside an atom
+    [(ex.Pow(p("u0 + t"), Fraction(1, 2)), 2), (p("v0"), 3)],
+], ids=["product base", "power atom beside its base", "rational root", "sum base"])
+def test_expr_key_is_the_reference_product_on_built_keys(pairs):
+    # atoms interned as built, as the read's unfolded pairs may hold them
+    ex.clear_caches()
+    ekey, factors = ex._expr_key(tuple(sorted((ex._intern(a), x) for a, x in pairs)))
+    assert factors == ref_factor_keys(ekey)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(normal_form_inputs(), memo_inputs()))
+def test_expr_key_is_the_reference_product_on_drawn_keys(e):
+    assert_keys_convert_as_the_reference(e)
 
 
 def test_poly_times_is_the_reference():

@@ -27,13 +27,14 @@ a monomial is a sorted tuple of (interned atom id, int exponent) pairs and a
 coefficient is an int wherever it is integral.  Products of monomials merge
 these tuples and hash no tree.  Where a product raises sums or sin to powers
 that a rule expands, and every monomial of those expansions holds only plain
-atoms to integer powers, the expansions cannot reach each other's exponents:
-their product is built once per call of the sparse product and merged into
-the rest of each monomial.  Otherwise they are expanded one at a time in the
-Expr-keyed product's order, since expanding one sum can bring in a negative
-power of another.  The returned normal form is converted back, once per
-distinct monomial, to keys of (atom, exponent) pairs, which ``linalg`` and
-the printers read.
+atoms, the expansions cannot reach each other's exponents: one rule-free
+product (``_plain_times``) multiplies them once per call of the sparse
+product and multiplies the rest of each monomial into them.  Otherwise they
+are expanded one at a time in the Expr-keyed product's order, since
+expanding one sum can bring in a negative power of another.  The order in
+which monomials are added reaches no output: the returned normal form is
+converted back, once per distinct monomial, to keys of (atom, exponent)
+pairs in term order, which ``linalg`` and the printers read.
 
 Every exact rational the kernel holds is an int when it is integral and a
 Fraction only otherwise: ``Rat.value``, ``Pow.exp``, the coefficients of a
@@ -1076,7 +1077,7 @@ def _monomial_pairs(term: Expr) -> tuple[int | Fraction, list[tuple[Expr, int | 
 # which a key holding it needs no rule, so most products are a merge of two
 # keys (``_times``).  A plain atom takes no rule at any exponent, so
 # expansions that hold only plain atoms are multiplied with each other at
-# once (``_product``).
+# once, by the one product that applies no rule (``_plain_times``).
 
 _PLAIN, _SIN, _SUM, _FOLD, _ROOT, _POW = range(6)
 _HALF = Fraction(1, 2)
@@ -1181,36 +1182,28 @@ def _key_of(bases: dict) -> tuple:
 # were most of the monomials stored and few of the hits, and reading one
 # again starts from its factors' stored reads.
 #
-# The memo holds the reads, the expansions of ``_expansion`` and the Expr
-# form of each key that reached a returned normal form (``_KEYS``), each
-# counting its monomials, and the atom table, which marks the memo full past
-# its bound.  Every id-form value dies with the atom ids it is written in,
-# so the memo is emptied, atom table and all, only where ``_read`` or
-# ``_poly_times`` starts, never inside a read.
+# The memo holds the reads, the powers of sums that ``_expansion`` reads
+# among them, and the Expr form of each key that reached a returned normal
+# form (``_KEYS``), each counting its monomials, and the atom table, which
+# marks the memo full past its bound.  Every id-form value dies with the
+# atom ids it is written in, so the memo is emptied, atom table and all,
+# only where ``_read`` or ``_poly_times`` starts, never inside a read.
 
 _READS: dict[Expr, dict] = {}                 # node -> dict
-_EXPANSIONS: dict[tuple, list] = {}           # (base id, k) -> [({id: exp}, c)]
 _KEYS: dict[tuple, tuple] = {}                # key -> (Expr key, factor keys)
-_READ_MEMO = _Memo("memo", _READS, _EXPANSIONS, _KEYS,
+_READ_MEMO = _Memo("memo", _READS, _KEYS,
                    atoms=(_ATOM_OF, _KIND, _LO, _HI, _FOLDS, _ATOM_IDS, _ROOT_IDS))
 
 
-def _expansion(b: int, k) -> list:
-    """The monomials of X^k for the atom X of id b as ({base id: exponent},
-    coefficient) pairs: for X = sin(x) and an even k = 2m those of
-    (1 - cos(x)^2)^m, sum_j (-1)^j C(m, j) cos(x)^(2j); for a sum, a
-    product or a rational those of ``_sparse(pow_(X, k))``."""
-    hit = _EXPANSIONS.get((b, k))
-    if hit is None:
-        base = _ATOM_OF[b]
-        if _KIND[b] == _SIN:
-            m, cos = k // 2, _intern(fun("cos", base.arg))
-            hit = [({cos: 2 * j} if j else {}, (-1) ** j * math.comb(m, j))
-                   for j in range(m + 1)]
-        else:
-            hit = [(_fold(_in_key_order(m)), c) for m, c in _sparse(pow_(base, k)).items()]
-        _READ_MEMO.put(_EXPANSIONS, (b, k), hit, len(hit) or 1)
-    return hit
+def _expansion(b: int, k) -> dict:
+    """The id-form dict of X^k for the atom X of id b: for X = sin(x) and an
+    even k = 2m that of (1 - cos(x)^2)^m, sum_j (-1)^j C(m, j) cos(x)^(2j);
+    for a sum, a product or a rational the read ``_sparse(pow_(X, k))``."""
+    base = _ATOM_OF[b]
+    if _KIND[b] != _SIN:
+        return _sparse(pow_(base, k))
+    m, cos = k // 2, _intern(fun("cos", base.arg))
+    return {((cos, 2 * j),) if j else (): (-1) ** j * math.comb(m, j) for j in range(m + 1)}
 
 
 def _settle_folded(mono: dict, c, acc: dict, products: dict):
@@ -1229,13 +1222,12 @@ def _settle_folded(mono: dict, c, acc: dict, products: dict):
 
     The parts that rules replace, (base id, whole exponent) pairs, are
     collected first.  When every monomial of every part's expansion holds
-    only plain atoms to integer powers, no expansion reaches another part's
-    exponent, so expanding them one at a time in any order gives one sum:
-    the product of the expansions is built once per parts tuple
-    (``_product``, kept in ``products``, a table local to the caller's
-    call), and the key of the rest of mono is merged into each of its
-    monomials (``_merge_rest``), adding to acc in the order the nested
-    expansion would.  Any other mono has its first part expanded and each
+    only plain atoms, no expansion reaches another part's exponent, so
+    expanding them one at a time in any order gives one sum: the product of
+    the expansions is built once per parts tuple (``_product``, kept in
+    ``products``, a table local to the caller's call), and the key of the
+    rest of mono times it is added to acc by ``_plain_times``.  Any other
+    mono has its first part expanded, each expansion key folded, and each
     product reduced again, in mono's order: an expansion that brings in a
     negative power of another part's sum changes that part's exponent, so
     there the order of expansion changes the form.
@@ -1272,68 +1264,56 @@ def _settle_folded(mono: dict, c, acc: dict, products: dict):
         # a half-integer, so adding an integer power of X to the key is
         # adding it to p; any other fractional p is one atom X^p, which a
         # power of X from the product would change
-        ids = product[1]
-        if all(p.denominator <= 2 or b not in ids for b, p in rest.items()):
-            _merge_rest(_key_of(rest), product, c, acc)
+        if all(p.denominator <= 2 or b not in {i for key in product for i, _ in key}
+               for b, p in rest.items()):
+            _plain_times({_key_of(rest): c}, product, acc)
             return
     b, whole = parts[0]
     rest = dict(mono)
     rest[b] -= whole
-    for m, mc in _expansion(b, whole):
+    for m, mc in _expansion(b, whole).items():
         merged = dict(rest)
-        for i, x in m.items():
+        for i, x in _fold(_in_key_order(m)).items():
             merged[i] = merged[i] + x if i in merged else x
         _settle_folded(merged, c * mc, acc, products)
 
 
 def _product(parts: tuple):
-    """(monomials, ids) of the product of the parts' expansions when each
-    of their monomials holds only plain atoms to integer powers, else None.
-
-    The monomials are (key, coefficient) pairs, keys sorted (id, exponent)
-    tuples without zero exponents, in the order in which the nested
-    expansion meets each first; a coefficient that cancels to zero is kept,
-    so a caller adds each key to its sum where the nested expansion would
-    have first added it.  ids are the atoms the keys hold.  The expansions
-    are asked for in the parts' order, each only while every earlier one is
-    plain, as the nested expansion asks for them.
-    """
-    kind = _KIND
+    """The id-form dict of the product of the parts' expansions when each of
+    their monomials holds only plain atoms, else None.  The expansions are
+    asked for in the parts' order, each only while every earlier one is
+    plain, as the nested expansion asks for them."""
     out = {(): 1}
     for b, whole in parts:
         expansion = _expansion(b, whole)
-        for m, _ in expansion:
-            for i, x in m.items():
-                if kind[i] != _PLAIN or x.denominator != 1:
-                    return None
-        nxt: dict = {}
-        for pk, pc in out.items():
-            for m, mc in expansion:
-                merged = dict(pk)
-                for i, x in m.items():
-                    merged[i] = merged[i] + x if i in merged else x
-                key = tuple(sorted(kv for kv in merged.items() if kv[1]))
-                nxt[key] = nxt[key] + pc * mc if key in nxt else pc * mc
-        out = nxt
-    return list(out.items()), {i for key in out for i, _ in key}
+        if any(_KIND[i] != _PLAIN for key in expansion for i, _ in key):
+            return None
+        out = _plain_times(out, expansion, {})
+    return out
 
 
-def _merge_rest(rest: tuple, product: tuple, c, acc: dict):
-    """Add c times the key rest times each monomial of a ``_product`` to
-    acc: exponents of one atom add, and zero exponents are dropped."""
-    monomials, ids = product
-    if ids.isdisjoint(i for i, _ in rest):
-        for key, pc in monomials:
-            key = tuple(sorted(rest + key))
-            acc[key] = acc[key] + c * pc if key in acc else c * pc
-        return
-    held = dict(rest)
-    for key, pc in monomials:
-        merged = held.copy()
-        for i, x in key:
-            merged[i] = merged[i] + x if i in merged else x
-        key = tuple(sorted(kv for kv in merged.items() if kv[1]))
-        acc[key] = acc[key] + c * pc if key in acc else c * pc
+def _plain_times(a: dict, b: dict, acc: dict) -> dict:
+    """Add the product of the id-form dicts a and b to acc, term by term
+    with no rule applied, and return acc: exponents of one atom add and zero
+    exponents are dropped.  The key of two keys that share no atom is sorted
+    from their own (id, exponent) pairs, so it holds no new pair: the
+    products of the normal form keep fewer objects alive."""
+    for ka, ca in a.items():
+        held = dict(ka)
+        for kb, cb in b.items():
+            for i, _ in kb:
+                if i in held:
+                    merged = held.copy()
+                    for j, x in kb:
+                        merged[j] = merged[j] + x if j in merged else x
+                    key = [kv for kv in merged.items() if kv[1]]
+                    key.sort()
+                    key = tuple(key)
+                    break
+            else:
+                key = tuple(sorted(ka + kb))
+            acc[key] = acc[key] + ca * cb if key in acc else ca * cb
+    return acc
 
 
 def _settle(keys: tuple, c, acc: dict, products: dict):
@@ -1369,7 +1349,7 @@ def _times(a: dict, b: dict) -> dict:
     rule reads and that share no atom multiply by merging; any other pair
     is settled."""
     acc: dict[tuple, int | Fraction] = {}
-    products: dict[tuple, tuple | None] = {}   # parts: product, for this call
+    products: dict[tuple, dict | None] = {}   # parts: product, for this call
     right = [(kb, cb, {i for i, _ in kb}, _stable(kb)) for kb, cb in b.items()]
     for ka, ca in a.items():
         ids, stable = {i for i, _ in ka}, _stable(ka)
@@ -1459,7 +1439,7 @@ def _sparse(e: Expr) -> dict:
             # term by term: (-1)^(j//2) * C(n, j) * cos(x)^(n-j) * sin(x)^j
             # over even or odd j
             out, n, sin, cos = {}, k.numerator, _intern(fun("sin", x)), _intern(fun("cos", x))
-            products: dict[tuple, tuple | None] = {}
+            products: dict[tuple, dict | None] = {}
             for j in range(atom.name == "sin", n + 1, 2):
                 _settle_folded({cos: n - j, sin: j}, (-1) ** (j // 2) * math.comb(n, j), out,
                                products)
@@ -1626,10 +1606,10 @@ def cache_stats() -> dict[str, dict[str, int]]:
     """Entries, held size, emptyings of a full memo, hits and misses of
     each memo since the last ``clear_caches``: ``gradient`` (node gradients,
     holding their derivatives), ``expand`` (whole expansions), ``normal_form``
-    (whole zero normal forms) and ``memo`` (node reads, power expansions and
-    converted keys, holding their monomials, and the interned ``atoms``);
-    ``rat`` gives the interned rationals, their bound and whether it was
-    reached (``full``)."""
+    (whole zero normal forms) and ``memo`` (node reads, among them the
+    powers of sums that settling expands, and converted keys, holding their
+    monomials, and the interned ``atoms``); ``rat`` gives the interned
+    rationals, their bound and whether it was reached (``full``)."""
     stats = {memo.name: memo.stats() for memo in _MEMOS}
     stats["rat"] = {"entries": len(_RAT_CACHE), "bound": _BOUND,
                     "full": len(_RAT_CACHE) >= _BOUND}

@@ -959,15 +959,11 @@ def test_sin_power_expansions_are_the_tree_built_ones():
     sin = ex._intern(ex.fun("sin", t))
     cos_squared = ex.pow_(ex.fun("cos", t), 2)
 
-    def monomials(expansion):
-        return {tuple(sorted(m.items())): c for m, c in expansion}
-
     for m in range(1, 31):
-        tree = [(ex._fold(ex._in_key_order(k)), c)
-                for k, c in id_to_poly(ex.pow_(ex.sub(ex.ONE, cos_squared), m)).items()]
+        tree = id_to_poly(ex.pow_(ex.sub(ex.ONE, cos_squared), m))
         got = ex._expansion(sin, Fraction(2 * m))
         assert len(got) == len(tree) == m + 1
-        assert monomials(got) == monomials(tree), m
+        assert got == tree, m
 
 
 @pytest.mark.parametrize("text", [
@@ -1097,6 +1093,47 @@ def test_settle_folded_is_the_reference_on_picked_monomials(mono):
 @given(st.lists(settled_monomials(), min_size=1, max_size=3))
 def test_settle_folded_is_the_reference_on_drawn_monomials(monos):
     assert_settles_like_the_reference(monos)
+
+
+def ref_plain_times(a: dict, b: dict) -> dict:
+    """The product of two id-form dicts as a plain dict merge of each pair
+    of keys: exponents of one id add, and zero exponents are dropped."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            mono = dict(ka)
+            for i, x in kb:
+                mono[i] = mono.get(i, 0) + x
+            key = tuple(sorted((i, x) for i, x in mono.items() if x))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+# id-form dicts on six ids: keys sorted by id without zero exponents, so
+# two keys often share an id and their exponents cancel
+ID_POLYS = st.dictionaries(
+    st.dictionaries(st.integers(0, 5), st.sampled_from([-2, -1, 1, 2, 3]), max_size=4).map(
+        lambda k: tuple(sorted(k.items()))),
+    st.sampled_from([-3, -1, 1, 2, Fraction(-1, 2), Fraction(2, 3)]), max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ID_POLYS, ID_POLYS, ID_POLYS)
+def test_plain_times_is_the_dict_merge_reference(a, b, acc):
+    ref = ref_plain_times(a, b)
+    for k, c in acc.items():
+        ref[k] = ref.get(k, 0) + c
+    got = ex._plain_times(a, b, acc)
+    assert got is acc
+    assert {k: c for k, c in got.items() if c} == {k: c for k, c in ref.items() if c}
+    assert all(list(k) == sorted(k) and all(x for _, x in k) for k in got)
+    # two keys that share no id give a key of their own pairs, not copies
+    for ka in a:
+        for kb in b:
+            if not {i for i, _ in ka} & {i for i, _ in kb}:
+                (key,) = ex._plain_times({ka: 1}, {kb: 1}, {})
+                pairs = ka + kb
+                assert all(any(pair is own for own in pairs) for pair in key)
 
 
 def test_three_body_clearing_keys_each_settled_monomial_once(monkeypatch):
@@ -1251,6 +1288,45 @@ def test_every_normal_form_of_the_builtins_is_the_reference(monkeypatch):
         assert list(out.items()) == list(ref.items()), to_text(e)
         assert all(map(exact, out.values()))
         assert multiplier == ref_multiplier
+
+
+def golden_normal_forms(monkeypatch) -> list:
+    """(e, normal form items, multiplier) of each call of the normal form
+    that ``golden_check`` of each builtin makes, in call order, each
+    builtin from a cold memo."""
+    from approxsym import models
+    met = []
+    normal_form = ex._zero_normal_form
+
+    def recording(e):
+        out = normal_form(e)
+        met.append((e, list(out[0].items()), out[1]))
+        return out
+
+    monkeypatch.setattr(ex, "_zero_normal_form", recording)
+    for name in models.builtin_names():
+        ex.clear_caches()
+        models.golden_check(models.load_builtin(name))
+    monkeypatch.setattr(ex, "_zero_normal_form", normal_form)
+    return met
+
+
+def test_builtin_normal_forms_ignore_the_sparse_dict_order(monkeypatch):
+    """The order in which the sparse products add their monomials reaches
+    no output: with every dict that ``_times`` and ``_read`` return
+    reversed, each normal form of the builtins' golden checks has the same
+    keys, values, key order and multiplier.  Only ``_term_sorted``'s order
+    reaches the caller."""
+    plain = golden_normal_forms(monkeypatch)
+
+    def reversed_dict(f):
+        return lambda *args: dict(reversed(f(*args).items()))
+
+    monkeypatch.setattr(ex, "_times", reversed_dict(ex._times))
+    monkeypatch.setattr(ex, "_read", reversed_dict(ex._read))
+    reversed_run = golden_normal_forms(monkeypatch)
+    assert len(plain) > 3000
+    assert reversed_run == plain
 
 
 def check_memo_rule(monkeypatch, bound, walks):

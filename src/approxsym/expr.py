@@ -7,9 +7,10 @@ node Int(F, u) for unary F.  Smart constructors keep every tree in a
 canonical form: sums and products are flattened and sorted under a fixed
 total order, rational constants are folded, like terms and like powers are
 combined, and zero/one units are elided.  Products are NOT distributed over
-sums by the constructors; ``expand`` does that explicitly, and the zero
-decision ``is_zero`` additionally reads integer multiple angles in the base
-angle and sin^2 modulo 1 - cos^2, inside function arguments too.
+sums by the constructors.  ``expand`` does that explicitly: it writes back
+as a tree the sparse read that the zero decision ``is_zero`` uses (the id
+form below), so both read integer multiple angles in the base angle and
+sin^2 modulo 1 - cos^2, inside function arguments too.
 
 Most calls of ``add`` and ``mul`` are identities: eps-series pad with ZERO,
 so a sum often has one operand that is not ZERO, and a product an operand
@@ -721,18 +722,19 @@ def contains_eps(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # the kernel's memos: one bounded rule
 #
-# The gradient memo, the expansion and normal-form caches and the read memo
-# each keep what a walk built for a node, so that the next walk that meets
-# the node reads it.  A stored value depends only on the node's structure,
-# so it is what walking again would build, and it is never mutated.  Every
-# memo follows one rule.  A store counts its size (the derivatives or
-# monomials a value holds, or one) against ``bound``; a store that does not
-# fit is skipped and marks the memo full.  The next top-level call of the
-# memo's walk (``gradient``, ``expand``, ``_zero_normal_form``, ``_read``
-# or ``_poly_times``) then starts by emptying it, so a walk never loses its
-# memo halfway.  ``cache_stats`` and ``clear_caches`` walk ``_MEMOS``, so a
-# new memo is covered by being built.  The bound is ``_BOUND``, which also
-# bounds the interned rationals.
+# The gradient memo and the read memo keep what a walk built for each node,
+# so that the next walk that meets the node reads it; the expansion and
+# normal-form caches keep what a whole call returned for its tree.  A stored
+# value depends only on the node's structure, so it is what walking again
+# would build, and it is never mutated.  Every memo follows one rule.  A
+# store counts its size (the derivatives or monomials a value holds, or one)
+# against ``bound``; a store that does not fit is skipped and marks the memo
+# full.  The next top-level call of the memo's walk (``gradient``,
+# ``expand``, ``_zero_normal_form``, ``_read`` or ``_poly_times``) then
+# starts by emptying it, so a walk never loses its memo halfway; since
+# ``expand`` starts a read, nothing inside a read calls it.  ``cache_stats``
+# and ``clear_caches`` walk ``_MEMOS``, so a new memo is covered by being
+# built.  The bound is ``_BOUND``, which also bounds the interned rationals.
 
 _MEMOS: list[_Memo] = []
 
@@ -976,68 +978,30 @@ _ZNF_MEMO = _Memo("normal_form", _ZNF_CACHE)
 
 
 def expand(e: Expr) -> Expr:
-    """Full distribution of products over sums and of positive integer powers.
+    """The id-form read of ``e`` written back as a tree, equal in value to e.
 
-    Iterated to a fixpoint: combining exponents during term-by-term
-    multiplication can recreate positive integer powers of sums.
+    The read (``_read``) distributes products over sums and multiplies out
+    positive integer powers of sums and products; ``_write`` writes its
+    monomials back, as ``_written`` does.  On Laurent polynomials in
+    symbols, jets and sums that is the tree distributing node by node
+    builds.  The read also rewrites what the zero decision reads: sin/cos of
+    an integer multiple of an angle in the base angle, sin^2 as 1 - cos^2, a
+    half-integer power of a sum as its multiplied-out integer part times the
+    root, and the arguments of functions and the bases of other powers in
+    their read form.  Denominators are not cleared.  A sum that reads as
+    zero under a negative power raises ``DivisionByZero``, as ``is_zero``
+    does: (sin(t)^2 + cos(t)^2 - 1)^(-1) is undefined.
     """
     _EXPAND_MEMO.room()
-    return _expanded(e)
-
-
-def _expanded(e: Expr) -> Expr:
-    """``expand`` from the cache, or walked and stored."""
-    orig = e
-    hit = _EXPAND_CACHE.get(orig)
-    if hit is not None:
+    out = _EXPAND_CACHE.get(e)
+    if out is not None:
         _EXPAND_MEMO.hits += 1
-        return hit
+        return out
     _EXPAND_MEMO.misses += 1
-    out = _expand(e)
-    while out != e:
-        e, out = out, _expand(out)
-    _EXPAND_MEMO.put(_EXPAND_CACHE, orig, out)
+    out = _write(_read(e))
+    _EXPAND_MEMO.put(_EXPAND_CACHE, e, out)
     _EXPAND_MEMO.put(_EXPAND_CACHE, out, out)
     return out
-
-
-def _expand(e: Expr) -> Expr:
-    if isinstance(e, (Rat, Sym, Jet, Eps, Fun, AFun, AInt)):
-        return e
-    if isinstance(e, Add):
-        return add(*[_expanded(t) for t in e.terms])
-    if isinstance(e, Pow):
-        base = _expanded(e.base)
-        if isinstance(base, Add) and e.exp.denominator == 1 and e.exp >= 2:
-            out = base
-            for _ in range(int(e.exp) - 1):
-                out = _distribute(out, base)
-            return out
-        if isinstance(base, Add) and e.exp.denominator == 2 and e.exp > 1:
-            # split off the expandable integer part of a half-integer power
-            q = e.exp.numerator // 2
-            return _distribute(_expanded(pow_(base, q)), Pow(base, e.exp - q))
-        return pow_(base, e.exp)
-    if isinstance(e, Mul):
-        pieces = [_expanded(f) for f in e.factors]
-        # re-normalize first (exponent folding), then distribute sums
-        prod = mul(*pieces)
-        if not isinstance(prod, Mul):
-            return _expanded(prod) if prod != e else prod
-        acc = ONE
-        for f in prod.factors:
-            f = _expanded(f)
-            acc = _distribute(acc, f)
-        return acc
-    raise TypeError(f"cannot expand {type(e).__name__}")
-
-
-def _distribute(a: Expr, b: Expr) -> Expr:
-    ta = a.terms if isinstance(a, Add) else (a,)
-    tb = b.terms if isinstance(b, Add) else (b,)
-    if len(ta) * len(tb) == 1:
-        return mul(a, b)
-    return add(*[mul(x, y) for x in ta for y in tb])
 
 
 class _Unknown:
@@ -1452,11 +1416,16 @@ def _sparse(e: Expr) -> dict:
 
 
 def _written(e: Expr) -> Expr:
-    """The read of e written back as a tree: the sum of its monomials, each
-    the product of its coefficient and its atoms' powers, which puts a root
-    atom back onto its base."""
+    """The read of e written back as a tree."""
+    return _write(_sparse(e))
+
+
+def _write(poly: dict) -> Expr:
+    """An id-form dict as a tree: the sum of its monomials, each the product
+    of its coefficient and its atoms' powers, which puts a root atom back
+    onto its base."""
     return add(*[mul(rat(c), *[pow_(_ATOM_OF[i], x) for i, x in key])
-                 for key, c in _sparse(e).items()])
+                 for key, c in poly.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -1605,7 +1574,8 @@ def _zero_normal_form(e: Expr) -> tuple[dict, Expr]:
 def cache_stats() -> dict[str, dict[str, int]]:
     """Entries, held size, emptyings of a full memo, hits and misses of
     each memo since the last ``clear_caches``: ``gradient`` (node gradients,
-    holding their derivatives), ``expand`` (whole expansions), ``normal_form``
+    holding their derivatives), ``expand`` (whole expansions, each the
+    written read of a tree, also stored under itself), ``normal_form``
     (whole zero normal forms) and ``memo`` (node reads, among them the
     powers of sums that settling expands, and converted keys, holding their
     monomials, and the interned ``atoms``); ``rat`` gives the interned

@@ -28,7 +28,7 @@ from . import expr as ex
 from .errors import AnsatzIncomplete, UnverifiedSolution
 from .jet import JetSpace, total_derivative
 from .linalg import (FE, assemble_rows, coefficient_rows, common_multiplier, fe_expr,
-                     nullspace, span_fits, sparse_rref, split_column)
+                     key_column, nullspace, span_fits, sparse_rref, split_column)
 from .noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from .perturb import EpsSeries, series_shift, validate_triangular
 from .symmetry import Generator
@@ -193,10 +193,11 @@ def extract(lag: PerturbedLagrangian, ansatz: AnsatzSpace,
                 shared[(kind, slot, e)] = _seed_residual(lag, kind, slot, e)
             res = series_shift(shared[(kind, slot, e)], k)
         residuals.append(res.coeffs)
-    rows = assemble_rows(common_multiplier(residuals, constants))
-    keys = sorted(rows, key=lambda key: (key[0], key[2]))
-    return DeterminingSystem(lag, ansatz, unknowns, [rows[key] for key in keys],
-                             [(k, sig) for k, _, sig in keys], first_gauge,
+    ids: dict[tuple, int] = {}
+    rows = assemble_rows([key_column(c, ids) for c in common_multiplier(residuals, constants)])
+    keys = sorted(ids.items(), key=lambda item: (item[0][0], item[0][2]))
+    return DeterminingSystem(lag, ansatz, unknowns, [rows[row] for _, row in keys],
+                             [(k, sig) for (k, _, sig), _ in keys], first_gauge,
                              frozenset(constants))
 
 
@@ -298,5 +299,6 @@ def membership(sys: DeterminingSystem, solutions: list[Solution],
         return [c for s in (*g.xi, *g.eta, *gauge.phi) for c in s.coeffs]
 
     columns = [series(s.generator, s.gauge) for s in solutions] + [series(gen, phi)]
-    split = [split_column(parts, sys.constants) for parts in columns]
-    return next(span_fits(split), None) is not None
+    ids: dict[tuple, int] = {}
+    keyed = [key_column(split_column(parts, sys.constants), ids) for parts in columns]
+    return next(span_fits(keyed), None) is not None

@@ -13,12 +13,15 @@ hold 3,120 rows on three-body, 147 of them distinct); a twin reduces like its
 first occurrence and is never promoted before it, so the pivots, their order
 and every printed entry stay as they were.  Merely proportional rows are
 kept: which of them becomes the pivot reaches printed output.  The
-homogeneous systems come from ``coefficient_rows``, or from ``split_column``
-and ``assemble_rows`` where one basis is fitted against many targets: the
-determining equations, span fits, law dependencies, basis independence.
-Every column is split over Q(constants) by ``_split_constants``, which
-builds one entry per distinct constant part of a normal form and then
-shares it among the signatures that have that part.
+homogeneous systems come from ``coefficient_rows``, or from ``split_column``,
+``key_column`` and ``assemble_rows`` where one basis is fitted against many
+targets: the determining equations, span fits, law dependencies, basis
+independence.  Every column is split over Q(constants) by
+``_split_constants``, which builds one entry per distinct constant part of a
+normal form and then shares it among the signatures that have that part.
+Rows are assembled over int ids that the key table of one comparison
+gives their keys (tag, multiplier, signature): ``golden_check`` keys its
+basis once and shares that table and the keyed columns among its fits.
 Each normal form is read after its denominators were cleared, so rows are
 keyed by the clearing multiplier and a dependency is one that holds within
 each multiplier group: sound, but blind to one that cancels only across
@@ -46,8 +49,8 @@ from . import expr as ex
 from .errors import SymbolicPivotAmbiguity
 
 __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
-           "common_multiplier", "split_column", "assemble_rows", "coefficient_rows",
-           "span_fits", "sparse_rref", "nullspace", "solve_dense"]
+           "common_multiplier", "split_column", "key_column", "assemble_rows",
+           "coefficient_rows", "span_fits", "sparse_rref", "nullspace", "solve_dense"]
 
 # an entry: an int when it is integral, a Fraction when it is another
 # rational, an Expr when it holds a constant.  Every entry that is not an
@@ -55,6 +58,7 @@ __all__ = ["fe_add", "fe_mul", "fe_div", "fe_neg", "fe_is_zero", "fe_expr",
 FE = int | Fraction | ex.Expr
 # one part split by ``_split_constants``: ({signature: entry}, multiplier)
 Split = tuple[dict[tuple, FE], ex.Expr]
+Keyed = list[tuple[int, FE]]   # a column as (row id, entry) pairs: ``key_column``
 
 
 def fe_expr(a: FE) -> ex.Expr:
@@ -271,54 +275,63 @@ def common_multiplier(columns: list[list[ex.Expr]], constants) -> list[list[Spli
 
 def split_column(parts: list[ex.Expr], constants) -> list[Split]:
     """One column of ``coefficient_rows``: each tag's zero normal form split
-    by ``_split_constants``; ``assemble_rows`` turns split columns into rows."""
+    by ``_split_constants``; ``key_column`` keys it for ``assemble_rows``."""
     return [_split_constants(form, constants) for form in map(ex._zero_normal_form, parts)]
 
 
-def assemble_rows(columns: list[list[Split]]) -> dict[tuple, dict[int, FE]]:
-    """Rows of sum_j c_j * columns[j] = 0 from split columns, keyed.
+def key_column(parts: list[Split], ids: dict[tuple, int]) -> Keyed:
+    """A split column as (row id, entry) pairs, tag by tag, signatures in
+    normal-form order.  ``ids``, the key table of one comparison, maps
+    (tag, multiplier, signature) to a row id; a new key gets the next id."""
+    return [(ids.setdefault((tag, multiplier, sig), len(ids)), entry)
+            for tag, (entries, multiplier) in enumerate(parts)
+            for sig, entry in entries.items()]
 
-    Returns {(tag, multiplier, signature): {column: entry}}.  Rows come in
-    order of first appearance: column by column, tag by tag, signatures in
-    normal-form order.  That order reaches printed output: entries over
-    Q(constants) have no canonical form, so another row order makes the
-    elimination print another, equal expression.  With the keys of
-    ``_zero_normal_form``'s dict reversed, the Xi6 coefficient in
-    ``golden --model three-body`` reads -m2*(1 + m2*m1^(-1))^(-1) instead
-    of m1*(-1 - m1*m2^(-1))^(-1).
+
+def assemble_rows(columns: list[Keyed]) -> dict[int, dict[int, FE]]:
+    """Rows of sum_j c_j * columns[j] = 0 from keyed columns (``key_column``).
+
+    Returns {row id: {column: entry}}, ids of the columns' one key table,
+    which only name the rows.  Rows come in order of first appearance:
+    column by column, tag by tag, signatures in normal-form order.  That
+    order reaches printed output: entries over Q(constants) have no
+    canonical form, so another row order makes the elimination print
+    another, equal expression.  With the keys of ``_zero_normal_form``'s
+    dict reversed, the Xi6 coefficient in ``golden --model three-body``
+    reads -m2*(1 + m2*m1^(-1))^(-1) instead of m1*(-1 - m1*m2^(-1))^(-1).
     """
-    rows: dict[tuple, dict[int, FE]] = {}
-    for col, parts in enumerate(columns):
-        for tag, (entries, multiplier) in enumerate(parts):
-            for sig, entry in entries.items():
-                rows.setdefault((tag, multiplier, sig), {})[col] = entry
+    rows: dict[int, dict[int, FE]] = {}
+    for col, pairs in enumerate(columns):
+        for row, entry in pairs:
+            rows.setdefault(row, {})[col] = entry
     return rows
 
 
-def coefficient_rows(columns: list[list[ex.Expr]], constants) -> dict[tuple, dict[int, FE]]:
-    """Rows of sum_j c_j * columns[j] = 0 over Q(constants), keyed.
+def coefficient_rows(columns: list[list[ex.Expr]], constants) -> dict[int, dict[int, FE]]:
+    """Rows of sum_j c_j * columns[j] = 0 over Q(constants), by row id.
 
     Each column is a list of expressions indexed by tag (an eps order, a
-    flux component); it is split by ``split_column`` and the rows are put
-    together by ``assemble_rows``, in that function's order, with the
-    multiplier and signatures of ``_split_constants``.  Keying by the
-    multiplier compares only normal forms scaled alike, so a dependency
-    found holds within each multiplier group and hence for the columns
-    themselves (see the module docstring).
+    flux component), split by ``split_column`` and keyed through a key
+    table of this call; ``assemble_rows`` puts the rows together in its
+    order, with the multiplier and signatures of ``_split_constants``.
+    Keying by the multiplier compares only normal forms scaled alike, so a
+    dependency found holds within each multiplier group and hence for the
+    columns themselves (see the module docstring).
     """
-    return assemble_rows([split_column(parts, constants) for parts in columns])
+    ids: dict[tuple, int] = {}
+    return assemble_rows([key_column(split_column(p, constants), ids) for p in columns])
 
 
-def span_fits(columns: list[list[Split]]):
+def span_fits(columns: list[Keyed]):
     """Solutions of sum_j c_j * columns[j] = columns[-1] over Q(constants).
 
-    Columns are split columns (``split_column``), so a caller fitting many
-    targets against one basis splits the basis once.  Yields one {j: c_j}
-    per null vector of [columns[:-1] | -columns[-1]] with a nonzero target
-    coordinate, zero coordinates omitted.  Each distinct target entry that
-    is an Expr is negated once: many rows, twins that ``sparse_rref`` drops,
-    share one.  A rational is negated directly, which costs less than
-    hashing it.
+    Columns are keyed columns (``key_column``) of one key table, so a caller
+    fitting many targets against one basis keys the basis once.  Yields one
+    {j: c_j} per null vector of [columns[:-1] | -columns[-1]] with a nonzero
+    target coordinate, zero coordinates omitted.  Each distinct target
+    entry that is an Expr is negated once: many rows, twins that
+    ``sparse_rref`` drops, share one.  A rational is negated directly, which
+    costs less than hashing it.
     """
     target = len(columns) - 1
     rows = assemble_rows(columns).values()

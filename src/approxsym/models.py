@@ -22,7 +22,7 @@ from .determine import AnsatzSpace, default_ansatz
 from .errors import ApproxSymError, ModelError, UnknownModel
 from .jet import JetSpace
 from .lang import Language, to_text
-from .linalg import Split, fe_expr, span_fits, split_column
+from .linalg import Keyed, Split, fe_expr, key_column, span_fits, split_column
 from .noether import (ConservationLaw, GaugeTerm, PerturbedLagrangian,
                       divergence_check, noether_fluxes, variational_residual)
 from .perturb import EpsSeries
@@ -158,18 +158,21 @@ def load_model_dict(data: dict) -> Model:
         oscillatory=bool(data.get("oscillatory")), ansatz_bases=ansatz_bases, **numbers,
         dependencies=_strings(data, "dependencies"), notes=_strings(data, "notes"),
         raw=data)
+    names: dict[str, int] = {}   # golden name: index of its record
     for i, rec in enumerate(_optional(data, "golden", list, [])):
         where = f"golden[{i}]."
         if not isinstance(rec, dict):
             raise ModelError(f"golden[{i}]: expected object")
-        _require(rec, "name", str, where)
+        name = _require(rec, "name", str, where)
+        if names.setdefault(name, i) != i:   # golden_check fits laws by name
+            raise ModelError(f"golden[{i}]: name {name!r} repeats golden[{names[name]}]")
         texts = _optional(rec, "quantity", list, [], where)
-        with named(f"golden[{i}] ({rec['name']})"):
+        with named(f"golden[{i}] ({name})"):
             gen, gauge = parse_generator(model, rec, where)
             quantity = (EpsSeries(tuple(_parse(model, s) for s in texts))
                         if texts else None)
         model.golden.append(GoldenRecord(
-            rec["name"], gen, gauge, quantity,
+            name, gen, gauge, quantity,
             _optional(rec, "expect", str, "nontrivial", where)))
     return model
 
@@ -329,17 +332,18 @@ class GoldenResult:
 def golden_check(model: Model) -> list[GoldenResult]:
     """Verify every golden record of a model; failures are report entries."""
     out = []
-    laws: dict[str, EpsSeries] = {}
-    for rec in model.golden:
-        if rec.quantity is not None:
-            laws[rec.name] = rec.quantity
+    laws = {rec.name: rec.quantity for rec in model.golden if rec.quantity is not None}
     splits: dict[ex.Expr, Split] = {}
+    ids: dict[tuple, int] = {}   # the key table of every span fit below
+    keyed: dict[tuple, Keyed] = {}
 
-    def split(series: EpsSeries) -> list[Split]:
-        # each distinct coefficient is split once per golden_check
-        new = [e for e in dict.fromkeys(series.coeffs) if e not in splits]
-        splits.update(zip(new, split_column(new, model.constant_names)))
-        return [splits[e] for e in series.coeffs]
+    def key(series: EpsSeries) -> Keyed:
+        # each distinct coefficient is split, each distinct series keyed, once
+        if series.coeffs not in keyed:
+            new = [e for e in dict.fromkeys(series.coeffs) if e not in splits]
+            splits.update(zip(new, split_column(new, model.constant_names)))
+            keyed[series.coeffs] = key_column([splits[e] for e in series.coeffs], ids)
+        return keyed[series.coeffs]
 
     for rec in model.golden:
         quantity_ok = None
@@ -360,7 +364,7 @@ def golden_check(model: Model) -> list[GoldenResult]:
                 if rec.expect == "trivial":
                     match = {"trivial": law.classification == "trivial"}
                 elif rec.quantity is not None:
-                    match = _match_quantity(law.quantity, rec.name, laws, split)
+                    match = _match_quantity(law.quantity, rec.name, laws, key)
         except Exception as err:  # report, never crash the harness
             detail = f"{type(err).__name__}: {err}"
         if rec.expect == "trivial":
@@ -375,15 +379,16 @@ def golden_check(model: Model) -> list[GoldenResult]:
 
 
 def _match_quantity(q: EpsSeries, name: str, laws: dict[str, EpsSeries],
-                    split: Callable[[EpsSeries], list[Split]]) -> dict | None:
+                    key: Callable[[EpsSeries], Keyed]) -> dict | None:
     """Fit q = sigma*I_name + sum c_j I_j + per-order constants, sigma != 0.
 
-    ``split`` gives a series' coefficients split over Q(constants) (see
-    ``linalg.split_column``).  ``golden_check`` hands every record the same
-    one, which splits each distinct coefficient once, so the basis of golden
-    quantities and constant columns is split once, not once per record; each
-    record still reduces its own rows, since the printed entries depend on
-    the elimination order.
+    ``key`` gives a series' coefficients split over Q(constants) and keyed
+    by one key table (``linalg.key_column``).  ``golden_check`` hands every
+    record the same one, so the basis of golden quantities and constant
+    columns is split and keyed once, not once per record, and each fit's
+    rows are named by ids of that table; each record still assembles and
+    reduces its own rows, since the printed entries depend on the
+    elimination order.
     """
     p = q.order
     names = [name] + [n for n in laws if n != name]
@@ -393,7 +398,7 @@ def _match_quantity(q: EpsSeries, name: str, laws: dict[str, EpsSeries],
         coeffs[k] = ex.ONE
         basis.append(EpsSeries(tuple(coeffs)))
         names.append(f"const_eps{k}")
-    for coords in span_fits([split(b) for b in basis + [q]]):
+    for coords in span_fits([key(b) for b in basis + [q]]):
         sigma = coords.get(0)
         if sigma is None:
             continue

@@ -319,6 +319,23 @@ def test_malformed_model_field_is_named(tmp_path, field, value, named):
     assert proc.stderr.startswith(f"error: {named}:"), proc.stderr
 
 
+def test_repeated_golden_name_exits_2(tmp_path):
+    # it used to load, and "golden" printed "Xi3: FAIL" for the correct Xi2
+    # record, fitted against the other Xi3's quantity, and exited 1
+    from approxsym.models import _BUILTINS
+    data = copy.deepcopy(_BUILTINS["oscillator-quadratic"])
+    for rec in data["golden"]:
+        if rec["name"] == "Xi2":
+            rec["name"] = "Xi3"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    proc = run("golden", str(path), check=False)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: golden["), proc.stderr
+    assert "name 'Xi3' repeats golden[" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _FREE_LAW = {"grid": {"t0": 0.0, "t1": 1.0, "h": 1e-2},
              "initial": {"u0": 0.0, "du0#t": 1.0, "u1": 0.0, "du1#t": 0.0},
              "golden": [{"name": "Xi1", "xi": [["1"], ["0"]], "eta": [["0"], ["0"]],

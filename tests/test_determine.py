@@ -13,12 +13,13 @@ from approxsym.determine import (AnsatzSpace, _gauge_residual, _generator_and_ga
                                  default_ansatz, extract, membership, report, solve)
 from approxsym.errors import AnsatzIncomplete, UnverifiedSolution
 from approxsym.jet import JetSpace
-from approxsym.linalg import assemble_rows, common_multiplier, sparse_rref
+from approxsym.linalg import common_multiplier, sparse_rref
 from approxsym.models import builtin_names, load_builtin, load_model_dict
 from approxsym.noether import GaugeTerm, PerturbedLagrangian, variational_residual
 from approxsym.perturb import (EpsSeries, const_series, series_add, series_divergence,
                                series_sub)
 from approxsym.symmetry import Generator
+from test_linalg import reference_assemble_rows
 
 SP = JetSpace(("t",), ("u",), order=1, max_derivative=2)
 L = SP.language(functions={"F": 1})
@@ -185,7 +186,7 @@ def _reference_extract(lag, ansatz, constants):
         gen, phi = _generator_and_gauge(sp, ansatz, columns,
                                         lambda col: ex.ONE if col == j else None)
         residuals.append(variational_residual(gen, lag, phi).coeffs)
-    rows = assemble_rows(common_multiplier(residuals, constants))
+    rows = reference_assemble_rows(common_multiplier(residuals, constants))
     keys = sorted(rows, key=lambda key: (key[0], key[2]))
     return unknowns, [rows[key] for key in keys], [(k, sig) for k, _, sig in keys]
 

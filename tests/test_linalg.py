@@ -1,32 +1,67 @@
 """Exact linear algebra over Q extended by symbolic constants."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from approxsym import determine, linalg, models, noether
 from approxsym import expr as ex
-from approxsym import linalg, noether
-from approxsym.determine import extract
+from approxsym.determine import extract, membership, solve
 from approxsym.errors import SymbolicPivotAmbiguity
 from approxsym.jet import JetSpace
 from approxsym.lang import to_text
 from approxsym.linalg import (_axpy, assemble_rows, coefficient_rows, common_multiplier,
-                              fe_add, fe_div, fe_expr, fe_is_zero, fe_mul, fe_neg, nullspace,
-                              solve_dense, span_fits, sparse_rref, split_column)
-from approxsym.models import builtin_names, golden_check, load_builtin
+                              fe_add, fe_div, fe_expr, fe_is_zero, fe_mul, fe_neg, key_column,
+                              nullspace, solve_dense, span_fits, sparse_rref, split_column)
+from approxsym.models import builtin_names, golden_check, load_builtin, load_model_dict
 from test_expr import exact
+
+MODEL_FILES = Path(__file__).parent / "models"
 
 
 def F(x):
     return Fraction(x)
 
 
+def keyed(columns, ids=None):
+    """Split columns keyed through one key table, a new one by default."""
+    ids = {} if ids is None else ids
+    return [key_column(parts, ids) for parts in columns]
+
+
 def fits(columns, constants=()):
-    return span_fits([split_column(parts, constants) for parts in columns])
+    return span_fits(keyed([split_column(parts, constants) for parts in columns]))
+
+
+def reference_assemble_rows(columns):
+    """Rows of sum_j c_j * columns[j] = 0 from split columns, keyed by
+    (tag, multiplier, signature): each pair's key tuple is hashed into the
+    row table.  ``assemble_rows`` over row ids must give the same rows, in
+    the same order, with the same entries."""
+    rows = {}
+    for col, parts in enumerate(columns):
+        for tag, (entries, multiplier) in enumerate(parts):
+            for sig, entry in entries.items():
+                rows.setdefault((tag, multiplier, sig), {})[col] = entry
+    return rows
+
+
+def assert_reference_rows(rows, ids, columns):
+    """rows, named by ids of the key table ids, are the reference rows of
+    the split columns: their keys in the same order, each row's columns in
+    the same order, and the very same entry objects."""
+    keys = list(ids)   # row id -> key
+    want = reference_assemble_rows(columns)
+    assert [keys[r] for r in rows] == list(want)
+    for row, ref in zip(rows.values(), want.values()):
+        assert list(row) == list(ref)
+        assert all(row[c] is ref[c] for c in ref)
 
 
 def test_unique_zero_solution():
@@ -90,7 +125,7 @@ def test_common_multiplier_compares_across_denominators():
     columns = [[lang.parse(s)] for s in
                ("1/(1+u0^2)", "1/(2+u0^2)", "1/((1+u0^2)*(2+u0^2))")]
     assert len(sparse_rref(coefficient_rows(columns, ()).values())) == 3
-    rows = assemble_rows(common_multiplier(columns, ())).values()
+    rows = assemble_rows(keyed(common_multiplier(columns, ()))).values()
     assert nullspace(rows, 3) == [{0: -1, 1: 1, 2: 1}]
     # multipliers that agree leave the tag as it was
     alike = [[lang.parse("1/(1+u0^2)")], [lang.parse("u0/(1+u0^2)")], [ex.ZERO]]
@@ -105,7 +140,7 @@ def test_common_multiplier_reduces_sin_squared_it_multiplies_in():
     columns = [[lang.parse(s)] for s in
                ("sin(t)/(1 + sin(t))", "1/(2 + sin(t))",
                 "(sin(t)*(2 + sin(t)) + 1 + sin(t))/((1 + sin(t))*(2 + sin(t)))")]
-    rows = assemble_rows(common_multiplier(columns, ())).values()
+    rows = assemble_rows(keyed(common_multiplier(columns, ()))).values()
     assert nullspace(rows, 3) == [{0: -1, 1: -1, 2: 1}]
 
 
@@ -401,6 +436,8 @@ def test_span_fits_negates_each_distinct_target_entry_once(monkeypatch):
     def recorded(columns):
         rows = assemble(columns)
         if sys._getframe(1).f_code is code:
+            # the fit assembles keyed columns, over row ids
+            assert all(type(r) is int for col in columns for r, _ in col)
             target = len(columns) - 1
             targets = [row[target] for row in rows.values()
                        if isinstance(row.get(target), ex.Expr)]
@@ -412,3 +449,111 @@ def test_span_fits_negates_each_distinct_target_entry_once(monkeypatch):
     monkeypatch.setattr(linalg, "assemble_rows", recorded)
     assert all(r.passed for r in golden_check(load_builtin("three-body")))
     assert negations[0] == distinct[0] < entries[0]
+
+
+def test_golden_check_keys_each_series_once(monkeypatch):
+    # three-body: the 14 span fits assemble 47,094 (row, entry) pairs, each
+    # fit 3,120 rows over the same 3,120 distinct row keys.  A key is hashed
+    # into the check's one key table only as a distinct series is keyed, in
+    # 6,260 pairs from 24 distinct series; every fit assembles over row ids
+    key, assemble = linalg.key_column, linalg.assemble_rows
+    tables, hashed, assembled = [], [0], [0]
+
+    def counted_key(parts, ids):
+        tables.append(ids)
+        col = key(parts, ids)
+        hashed[0] += len(col)
+        return col
+
+    def counted_assemble(columns):
+        assert all(type(r) is int for col in columns for r, _ in col)
+        assembled[0] += sum(map(len, columns))
+        return assemble(columns)
+
+    model = load_builtin("three-body")
+    monkeypatch.setattr(models, "key_column", counted_key)
+    monkeypatch.setattr(linalg, "assemble_rows", counted_assemble)
+    assert all(r.passed for r in golden_check(model))
+    assert all(t is tables[0] for t in tables)
+    assert (len(tables[0]), hashed[0], assembled[0]) == (3120, 6260, 47094)
+
+
+@pytest.fixture
+def reference_assembly(monkeypatch):
+    """Every assembly made while the fixture is active is compared with
+    ``reference_assemble_rows`` over the split columns it came from; the
+    value counts the assemblies."""
+    key, assemble = linalg.key_column, linalg.assemble_rows
+    made = {}   # id(keyed column): (keyed column, split column, key table)
+    count = [0]
+
+    def recorded(parts, ids):
+        col = key(parts, ids)
+        made[id(col)] = (col, parts, ids)
+        return col
+
+    def checked(columns):
+        rows = assemble(columns)
+        _, parts, tables = zip(*(made[id(col)] for col in columns))
+        assert all(t is tables[0] for t in tables)
+        assert_reference_rows(rows, tables[0], list(parts))
+        count[0] += 1
+        return rows
+
+    for module in (linalg, models, determine):
+        monkeypatch.setattr(module, "key_column", recorded)
+    for module in (linalg, determine):
+        monkeypatch.setattr(module, "assemble_rows", checked)
+    return count
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_golden_check_and_classify_assemble_as_the_reference(reference_assembly, name):
+    model = load_builtin(name)
+    loaded = reference_assembly[0]   # the ansatz bases' independence checks
+    assert all(r.passed for r in golden_check(model))
+    laws = [noether.ConservationLaw(model.space, (rec.quantity,), name=rec.name)
+            for rec in model.golden if rec.quantity is not None]
+    noether.classify(laws, model.constant_names)
+    fits = sum(rec.quantity is not None and rec.expect != "trivial" for rec in model.golden)
+    assert reference_assembly[0] - loaded == fits + 1
+
+
+@pytest.mark.parametrize("source", [n for n in builtin_names() if n != "three-body"]
+                         + ["line3", "order2"])
+def test_extract_and_membership_assemble_as_the_reference(reference_assembly, source):
+    if source in builtin_names():
+        model = load_builtin(source)
+    else:
+        model = load_model_dict(json.loads((MODEL_FILES / f"{source}.json").read_text()))
+    ansatz = model.ansatz   # built with the bases' independence checks
+    loaded = reference_assembly[0]
+    system = extract(model.lagrangian, ansatz, model.constant_names)
+    solutions = solve(system)
+    for rec in model.golden:
+        membership(system, solutions, rec.generator, rec.gauge)
+    assert reference_assembly[0] - loaded == 1 + len(model.golden)
+
+
+# split columns whose signatures repeat across tags and multipliers
+_X, _Y = ex.sym("x"), ex.sym("y")
+_SIGNATURES = [(), ((_X, 1),), ((_X, 2),), ((_Y, 1),), ((_X, 1), (_Y, 1))]
+_MULTIPLIERS = [ex.ONE, _Y, ex.add(ex.ONE, ex.pow_(_X, 2))]
+_ENTRIES = st.one_of(st.integers(-3, 3).filter(bool),
+                     st.fractions(-3, 3, max_denominator=4).filter(bool),
+                     st.sampled_from([ex.sym("a"), ex.add(ex.sym("a"), ex.sym("b"))]))
+_SPLIT_COLUMNS = st.lists(st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(_SIGNATURES), _ENTRIES, max_size=4),
+    st.sampled_from(_MULTIPLIERS)), max_size=3), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_SPLIT_COLUMNS, _SPLIT_COLUMNS)
+def test_assembly_over_row_ids_matches_the_reference(earlier, columns):
+    # a new key table, and one that already holds the keys of earlier
+    # columns, as golden_check's does after its first fits
+    fresh = {}
+    assert_reference_rows(assemble_rows(keyed(columns, fresh)), fresh, columns)
+    shared = {}
+    keyed(earlier, shared)
+    assert_reference_rows(assemble_rows(keyed(columns, shared)), shared, columns)

@@ -65,6 +65,19 @@ def test_schema_validation_paths():
         load_model_dict(bad)
 
 
+def test_repeated_golden_name_is_refused():
+    # golden_check fits each record's law against the others by name: with
+    # Xi2 renamed Xi3, the correct Xi2 record was fitted against Xi3's
+    # quantity and reported "Xi3: FAIL"
+    data = copy.deepcopy(_BUILTINS["oscillator-quadratic"])
+    names = [rec["name"] for rec in data["golden"]]
+    first, second = names.index("Xi2"), names.index("Xi3")
+    data["golden"][first]["name"] = "Xi3"
+    with pytest.raises(ModelError, match=rf"^golden\[{second}\]: name 'Xi3' repeats "
+                                         rf"golden\[{first}\]$"):
+        load_model_dict(data)
+
+
 def test_oscillator_golden_all_pass():
     model = load_builtin("oscillator-arbitraryF")
     results = golden_check(model)

@@ -43,11 +43,21 @@ class OrderMismatch(ApproxSymError):
 class NotAVariationalSymmetry(ApproxSymError):
     """Flux assembly requested for a generator/gauge pair with nonzero residual.
 
-    The message, the whole residual, is formatted only when read."""
+    ``residual`` is given as the whole residual series, or as a function of
+    no arguments that builds it.  The series is then built only when
+    ``residual`` or the message is first read, and the message, the whole
+    residual, is formatted only when read: a rejection that is caught
+    builds and formats nothing more."""
 
     def __init__(self, residual):
-        super().__init__(residual)
-        self.residual = residual
+        super().__init__()
+        self._residual = residual
+
+    @property
+    def residual(self):
+        if callable(self._residual):
+            self._residual = self._residual()
+        return self._residual
 
     def __str__(self):
         return f"residual is not identically zero: {self.residual!r}"

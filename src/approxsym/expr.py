@@ -916,7 +916,10 @@ def subst(e: Expr, bindings: Mapping[Expr, Expr]) -> Expr:
         done[c] = None if out is c else out
         return out
 
-    return walk(e)
+    try:
+        return walk(e)
+    finally:
+        del walk   # walk holds itself through its cell: free it by refcount
 
 
 def subst_function(e: Expr, name: str, formal: Sym, body: Expr) -> Expr:

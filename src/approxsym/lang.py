@@ -318,6 +318,9 @@ class _Parser:
             if v.kind != "name":
                 raise SyntaxErrorAt("expected independent variable after '#'", v.line, v.col)
             m = re.fullmatch(r"([A-Za-z_]+)(\d*)", v.text)
+            if m is None:
+                raise SyntaxErrorAt(f"suffix {v.text!r} is not a variable with a count",
+                                    v.line, v.col)
             vname, rep = m.group(1), self.integer(m.group(2) or "1", v)
             if vname not in self.lang.independent:
                 raise SyntaxErrorAt(f"{vname!r} is not an independent variable", v.line, v.col)

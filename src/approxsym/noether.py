@@ -12,13 +12,20 @@ classical Noether current
 
 all products being Cauchy products truncated at the expansion order.  Both
 read the partial derivatives of L from the Lagrangian (``partial``), which
-differentiates each coefficient once however many generators are tested.  The
-divergence check (total divergence on the Euler-Lagrange hierarchy solved
-for the leading derivatives) always runs and is the source of truth.
+differentiates each coefficient once however many generators are tested.
+
+``noether_fluxes`` runs its checks in the order in which approximate
+symmetries are built by hand.  First the eps^0 condition: the order-0
+generator and gauge must be an exact variational symmetry of L_0
+(``leading_residual``, on the order-0 truncation).  Then the whole residual
+series.  Then, after the fluxes are assembled, the divergence check (total
+divergence on the Euler-Lagrange hierarchy solved for the leading
+derivatives), which always runs and is the source of truth.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,24 +41,27 @@ from .symmetry import Generator
 
 __all__ = ["PerturbedLagrangian", "GaugeTerm", "ConservationLaw",
            "euler_lagrange", "el_solved_map", "variational_residual",
-           "noether_fluxes", "divergence_check", "classify", "Dependency"]
+           "leading_residual", "noether_fluxes", "divergence_check", "classify",
+           "Dependency"]
 
 
 @dataclass(frozen=True)
 class PerturbedLagrangian:
-    """L = L_0 + eps L_1 + ... on a jet space, with two memos of derived data.
+    """L = L_0 + eps L_1 + ... on a jet space, with three memos of derived data.
 
-    Frozen, so that neither memo can go stale behind a changed ``L``.
+    Frozen, so that no memo can go stale behind a changed ``L``.
     ``_partials`` maps a variable v to the series dL/dv, filled by
     ``partial`` on first use: at most n + m*(1+n) entries for the order-1
     action (the independent variables and the order-0 slots of u and its
     first derivatives).  ``_el_cache`` holds the solved Euler-Lagrange
-    hierarchy, set by the first ``el_solved_map``.
+    hierarchy, set by the first ``el_solved_map``, and ``_leading`` the
+    Lagrangian of the eps^0 condition, set by the first ``leading``.
     """
     space: JetSpace
     L: EpsSeries
     _el_cache: dict | None = field(default=None, repr=False, compare=False)
     _partials: dict = field(default_factory=dict, repr=False, compare=False)
+    _leading: PerturbedLagrangian | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.L.order != self.space.order:
@@ -78,6 +88,26 @@ class PerturbedLagrangian:
         if d is None:
             d = self._partials[v] = series_u_partial(self.L, v)
         return d
+
+    def leading(self) -> "PerturbedLagrangian":
+        """L_0 alone on the order-0 space: the Lagrangian of the eps^0 condition.
+
+        Its partials by the n + m*(1+n) variables of the order-1 action are
+        coefficient 0 of this Lagrangian's ``partial``, so L is still
+        differentiated once.  They are copied into its memo rather than read
+        through a reference back to this Lagrangian, which would make the
+        pair a reference cycle.
+        """
+        if self._leading is None:
+            sp = self.space
+            variables = [ex.sym(v) for v in sp.independent] + [
+                ex.jet(base, 0, deriv) for base in sp.dependent
+                for deriv in [(), *((v,) for v in sp.independent)]]
+            lead = PerturbedLagrangian(
+                dataclasses.replace(sp, order=0), EpsSeries(self.L.coeffs[:1]),
+                _partials={v: EpsSeries(self.partial(v).coeffs[:1]) for v in variables})
+            object.__setattr__(self, "_leading", lead)
+        return self._leading
 
     @classmethod
     def from_expression(cls, e: ex.Expr, space: JetSpace) -> "PerturbedLagrangian":
@@ -211,23 +241,52 @@ def variational_residual(g: Generator, lag: PerturbedLagrangian,
     return series_sub(out, series_divergence(phi.phi, sp))
 
 
+def _cut(series: tuple[EpsSeries, ...]) -> tuple[EpsSeries, ...]:
+    """Each series cut to its coefficient 0, as an order-0 series."""
+    return tuple(EpsSeries(s.coeffs[:1]) for s in series)
+
+
+def leading_residual(g: Generator, lag: PerturbedLagrangian,
+                     phi: GaugeTerm | None = None) -> ex.Expr:
+    """The eps^0 coefficient of ``variational_residual(g, lag, phi)``.
+
+    It is computed on the order-0 truncation alone: g and phi cut to their
+    coefficient 0 and tested against L_0 (``lag.leading()``) on the order-0
+    space.  Coefficient 0 of every series product and sum reads only
+    coefficients 0, so this builds the very tree of the full residual's
+    coefficient 0 without building the higher ones.
+    """
+    lead = lag.leading()
+    sp = lead.space
+    g0 = Generator(sp, _cut(g.xi), _cut(g.eta))
+    return variational_residual(g0, lead, phi and GaugeTerm(sp, _cut(phi.phi)))[0]
+
+
 def noether_fluxes(g: Generator, lag: PerturbedLagrangian,
                    phi: GaugeTerm | None = None, name: str = "",
                    residual: EpsSeries | None = None) -> ConservationLaw:
     """Assemble the approximate conservation law of a variational symmetry.
 
-    Raises NotAVariationalSymmetry when the residual is nonzero, and
-    FormulaMismatch when the residual is zero but the divergence check
+    The checks run in this order.  Unless the caller passes the residual
+    (a caller that already holds variational_residual(g, lag, phi) passes
+    it as `residual`), the eps^0 coefficient is tested first, alone
+    (``leading_residual``), on a space of order p >= 1.  If it does not
+    read zero, NotAVariationalSymmetry is raised at once; the whole residual
+    series, which its message prints, is built only when the error's
+    ``residual`` or message is read.  Otherwise the whole residual is built
+    and tested, and NotAVariationalSymmetry raised when it is nonzero.
+    Last the fluxes are assembled and the divergence check runs;
+    FormulaMismatch is raised when the residual is zero but that check
     fails (which would indicate an index-convention defect; it is the
-    arbiter, never silently overridden).  A caller that already holds
-    variational_residual(g, lag, phi) passes it as `residual`.
+    arbiter, never silently overridden).
     """
     sp = lag.space
     phi = phi or GaugeTerm.zero(sp)
     if residual is None:
+        if sp.order and ex.is_zero(leading_residual(g, lag, phi)) is not True:
+            raise NotAVariationalSymmetry(lambda: variational_residual(g, lag, phi))
         residual = variational_residual(g, lag, phi)
-    rz = residual.is_zero_series()
-    if rz is not True:
+    if residual.is_zero_series() is not True:
         raise NotAVariationalSymmetry(residual)
     characteristics = []
     for a, base in enumerate(sp.dependent):

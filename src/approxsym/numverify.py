@@ -67,7 +67,10 @@ def _compile_source(e: ex.Expr, names: dict[ex.Expr, str],
             return f"math.{node.name}({src(node.arg)})"
         raise UnboundSymbol(
             f"cannot evaluate {type(node).__name__}; bind arbitrary functions first")
-    return src(e)
+    try:
+        return src(e)
+    finally:
+        del src   # src holds itself through its cell: free it by refcount
 
 
 def _repeated(exprs: list[ex.Expr], pick) -> list[ex.Expr]:
@@ -80,8 +83,11 @@ def _repeated(exprs: list[ex.Expr], pick) -> list[ex.Expr]:
             counts[node] = counts.get(node, 0) + 1
         for ch in ex._children(node):
             walk(ch)
-    for e in exprs:
-        walk(e)
+    try:
+        for e in exprs:
+            walk(e)
+    finally:
+        del walk   # walk holds itself through its cell: free it by refcount
     return [node for node, c in counts.items() if c >= 2]
 
 
@@ -144,7 +150,8 @@ def _define(signature: str, body: list[str]):
     ns = {"math": math, "isfinite": math.isfinite, "NonFiniteState": NonFiniteState,
           "_FLOAT_FAULTS": _FLOAT_FAULTS, "_non_finite": _non_finite}
     exec("\n".join([f"def {signature}:", *_indent(body)]), ns)
-    return ns[signature.partition("(")[0]]
+    # popped, so that the function and its globals hold no cycle
+    return ns.pop(signature.partition("(")[0])
 
 
 def compile_functions(exprs: list[ex.Expr], jet_src: dict[ex.Jet, str],

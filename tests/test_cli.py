@@ -154,6 +154,31 @@ def test_noether_override_non_symmetry_exit_4():
     assert proc.returncode == 4
 
 
+def test_override_with_a_malformed_derivative_suffix_exits_2():
+    proc = run("noether", "--model", "oscillator-quadratic",
+               "--xi", '[["du0#t2a"],["0"]]', "--eta", '[["0"],["0"]]', check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "'t2a' is not a variable with a count (line 1, column 5)" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("xi, eta, residual", [
+    # fails at eps^0: the scaling of u is no symmetry of L_0
+    ('[["0"],["0"]]', '[["u0"],["0"]]',
+     "du0#t^2 - u0^2; u0*(-u1 - (delta^2 + u0^2 + 2*delta*u0)) + du0#t*du1#t"),
+    # passes eps^0 (time shift) and fails only at eps^1
+    ('[["1"],["t"]]', '[["0"],["0"]]', "0; -du0#t^2 + 1/2*(du0#t^2 - u0^2)"),
+])
+def test_noether_override_non_symmetry_message(xi, eta, residual):
+    # the message prints the whole residual series, whichever order fails
+    proc = run("noether", "--model", "oscillator-quadratic", "--xi", xi, "--eta", eta,
+               check=False)
+    assert proc.returncode == 4
+    assert proc.stderr == f"error: residual is not identically zero: EpsSeries[{residual}]\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("override", [
     ("--xi", '[["1"],["0"]]'), ("--eta", '[["0"],["0"]]'), ("--phi", '[["0","0"]]')])
 @pytest.mark.parametrize("name", ["Nope", "Xi1"])

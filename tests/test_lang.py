@@ -125,6 +125,14 @@ def test_exponent_with_a_zero_denominator_is_a_syntax_error():
         assert err.value.column == column, text
 
 
+@pytest.mark.parametrize("text, column", [
+    ("du0#t2a", 5), ("d2u0#t2a", 6), ("d2u0#t#t1_", 8), ("u0 + \n  du0#t2a", 7)])
+def test_derivative_suffix_with_letters_after_its_count(text, column):
+    with pytest.raises(SyntaxErrorAt, match="is not a variable with a count") as err:
+        L.parse(text)
+    assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+
+
 def test_float_literals_rejected():
     with pytest.raises(SyntaxErrorAt):
         L.parse("0.5*u0")

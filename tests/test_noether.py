@@ -15,8 +15,8 @@ from approxsym.jet import JetSpace, total_derivative
 from approxsym.models import builtin_names, load_builtin, parse_generator
 from approxsym.noether import (ConservationLaw, GaugeTerm, PerturbedLagrangian,
                                classify, divergence_check, el_solved_map,
-                               euler_lagrange, noether_fluxes,
-                               variational_residual)
+                               euler_lagrange, leading_residual,
+                               noether_fluxes, variational_residual)
 from approxsym.perturb import (EpsSeries, const_series, series_add,
                                series_divergence, series_mul, series_shift,
                                series_sub, series_u_partial)
@@ -112,9 +112,58 @@ def test_noether_rejects_non_symmetry(monkeypatch):
     with pytest.raises(NotAVariationalSymmetry) as err:
         noether_fluxes(g, LAG)
     assert not printed   # raising and catching formats nothing
-    # the message is the one formatted eagerly before the error was raised
+    # reading the message builds and formats the whole residual
     residual = variational_residual(g, LAG)
     assert str(err.value) == f"residual is not identically zero: {residual!r}"
+
+
+def test_noether_tests_eps0_before_building_the_whole_residual(monkeypatch):
+    from approxsym import noether
+    residual, orders = noether.variational_residual, []
+
+    def counting(g, lag, phi=None):
+        orders.append(lag.space.order)
+        return residual(g, lag, phi)
+    monkeypatch.setattr(noether, "variational_residual", counting)
+    # the scaling of u fails at eps^0: only the order-0 truncation is built
+    g = gen(["0", "0"], ["u0", "0"])
+    with pytest.raises(NotAVariationalSymmetry) as err:
+        noether_fluxes(g, LAG)
+    assert orders == [0]
+    # reading the residual builds the whole series, once
+    assert err.value.residual is err.value.residual
+    assert orders == [0, 1]
+    assert keys(err.value.residual) == keys(residual(g, LAG))
+    assert err.value.residual[0] != ex.ZERO
+    # a time shift at eps^0 with xi_(1) = t passes eps^0 and fails at eps^1
+    orders.clear()
+    g = gen(["1", "t"], ["0", "0"])
+    with pytest.raises(NotAVariationalSymmetry) as err:
+        noether_fluxes(g, LAG)
+    assert orders == [0, 1]
+    full = residual(g, LAG)
+    assert full[0] == ex.ZERO and full[1] != ex.ZERO
+    assert str(err.value) == f"residual is not identically zero: {full!r}"
+    assert orders == [0, 1]   # the message reads the residual built before raising
+    orders.clear()
+    assert noether_fluxes(XI1, LAG).verified
+    assert orders == [0, 1]
+    # a residual passed in is tested as it is, with no truncation
+    orders.clear()
+    assert noether_fluxes(XI1, LAG, residual=residual(XI1, LAG)).verified
+    assert orders == []
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_leading_residual_is_coefficient_0_of_the_residual(name):
+    model = load_builtin(name)
+    lag = model.lagrangian
+    pairs = [(rec.generator, rec.gauge) for rec in model.golden]
+    pairs += [screened(model, *case) for case in SCREENED.get(name, [])]
+    for g, phi in pairs:
+        assert leading_residual(g, lag, phi) == variational_residual(g, lag, phi)[0]
+    assert lag.leading() is lag.leading()
+    assert lag.leading().L[0] is lag.L[0]
 
 
 def test_divergence_check_negative_control():
